@@ -93,6 +93,7 @@ from .shiftlab import (
 from .greeks import (
     BELConfig,
     GradientReport,
+    bel_fd_gradients,
     bel_gradient,
     constant_weight,
     digital_payoff,

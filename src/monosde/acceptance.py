@@ -40,9 +40,9 @@ from .malliavin import _field_batch, malliavin_field
 from .shiftlab import _log_dd, cameron_martin_check, clipped_sup_norm, gateaux_ladder
 from .greeks import (
     BELConfig,
+    bel_fd_gradients,
     bel_gradient,
     constant_weight,
-    fd_gradient,
     identity_payoff,
     linear_weight,
     tanh_payoff,
@@ -359,12 +359,8 @@ def criterion_08(workers: int = 1) -> CriterionResult:
     # BEL vs CRN finite difference on Ginzburg-Landau with tanh payoff
     spec_gl = zoo_lookup("ginzburg_landau", {"eta": 1.0, "sigma": 1.0})
     grid_gl = make_grid(1.0, 2**10)
-    rb = bel_gradient(
+    rb, rf = bel_fd_gradients(
         spec_gl, grid_gl, SchemeChoice(TAMED), BELConfig(tanh_payoff(), grid_gl.N),
-        n_paths=20_000, seed=1088, workers=workers,
-    )
-    rf = fd_gradient(
-        spec_gl, grid_gl, SchemeChoice(TAMED), tanh_payoff(), grid_gl.N,
         eps=1e-3, n_paths=20_000, seed=1088, workers=workers,
     )
     comb = math.hypot(rb.estimate.stderr[0], rf.estimate.stderr[0])

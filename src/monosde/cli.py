@@ -7,8 +7,11 @@ formatting plus a metadata sidecar (the canonical config echo, library
 version, and seed), sufficient to reproduce it bit-identically; artifacts
 contain no timestamps.
 
-Exit codes: 0 success, 1 invalid config, 2 runtime divergence, 3 acceptance
-failure (verify).
+Exit codes: 0 success; 1 invalid config, or a parameter or domain error
+raised while running; 2 numerical runtime failure (DivergenceError,
+NewtonFailureError, SingularDiffusionError, DegenerateWronskianError); 3
+acceptance failure (verify).  Errors of the library reach stderr as one
+``error: ...`` line, never as a traceback.
 """
 
 from __future__ import annotations
@@ -27,7 +30,13 @@ from .core import (
     make_grid,
     sample_noise,
 )
-from .errors import DivergenceError, MonosdeError
+from .errors import (
+    DegenerateWronskianError,
+    DivergenceError,
+    MonosdeError,
+    NewtonFailureError,
+    SingularDiffusionError,
+)
 from .models import ZOO_NAMES, zoo_lookup
 from .solver import SCHEMES, SchemeChoice, simulate
 from .variational import jacobian
@@ -40,14 +49,15 @@ from .shiftlab import (
 )
 from .greeks import (
     BELConfig,
-    bel_gradient,
+    bel_fd_gradients,
     constant_weight,
     digital_payoff,
-    fd_gradient,
     identity_payoff,
     linear_weight,
     tanh_payoff,
 )
+# Not called here; perfbench/tracer.py wraps these two names in this module.
+from .greeks import bel_gradient, fd_gradient  # noqa: F401
 
 EXPERIMENTS = (
     "simulate",
@@ -449,13 +459,9 @@ def _run_greeks(cfg, out_dir, workers):
         "digital": digital_payoff(cfg.strike),
     }[cfg.payoff]
     weight = constant_weight() if cfg.weight == "constant" else linear_weight()
-    bel = bel_gradient(
-        spec, grid, scheme, BELConfig(payoff, grid.N, weight), cfg.n_paths,
-        cfg.seed, workers=workers,
-    )
-    fd = fd_gradient(
-        spec, grid, scheme, payoff, grid.N, cfg.fd_eps, cfg.n_paths, cfg.seed,
-        workers=workers,
+    bel, fd = bel_fd_gradients(
+        spec, grid, scheme, BELConfig(payoff, grid.N, weight), cfg.fd_eps,
+        cfg.n_paths, cfg.seed, workers=workers,
     )
     rows = []
     for rep in (bel, fd):
@@ -506,14 +512,24 @@ _RUNNERS = {
 }
 
 
+#: Numerical failures at run time; every other MonosdeError is a parameter or
+#: domain error.
+_RUNTIME_ERRORS = (
+    DivergenceError,
+    NewtonFailureError,
+    SingularDiffusionError,
+    DegenerateWronskianError,
+)
+
+
 def run(cfg: ExperimentConfig, out_dir: str = ".", workers: int = 1) -> int:
     """Execute one experiment; writes artifacts plus a metadata sidecar."""
     os.makedirs(out_dir, exist_ok=True)
     try:
         artifacts = _RUNNERS[cfg.experiment](cfg, out_dir, workers)
-    except DivergenceError as exc:
+    except MonosdeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, _RUNTIME_ERRORS) else 1
     _write_sidecar(os.path.join(out_dir, f"{cfg.experiment}.meta"), cfg)
     if artifacts is None:
         return 3

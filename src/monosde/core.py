@@ -250,13 +250,17 @@ def _path_generator(seed: int, path_index: int, branch: int = 0) -> np.random.Ge
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _path_increments(grid: TimeGrid, m: int, seed: int, path_index: int) -> np.ndarray:
+    """The (seed, path_index) Brownian stream: N x m Normal(0, dt) draws."""
+    gen = _path_generator(seed, path_index)
+    return gen.standard_normal((grid.N, m)) * math.sqrt(grid.dt)
+
+
 def sample_noise(grid: TimeGrid, m: int, seed: int, path_index: int = 0) -> NoisePath:
     """Draw N independent Normal(0, dt I_m) increments for one path."""
     if m < 1:
         raise InvalidParameterError("m must be >= 1")
-    gen = _path_generator(seed, path_index)
-    inc = gen.standard_normal((grid.N, m)) * math.sqrt(grid.dt)
-    return NoisePath(grid, m, inc)
+    return NoisePath(grid, m, _path_increments(grid, m, seed, path_index))
 
 
 def sample_increments(
@@ -264,10 +268,8 @@ def sample_increments(
 ) -> np.ndarray:
     """Increments for paths start..start+count-1, shape (count, N, m)."""
     out = np.empty((count, grid.N, m))
-    sq = math.sqrt(grid.dt)
     for k in range(count):
-        gen = _path_generator(seed, start + k)
-        out[k] = gen.standard_normal((grid.N, m)) * sq
+        out[k] = _path_increments(grid, m, seed, start + k)
     return out
 
 

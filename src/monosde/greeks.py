@@ -173,6 +173,53 @@ def _bel_weights_batch(field, out, scheme, cfg, a):
     return wstar
 
 
+def _check_bel_field(field):
+    if field.d != field.m:
+        raise InvalidParameterError("BEL requires a square diffusion (m = d)")
+    if not field.deterministic:
+        raise InvalidParameterError(
+            "BEL is restricted to deterministic coefficients (adapted integrand)"
+        )
+
+
+def _check_eps(eps):
+    if not (eps > 0):
+        raise InvalidParameterError("eps must be > 0")
+
+
+def _bel_samples(spec, grid, scheme, cfg, a, inc):
+    """Per-path BEL samples Phi(X_t) w* and divergence flags for one chunk."""
+    out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
+    wstar = _bel_weights_batch(spec.field, out, scheme, cfg, a)
+    phi = cfg.payoff(out.values[:, cfg.t_index])
+    return phi[:, None] * wstar, out.diverged
+
+
+def _fd_samples(spec, grid, scheme, payoff, t_index, eps, inc):
+    """Per-path central differences and divergence flags for one chunk."""
+    count, d = inc.shape[0], spec.d
+    grads = np.empty((count, d))
+    div = np.zeros(count, dtype=bool)
+    for k in range(d):
+        bump = np.zeros(d)
+        bump[k] = eps
+        up = simulate_batch(spec.field, grid, inc, spec.theta0 + bump, scheme)
+        dn = simulate_batch(spec.field, grid, inc, spec.theta0 - bump, scheme)
+        grads[:, k] = (
+            payoff(up.values[:, t_index]) - payoff(dn.values[:, t_index])
+        ) / (2.0 * eps)
+        div |= up.diverged | dn.diverged
+    return grads, div
+
+
+def _report(parts, method) -> GradientReport:
+    """Reduce chunk results (samples, diverged) in path order."""
+    vals = np.concatenate([p[0] for p in parts])
+    div = np.concatenate([p[1] for p in parts])
+    est = mc_estimate(vals[~div])
+    return GradientReport(est, method, int(div.sum()))
+
+
 def bel_gradient(
     spec: ModelSpec,
     grid: TimeGrid,
@@ -183,27 +230,14 @@ def bel_gradient(
     workers: int = 1,
 ) -> GradientReport:
     """grad_x E[Phi(X_x(t))] = E[Phi(X_x(t)) w*] by the BEL weight estimator."""
-    field = spec.field
-    if field.d != field.m:
-        raise InvalidParameterError("BEL requires a square diffusion (m = d)")
-    if not field.deterministic:
-        raise InvalidParameterError(
-            "BEL is restricted to deterministic coefficients (adapted integrand)"
-        )
+    _check_bel_field(spec.field)
     a = cfg.weights_on(grid)
 
     def chunk(start, count):
-        inc = sample_increments(grid, field.m, seed, start, count)
-        out = simulate_batch(field, grid, inc, spec.theta0, scheme)
-        wstar = _bel_weights_batch(field, out, scheme, cfg, a)
-        phi = cfg.payoff(out.values[:, cfg.t_index])
-        return phi[:, None] * wstar, out.diverged
+        inc = sample_increments(grid, spec.m, seed, start, count)
+        return _bel_samples(spec, grid, scheme, cfg, a, inc)
 
-    parts = run_chunks(chunk, n_paths, workers)
-    vals = np.concatenate([p[0] for p in parts])
-    div = np.concatenate([p[1] for p in parts])
-    est = mc_estimate(vals[~div])
-    return GradientReport(est, "bel", int(div.sum()))
+    return _report(run_chunks(chunk, n_paths, workers), "bel")
 
 
 def fd_gradient(
@@ -219,27 +253,41 @@ def fd_gradient(
 ) -> GradientReport:
     """Central-difference gradient with common random numbers, differenced per
     path before averaging."""
-    if not (eps > 0):
-        raise InvalidParameterError("eps must be > 0")
-    d = spec.d
+    _check_eps(eps)
 
     def chunk(start, count):
         inc = sample_increments(grid, spec.m, seed, start, count)
-        grads = np.empty((count, d))
-        div = np.zeros(count, dtype=bool)
-        for k in range(d):
-            bump = np.zeros(d)
-            bump[k] = eps
-            up = simulate_batch(spec.field, grid, inc, spec.theta0 + bump, scheme)
-            dn = simulate_batch(spec.field, grid, inc, spec.theta0 - bump, scheme)
-            grads[:, k] = (
-                payoff(up.values[:, t_index]) - payoff(dn.values[:, t_index])
-            ) / (2.0 * eps)
-            div |= up.diverged | dn.diverged
-        return grads, div
+        return _fd_samples(spec, grid, scheme, payoff, t_index, eps, inc)
+
+    return _report(run_chunks(chunk, n_paths, workers), "fd")
+
+
+def bel_fd_gradients(
+    spec: ModelSpec,
+    grid: TimeGrid,
+    scheme: SchemeChoice,
+    cfg: BELConfig,
+    eps: float,
+    n_paths: int,
+    seed: int,
+    workers: int = 1,
+) -> tuple[GradientReport, GradientReport]:
+    """(bel, fd) reports equal to bel_gradient(spec, grid, scheme, cfg, ...)
+    and fd_gradient(spec, grid, scheme, cfg.payoff, cfg.t_index, eps, ...),
+    from one pass that draws each chunk's noise once for both estimators."""
+    _check_bel_field(spec.field)
+    _check_eps(eps)
+    a = cfg.weights_on(grid)
+
+    def chunk(start, count):
+        inc = sample_increments(grid, spec.m, seed, start, count)
+        # the BEL SimBatch is released before the FD simulations start
+        bel = _bel_samples(spec, grid, scheme, cfg, a, inc)
+        fd = _fd_samples(spec, grid, scheme, cfg.payoff, cfg.t_index, eps, inc)
+        return bel, fd
 
     parts = run_chunks(chunk, n_paths, workers)
-    vals = np.concatenate([p[0] for p in parts])
-    div = np.concatenate([p[1] for p in parts])
-    est = mc_estimate(vals[~div])
-    return GradientReport(est, "fd", int(div.sum()))
+    return (
+        _report([p[0] for p in parts], "bel"),
+        _report([p[1] for p in parts], "fd"),
+    )

@@ -139,6 +139,7 @@ def simulate_batch(
     values[:, 0] = theta
     diverged = np.zeros(B, dtype=bool)
     first_bad = np.full(B, N + 1, dtype=np.int64)
+    any_diverged = False
     x = theta.copy()
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -153,23 +154,27 @@ def simulate_batch(
                 b = field.drift(t, hist, x)
                 sig = field.diffusion(t, hist, x)
                 if scheme.kind == TAMED:
-                    denom = 1.0 + dt * np.linalg.norm(b, axis=1, keepdims=True)
+                    nb = dt * np.linalg.norm(b, axis=1, keepdims=True)
+                    denom = 1.0 + nb
                     drift_step = b * (dt / denom)
-                    # |b| dt / (1 + dt |b|) < 1 for every finite drift value
-                    _n = np.linalg.norm(drift_step, axis=1)
-                    assert not np.any(_n[np.isfinite(_n)] > 1.0 + 1e-12)
+                    # |b| dt / (1 + dt |b|) < 1 for every drift value; NaN
+                    # compares False, so non-finite drifts pass to the tagging
+                    assert not np.any(nb > denom * (1.0 + 1e-12))
                 else:
                     drift_step = b * dt
                 x_next = x + drift_step + np.einsum("bdm,bm->bd", sig, dw)
 
-            bad = ~np.all(np.isfinite(x_next), axis=1)
-            bad |= np.max(np.abs(x_next), axis=1) > DIVERGENCE_BOUND
-            new_bad = bad & ~diverged
-            if np.any(new_bad):
-                first_bad[new_bad] = i + 1
-                diverged |= new_bad
-            # freeze diverged paths at their last finite state
-            x_next[diverged] = x[diverged]
+            # NaN fails the <=, so non-finite states are tagged as well
+            bad = ~(np.max(np.abs(x_next), axis=1) <= DIVERGENCE_BOUND)
+            if any_diverged:
+                bad &= ~diverged
+            if np.any(bad):
+                first_bad[bad] = i + 1
+                diverged |= bad
+                any_diverged = True
+            if any_diverged:
+                # freeze diverged paths at their last finite state
+                x_next[diverged] = x[diverged]
             x = x_next
             values[:, i + 1] = x
 

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from monosde import errors
 from monosde.cli import emit_config, main, parse_config, run
 
 
@@ -164,6 +165,19 @@ n_paths = 512
     assert methods == ["bel", "fd"]
 
 
+def test_greeks_workers_do_not_change_output(tmp_path):
+    cfg, problems = parse_config(
+        "schema_version = 1\nexperiment = greeks\nmodel = ginzburg_landau\n"
+        "grid.T = 1\ngrid.N = 32\nscheme = tamed_euler\nseed = 5\n"
+        "n_paths = 2500\ngreeks.payoff = tanh\n"
+    )
+    assert not problems
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    assert run(cfg, str(out1), workers=1) == 0
+    assert run(cfg, str(out2), workers=2) == 0
+    assert (out1 / "greeks.csv").read_bytes() == (out2 / "greeks.csv").read_bytes()
+
+
 def test_divergent_run_exits_2(tmp_path):
     text = """
 schema_version = 1
@@ -179,6 +193,86 @@ n_paths = 1
     cfg, errors = parse_config(text)
     assert not errors
     assert run(cfg, str(tmp_path / "div")) == 2
+
+
+_FAILING_CONFIGS = {
+    # dt * L_mono = 1 violates the implicit step's precondition
+    "invalid_parameter": (
+        "simulate",
+        "model = quintic\ngrid.T = 1\ngrid.N = 1\nscheme = split_step_implicit\n",
+        1,
+        "split_step_implicit requires dt * L_mono < 1",
+    ),
+    "divergence": (
+        "simulate",
+        "model = ginzburg_landau\nmodel.x0 = 10\ngrid.T = 2\ngrid.N = 64\n"
+        "scheme = euler_maruyama\nseed = 3\n",
+        2,
+        "state diverged at step",
+    ),
+    "newton_failure": (
+        "simulate",
+        "model = ginzburg_landau\nmodel.x0 = 3\ngrid.T = 1\ngrid.N = 16\n"
+        "scheme = split_step_implicit\nscheme.newton_max_iter = 1\n",
+        2,
+        "Newton residual",
+    ),
+    # sigma(x) = x vanishes on the path started at 0
+    "singular_diffusion": (
+        "greeks",
+        "model = ginzburg_landau\nmodel.x0 = 0\ngrid.T = 1\ngrid.N = 16\nn_paths = 4\n",
+        2,
+        "diffusion below",
+    ),
+    # the Ito correction -sigma^2 T / 2 = -5000 underflows exp(log D) to 0
+    "degenerate_wronskian": (
+        "jacobian",
+        "model = gbm\nmodel.sigma = 100\ngrid.T = 1\ngrid.N = 64\n"
+        "scheme = euler_maruyama\n",
+        2,
+        "Wronskian non-positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING_CONFIGS))
+def test_library_errors_exit_with_one_line(tmp_path, capsys, case):
+    subcommand, body, code, message = _FAILING_CONFIGS[case]
+    conf = tmp_path / "fail.conf"
+    conf.write_text(f"schema_version = 1\nexperiment = {subcommand}\n{body}")
+    assert main([subcommand, "--config", str(conf), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (errors.InvalidParameterError("x"), 1),
+        (errors.DimensionMismatchError("x"), 1),
+        (errors.UnknownModelError("x"), 1),
+        (errors.OutOfDomainError("x"), 1),
+        (errors.NoClosedFormError("x"), 1),
+        (errors.MissingGradientsError("x"), 1),
+        (errors.NonAdaptedIntegrandError("x"), 1),
+        (errors.DivergenceError(3), 2),
+        (errors.NewtonFailureError(3, 1.0, 1e-10), 2),
+        (errors.SingularDiffusionError("x"), 2),
+        (errors.DegenerateWronskianError("x"), 2),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_error_class_exit_codes(tmp_path, monkeypatch, capsys, exc, code):
+    import monosde.cli as cli
+
+    def raising(cfg, out_dir, workers):
+        raise exc
+
+    monkeypatch.setitem(cli._RUNNERS, "simulate", raising)
+    cfg, _ = parse_config(GOOD)
+    assert run(cfg, str(tmp_path / "o")) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_verify_subset(tmp_path, capsys):

@@ -8,6 +8,7 @@ from monosde import (
     InvalidParameterError,
     NonAdaptedIntegrandError,
     SingularDiffusionError,
+    bel_fd_gradients,
     bel_gradient,
     constant_weight,
     digital_payoff,
@@ -130,6 +131,36 @@ def test_bel_vs_fd_on_ginzburg_landau():
     )
     comb = math.hypot(rb.estimate.stderr[0], rf.estimate.stderr[0])
     assert abs(rb.estimate.mean[0] - rf.estimate.mean[0]) <= 3.0 * comb
+
+
+@pytest.mark.parametrize(
+    "x0, T, N, kind, n_paths, workers",
+    [
+        # 1500 paths = one full chunk plus a partial one
+        (1.0, 1.0, 32, TAMED, 1500, 1),
+        (1.0, 1.0, 32, TAMED, 1500, 2),
+        # explicit Euler from x0 = 3 with dt = 1/4 blows up on some paths
+        (3.0, 2.0, 8, EULER, 1100, 2),
+    ],
+)
+def test_fused_pass_equals_separate_estimators(x0, T, N, kind, n_paths, workers):
+    spec = zoo_lookup("ginzburg_landau", {"eta": 1.0, "sigma": 1.0, "x0": x0})
+    g = make_grid(T, N)
+    scheme = SchemeChoice(kind)
+    cfg = BELConfig(tanh_payoff(), g.N)
+    bel, fd = bel_fd_gradients(
+        spec, g, scheme, cfg, 1e-3, n_paths=n_paths, seed=21, workers=workers
+    )
+    rb = bel_gradient(spec, g, scheme, cfg, n_paths=n_paths, seed=21)
+    rf = fd_gradient(spec, g, scheme, tanh_payoff(), g.N, 1e-3, n_paths=n_paths, seed=21)
+    for fused, alone in ((bel, rb), (fd, rf)):
+        assert fused.method == alone.method
+        assert np.array_equal(fused.estimate.mean, alone.estimate.mean)
+        assert np.array_equal(fused.estimate.stderr, alone.estimate.stderr)
+        assert fused.estimate.n_paths == alone.estimate.n_paths
+        assert fused.n_diverged == alone.n_diverged
+        assert fused.estimate.n_paths + fused.n_diverged == n_paths
+    assert (bel.n_diverged > 0) == (kind == EULER)
 
 
 def test_bel_requires_deterministic_coefficients():

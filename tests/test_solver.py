@@ -16,6 +16,7 @@ from monosde import (
     zoo_lookup,
 )
 from monosde.core import sample_increments
+from monosde.models import CoefficientField
 from monosde.solver import (
     EULER,
     IMPLICIT,
@@ -75,6 +76,66 @@ def test_taming_necessity_divergence_counts():
     assert out_e.diverged.sum() >= 2
     assert out_t.diverged.sum() == 0
     assert out_i.diverged.sum() == 0
+
+
+def test_divergence_bookkeeping_is_pinned():
+    # Explicit Euler on GL from x0 = 10 (rows 0, 3) and nearby starts; the
+    # figures were recorded before the kernel's bookkeeping was rewritten.
+    spec = zoo_lookup("ginzburg_landau", {"eta": 1.0, "sigma": 1.0, "x0": 10.0})
+    g = make_grid(2.0, 64)
+    inc = sample_increments(g, 1, seed=4, start=0, count=6)
+    theta = np.array([[10.0], [1.0], [8.0], [10.0], [9.0], [8.5]])
+    out = simulate_batch(spec.field, g, inc, theta, SchemeChoice(EULER))
+    assert out.diverged.tolist() == [True, False, False, True, True, True]
+    assert out.first_bad.tolist() == [7, 65, 65, 7, 7, 7]
+    frozen = {
+        0: 4.040528731136235e132,
+        3: 4.72830046995121e136,
+        4: 8.104052600291134e74,
+        5: 3.915725302670769e59,
+    }
+    for b, value in frozen.items():
+        assert np.all(out.values[b, 6:, 0] == value)
+        assert out.values[b, 5, 0] != value
+    assert out.values[1, -1, 0] == 0.6769377719352049
+    assert out.values[2, -1, 0] == 0.909961052445855
+
+
+@pytest.mark.parametrize(
+    "kind, frozen",
+    [
+        (EULER, (0.20276968377273313, -0.25230705764548067)),
+        (TAMED, (0.20396940764826396, -0.25041544047387077)),
+    ],
+)
+def test_non_finite_drift_is_tagged_at_its_step(kind, frozen):
+    # drift turns NaN on path 1 at step 5 and +inf on path 3 at step 9
+    g = make_grid(1.0, 16)
+
+    def drift(t, hist, x):
+        b = -x.copy()
+        i = int(round(t / g.dt))
+        if i == 5:
+            b[1] = np.nan
+        if i == 9:
+            b[3] = np.inf
+        return b
+
+    field = CoefficientField(
+        1,
+        1,
+        drift,
+        lambda t, h, x: np.ones((x.shape[0], 1, 1)),
+        lambda t, h, x: -np.ones((x.shape[0], 1, 1)),
+        lambda t, h, x: np.zeros((x.shape[0], 1, 1, 1)),
+    )
+    inc = sample_increments(g, 1, seed=11, start=0, count=4)
+    out = simulate_batch(field, g, inc, np.array([0.5]), SchemeChoice(kind))
+    assert out.diverged.tolist() == [False, True, False, True]
+    assert out.first_bad.tolist() == [17, 6, 17, 10]
+    assert np.all(np.isfinite(out.values))
+    assert np.all(out.values[1, 5:, 0] == frozen[0])
+    assert np.all(out.values[3, 9:, 0] == frozen[1])
 
 
 def test_simulate_raises_divergence_with_step():
