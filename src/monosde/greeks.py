@@ -190,9 +190,12 @@ def _check_eps(eps):
 def _bel_samples(spec, grid, scheme, cfg, a, inc):
     """Per-path BEL samples Phi(X_t) w* and divergence flags for one chunk."""
     out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
-    wstar = _bel_weights_batch(spec.field, out, scheme, cfg, a)
-    phi = cfg.payoff(out.values[:, cfg.t_index])
-    return phi[:, None] * wstar, out.diverged
+    # diverged paths stay frozen at up to DIVERGENCE_BOUND, so their weights
+    # overflow; _report masks those paths out
+    with np.errstate(over="ignore", invalid="ignore"):
+        wstar = _bel_weights_batch(spec.field, out, scheme, cfg, a)
+        phi = cfg.payoff(out.values[:, cfg.t_index])
+        return phi[:, None] * wstar, out.diverged
 
 
 def _fd_samples(spec, grid, scheme, payoff, t_index, eps, inc):

@@ -96,20 +96,31 @@ def _newton_solve(field, t_next, hist, x, dt, scheme, step_index):
         if np.all(norm <= tol):
             return y
         jac = eye - dt * field.grad_drift(t_next, hist, y)
-        step = np.linalg.solve(jac, -res[..., None])[..., 0]
+        if d == 1:
+            # bit-identical to LAPACK's 1x1 solve, without its per-call cost
+            step = -res / jac[:, :, 0]
+        else:
+            step = np.linalg.solve(jac, -res[..., None])[..., 0]
         lam = np.ones((B, 1))
         for _ in range(30):
             y_try = y + lam * step
             res_try = y_try - x - dt * field.drift(t_next, hist, y_try)
             worse = (np.max(np.abs(res_try), axis=1) > norm) & (norm > tol)
             if not np.any(worse):
+                y, res = y_try, res_try
                 break
             lam[worse] *= 0.5
-        y = y + lam * step
-        res = y - x - dt * field.drift(t_next, hist, y)
-    norm = float(np.max(np.abs(res)))
-    if norm > tol:
-        raise NewtonFailureError(step_index, norm, tol)
+        else:
+            # the halvings ran out, and lam was halved after the last trial
+            y = y + lam * step
+            res = y - x - dt * field.drift(t_next, hist, y)
+    # A path with a non-finite iterate is tagged diverged by simulate_batch.
+    # Every other path must be within tol; NaN fails the <=, so a NaN
+    # residual at a finite iterate raises as well.
+    norm = np.max(np.abs(res), axis=1)
+    stuck = ~(norm <= tol) & np.all(np.isfinite(y), axis=1)
+    if np.any(stuck):
+        raise NewtonFailureError(step_index, np.max(norm[stuck]), tol)
     return y
 
 

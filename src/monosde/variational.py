@@ -88,9 +88,13 @@ class VariationalFactors:
             self.dmat = self.gb * (dt * self.tame[:, None, None])
         else:  # IMPLICIT: (I - dt grad_b(t_{i+1}, Y))^{-1} - I, Y from the stored step
             y = self.out.values[:, i + 1] - np.einsum("bdm,bm->bd", self.sig, dw)
-            gby = field.grad_drift(t + dt, self.hist, y)
-            inv = np.linalg.solve(self._eye - dt * gby, np.broadcast_to(
-                self._eye, gby.shape).copy())
+            jac = self._eye - dt * field.grad_drift(t + dt, self.hist, y)
+            if field.d == 1:
+                inv = 1.0 / jac  # bit-identical to LAPACK's 1x1 solve
+            else:
+                inv = np.linalg.solve(
+                    jac, np.broadcast_to(self._eye, jac.shape).copy()
+                )
             self.dmat = inv - self._eye
             self.tame = np.ones(x.shape[0])
         self.amat = self.dmat + self.smat

@@ -163,6 +163,24 @@ def test_fused_pass_equals_separate_estimators(x0, T, N, kind, n_paths, workers)
     assert (bel.n_diverged > 0) == (kind == EULER)
 
 
+@pytest.mark.filterwarnings("error")
+def test_bel_on_diverged_paths_warns_nothing():
+    # explicit Euler from x0 = 3 diverges on about half the paths; their
+    # frozen states overflow the weight recursion, which must stay quiet and
+    # leave the estimate as recorded before the warnings were silenced
+    spec = zoo_lookup("ginzburg_landau", {"eta": 1.0, "sigma": 1.0, "x0": 3.0})
+    g = make_grid(2.0, 8)
+    bel, fd = bel_fd_gradients(
+        spec, g, SchemeChoice(EULER), BELConfig(tanh_payoff(), g.N), 1e-3,
+        n_paths=1100, seed=21, workers=2,
+    )
+    assert bel.n_diverged == 538
+    assert bel.estimate.mean[0] == -19.1317747450051
+    assert bel.estimate.stderr[0] == 18.975996442295326
+    assert fd.n_diverged == 539
+    assert fd.estimate.mean[0] == 5.30268738558006
+
+
 def test_bel_requires_deterministic_coefficients():
     spec = zoo_lookup("random_sigma_example")
     g = make_grid(1.0, 64)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from monosde import (
     DivergenceError,
     InvalidParameterError,
+    NewtonFailureError,
     eval_closed_form,
     estimate_sup_moment,
     make_grid,
@@ -255,3 +258,112 @@ def test_implicit_requires_small_dt():
     w = sample_noise(g, 1, seed=13)
     with pytest.raises(InvalidParameterError):
         simulate(spec, g, w, scheme=SchemeChoice(IMPLICIT))
+
+
+def _gl_implicit(eta, x0, N, count=16, field=None, scheme=None):
+    spec = zoo_lookup("ginzburg_landau", {"eta": eta, "x0": x0})
+    g = make_grid(1.0, N)
+    inc = sample_increments(g, 1, seed=5, start=0, count=count)
+    return simulate_batch(
+        field or spec.field, g, inc, spec.theta0, scheme or SchemeChoice(IMPLICIT)
+    )
+
+
+@pytest.mark.parametrize(
+    "eta, x0, N, digest",
+    [
+        (1.0, 1.0, 4, "4ab2f5ee999785f0e477d3cc49b958d1e2a53b441cdb97c75b8b4a2f781aec38"),
+        (1.0, 1.0, 64, "675d0853e93311c1a1ee7f8e00c2292968bc7ce19d84147224468449ea7b9b3e"),
+        (1.0, 3.0, 4, "a8dbd0bccc83095250b6fd34e0669cf86cc163f30157418b9323189f916148f1"),
+        (1.0, 3.0, 64, "ab188e10ce61feffb2dba22412388165dbda9dc22b4ddd9bb87bdacdd62ba23e"),
+        (1.0, 20.0, 4, "48b2f76158e5d4ab64f629f1c203c29dfd76a5cd1eb02f49409341597852ffc5"),
+        (1.0, 20.0, 64, "0e60123d47f0c0c762cc0b3df48180521c35a3e0d2251c0e9401937ed49d6f15"),
+        # dt * eta near 1 makes Newton overshoot, so these enter backtracking
+        (3.9, 1.0, 4, "b0b291438919bb88d75870c3142f3fd2f15223ed36fc4d9c7131721c8efcdc00"),
+        (3.9, 3.0, 4, "4e43d31cb4cbba11adf8b768ec4df6edb4c3dc131cef5b975b586384a3404051"),
+        (60.0, 1.0, 64, "0c51ecbfc4bde31b190321894829f5d02abd32521d60122ec7c59aefe9262b6a"),
+    ],
+)
+def test_implicit_kernel_bytes_are_pinned(eta, x0, N, digest):
+    # digests recorded before the d = 1 Newton division and residual reuse
+    out = _gl_implicit(eta, x0, N)
+    assert not out.diverged.any()
+    assert hashlib.sha256(out.values.tobytes()).hexdigest() == digest
+
+
+def _counted(fn, counts, dt):
+    """fn with its calls counted per implicit step in counts."""
+
+    def wrapped(t, hist, x):
+        step = int(round(t / dt)) - 1  # Newton evaluates at t_{i+1}
+        counts[step] = counts.get(step, 0) + 1
+        return fn(t, hist, x)
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "eta, x0, per_step",
+    [
+        # (Newton iterations, backtracking halvings) per step, recorded
+        # before the residual reuse
+        (3.9, 1.0, [(5, 1), (5, 1), (6, 1), (5, 1)]),
+        (1.0, 3.0, [(5, 0), (6, 0), (6, 0), (5, 0)]),
+    ],
+)
+def test_newton_drift_calls_per_step(eta, x0, per_step):
+    # one drift call for the start residual and one per line-search trial;
+    # the accepted trial's residual is reused
+    f = zoo_lookup("ginzburg_landau", {"eta": eta, "x0": x0}).field
+    drift, grad_drift = {}, {}
+    counting = replace(
+        f,
+        drift=_counted(f.drift, drift, 0.25),
+        grad_drift=_counted(f.grad_drift, grad_drift, 0.25),
+    )
+    _gl_implicit(eta, x0, 4, field=counting)
+    for i, (iters, halvings) in enumerate(per_step):
+        assert drift[i] == 1 + iters + halvings
+        assert grad_drift[i] == iters
+
+
+def test_newton_exhausted_line_search_keeps_last_halving():
+    # a gradient of 2/dt turns every Newton direction uphill, so all 30
+    # halvings run out; the residual was recorded before the residual reuse
+    uphill = replace(
+        zoo_lookup("ginzburg_landau", {"x0": 1.0}).field,
+        grad_drift=lambda t, h, x: np.full((x.shape[0], 1, 1), 2.0 / 0.25),
+    )
+    with pytest.raises(NewtonFailureError) as exc:
+        _gl_implicit(1.0, 1.0, 4, count=4, field=uphill,
+                     scheme=SchemeChoice(IMPLICIT, newton_max_iter=3))
+    assert exc.value.step == 1
+    assert exc.value.residual == 0.8346479547509976
+
+
+def _nan_on_path_0(field):
+    def drift(t, hist, x):
+        b = field.drift(t, hist, x)
+        b[0] = np.nan
+        return b
+
+    return replace(field, drift=drift)
+
+
+def test_newton_failure_not_hidden_by_nan_path():
+    spec = zoo_lookup("ginzburg_landau", {"x0": 10.0})
+    one_iter = SchemeChoice(IMPLICIT, newton_max_iter=1)
+    for field in (spec.field, _nan_on_path_0(spec.field)):
+        with pytest.raises(NewtonFailureError, match="residual 7.135e"):
+            _gl_implicit(1.0, 10.0, 4, count=8, field=field, scheme=one_iter)
+
+
+def test_nan_path_is_tagged_while_the_rest_converge():
+    spec = zoo_lookup("ginzburg_landau", {"x0": 10.0})
+    out = _gl_implicit(1.0, 10.0, 4, count=8, field=_nan_on_path_0(spec.field))
+    clean = _gl_implicit(1.0, 10.0, 4, count=8)
+    assert out.diverged.tolist() == [True] + [False] * 7
+    assert out.first_bad[0] == 1
+    # the NaN path keeps Newton iterating, so the converged paths take a few
+    # more sub-tolerance updates than in the clean batch
+    assert np.max(np.abs(out.values[1:] - clean.values[1:])) < 1e-12

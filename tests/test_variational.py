@@ -13,7 +13,10 @@ from monosde import (
     sample_noise,
     zoo_lookup,
 )
-from monosde.solver import EULER, TAMED, SchemeChoice
+from monosde.core import sample_increments
+from monosde.models import CoefficientField
+from monosde.solver import EULER, IMPLICIT, TAMED, SchemeChoice, simulate_batch
+from monosde.variational import VariationalFactors
 
 
 def test_gbm_jacobian_is_scaled_state():
@@ -205,3 +208,53 @@ def test_probe_linear_quadratic_bound():
     assert ok and worst <= -0.5
     worst, ok = probe_linear_quadratic_bound(coeffs, bound=-0.9, seed=1)
     assert not ok
+
+
+def _diag(v):
+    out = np.zeros(v.shape + v.shape[-1:])
+    k = np.arange(v.shape[-1])
+    out[..., k, k] = v
+    return out
+
+
+def _twin_ginzburg_landau(eta):
+    """Two uncoupled GL components (sigma = 1) in d = m = 2, each with its own
+    noise."""
+
+    def grad_diffusion(t, h, x):
+        g = np.zeros((x.shape[0], 2, 2, 2))
+        g[:, 0, 0, 0] = g[:, 1, 1, 1] = 1.0
+        return g
+
+    return CoefficientField(
+        2,
+        2,
+        lambda t, h, x: eta * x - x**3,
+        lambda t, h, x: _diag(x),
+        lambda t, h, x: _diag(eta - 3.0 * x**2),
+        grad_diffusion,
+        monotone_const=eta,
+    )
+
+
+@pytest.mark.parametrize("eta, x0, N", [(1.0, 3.0, 64), (3.9, 1.0, 4)])
+def test_implicit_d2_twin_equals_d1_bitwise(eta, x0, N):
+    # the d x d solves of Newton and of the implicit factor, fed the same
+    # increments in both columns, must reproduce the d = 1 division path
+    spec = zoo_lookup("ginzburg_landau", {"eta": eta, "x0": x0})
+    g = make_grid(1.0, N)
+    scheme = SchemeChoice(IMPLICIT)
+    inc = sample_increments(g, 1, seed=5, start=0, count=16)
+    one = simulate_batch(spec.field, g, inc, spec.theta0, scheme)
+    twin_field = _twin_ginzburg_landau(eta)
+    two = simulate_batch(
+        twin_field, g, np.concatenate([inc, inc], axis=2), np.full(2, x0), scheme
+    )
+    for k in range(2):
+        assert np.array_equal(two.values[..., k], one.values[..., 0])
+    vf1 = VariationalFactors(spec.field, one, scheme)
+    vf2 = VariationalFactors(twin_field, two, scheme)
+    for i in range(N):
+        vf1.load(i)
+        vf2.load(i)
+        assert np.array_equal(vf2.dmat, _diag(np.repeat(vf1.dmat[:, 0], 2, axis=1)))
