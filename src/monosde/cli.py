@@ -17,9 +17,11 @@ acceptance failure (verify).  Errors of the library reach stderr as one
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,61 +78,113 @@ def _fmt(x) -> str:
     return _FMT.format(float(x))
 
 
+class _Reader(NamedTuple):
+    """How a config value is read from its text and echoed back to it."""
+
+    parse: Callable  # text -> value; raises ValueError on bad text
+    show: Callable  # value -> text; parse(show(v)) == v
+    expect: str  # what bad text must be instead
+
+
+def _finite(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(text)
+    return v
+
+
+def _list_of(parse):
+    return lambda text: tuple(parse(v) for v in text.split(",") if v.strip())
+
+
+_TEXT = _Reader(str, str, "text")
+_INT = _Reader(int, str, "an integer")
+_NUMBER = _Reader(_finite, _fmt, "a finite number")
+_NUMBERS = _Reader(
+    _list_of(_finite), lambda v: ",".join(map(_fmt, v)),
+    "a comma-separated list of finite numbers",
+)
+_INTS = _Reader(
+    _list_of(int), lambda v: ",".join(map(str, v)), "a comma-separated list of integers"
+)
+
+
+def _key(key, read=_TEXT, default=MISSING, **rules):
+    """A field read from the config line `key = text`; no default means the
+    key is required.  rules: choices, positive (> 0), minimum, decreasing
+    (strictly), aliases (other spellings of the key, read if it is absent)."""
+    return field(default=default, metadata={"key": key, "read": read, **rules})
+
+
 @dataclass
 class ExperimentConfig:
-    experiment: str
-    model: str
-    model_params: dict
-    grid_T: float
-    grid_N: int
-    scheme: str = "tamed_euler"
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
-    seed: int = 0
-    n_paths: int = 1
-    # kind-specific options
-    s_stride: int = 8
-    epsilons: tuple = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125)
-    deltas: tuple = (0.1, 0.01, 0.001)
-    hdot: float = 1.0
-    functional: str = "clipped_sup"
-    clip: float = 10.0
-    payoff: str = "identity"
-    strike: float = 1.0
-    weight: str = "constant"
-    fd_eps: float = 1e-3
-    criteria: tuple = ()
+    """The config schema: every key but schema_version and model.*, in the
+    order of the sidecar echo."""
+
+    experiment: str = _key("experiment", choices=EXPERIMENTS)
+    model: str = _key("model", choices=ZOO_NAMES)
+    model_params: dict  # model.<name> = number, each read as _NUMBER
+    grid_T: float = _key("grid.T", _NUMBER, positive=True)
+    grid_N: int = _key("grid.N", _INT, minimum=1)
+    scheme: str = _key("scheme", default="tamed_euler", choices=SCHEMES)
+    newton_tol: float = _key("scheme.newton_tol", _NUMBER, 1e-10, positive=True)
+    newton_max_iter: int = _key("scheme.newton_max_iter", _INT, 50, minimum=1)
+    seed: int = _key("seed", _INT, 0, minimum=0)
+    n_paths: int = _key("n_paths", _INT, 1, minimum=1)
+    s_stride: int = _key("malliavin.s_stride", _INT, 8, minimum=1)
+    epsilons: tuple = _key(
+        "ladder.epsilons", _NUMBERS,
+        (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125),
+        positive=True, decreasing=True,
+    )
+    deltas: tuple = _key("ladder.deltas", _NUMBERS, (0.1, 0.01, 0.001))
+    hdot: float = _key("ladder.hdot", _NUMBER, 1.0, aliases=("cm.hdot",))
+    functional: str = _key(
+        "cm.functional", default="clipped_sup", choices=("clipped_sup", "terminal")
+    )
+    clip: float = _key("cm.clip", _NUMBER, 10.0, positive=True)
+    payoff: str = _key(
+        "greeks.payoff", default="identity", choices=("identity", "tanh", "digital")
+    )
+    strike: float = _key("greeks.strike", _NUMBER, 1.0)
+    weight: str = _key("greeks.weight", default="constant", choices=("constant", "linear"))
+    fd_eps: float = _key("greeks.fd_eps", _NUMBER, 1e-3, positive=True)
+    criteria: tuple = _key("verify.criteria", _INTS, ())  # echoed only when set
 
     def scheme_choice(self) -> SchemeChoice:
         return SchemeChoice(self.scheme, self.newton_tol, self.newton_max_iter)
 
 
-_REQUIRED = ("schema_version", "experiment", "model", "grid.T", "grid.N")
+_KEYED = [f for f in fields(ExperimentConfig) if "key" in f.metadata]
 
-_KNOWN_KEYS = {
-    "schema_version",
-    "experiment",
-    "model",
-    "grid.T",
-    "grid.N",
-    "scheme",
-    "scheme.newton_tol",
-    "scheme.newton_max_iter",
-    "seed",
-    "n_paths",
-    "malliavin.s_stride",
-    "ladder.epsilons",
-    "ladder.deltas",
-    "ladder.hdot",
-    "cm.hdot",
-    "cm.functional",
-    "cm.clip",
-    "greeks.payoff",
-    "greeks.strike",
-    "greeks.weight",
-    "greeks.fd_eps",
-    "verify.criteria",
-}
+_REQUIRED = ("schema_version",) + tuple(
+    f.metadata["key"] for f in _KEYED if f.default is MISSING
+)
+
+_KNOWN_KEYS = {"schema_version"}.union(
+    *({f.metadata["key"], *f.metadata.get("aliases", ())} for f in _KEYED)
+)
+
+
+def _read(key, text, meta, errors):
+    """The value of `key = text` under a field declaration's reader and rules;
+    what is wrong with it is appended to errors."""
+    read = meta["read"]
+    try:
+        value = read.parse(text)
+    except ValueError:
+        errors.append(f"{key} must be {read.expect}, got {text!r}")
+        return None
+    items = value if isinstance(value, tuple) else (value,)
+    if "choices" in meta and value not in meta["choices"]:
+        errors.append(f"{key} must be one of {', '.join(meta['choices'])}; got {value!r}")
+    if meta.get("positive") and not all(v > 0 for v in items):
+        errors.append(f"{key} must be > 0")
+    if "minimum" in meta and not all(v >= meta["minimum"] for v in items):
+        errors.append(f"{key} must be >= {meta['minimum']}")
+    if meta.get("decreasing") and not all(a > b for a, b in zip(items, items[1:])):
+        errors.append(f"{key} must be strictly decreasing")
+    return value
 
 
 def parse_config(text: str):
@@ -159,158 +213,39 @@ def parse_config(text: str):
     if errors and any(k not in raw for k in _REQUIRED):
         return None, errors
 
-    def get_float(key, default=None, positive=False):
-        if key not in raw:
-            return default
-        try:
-            v = float(raw[key])
-        except ValueError:
-            errors.append(f"{key} must be a number, got {raw[key]!r}")
-            return default
-        if positive and not (v > 0):
-            errors.append(f"{key} must be > 0")
-        return v
-
-    def get_int(key, default=None, minimum=None):
-        if key not in raw:
-            return default
-        try:
-            v = int(raw[key])
-        except ValueError:
-            errors.append(f"{key} must be an integer, got {raw[key]!r}")
-            return default
-        if minimum is not None and v < minimum:
-            errors.append(f"{key} must be >= {minimum}")
-        return v
-
-    if raw.get("schema_version") != "1":
+    if raw["schema_version"] != "1":
         errors.append("schema_version must be 1")
-    experiment = raw.get("experiment", "")
-    if experiment not in EXPERIMENTS:
-        errors.append(
-            f"experiment must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}"
-        )
-    model = raw.get("model", "")
-    if model not in ZOO_NAMES:
-        errors.append(f"unknown model {model!r}; zoo: {', '.join(ZOO_NAMES)}")
-    grid_T = get_float("grid.T", positive=True)
-    grid_N = get_int("grid.N", minimum=1)
-    scheme = raw.get("scheme", "tamed_euler")
-    if scheme not in SCHEMES:
-        errors.append(f"scheme must be one of {', '.join(SCHEMES)}")
-    newton_tol = get_float("scheme.newton_tol", 1e-10, positive=True)
-    newton_max_iter = get_int("scheme.newton_max_iter", 50, minimum=1)
-    seed = get_int("seed", 0)
-    n_paths = get_int("n_paths", 1, minimum=1)
-    s_stride = get_int("malliavin.s_stride", 8, minimum=1)
+    values = {}
+    for f in _KEYED:
+        # the key itself wins over its aliases; every spelling given is checked
+        for key in reversed((f.metadata["key"], *f.metadata.get("aliases", ()))):
+            if key in raw:
+                values[f.name] = _read(key, raw[key], f.metadata, errors)
+    values["model_params"] = {
+        key[len("model."):]: _read(key, value, {"read": _NUMBER}, errors)
+        for key, value in raw.items()
+        if key.startswith("model.")
+    }
 
-    def get_tuple(key, default):
-        if key not in raw:
-            return default
+    if not errors:
         try:
-            return tuple(float(v) for v in raw[key].split(",") if v.strip())
-        except ValueError:
-            errors.append(f"{key} must be a comma-separated list of numbers")
-            return default
-
-    epsilons = get_tuple("ladder.epsilons", ExperimentConfig.epsilons)
-    if any(e <= 0 for e in epsilons) or list(epsilons) != sorted(epsilons, reverse=True):
-        errors.append("ladder.epsilons must be positive and strictly decreasing")
-    deltas = get_tuple("ladder.deltas", ExperimentConfig.deltas)
-    hdot = get_float("ladder.hdot", get_float("cm.hdot", 1.0))
-    functional = raw.get("cm.functional", "clipped_sup")
-    if functional not in ("clipped_sup", "terminal"):
-        errors.append("cm.functional must be clipped_sup or terminal")
-    clip = get_float("cm.clip", 10.0, positive=True)
-    payoff = raw.get("greeks.payoff", "identity")
-    if payoff not in ("identity", "tanh", "digital"):
-        errors.append("greeks.payoff must be identity, tanh or digital")
-    strike = get_float("greeks.strike", 1.0)
-    weight = raw.get("greeks.weight", "constant")
-    if weight not in ("constant", "linear"):
-        errors.append("greeks.weight must be constant or linear")
-    fd_eps = get_float("greeks.fd_eps", 1e-3, positive=True)
-    criteria = raw.get("verify.criteria", "")
-    try:
-        criteria = tuple(int(c) for c in criteria.split(",") if c.strip())
-    except ValueError:
-        errors.append("verify.criteria must be a comma-separated list of integers")
-        criteria = ()
-
-    model_params = {}
-    for key, value in raw.items():
-        if key.startswith("model."):
-            try:
-                model_params[key[len("model."):]] = float(value)
-            except ValueError:
-                errors.append(f"{key} must be a number, got {value!r}")
-
-    if model in ZOO_NAMES and not errors:
-        try:
-            zoo_lookup(model, model_params)
+            zoo_lookup(values["model"], values["model_params"])
         except MonosdeError as exc:
             errors.append(str(exc))
-
     if errors:
         return None, errors
-    return (
-        ExperimentConfig(
-            experiment=experiment,
-            model=model,
-            model_params=model_params,
-            grid_T=grid_T,
-            grid_N=grid_N,
-            scheme=scheme,
-            newton_tol=newton_tol,
-            newton_max_iter=newton_max_iter,
-            seed=seed,
-            n_paths=n_paths,
-            s_stride=s_stride,
-            epsilons=epsilons,
-            deltas=deltas,
-            hdot=hdot,
-            functional=functional,
-            clip=clip,
-            payoff=payoff,
-            strike=strike,
-            weight=weight,
-            fd_eps=fd_eps,
-            criteria=criteria,
-        ),
-        [],
-    )
+    return ExperimentConfig(**values), []
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
     """Canonical config text; parse(emit(c)) reproduces c."""
-    lines = [
-        "schema_version = 1",
-        f"experiment = {cfg.experiment}",
-        f"model = {cfg.model}",
-    ]
-    for key in sorted(cfg.model_params):
-        lines.append(f"model.{key} = {_fmt(cfg.model_params[key])}")
-    lines += [
-        f"grid.T = {_fmt(cfg.grid_T)}",
-        f"grid.N = {cfg.grid_N}",
-        f"scheme = {cfg.scheme}",
-        f"scheme.newton_tol = {_fmt(cfg.newton_tol)}",
-        f"scheme.newton_max_iter = {cfg.newton_max_iter}",
-        f"seed = {cfg.seed}",
-        f"n_paths = {cfg.n_paths}",
-        f"malliavin.s_stride = {cfg.s_stride}",
-        "ladder.epsilons = " + ",".join(_fmt(e) for e in cfg.epsilons),
-        "ladder.deltas = " + ",".join(_fmt(d) for d in cfg.deltas),
-        f"ladder.hdot = {_fmt(cfg.hdot)}",
-        f"cm.functional = {cfg.functional}",
-        f"cm.clip = {_fmt(cfg.clip)}",
-        f"greeks.payoff = {cfg.payoff}",
-        f"greeks.strike = {_fmt(cfg.strike)}",
-        f"greeks.weight = {cfg.weight}",
-        f"greeks.fd_eps = {_fmt(cfg.fd_eps)}",
-    ]
-    if cfg.criteria:
-        lines.append("verify.criteria = " + ",".join(str(c) for c in cfg.criteria))
+    lines = ["schema_version = 1"]
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name == "model_params":
+            lines += [f"model.{k} = {_fmt(value[k])}" for k in sorted(value)]
+        elif f.name != "criteria" or value:
+            lines.append(f"{f.metadata['key']} = {f.metadata['read'].show(value)}")
     return "\n".join(lines) + "\n"
 
 

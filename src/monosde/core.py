@@ -245,6 +245,8 @@ def _path_generator(seed: int, path_index: int, branch: int = 0) -> np.random.Ge
     branch separates independent per-path streams (0 = Brownian increments,
     1 = random initial conditions).
     """
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     key = (path_index,) if branch == 0 else (path_index, branch)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))

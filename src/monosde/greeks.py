@@ -141,9 +141,22 @@ class GradientReport:
     n_diverged: int
 
 
+def _check_live_diffusion(bad, live, step):
+    """Raise when a live path's diffusion is near-singular; diverged paths are
+    masked out of the estimate, so their rows are not checked."""
+    if np.any(bad) and np.any(bad & live):
+        raise SingularDiffusionError(
+            f"diffusion below 1/{_CONDITION_LIMIT:.0e} at step {step}"
+        )
+
+
 def _bel_weights_batch(field, out, scheme, cfg, a):
-    """Accumulate w* = sum a_i (sigma_i^{-1} J_i)^T dW_i over one batch."""
+    """Accumulate w* = sum a_i (sigma_i^{-1} J_i)^T dW_i over one batch.
+
+    Only live paths are checked for a near-singular sigma: the frozen state of
+    a diverged path may overflow J."""
     B = out.values.shape[0]
+    live = ~out.diverged
     d = field.d
     eye = np.eye(d)
     vf = VariationalFactors(field, out, scheme)
@@ -154,18 +167,19 @@ def _bel_weights_batch(field, out, scheme, cfg, a):
         sig = vf.sig  # (B, d, m); m = d here
         if d == 1:
             s = sig[:, 0, 0]
-            if np.any(np.abs(s) < 1.0 / _CONDITION_LIMIT):
-                raise SingularDiffusionError(
-                    f"diffusion below 1/{_CONDITION_LIMIT:.0e} at step {i}"
-                )
+            _check_live_diffusion(np.abs(s) < 1.0 / _CONDITION_LIMIT, live, i)
             siginv_j = (J[:, 0, 0] / s)[:, None, None]
         else:
-            siginv_j = np.linalg.solve(sig, J)
-            scale = np.max(np.abs(siginv_j), axis=(1, 2)) * np.max(
-                np.abs(sig), axis=(1, 2)
+            try:
+                siginv_j = np.linalg.solve(sig, J)
+            except np.linalg.LinAlgError:
+                raise SingularDiffusionError(f"singular diffusion at step {i}") from None
+            # |sigma^{-1} J| > LIMIT |J| bounds |sigma^{-1}| from below, as
+            # |sigma| < 1/LIMIT does for d = 1; NaN fails the <= as well
+            big = np.max(np.abs(siginv_j), axis=(1, 2))
+            _check_live_diffusion(
+                ~(big <= _CONDITION_LIMIT * np.max(np.abs(J), axis=(1, 2))), live, i
             )
-            if np.any(~np.isfinite(siginv_j)) or np.any(scale > _CONDITION_LIMIT):
-                raise SingularDiffusionError(f"ill-conditioned diffusion at step {i}")
         wstar = wstar + a[i] * np.einsum(
             "bdm,bm->bd", siginv_j.transpose(0, 2, 1), vf.dw
         )

@@ -24,7 +24,7 @@ import numpy as np
 from .core import CameronMartinPath, History, NoisePath, StatePath, TimeGrid
 from .errors import DivergenceError, InvalidParameterError
 from .models import CoefficientField, ModelSpec
-from .solver import EULER, SchemeChoice, SimBatch, simulate_batch
+from .solver import EULER, SchemeChoice, SimBatch, simulate_one
 from .variational import JacobianBundle, VariationalFactors
 
 
@@ -163,10 +163,7 @@ def malliavin_field(
 ) -> MalliavinField:
     """Compute D_s X(t) on the (s_lattice x grid) lattice for one noise path."""
     s_idx = _resolve_s_indices(grid, s_stride, s_indices)
-    theta = spec.theta0 if theta is None else np.asarray(theta, dtype=float)
-    out = simulate_batch(spec.field, grid, w.increments[None], theta, scheme)
-    if out.diverged[0]:
-        raise DivergenceError(out.first_bad[0])
+    out = simulate_one(spec, grid, w, theta, scheme)
     entries = _field_batch(spec.field, out, scheme, s_idx)[0]
     if not np.all(np.isfinite(entries)):
         raise DivergenceError(grid.N)
@@ -208,7 +205,8 @@ def representation_parts(
     + int_s^t J_s(r)^{-1} V dW(r), with J_s(r)^{-1} = J(s) K(r).
 
     For deterministic coefficients both integrals vanish and
-    A(s, t) = sigma(s, X(s)) exactly.
+    A(s, t) = sigma(s, X(s)) exactly.  A does not depend on the scheme, so
+    the scheme argument is unused.
     """
     grid = bundle.grid
     field = spec.field
@@ -234,8 +232,6 @@ def representation_parts(
             A[pos, sj:] = sig_at[pos]
         return RepresentationParts(bundle, s_idx, A)
 
-    gs_cache = VariationalFactors(field, SimBatch(grid, values, np.zeros(1, bool),
-                                                  np.full(1, N + 1), hist), scheme)
     cur = np.zeros((k, d, m))
     active = 0
     for i in range(N + 1):
@@ -244,7 +240,6 @@ def representation_parts(
             active += 1
         if i == N:
             break
-        gs_cache.load(i)
         t = i * dt
         sv = s_times[:active]
         u = np.zeros((active, d, m))
@@ -260,7 +255,7 @@ def representation_parts(
                 (1, active, d, m, m),
             )[0]
         # <grad_sigma(r), V(s, r)>^{(i,k)} = sum_{j,l} gs[i,j,l] V[l,j,k]
-        gsr = gs_cache.gs[0]  # (d, m, d)
+        gsr = field.grad_diffusion(t, hist, values[:, i])[0]  # (d, m, d)
         contr = np.einsum("ijl,sljk->sik", gsr, vmat)
         v_dw = np.einsum("sijk,j->sik", vmat, w.increments[i])
         jinv = np.einsum(
@@ -288,10 +283,7 @@ def directional_derivative(
     theta: Optional[np.ndarray] = None,
 ) -> StatePath:
     """D^h X = int_0^. M_s(.) hdot(s) ds computed as one linear SDE."""
-    theta = spec.theta0 if theta is None else np.asarray(theta, dtype=float)
-    out = simulate_batch(spec.field, grid, w.increments[None], theta, scheme)
-    if out.diverged[0]:
-        raise DivergenceError(out.first_bad[0])
+    out = simulate_one(spec, grid, w, theta, scheme)
     vals = _directional_batch(spec.field, out, scheme, h)[0]
     if not np.all(np.isfinite(vals)):
         raise DivergenceError(grid.N)

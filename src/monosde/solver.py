@@ -192,14 +192,15 @@ def simulate_batch(
     return SimBatch(grid, values, diverged, first_bad, hist)
 
 
-def simulate(
+def simulate_one(
     spec: ModelSpec,
     grid: TimeGrid,
     w: NoisePath,
     theta: Optional[np.ndarray] = None,
     scheme: SchemeChoice = SchemeChoice(EULER),
-) -> StatePath:
-    """Simulate one path of the base SDE; raises DivergenceError on blow-up."""
+) -> SimBatch:
+    """One path of the base SDE as a batch of one, from theta (default
+    spec.theta0) on the noise w; raises DivergenceError on blow-up."""
     if w.grid != grid:
         raise InvalidParameterError("noise path lives on a different grid")
     if w.m != spec.m:
@@ -208,6 +209,18 @@ def simulate(
     out = simulate_batch(spec.field, grid, w.increments[None], theta, scheme)
     if out.diverged[0]:
         raise DivergenceError(out.first_bad[0])
+    return out
+
+
+def simulate(
+    spec: ModelSpec,
+    grid: TimeGrid,
+    w: NoisePath,
+    theta: Optional[np.ndarray] = None,
+    scheme: SchemeChoice = SchemeChoice(EULER),
+) -> StatePath:
+    """Simulate one path of the base SDE; raises DivergenceError on blow-up."""
+    out = simulate_one(spec, grid, w, theta, scheme)
     return StatePath(grid, spec.d, out.values[0])
 
 

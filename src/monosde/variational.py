@@ -37,7 +37,7 @@ from .errors import (
     MissingGradientsError,
 )
 from .models import CoefficientField, ModelSpec
-from .solver import EULER, TAMED, SchemeChoice, SimBatch, simulate_batch
+from .solver import EULER, TAMED, SchemeChoice, SimBatch, simulate_batch, simulate_one
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +183,7 @@ def jacobian(
     theta: Optional[np.ndarray] = None,
 ) -> JacobianBundle:
     """Solve the base SDE and its first-variation system on one noise path."""
-    theta = spec.theta0 if theta is None else np.asarray(theta, dtype=float)
-    out = simulate_batch(spec.field, grid, w.increments[None], theta, scheme)
-    if out.diverged[0]:
-        raise DivergenceError(out.first_bad[0])
+    out = simulate_one(spec, grid, w, theta, scheme)
     J, K, D = _jacobian_arrays(spec.field, out, scheme)
     if not np.all(np.isfinite(D[0])) or np.any(D[0] <= 0.0):
         raise DegenerateWronskianError("Wronskian non-positive along the path")
@@ -206,10 +203,7 @@ def gateaux_direction(
     """The parametric Gateaux direction F(t)[h]: the linear SDE with initial
     value h driven along the base path; equals J(t) h up to rounding."""
     h = np.asarray(h, dtype=float).reshape(spec.d)
-    theta = spec.theta0 if theta is None else np.asarray(theta, dtype=float)
-    out = simulate_batch(spec.field, grid, w.increments[None], theta, scheme)
-    if out.diverged[0]:
-        raise DivergenceError(out.first_bad[0])
+    out = simulate_one(spec, grid, w, theta, scheme)
     vf = VariationalFactors(spec.field, out, scheme)
     f = np.empty((grid.N + 1, spec.d))
     f[0] = h

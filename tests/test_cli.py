@@ -1,9 +1,13 @@
 import os
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import monosde.cli as cli
 from monosde import errors
 from monosde.cli import emit_config, main, parse_config, run
+from monosde.models import zoo_lookup
 
 
 GOOD = """
@@ -320,3 +324,139 @@ def test_verify_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert not errors
     assert run(cfg, str(tmp_path / "v")) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+def _gl16(subcommand, extra, model="ginzburg_landau"):
+    return (
+        f"schema_version = 1\nexperiment = {subcommand}\nmodel = {model}\n"
+        f"grid.T = 1\ngrid.N = 16\nn_paths = 64\n{extra}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "subcommand, model, extra, key",
+    [
+        ("ladder", "ginzburg_landau", "ladder.epsilons = nan,0.5", "ladder.epsilons"),
+        ("ladder", "ginzburg_landau", "ladder.deltas = nan", "ladder.deltas"),
+        ("greeks", "ginzburg_landau", "greeks.payoff = digital\ngreeks.strike = nan",
+         "greeks.strike"),
+        ("ladder", "ou", "model.kappa = nan", "model.kappa"),
+        ("greeks", "ginzburg_landau", "greeks.fd_eps = inf", "greeks.fd_eps"),
+    ],
+    ids=["epsilons", "deltas", "strike", "kappa", "inf"],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, subcommand, model, extra, key):
+    conf = tmp_path / "nan.conf"
+    conf.write_text(_gl16(subcommand, extra, model))
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", str(conf), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be ") and "finite number" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["config", "override"])
+def test_negative_seed_is_one_error_line(tmp_path, capsys, where):
+    conf = tmp_path / "sim.conf"
+    argv = ["simulate", "--config", str(conf), "--out", str(tmp_path / "o")]
+    if where == "config":
+        conf.write_text(GOOD.replace("seed = 42", "seed = -1"))
+        expected = "config error: seed must be >= 0\n"
+    else:
+        conf.write_text(GOOD)
+        argv += ["--seed", "-3"]
+        expected = "error: seed must be >= 0, got -3\n"
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == expected and "Traceback" not in err
+
+
+def test_duplicate_epsilons_are_rejected():
+    _, errors = parse_config(
+        GOOD.replace("experiment = simulate", "experiment = ladder")
+        + "ladder.epsilons = 0.5,0.5\n"
+    )
+    assert errors == ["ladder.epsilons must be strictly decreasing"]
+
+
+def test_empty_lists_are_echoed():
+    cfg, errors = parse_config(GOOD + "ladder.epsilons =\nladder.deltas =\n")
+    assert not errors and cfg.epsilons == () and cfg.deltas == ()
+    text = emit_config(cfg)
+    assert "ladder.epsilons = \nladder.deltas = \n" in text
+    assert parse_config(text) == (cfg, [])
+
+
+def test_cm_hdot_is_read_when_ladder_hdot_is_absent():
+    cm, _ = parse_config(GOOD + "cm.hdot = 0.5\n")
+    both, _ = parse_config(GOOD + "cm.hdot = 0.5\nladder.hdot = 2\n")
+    assert (cm.hdot, both.hdot) == (0.5, 2.0)
+    _, errors = parse_config(GOOD + "cm.hdot = x\nladder.hdot = 2\n")
+    assert errors == ["cm.hdot must be a finite number, got 'x'"]
+
+
+def test_echo_text_is_pinned():
+    # the sidecar echo of every artifact set; recorded before the schema
+    # became one declaration
+    cfg, _ = parse_config(GOOD + "verify.criteria = 2,5\ncm.hdot = 0.3\n")
+    assert emit_config(cfg) == (
+        "schema_version = 1\nexperiment = simulate\nmodel = gbm\n"
+        "model.mu = 0.050000000000000003\nmodel.sigma = 0.20000000000000001\n"
+        "grid.T = 1\ngrid.N = 64\nscheme = euler_maruyama\n"
+        "scheme.newton_tol = 1e-10\nscheme.newton_max_iter = 50\nseed = 42\n"
+        "n_paths = 2\nmalliavin.s_stride = 8\n"
+        "ladder.epsilons = 0.5,0.25,0.125,0.0625,0.03125,0.015625,0.0078125\n"
+        "ladder.deltas = 0.10000000000000001,0.01,0.001\n"
+        "ladder.hdot = 0.29999999999999999\ncm.functional = clipped_sup\n"
+        "cm.clip = 10\ngreeks.payoff = identity\ngreeks.strike = 1\n"
+        "greeks.weight = constant\ngreeks.fd_eps = 0.001\nverify.criteria = 2,5\n"
+    )
+
+
+def _declared_values(f):
+    """A strategy for the valid values of one config field, from its declaration."""
+    meta = f.metadata
+    if "choices" in meta:
+        return st.sampled_from(meta["choices"])
+    positive = meta.get("positive", False)
+    number = st.floats(
+        min_value=0.0 if positive else None, exclude_min=positive,
+        allow_nan=False, allow_infinity=False,
+    )
+    integer = st.integers(min_value=meta.get("minimum", -(2**40)), max_value=2**40)
+    if meta["read"] is cli._NUMBER:
+        return number
+    if meta["read"] is cli._INT:
+        return integer
+    if meta["read"] is cli._INTS:
+        return st.lists(integer, max_size=4).map(tuple)
+    assert meta["read"] is cli._NUMBERS
+    order = (lambda v: tuple(sorted(v, reverse=True))) if meta.get("decreasing") else tuple
+    return st.lists(number, max_size=5, unique=True).map(order)
+
+
+def _zoo_accepts(cfg):
+    try:
+        zoo_lookup(cfg.model, cfg.model_params)
+    except errors.MonosdeError:
+        return False
+    return True
+
+
+_VALID_CONFIGS = st.builds(
+    cli.ExperimentConfig,
+    model_params=st.dictionaries(
+        st.sampled_from(("x0", "sigma", "mu")),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    **{f.name: _declared_values(f) for f in fields(cli.ExperimentConfig) if "key" in f.metadata},
+).filter(_zoo_accepts)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_VALID_CONFIGS)
+def test_emit_parse_round_trip_of_declared_fields(cfg):
+    text = emit_config(cfg)
+    assert parse_config(text) == (cfg, [])
+    assert emit_config(parse_config(text)[0]) == text

@@ -22,7 +22,10 @@ from monosde import (
     zoo_lookup,
 )
 from monosde.core import sample_increments
-from monosde.solver import EULER, TAMED, SchemeChoice
+from monosde.greeks import _bel_weights_batch
+from monosde.models import CoefficientField, ModelSpec
+from monosde.solver import EULER, TAMED, SchemeChoice, simulate_batch
+from test_variational import _twin_ginzburg_landau
 
 
 def test_skorokhod_zero_integrand():
@@ -243,3 +246,60 @@ def test_fd_eps_ladder_self_consistent():
     assert abs(reps[0].estimate.mean[0] - reps[1].estimate.mean[0]) <= max(
         1.96 * comb, 1e-4
     )
+
+
+@pytest.mark.filterwarnings("error")
+def test_bel_d2_keeps_the_estimate_when_paths_diverge():
+    # two uncoupled GL components from x0 = 3 under explicit Euler: most paths
+    # diverge, and their overflowing weights must not refuse the estimate
+    spec = ModelSpec("twin_gl", _twin_ginzburg_landau(1.0), {}, np.full(2, 3.0))
+    g = make_grid(2.0, 8)
+    rep = bel_gradient(
+        spec, g, SchemeChoice(EULER), BELConfig(tanh_payoff(), g.N),
+        n_paths=1100, seed=21,
+    )
+    assert rep.n_diverged == 798
+    assert rep.estimate.n_paths == 1100 - 798
+    assert np.all(np.isfinite(rep.estimate.mean))
+
+
+def test_bel_d2_large_jacobian_is_not_singular():
+    # dX = 504 X dt + dW in d = 2, explicit Euler with dt = 1/8: J_i = 64^i I
+    # passes 1e12 while sigma = I stays perfectly conditioned
+    lam = 504.0
+    eye = np.eye(2)
+    field = CoefficientField(
+        2,
+        2,
+        lambda t, h, x: lam * x,
+        lambda t, h, x: np.broadcast_to(eye, (x.shape[0], 2, 2)),
+        lambda t, h, x: np.broadcast_to(lam * eye, (x.shape[0], 2, 2)),
+        lambda t, h, x: np.zeros((x.shape[0], 2, 2, 2)),
+        monotone_const=lam,
+    )
+    g = make_grid(1.0, 8)
+    rep = bel_gradient(
+        ModelSpec("linear_d2", field, {}, np.ones(2)), g, SchemeChoice(EULER),
+        BELConfig(identity_payoff(), g.N), n_paths=64, seed=3,
+    )
+    assert rep.n_diverged == 0
+    assert np.all(np.isfinite(rep.estimate.mean))
+
+
+@pytest.mark.parametrize(
+    "small, message", [(1e-13, "diffusion below"), (0.0, "singular diffusion")]
+)
+def test_bel_d2_singular_live_row_raises(small, message):
+    # diverged rows share the batch with one live row whose sigma = diag(x)
+    # has a (near) zero entry
+    field = _twin_ginzburg_landau(1.0)
+    g = make_grid(2.0, 8)
+    theta = np.full((64, 2), 3.0)
+    theta[-1] = (1.0, small)
+    scheme = SchemeChoice(EULER)
+    out = simulate_batch(field, g, sample_increments(g, 2, 21, 0, 64), theta, scheme)
+    assert np.any(out.diverged) and not out.diverged[-1]
+    cfg = BELConfig(tanh_payoff(), g.N)
+    with pytest.raises(SingularDiffusionError, match=message):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _bel_weights_batch(field, out, scheme, cfg, cfg.weights_on(g))

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 from monosde import (
+    CameronMartinPath,
     DivergenceError,
     InvalidParameterError,
     NewtonFailureError,
+    directional_derivative,
     eval_closed_form,
     estimate_sup_moment,
+    gateaux_direction,
+    jacobian,
     make_grid,
+    malliavin_field,
     pareto_theta_sampler,
     sample_noise,
     simulate,
@@ -367,3 +372,40 @@ def test_nan_path_is_tagged_while_the_rest_converge():
     # the NaN path keeps Newton iterating, so the converged paths take a few
     # more sub-tolerance updates than in the clean batch
     assert np.max(np.abs(out.values[1:] - clean.values[1:])) < 1e-12
+
+
+def _single_path_calls(spec, grid, w):
+    scheme = SchemeChoice(EULER)
+    h = CameronMartinPath.constant(grid, 1.0, spec.m)
+    return {
+        "simulate": lambda: simulate(spec, grid, w),
+        "jacobian": lambda: jacobian(spec, grid, w, scheme),
+        "gateaux_direction": lambda: gateaux_direction(spec, grid, w, scheme, np.ones(spec.d)),
+        "malliavin_field": lambda: malliavin_field(spec, grid, w, scheme, s_stride=8),
+        "directional_derivative": lambda: directional_derivative(spec, grid, w, scheme, h),
+    }
+
+
+_SINGLE_PATH = (
+    "simulate", "jacobian", "gateaux_direction", "malliavin_field", "directional_derivative",
+)
+
+
+@pytest.mark.parametrize("fn", _SINGLE_PATH)
+def test_single_path_noise_on_another_grid_is_rejected(fn):
+    # same N, four times the horizon: every step would use the wrong dt
+    spec = zoo_lookup("ou")
+    g = make_grid(1.0, 64)
+    w = sample_noise(make_grid(4.0, 64), spec.m, seed=1)
+    with pytest.raises(InvalidParameterError, match="different grid"):
+        _single_path_calls(spec, g, w)[fn]()
+
+
+@pytest.mark.parametrize("fn", _SINGLE_PATH)
+def test_single_path_noise_of_another_dimension_is_rejected(fn):
+    # two noise columns for the m = 1 gbm would be broadcast by einsum
+    spec = zoo_lookup("gbm")
+    g = make_grid(1.0, 64)
+    w = sample_noise(g, 2, seed=1)
+    with pytest.raises(InvalidParameterError, match="noise dimension"):
+        _single_path_calls(spec, g, w)[fn]()
