@@ -29,6 +29,7 @@ from . import __version__
 from .core import (
     CameronMartinPath,
     default_workers,
+    format_block,
     make_grid,
     sample_noise,
 )
@@ -40,7 +41,7 @@ from .errors import (
     SingularDiffusionError,
 )
 from .models import ZOO_NAMES, zoo_lookup
-from .solver import SCHEMES, SchemeChoice, simulate
+from .solver import SCHEMES, SchemeChoice, simulate_paths
 from .variational import jacobian
 from .malliavin import malliavin_field, malliavin_matrix
 from .shiftlab import (
@@ -254,11 +255,16 @@ def emit_config(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path, header, rows):
+def _line(fields) -> str:
+    return ",".join(fields) + "\n"
+
+
+def _write_csv(path, header, blocks):
+    """The header line, then each block of whole lines as it comes."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(_line(header))
+        for block in blocks:
+            fh.write(block)
 
 
 def _write_sidecar(path, cfg: ExperimentConfig):
@@ -270,17 +276,14 @@ def _write_sidecar(path, cfg: ExperimentConfig):
 def _run_simulate(cfg, out_dir, workers):
     spec = zoo_lookup(cfg.model, cfg.model_params)
     grid = make_grid(cfg.grid_T, cfg.grid_N)
-    scheme = cfg.scheme_choice()
-    rows = []
-    for p in range(cfg.n_paths):
-        w = sample_noise(grid, spec.m, cfg.seed, p)
-        x = simulate(spec, grid, w, scheme=scheme)
-        for i, t in enumerate(grid.nodes):
-            rows.append(
-                [str(p), _fmt(t)] + [_fmt(v) for v in x.values[i]]
-            )
+    values = simulate_paths(spec, grid, cfg.scheme_choice(), cfg.seed, cfg.n_paths, workers)
     header = ["path", "t"] + [f"x{k}" for k in range(spec.d)]
-    _write_csv(os.path.join(out_dir, "paths.csv"), header, rows)
+    t = grid.nodes
+    row_fmt = _line(["%.17g"] * (spec.d + 1))
+    blocks = (
+        format_block(np.column_stack([t, x]), f"{p},{row_fmt}") for p, x in enumerate(values)
+    )
+    _write_csv(os.path.join(out_dir, "paths.csv"), header, blocks)
     return ["paths.csv"]
 
 
@@ -290,23 +293,19 @@ def _run_jacobian(cfg, out_dir, workers):
     scheme = cfg.scheme_choice()
     w = sample_noise(grid, spec.m, cfg.seed, 0)
     bun = jacobian(spec, grid, w, scheme)
-    eye = np.eye(spec.d)
-    rows = []
-    for i, t in enumerate(grid.nodes):
-        defect = float(np.linalg.norm(bun.K[i] @ bun.J[i] - eye))
-        rows.append(
-            [_fmt(t)]
-            + [_fmt(v) for v in bun.J[i].ravel()]
-            + [_fmt(v) for v in bun.K[i].ravel()]
-            + [_fmt(bun.D[i]), _fmt(defect)]
-        )
+    n = grid.N + 1
+    defect = np.linalg.norm(bun.K @ bun.J - np.eye(spec.d), axis=(1, 2))
+    block = np.column_stack(
+        [grid.nodes, bun.J.reshape(n, -1), bun.K.reshape(n, -1), bun.D, defect]
+    )
     header = (
         ["t"]
         + [f"J{a}{b}" for a in range(spec.d) for b in range(spec.d)]
         + [f"K{a}{b}" for a in range(spec.d) for b in range(spec.d)]
         + ["wronskian", "inverse_defect"]
     )
-    _write_csv(os.path.join(out_dir, "jacobian.csv"), header, rows)
+    text = format_block(block, _line(["%.17g"] * len(header)))
+    _write_csv(os.path.join(out_dir, "jacobian.csv"), header, [text])
     return ["jacobian.csv"]
 
 
@@ -329,7 +328,7 @@ def _run_malliavin(cfg, out_dir, workers):
         + [f"Q{a}{b}" for a in range(spec.d) for b in range(spec.d)]
         + ["min_eigenvalue"]
     )
-    _write_csv(os.path.join(out_dir, "malliavin_matrix.csv"), header, rows)
+    _write_csv(os.path.join(out_dir, "malliavin_matrix.csv"), header, map(_line, rows))
     return ["malliavin_field.csv", "malliavin_matrix.csv"]
 
 
@@ -353,7 +352,7 @@ def _run_ladder(cfg, out_dir, workers):
         for (e, m, s, d, p, c) in lad.rows()
     ]
     header = ["epsilon", "mean_error", "stderr", "delta", "exceedance_prob", "diverged_count"]
-    _write_csv(os.path.join(out_dir, "ladder.csv"), header, rows)
+    _write_csv(os.path.join(out_dir, "ladder.csv"), header, map(_line, rows))
     return ["ladder.csv"]
 
 
@@ -380,7 +379,7 @@ def _run_cameron_martin(cfg, out_dir, workers):
         ]
     ]
     header = ["lhs_mean", "lhs_stderr", "rhs_mean", "rhs_stderr", "z_score", "n_paths", "diverged_count"]
-    _write_csv(os.path.join(out_dir, "cameron_martin.csv"), header, rows)
+    _write_csv(os.path.join(out_dir, "cameron_martin.csv"), header, map(_line, rows))
     return ["cameron_martin.csv"]
 
 
@@ -412,7 +411,7 @@ def _run_greeks(cfg, out_dir, workers):
                 ]
             )
     header = ["method", "component", "estimate", "stderr", "n_paths", "diverged_count"]
-    _write_csv(os.path.join(out_dir, "greeks.csv"), header, rows)
+    _write_csv(os.path.join(out_dir, "greeks.csv"), header, map(_line, rows))
     return ["greeks.csv"]
 
 
@@ -430,7 +429,7 @@ def _run_verify(cfg, out_dir, workers):
     _write_csv(
         os.path.join(out_dir, "verify.csv"),
         ["number", "criterion", "status", "detail"],
-        rows,
+        map(_line, rows),
     )
     ok = all(r.passed for r in results)
     return ["verify.csv"] if ok else None

@@ -382,3 +382,15 @@ def run_chunks(fn, n_paths: int, workers: int = 1, chunk: int = CHUNK) -> list:
         return [fn(s, c) for s, c in ranges]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda rc: fn(*rc), ranges))
+
+
+# ---------------------------------------------------------------------------
+# Text output
+# ---------------------------------------------------------------------------
+
+
+def format_block(block: np.ndarray, row_fmt: str) -> str:
+    """The rows of a 2-d block as text, each row through the %-format row_fmt
+    (one field per column, line ending included), in one formatting call.
+    '%.17g' writes a double exactly as '{:.17g}'.format does."""
+    return (row_fmt * len(block)) % tuple(block.ravel().tolist())

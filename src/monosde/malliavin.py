@@ -15,13 +15,12 @@ the base path and step in lockstep, so the field costs O(n_s * N).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CameronMartinPath, History, NoisePath, StatePath, TimeGrid
+from .core import CameronMartinPath, History, NoisePath, StatePath, TimeGrid, format_block
 from .errors import DivergenceError, InvalidParameterError
 from .models import CoefficientField, ModelSpec
 from .solver import EULER, SchemeChoice, SimBatch, simulate_one
@@ -68,25 +67,19 @@ class MalliavinField:
         return self.entries[pos, t_idx]
 
     def export_csv(self, path):
-        """Rows (s, t, i, j, value) over the computed lattice."""
-        dt = self.grid.dt
+        """Rows (s, t, i, j, value) over the computed lattice, one s-row at a
+        time.  Lines end in CRLF (the other CSV artifacts end theirs in LF)."""
+        dt, N, d, m = self.grid.dt, self.grid.N, self.d, self.m
         with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["s", "t", "i", "j", "value"])
+            fh.write("s,t,i,j,value\r\n")
             for pos, sj in enumerate(self.s_indices):
-                for ti in range(sj, self.grid.N + 1):
-                    mat = self.entries[pos, ti]
-                    for a in range(self.d):
-                        for b in range(self.m):
-                            wr.writerow(
-                                [
-                                    f"{sj * dt:.17g}",
-                                    f"{ti * dt:.17g}",
-                                    a,
-                                    b,
-                                    f"{mat[a, b]:.17g}",
-                                ]
-                            )
+                block = np.empty((N + 1 - sj, d, m, 4))
+                block[..., 0] = (np.arange(sj, N + 1) * dt)[:, None, None]
+                block[..., 1] = np.arange(d)[:, None]
+                block[..., 2] = np.arange(m)
+                block[..., 3] = self.entries[pos, sj:]
+                row_fmt = f"{sj * dt:.17g},%.17g,%d,%d,%.17g\r\n"
+                fh.write(format_block(block.reshape(-1, 4), row_fmt))
 
 
 def _field_batch(

@@ -29,9 +29,9 @@ from .core import (
     run_chunks,
     sample_increments,
 )
-from .errors import InvalidParameterError
+from .errors import DivergenceError, InvalidParameterError
 from .models import ModelSpec
-from .solver import SchemeChoice, simulate_batch, sup_norms
+from .solver import DIVERGENCE_BOUND, SchemeChoice, simulate_batch, sup_norms
 from .malliavin import _directional_batch
 
 
@@ -267,13 +267,17 @@ def gronwall_shadow(
     def chunk(start, count):
         inc = sample_increments(grid, 1, seed, start, count)[..., 0]
         sups = np.empty((len(amps), count))
-        for a, amp in enumerate(amps):
-            u = np.zeros(count)
-            smax = np.zeros(count)
-            for i in range(grid.N):
-                u = u + amp * dforce[i] + (u - u**3) * dt + 0.5 * u * inc[:, i]
-                np.maximum(smax, np.abs(u), out=smax)
-            sups[a] = smax
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, amp in enumerate(amps):
+                u = np.zeros(count)
+                smax = np.zeros(count)
+                for i in range(grid.N):
+                    u = u + amp * dforce[i] + (u - u**3) * dt + 0.5 * u * inc[:, i]
+                    np.maximum(smax, np.abs(u), out=smax)
+                    # NaN fails the <=, so non-finite states raise as well
+                    if not np.all(smax <= DIVERGENCE_BOUND):
+                        raise DivergenceError(i + 1)
+                sups[a] = smax
         return sups
 
     parts = run_chunks(chunk, n_paths, workers)

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    CHUNK,
     History,
     MCEstimate,
     NoisePath,
@@ -192,6 +193,14 @@ def simulate_batch(
     return SimBatch(grid, values, diverged, first_bad, hist)
 
 
+def check_noise(grid: TimeGrid, w: NoisePath, m: int):
+    """Reject a noise path on another grid, or of another dimension than m."""
+    if w.grid != grid:
+        raise InvalidParameterError("noise path lives on a different grid")
+    if w.m != m:
+        raise InvalidParameterError("noise dimension does not match the model")
+
+
 def simulate_one(
     spec: ModelSpec,
     grid: TimeGrid,
@@ -201,10 +210,7 @@ def simulate_one(
 ) -> SimBatch:
     """One path of the base SDE as a batch of one, from theta (default
     spec.theta0) on the noise w; raises DivergenceError on blow-up."""
-    if w.grid != grid:
-        raise InvalidParameterError("noise path lives on a different grid")
-    if w.m != spec.m:
-        raise InvalidParameterError("noise dimension does not match the model")
+    check_noise(grid, w, spec.m)
     theta = spec.theta0 if theta is None else np.asarray(theta, dtype=float)
     out = simulate_batch(spec.field, grid, w.increments[None], theta, scheme)
     if out.diverged[0]:
@@ -222,6 +228,30 @@ def simulate(
     """Simulate one path of the base SDE; raises DivergenceError on blow-up."""
     out = simulate_one(spec, grid, w, theta, scheme)
     return StatePath(grid, spec.d, out.values[0])
+
+
+def simulate_paths(
+    spec: ModelSpec,
+    grid: TimeGrid,
+    scheme: SchemeChoice,
+    seed: int,
+    n_paths: int,
+    workers: int = 1,
+) -> np.ndarray:
+    """Paths 0..n_paths-1 of the base SDE from spec.theta0 on their (seed,
+    path) noise, values (n_paths, N+1, d); raises DivergenceError for the
+    first diverged path in path order."""
+    # Batched Newton couples the paths of a chunk (all iterate until all converge).
+    size = 1 if scheme.kind == IMPLICIT else CHUNK
+
+    def chunk(start, count):
+        inc = sample_increments(grid, spec.m, seed, start, count)
+        out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
+        if np.any(out.diverged):
+            raise DivergenceError(out.first_bad[np.argmax(out.diverged)])
+        return out.values
+
+    return np.concatenate(run_chunks(chunk, n_paths, workers, size))
 
 
 def sup_norms(values: np.ndarray) -> np.ndarray:

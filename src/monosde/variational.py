@@ -37,7 +37,9 @@ from .errors import (
     MissingGradientsError,
 )
 from .models import CoefficientField, ModelSpec
-from .solver import EULER, TAMED, SchemeChoice, SimBatch, simulate_batch, simulate_one
+from .solver import (
+    EULER, TAMED, SchemeChoice, SimBatch, check_noise, simulate_batch, simulate_one,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +231,7 @@ def finite_difference_jacobian(
     per basis direction on common noise; shape (N+1, d, d)."""
     if not (eps > 0):
         raise InvalidParameterError("eps must be > 0")
+    check_noise(grid, w, spec.m)
     theta = spec.theta0 if theta is None else np.asarray(theta, dtype=float)
     d = spec.d
     fd = np.empty((grid.N + 1, d, d))
@@ -314,6 +317,7 @@ def linear_sde_solve(
     The exponential formula solves the matrix equation only when the
     coefficient matrices commute, so it is evaluated for d = 1 alone.
     """
+    check_noise(grid, w, coeffs.m)
     theta = np.asarray(theta, dtype=float).reshape(coeffs.d)
     hist = History.from_path(w)
     d, m = coeffs.d, coeffs.m

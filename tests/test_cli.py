@@ -1,9 +1,13 @@
+import hashlib
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import monosde
 import monosde.cli as cli
 from monosde import errors
 from monosde.cli import emit_config, main, parse_config, run
@@ -460,3 +464,111 @@ def test_emit_parse_round_trip_of_declared_fields(cfg):
     text = emit_config(cfg)
     assert parse_config(text) == (cfg, [])
     assert emit_config(parse_config(text)[0]) == text
+
+
+def _cli(tmp_path, subcommand, body, workers=1):
+    """`monosde <subcommand>` on a config body; (exit code, output dir)."""
+    conf = tmp_path / f"{subcommand}.conf"
+    conf.write_text(f"schema_version = 1\nexperiment = {subcommand}\n{body}")
+    out = tmp_path / "out"
+    argv = [subcommand, "--config", str(conf), "--out", str(out), "--workers", str(workers)]
+    return main(argv), out
+
+
+_GL = "model = ginzburg_landau\ngrid.T = 1\n"
+
+#: sha256 of artifacts as the row-by-row writers wrote them: paths per
+#: scheme, 1025 tamed paths (past the 1024-path chunk boundary), the
+#: Malliavin field at two strides, and the Jacobian per scheme.
+_PINNED = {
+    "paths_euler": (
+        "simulate", "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 3\n",
+        "paths.csv", "5cf857b6db97708dad410183227ff98d256690bcc3996ed5b7d70710026244ac",
+    ),
+    "paths_tamed": (
+        "simulate", "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 3\n",
+        "paths.csv", "091c2feb02330e5cd432470b8f82a22fd030a16dacf2df67a0cedf3e90bf06b9",
+    ),
+    "paths_implicit": (
+        "simulate", "grid.N = 64\nscheme = split_step_implicit\nseed = 5\nn_paths = 3\n",
+        "paths.csv", "facd734a787a55bdd086d6746707fc291494b64d52944dd7fc84d47db4c4713b",
+    ),
+    "paths_tamed_1025": (
+        "simulate", "grid.N = 4\nscheme = tamed_euler\nseed = 3\nn_paths = 1025\n",
+        "paths.csv", "3f95c6b8beb4200a4519dbf1f9d495bae663089cbc61ce0dc9ecd33c03c0c8c8",
+    ),
+    "field_stride_1": (
+        "malliavin", "grid.N = 64\nscheme = tamed_euler\nseed = 9\nmalliavin.s_stride = 1\n",
+        "malliavin_field.csv", "9c22d1294a50b22fba3e4f313c9712134b8651173cfd6aad84046b33b8891b47",
+    ),
+    "field_stride_8": (
+        "malliavin", "grid.N = 64\nscheme = tamed_euler\nseed = 9\nmalliavin.s_stride = 8\n",
+        "malliavin_field.csv", "803bd146f6dbab650b93dfb61288e4724cdd08f3ddf0c7fa34e2b7067640eec1",
+    ),
+    "jacobian_euler": (
+        "jacobian", "grid.N = 64\nscheme = euler_maruyama\nseed = 9\n",
+        "jacobian.csv", "312affbddca3f9990b4d47a55035e8c80154793b8ce6e5dd7945341555941cf7",
+    ),
+    "jacobian_tamed": (
+        "jacobian", "grid.N = 64\nscheme = tamed_euler\nseed = 9\n",
+        "jacobian.csv", "ae7b19ae3255431b14d636507ddab58ba39b3031ee74fa5a6bdb809c68c438e0",
+    ),
+    "jacobian_implicit": (
+        "jacobian", "grid.N = 64\nscheme = split_step_implicit\nseed = 9\n",
+        "jacobian.csv", "f166d3392f5ba7d6fcbf5f3e50b27a469b6dd3d083d2ec47d92838b6fd3f205d",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_artifact_bytes_are_pinned(tmp_path, case, workers):
+    subcommand, body, name, digest = _PINNED[case]
+    code, out = _cli(tmp_path, subcommand, _GL + body, workers)
+    assert code == 0
+    data = (out / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    # the Malliavin field ends its lines in CRLF, every other CSV in LF
+    crlf = data.count(b"\r\n")
+    assert crlf == (data.count(b"\n") if name == "malliavin_field.csv" else 0)
+
+
+_MULTI_PATH_FAILURES = {
+    # paths 7, 9 and 10 diverge, at steps 8, 7 and 8: path 7 is reported
+    "divergence": (
+        "model.x0 = 3\ngrid.T = 2\ngrid.N = 8\nscheme = euler_maruyama\nseed = 3\n"
+        "n_paths = 12\n",
+        "error: state diverged at step 8\n",
+    ),
+    # paths 0 and 1 converge in 3 Newton iterations, path 2 does not
+    "newton_failure": (
+        "grid.T = 1\ngrid.N = 8\nscheme = split_step_implicit\n"
+        "scheme.newton_max_iter = 3\nseed = 0\nn_paths = 8\n",
+        "error: Newton residual 3.677e-10 > tol 1.000e-10 at step 6\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(_MULTI_PATH_FAILURES))
+def test_multi_path_simulate_reports_the_first_failing_path(tmp_path, capsys, case, workers):
+    body, line = _MULTI_PATH_FAILURES[case]
+    code, out = _cli(tmp_path, "simulate", "model = ginzburg_landau\n" + body, workers)
+    assert code == 2
+    assert capsys.readouterr().err == line
+    assert not (out / "paths.csv").exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    conf = tmp_path / "sim.conf"
+    conf.write_text(GOOD)
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(monosde.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "monosde", "simulate", "--config", str(conf), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "ref")]) == 0
+    assert (out / "paths.csv").read_bytes() == (tmp_path / "ref" / "paths.csv").read_bytes()

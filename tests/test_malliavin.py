@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from monosde import (
     sample_noise,
     zoo_lookup,
 )
+from monosde.core import StatePath
+from monosde.malliavin import MalliavinField
 from monosde.solver import EULER, TAMED, SchemeChoice
 
 
@@ -227,3 +231,27 @@ def test_field_csv_export(tmp_path):
     assert lines[0] == "s,t,i,j,value"
     # rows only for s <= t: 17 + 9 + 1 lattice points
     assert len(lines) - 1 == 27
+
+
+def test_field_csv_export_matches_a_row_by_row_writer(tmp_path):
+    # d = 2, m = 3 and values of every magnitude, against csv.writer row by row
+    g = make_grid(0.7, 9)
+    s_idx = np.array([0, 4, 9])
+    rng = np.random.default_rng(3)
+    shape = (3, g.N + 1, 2, 3)
+    entries = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    entries[1, 5, 0, 2] = -0.0
+    base = StatePath(g, 2, np.zeros((g.N + 1, 2)))
+    fld = MalliavinField(g, s_idx, entries, base)
+    fld.export_csv(tmp_path / "field.csv")
+
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["s", "t", "i", "j", "value"])
+        for pos, sj in enumerate(s_idx):
+            for ti in range(sj, g.N + 1):
+                for a in range(2):
+                    for b in range(3):
+                        v = entries[pos, ti, a, b]
+                        wr.writerow([f"{sj * g.dt:.17g}", f"{ti * g.dt:.17g}", a, b, f"{v:.17g}"])
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

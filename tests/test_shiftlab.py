@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from monosde import (
     CameronMartinPath,
+    DivergenceError,
     InvalidParameterError,
     cameron_martin_check,
     clipped_sup_norm,
@@ -137,3 +139,11 @@ def test_gronwall_shadow_exceedance_decays():
         col = shadow.exceedance[:, j]
         assert col[-1] < col[0] or (col[0] == 0.0 and col[-1] == 0.0)
     assert shadow.exceedance[-1, 0] <= 0.01
+
+
+def test_gronwall_shadow_raises_on_divergence():
+    # amplitude 50 sends the paths to NaN; NaN > delta would read as no exceedance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="at step 6$"):
+            gronwall_shadow([0.1, 50.0], [0.5], make_grid(1.0, 8), 64, 3)

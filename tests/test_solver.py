@@ -10,11 +10,14 @@ from monosde import (
     DivergenceError,
     InvalidParameterError,
     NewtonFailureError,
+    LinearSDECoeffs,
     directional_derivative,
     eval_closed_form,
     estimate_sup_moment,
+    finite_difference_jacobian,
     gateaux_direction,
     jacobian,
+    linear_sde_solve,
     make_grid,
     malliavin_field,
     pareto_theta_sampler,
@@ -377,7 +380,19 @@ def test_nan_path_is_tagged_while_the_rest_converge():
 def _single_path_calls(spec, grid, w):
     scheme = SchemeChoice(EULER)
     h = CameronMartinPath.constant(grid, 1.0, spec.m)
+    d, m = spec.d, spec.m
+    ou = LinearSDECoeffs(
+        d, m,
+        B=lambda t, hist: -np.eye(d),
+        Sigma=lambda t, hist: np.zeros((d, m, d)),
+        b=lambda t, hist: np.zeros(d),
+        sigma=lambda t, hist: np.ones((d, m)),
+    )
     return {
+        "finite_difference_jacobian": lambda: finite_difference_jacobian(
+            spec, grid, w, scheme, 1e-4
+        ),
+        "linear_sde_solve": lambda: linear_sde_solve(ou, grid, w, spec.theta0),
         "simulate": lambda: simulate(spec, grid, w),
         "jacobian": lambda: jacobian(spec, grid, w, scheme),
         "gateaux_direction": lambda: gateaux_direction(spec, grid, w, scheme, np.ones(spec.d)),
@@ -388,6 +403,7 @@ def _single_path_calls(spec, grid, w):
 
 _SINGLE_PATH = (
     "simulate", "jacobian", "gateaux_direction", "malliavin_field", "directional_derivative",
+    "finite_difference_jacobian", "linear_sde_solve",
 )
 
 
