@@ -16,22 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CameronMartinPath,
-    make_grid,
-    run_chunks,
-    sample_increments,
-    sample_noise,
-)
-from .models import (
-    random_sigma_malliavin_lattice,
-    zoo_lookup,
-)
+from .core import CameronMartinPath, make_grid, sample_increments, sample_noise
+from .models import random_sigma_malliavin_lattice, random_sigma_parts, zoo_lookup
 from .solver import (
     EULER,
     IMPLICIT,
     TAMED,
     SchemeChoice,
+    run_paths,
     simulate_batch,
     stability_ratio,
 )
@@ -217,7 +209,6 @@ def criterion_05(workers: int = 1) -> CriterionResult:
     grid_fine = make_grid(T, n_fine)
 
     mean_errs = []
-    jump_num = jump_oracle = None
     for N in ns:
         grid = make_grid(T, N)
         factor = n_fine // N
@@ -227,10 +218,8 @@ def criterion_05(workers: int = 1) -> CriterionResult:
         s_idx = np.unique(np.concatenate([fixed, jump_rows]))
         g_vals = spec.g_func(grid)
 
-        def chunk(start, count, N=N, grid=grid, factor=factor, s_idx=s_idx,
-                  fixed=fixed, g_vals=g_vals):
-            inc = sample_increments(grid_fine, 1, seed=105, start=start, count=count)
-            inc = inc.reshape(count, N, factor, 1).sum(axis=2)
+        def chunk(inc, start):
+            inc = inc.reshape(len(inc), N, factor, 1).sum(axis=2)
             out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
             fld = _field_batch(spec.field, out, scheme, s_idx, t_keep=fixed)
             closed = random_sigma_malliavin_lattice(inc, grid, g_vals, s_idx, fixed)
@@ -240,8 +229,6 @@ def criterion_05(workers: int = 1) -> CriterionResult:
             pos_left = int(np.searchsorted(s_idx, N // 2 - 1))
             pos_right = int(np.searchsorted(s_idx, N // 2))
             njump = fld[:, pos_right, -1, 0, 0] - fld[:, pos_left, -1, 0, 0]
-            from .models import random_sigma_parts
-
             w, e, _, gw, s_cum = random_sigma_parts(inc, grid, g_vals)
             sj = N // 2
             js = np.exp((w[:, -1] - w[:, sj]) - 0.5 * (T - sj * grid.dt))
@@ -250,12 +237,11 @@ def criterion_05(workers: int = 1) -> CriterionResult:
             )
             return err, njump, ojump
 
-        parts = run_chunks(chunk, n_paths, workers)
-        errs = np.concatenate([p[0] for p in parts])
+        # every resolution coarsens the same fine-grid noise
+        errs, jump_num, jump_oracle = run_paths(
+            chunk, grid_fine, 1, 105, n_paths, workers
+        )
         mean_errs.append(float(errs.mean()))
-        if N == n_fine:
-            jump_num = np.concatenate([p[1] for p in parts])
-            jump_oracle = np.concatenate([p[2] for p in parts])
 
     dts = [T / N for N in ns]
     slope = np.polyfit(np.log2(dts), np.log2(mean_errs), 1)[0]
@@ -285,11 +271,9 @@ def criterion_06(workers: int = 1) -> CriterionResult:
         n_paths=10_000, seed=106, workers=workers,
     )
 
-    def chunk(start, count):
-        inc = sample_increments(grid, 1, seed=1066, start=start, count=count)
-        return np.exp(_log_dd(inc, h, grid.N))
-
-    dd = np.concatenate(run_chunks(chunk, 10_000, workers))
+    dd = run_paths(
+        lambda inc, start: np.exp(_log_dd(inc, h, grid.N)), grid, 1, 1066, 10_000, workers
+    )
     dd_z = abs(dd.mean() - 1.0) / (dd.std(ddof=1) / math.sqrt(len(dd)))
     ok = rep.z_score <= 3.0 and dd_z <= 3.0
     return CriterionResult(
@@ -400,13 +384,11 @@ def criterion_09(workers: int = 1) -> CriterionResult:
     grid = make_grid(2.0, 2**6)
     counts = {}
     for kind in (EULER, TAMED, IMPLICIT):
-        def chunk(start, count, kind=kind):
-            inc = sample_increments(grid, 1, seed=109, start=start, count=count)
+        def chunk(inc, start):
             out = simulate_batch(spec.field, grid, inc, spec.theta0, SchemeChoice(kind))
             return out.diverged
 
-        div = np.concatenate(run_chunks(chunk, 1000, workers))
-        counts[kind] = int(div.sum())
+        counts[kind] = int(run_paths(chunk, grid, 1, 109, 1000, workers).sum())
     ok = counts[EULER] >= 10 and counts[TAMED] == 0 and counts[IMPLICIT] == 0
     return CriterionResult(
         9,

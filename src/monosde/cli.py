@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .core import (
     CameronMartinPath,
-    default_workers,
     format_block,
     make_grid,
     sample_noise,
@@ -484,8 +483,8 @@ def main(argv=None) -> int:
         p.add_argument(
             "--workers",
             type=int,
-            default=None,
-            help="worker threads (default from MONOSDE_WORKERS or 1); never changes results",
+            default=1,
+            help="worker threads (default 1); never changes results",
         )
         p.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
@@ -520,8 +519,7 @@ def main(argv=None) -> int:
         return 1
     if args.seed is not None:
         cfg.seed = args.seed
-    workers = args.workers if args.workers is not None else default_workers()
-    return run(cfg, args.out, workers)
+    return run(cfg, args.out, args.workers)
 
 
 if __name__ == "__main__":

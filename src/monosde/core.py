@@ -11,7 +11,6 @@ chunks and never changes any result.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,17 +21,6 @@ from .errors import DimensionMismatchError, InvalidParameterError
 #: Fixed reduction chunk size (paths per work unit).  Results are independent
 #: of the worker count because chunk boundaries never move.
 CHUNK = 1024
-
-#: Environment variable supplying the default worker count for the CLI.
-WORKERS_ENV = "MONOSDE_WORKERS"
-
-
-def default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +266,12 @@ def sample_increments(
 def sample_theta(
     sampler, d: int, seed: int, start: int, count: int
 ) -> np.ndarray:
-    """Initial conditions from a per-path stream independent of the noise."""
+    """Initial conditions from a per-path stream independent of the noise;
+    sampler(gen, n) draws n initial conditions (n, d)."""
     out = np.empty((count, d))
     for k in range(count):
         gen = _path_generator(seed, start + k, branch=1)
-        out[k] = np.asarray(sampler(gen), dtype=float).reshape(d)
+        out[k] = np.asarray(sampler(gen, 1), dtype=float).reshape(d)
     return out
 
 

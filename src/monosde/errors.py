@@ -44,6 +44,9 @@ class DivergenceError(MonosdeError, RuntimeError):
         where = f" (path {path_index})" if path_index is not None else ""
         super().__init__(f"state diverged at step {self.step}{where}")
 
+    def __reduce__(self):
+        return type(self), (self.step, self.path_index)
+
 
 class NewtonFailureError(MonosdeError, RuntimeError):
     """The implicit-step Newton iteration did not reach the tolerance."""
@@ -51,9 +54,13 @@ class NewtonFailureError(MonosdeError, RuntimeError):
     def __init__(self, step, residual, tol):
         self.step = int(step)
         self.residual = float(residual)
+        self.tol = float(tol)
         super().__init__(
             f"Newton residual {residual:.3e} > tol {tol:.3e} at step {step}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.step, self.residual, self.tol)
 
 
 class SingularDiffusionError(MonosdeError, RuntimeError):

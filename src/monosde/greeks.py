@@ -19,21 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    MCEstimate,
-    NoisePath,
-    TimeGrid,
-    mc_estimate,
-    run_chunks,
-    sample_increments,
-)
+from .core import MCEstimate, NoisePath, TimeGrid, mc_estimate
 from .errors import (
     InvalidParameterError,
     NonAdaptedIntegrandError,
     SingularDiffusionError,
 )
 from .models import ModelSpec
-from .solver import SchemeChoice, simulate_batch
+from .solver import SchemeChoice, run_paths, simulate_batch
 from .variational import VariationalFactors
 
 _CONDITION_LIMIT = 1e12
@@ -229,10 +222,8 @@ def _fd_samples(spec, grid, scheme, payoff, t_index, eps, inc):
     return grads, div
 
 
-def _report(parts, method) -> GradientReport:
-    """Reduce chunk results (samples, diverged) in path order."""
-    vals = np.concatenate([p[0] for p in parts])
-    div = np.concatenate([p[1] for p in parts])
+def _report(vals, div, method) -> GradientReport:
+    """Reduce per-path samples over the paths that did not diverge."""
     est = mc_estimate(vals[~div])
     return GradientReport(est, method, int(div.sum()))
 
@@ -250,11 +241,10 @@ def bel_gradient(
     _check_bel_field(spec.field)
     a = cfg.weights_on(grid)
 
-    def chunk(start, count):
-        inc = sample_increments(grid, spec.m, seed, start, count)
+    def chunk(inc, start):
         return _bel_samples(spec, grid, scheme, cfg, a, inc)
 
-    return _report(run_chunks(chunk, n_paths, workers), "bel")
+    return _report(*run_paths(chunk, grid, spec.m, seed, n_paths, workers), "bel")
 
 
 def fd_gradient(
@@ -272,11 +262,10 @@ def fd_gradient(
     path before averaging."""
     _check_eps(eps)
 
-    def chunk(start, count):
-        inc = sample_increments(grid, spec.m, seed, start, count)
+    def chunk(inc, start):
         return _fd_samples(spec, grid, scheme, payoff, t_index, eps, inc)
 
-    return _report(run_chunks(chunk, n_paths, workers), "fd")
+    return _report(*run_paths(chunk, grid, spec.m, seed, n_paths, workers), "fd")
 
 
 def bel_fd_gradients(
@@ -296,15 +285,13 @@ def bel_fd_gradients(
     _check_eps(eps)
     a = cfg.weights_on(grid)
 
-    def chunk(start, count):
-        inc = sample_increments(grid, spec.m, seed, start, count)
+    def chunk(inc, start):
         # the BEL SimBatch is released before the FD simulations start
         bel = _bel_samples(spec, grid, scheme, cfg, a, inc)
         fd = _fd_samples(spec, grid, scheme, cfg.payoff, cfg.t_index, eps, inc)
-        return bel, fd
+        return bel + fd
 
-    parts = run_chunks(chunk, n_paths, workers)
-    return (
-        _report([p[0] for p in parts], "bel"),
-        _report([p[1] for p in parts], "fd"),
+    bel_vals, bel_div, fd_vals, fd_div = run_paths(
+        chunk, grid, spec.m, seed, n_paths, workers
     )
+    return _report(bel_vals, bel_div, "bel"), _report(fd_vals, fd_div, "fd")

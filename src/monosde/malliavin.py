@@ -190,7 +190,6 @@ def representation_parts(
     spec: ModelSpec,
     bundle: JacobianBundle,
     w: NoisePath,
-    scheme: SchemeChoice = SchemeChoice(EULER),
     s_stride: int = 1,
     s_indices: Optional[Sequence[int]] = None,
 ) -> RepresentationParts:
@@ -198,8 +197,7 @@ def representation_parts(
     + int_s^t J_s(r)^{-1} V dW(r), with J_s(r)^{-1} = J(s) K(r).
 
     For deterministic coefficients both integrals vanish and
-    A(s, t) = sigma(s, X(s)) exactly.  A does not depend on the scheme, so
-    the scheme argument is unused.
+    A(s, t) = sigma(s, X(s)) exactly.
     """
     grid = bundle.grid
     field = spec.field

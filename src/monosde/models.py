@@ -519,8 +519,8 @@ def uniform_sampler(lo: float, hi: float, d: int = 1):
 def pareto_theta_sampler(alpha: float, scale: float = 1.0, d: int = 1):
     """Heavy-tailed initial-condition sampler: scale * (1 + Pareto(alpha))."""
 
-    def sampler(gen: np.random.Generator) -> np.ndarray:
-        return scale * (1.0 + gen.pareto(alpha)) * np.ones(d)
+    def sampler(gen: np.random.Generator, n: int) -> np.ndarray:
+        return scale * (1.0 + gen.pareto(alpha, size=(n, 1))) * np.ones(d)
 
     return sampler
 

@@ -26,12 +26,10 @@ from .core import (
     TimeGrid,
     mc_estimate,
     paired_z_score,
-    run_chunks,
-    sample_increments,
 )
 from .errors import DivergenceError, InvalidParameterError
 from .models import ModelSpec
-from .solver import DIVERGENCE_BOUND, SchemeChoice, simulate_batch, sup_norms
+from .solver import DIVERGENCE_BOUND, SchemeChoice, run_paths, simulate_batch, sup_norms
 from .malliavin import _directional_batch
 
 
@@ -108,8 +106,7 @@ def cameron_martin_check(
     """
     shift = h.density * grid.dt
 
-    def chunk(start, count):
-        inc = sample_increments(grid, spec.m, seed, start, count)
+    def chunk(inc, start):
         base = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
         shifted = simulate_batch(spec.field, grid, inc + shift, spec.theta0, scheme)
         dd = np.exp(_log_dd(inc, h, grid.N))
@@ -118,10 +115,7 @@ def cameron_martin_check(
         div = base.diverged | shifted.diverged
         return lhs, rhs, div
 
-    parts = run_chunks(chunk, n_paths, workers)
-    lhs = np.concatenate([p[0] for p in parts])
-    rhs = np.concatenate([p[1] for p in parts])
-    div = np.concatenate([p[2] for p in parts])
+    lhs, rhs, div = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
     lhs, rhs = lhs[~div], rhs[~div]
     return CameronMartinReport(
         lhs=mc_estimate(lhs),
@@ -194,30 +188,27 @@ def gateaux_ladder(
         raise InvalidParameterError("direction h must be nonzero")
     shift = h.density * grid.dt
 
-    def chunk(start, count):
-        inc = sample_increments(grid, spec.m, seed, start, count)
+    def chunk(inc, start):
         base = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
         dh = _directional_batch(spec.field, base, scheme, h)
-        errs = np.empty((len(eps), count))
-        divs = np.empty((len(eps), count), dtype=bool)
+        errs = np.empty((len(inc), len(eps)))
+        divs = np.empty((len(inc), len(eps)), dtype=bool)
         for a, e in enumerate(eps):
             bumped = simulate_batch(
                 spec.field, grid, inc + e * shift, spec.theta0, scheme
             )
             quot = (bumped.values - base.values) / e
-            errs[a] = sup_norms(quot - dh)
-            divs[a] = base.diverged | bumped.diverged
+            errs[:, a] = sup_norms(quot - dh)
+            divs[:, a] = base.diverged | bumped.diverged
         return errs, divs
 
-    parts = run_chunks(chunk, n_paths, workers)
-    errs = np.concatenate([p[0] for p in parts], axis=1)
-    divs = np.concatenate([p[1] for p in parts], axis=1)
+    errs, divs = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
 
     mean = np.empty(len(eps))
     se = np.empty(len(eps))
     exc = np.empty((len(eps), len(dlt)))
     for a in range(len(eps)):
-        row = errs[a][~divs[a]] if exclude_diverged else errs[a]
+        row = errs[~divs[:, a], a] if exclude_diverged else errs[:, a]
         est = mc_estimate(row)
         mean[a], se[a] = est.mean[0], est.stderr[0]
         exc[a] = [(row > t).mean() for t in dlt]
@@ -227,7 +218,7 @@ def gateaux_ladder(
         mean_error=mean,
         stderr=se,
         exceedance=exc,
-        diverged=divs.sum(axis=1),
+        diverged=divs.sum(axis=0),
         n_paths=n_paths,
     )
 
@@ -264,23 +255,22 @@ def gronwall_shadow(
     dforce = np.diff(forcing)
     dt = grid.dt
 
-    def chunk(start, count):
-        inc = sample_increments(grid, 1, seed, start, count)[..., 0]
-        sups = np.empty((len(amps), count))
+    def chunk(inc, start):
+        inc = inc[..., 0]
+        sups = np.empty((len(inc), len(amps)))
         with np.errstate(over="ignore", invalid="ignore"):
             for a, amp in enumerate(amps):
-                u = np.zeros(count)
-                smax = np.zeros(count)
+                u = np.zeros(len(inc))
+                smax = np.zeros(len(inc))
                 for i in range(grid.N):
                     u = u + amp * dforce[i] + (u - u**3) * dt + 0.5 * u * inc[:, i]
                     np.maximum(smax, np.abs(u), out=smax)
                     # NaN fails the <=, so non-finite states raise as well
                     if not np.all(smax <= DIVERGENCE_BOUND):
                         raise DivergenceError(i + 1)
-                sups[a] = smax
+                sups[:, a] = smax
         return sups
 
-    parts = run_chunks(chunk, n_paths, workers)
-    sups = np.concatenate(parts, axis=1)
-    exc = np.array([[(sups[a] > t).mean() for t in dlt] for a in range(len(amps))])
+    sups = run_paths(chunk, grid, 1, seed, n_paths, workers)
+    exc = np.array([[(sups[:, a] > t).mean() for t in dlt] for a in range(len(amps))])
     return GronwallShadow(amps, dlt, exc)

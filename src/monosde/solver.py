@@ -230,6 +230,24 @@ def simulate(
     return StatePath(grid, spec.d, out.values[0])
 
 
+def run_paths(fn, grid: TimeGrid, m: int, seed: int, n_paths: int,
+              workers: int = 1, size: int = CHUNK):
+    """The chunked Monte Carlo driver: fn(inc, start) on the (seed, path)
+    increments (count, N, m) of paths start..start+count-1, for each fixed
+    chunk of size paths; the array fn returns, or each array of the tuple it
+    returns, concatenated in path order."""
+    if n_paths < 1:
+        raise InvalidParameterError("n_paths must be >= 1")
+
+    def chunk(start, count):
+        return fn(sample_increments(grid, m, seed, start, count), start)
+
+    parts = run_chunks(chunk, n_paths, workers, size)
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
+
+
 def simulate_paths(
     spec: ModelSpec,
     grid: TimeGrid,
@@ -241,17 +259,16 @@ def simulate_paths(
     """Paths 0..n_paths-1 of the base SDE from spec.theta0 on their (seed,
     path) noise, values (n_paths, N+1, d); raises DivergenceError for the
     first diverged path in path order."""
-    # Batched Newton couples the paths of a chunk (all iterate until all converge).
-    size = 1 if scheme.kind == IMPLICIT else CHUNK
 
-    def chunk(start, count):
-        inc = sample_increments(grid, spec.m, seed, start, count)
+    def chunk(inc, start):
         out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
         if np.any(out.diverged):
             raise DivergenceError(out.first_bad[np.argmax(out.diverged)])
         return out.values
 
-    return np.concatenate(run_chunks(chunk, n_paths, workers, size))
+    # Batched Newton couples the paths of a chunk (all iterate until all converge).
+    size = 1 if scheme.kind == IMPLICIT else CHUNK
+    return run_paths(chunk, grid, spec.m, seed, n_paths, workers, size)
 
 
 def sup_norms(values: np.ndarray) -> np.ndarray:
@@ -295,19 +312,15 @@ def estimate_sup_moment(
     if p < 1:
         raise InvalidParameterError("p must be >= 1")
 
-    def chunk(start, count):
-        inc = sample_increments(grid, spec.m, seed, start, count)
+    def chunk(inc, start):
         if theta_sampler is None:
-            theta = np.broadcast_to(spec.theta0, (count, spec.d))
+            theta = spec.theta0
         else:
-            theta = sample_theta(theta_sampler, spec.d, seed, start, count)
+            theta = sample_theta(theta_sampler, spec.d, seed, start, len(inc))
         out = simulate_batch(spec.field, grid, inc, theta, scheme)
-        vals = sup_norms(out.values) ** p
-        return vals, out.diverged
+        return sup_norms(out.values) ** p, out.diverged
 
-    parts = run_chunks(chunk, n_paths, workers)
-    vals = np.concatenate([v for v, _ in parts])
-    div = np.concatenate([d for _, d in parts])
+    vals, div = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
     good = vals[~div]
     if len(good) < 2:
         raise DivergenceError(0)
@@ -357,17 +370,14 @@ def stability_ratio(
     if gap == 0.0:
         raise InvalidParameterError("theta and xi must differ")
 
-    def chunk(start, count):
-        inc = sample_increments(grid, spec.m, seed, start, count)
+    def chunk(inc, start):
         a = simulate_batch(spec.field, grid, inc, theta, scheme)
         b = simulate_batch(spec.field, grid, inc, xi, scheme)
-        if np.any(a.diverged) or np.any(b.diverged):
-            step = min(
-                a.first_bad[a.diverged].min() if a.diverged.any() else grid.N + 1,
-                b.first_bad[b.diverged].min() if b.diverged.any() else grid.N + 1,
-            )
+        # first_bad is N+1 on paths that never diverged
+        step = min(a.first_bad.min(), b.first_bad.min())
+        if step <= grid.N:
             raise DivergenceError(step)
         return sup_norms(b.values - a.values) ** p
 
-    vals = np.concatenate(run_chunks(chunk, n_paths, workers))
+    vals = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
     return mc_estimate(vals / gap**p)

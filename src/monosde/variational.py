@@ -38,7 +38,8 @@ from .errors import (
 )
 from .models import CoefficientField, ModelSpec
 from .solver import (
-    EULER, TAMED, SchemeChoice, SimBatch, check_noise, simulate_batch, simulate_one,
+    EULER, TAMED, SchemeChoice, SimBatch, check_noise, simulate, simulate_batch,
+    simulate_one,
 )
 
 
@@ -63,11 +64,9 @@ class VariationalFactors:
         self.field = field
         self.out = out
         self.scheme = scheme
-        self.grid = out.grid
         self.hist = out.hist
         self.dt = out.grid.dt
         self._eye = np.eye(field.d)
-        self._i = None
 
     def load(self, i: int):
         """Evaluate gradients at step i; call once per step in order."""
@@ -83,11 +82,10 @@ class VariationalFactors:
         self.smat = np.einsum("bimj,bm->bij", self.gs, dw)
         if self.scheme.kind == EULER:
             self.dmat = self.gb * dt
-            self.tame = np.ones(x.shape[0])
         elif self.scheme.kind == TAMED:
             b = field.drift(t, self.hist, x)
-            self.tame = 1.0 / (1.0 + dt * np.linalg.norm(b, axis=1))
-            self.dmat = self.gb * (dt * self.tame[:, None, None])
+            tame = 1.0 / (1.0 + dt * np.linalg.norm(b, axis=1))
+            self.dmat = self.gb * (dt * tame[:, None, None])
         else:  # IMPLICIT: (I - dt grad_b(t_{i+1}, Y))^{-1} - I, Y from the stored step
             y = self.out.values[:, i + 1] - np.einsum("bdm,bm->bd", self.sig, dw)
             jac = self._eye - dt * field.grad_drift(t + dt, self.hist, y)
@@ -98,9 +96,7 @@ class VariationalFactors:
                     jac, np.broadcast_to(self._eye, jac.shape).copy()
                 )
             self.dmat = inv - self._eye
-            self.tame = np.ones(x.shape[0])
         self.amat = self.dmat + self.smat
-        self._i = i
 
     def inverse_factor(self) -> np.ndarray:
         """(I + A)^{-1} to third order: I - A + A^2 - A^3."""
@@ -304,6 +300,35 @@ def probe_linear_quadratic_bound(
     return worst, worst <= bound + 1e-9 * max(1.0, abs(bound))
 
 
+def _linear_field(coeffs: LinearSDECoeffs) -> CoefficientField:
+    """The linear SDE as a coefficient field: drift B x + b, diffusion
+    Sigma x + sigma, gradients B and Sigma."""
+    d, m = coeffs.d, coeffs.m
+
+    def bmat(t, hist):
+        return np.asarray(coeffs.B(t, hist), dtype=float).reshape(-1, d, d)
+
+    def smat(t, hist):
+        return np.asarray(coeffs.Sigma(t, hist), dtype=float).reshape(-1, d, m, d)
+
+    def drift(t, hist, x):
+        bv = np.asarray(coeffs.b(t, hist), dtype=float).reshape(-1, d)
+        return (bmat(t, hist) @ x[..., None])[..., 0] + bv
+
+    def diffusion(t, hist, x):
+        sv = np.asarray(coeffs.sigma(t, hist), dtype=float).reshape(-1, d, m)
+        return np.einsum("...imj,...j->...im", smat(t, hist), x) + sv
+
+    return CoefficientField(
+        d, m, drift, diffusion,
+        grad_drift=lambda t, hist, x: np.broadcast_to(bmat(t, hist), (len(x), d, d)),
+        grad_diffusion=lambda t, hist, x: np.broadcast_to(
+            smat(t, hist), (len(x), d, m, d)
+        ),
+        deterministic=False,
+    )
+
+
 def linear_sde_solve(
     coeffs: LinearSDECoeffs,
     grid: TimeGrid,
@@ -311,40 +336,21 @@ def linear_sde_solve(
     theta: np.ndarray,
     scheme: SchemeChoice = SchemeChoice(EULER),
 ) -> LinearSolveResult:
-    """Numerically integrate the inhomogeneous linear SDE; for d = 1 also
-    evaluate the fundamental-matrix (exponential) solution as a cross-check.
+    """Integrate the inhomogeneous linear SDE with the scheme's stepping
+    kernel; for d = 1 also evaluate the fundamental-matrix (exponential)
+    solution as a cross-check.
 
     The exponential formula solves the matrix equation only when the
     coefficient matrices commute, so it is evaluated for d = 1 alone.
     """
-    check_noise(grid, w, coeffs.m)
     theta = np.asarray(theta, dtype=float).reshape(coeffs.d)
+    spec = ModelSpec("linear", _linear_field(coeffs), {}, theta)
+    numeric = simulate(spec, grid, w, scheme=scheme)
     hist = History.from_path(w)
-    d, m = coeffs.d, coeffs.m
-    dt = grid.dt
-    N = grid.N
-    vals = np.empty((N + 1, d))
-    vals[0] = theta
-    x = theta.copy()
-    for i in range(N):
-        t = i * dt
-        Bm = np.asarray(coeffs.B(t, hist), dtype=float).reshape(-1, d, d)[0]
-        Sm = np.asarray(coeffs.Sigma(t, hist), dtype=float).reshape(-1, d, m, d)[0]
-        bv = np.asarray(coeffs.b(t, hist), dtype=float).reshape(-1, d)[0]
-        sv = np.asarray(coeffs.sigma(t, hist), dtype=float).reshape(-1, d, m)[0]
-        dw = w.increments[i]
-        drift = Bm @ x + bv
-        if scheme.kind == TAMED:
-            drift = drift / (1.0 + dt * np.linalg.norm(drift))
-        noise = np.einsum("imj,j,m->i", Sm, x, dw) + sv @ dw
-        x = x + drift * dt + noise
-        vals[i + 1] = x
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(i + 1)
-    numeric = StatePath(grid, d, vals)
+    dt, N = grid.dt, grid.N
 
     explicit = None
-    if d == 1:
+    if coeffs.d == 1:
         t_axis = np.arange(N)
         Bs = np.array([float(np.asarray(coeffs.B(i * dt, hist)).reshape(-1)[0]) for i in t_axis])
         Ss = np.array([float(np.asarray(coeffs.Sigma(i * dt, hist)).reshape(-1)[0]) for i in t_axis])

@@ -303,13 +303,16 @@ verify.criteria = 2
     assert lines[1].startswith("2,gbm_exact_recursions,PASS")
 
 
-def test_default_workers_env(monkeypatch):
-    from monosde.core import default_workers
-
+def test_workers_flag_is_the_only_worker_knob(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cfg, out, workers: seen.append(workers) or 0)
+    # an environment variable of the old name is ignored
     monkeypatch.setenv("MONOSDE_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("MONOSDE_WORKERS", "junk")
-    assert default_workers() == 1
+    conf = tmp_path / "sim.conf"
+    conf.write_text(GOOD)
+    assert main(["simulate", "--config", str(conf)]) == 0
+    assert main(["simulate", "--config", str(conf), "--workers", "2"]) == 0
+    assert seen == [1, 2]
 
 
 def test_verify_failure_exits_3(tmp_path, monkeypatch, capsys):

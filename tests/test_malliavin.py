@@ -73,7 +73,7 @@ def test_representation_deterministic_coefficients():
     w = sample_noise(g, 1, seed=5)
     scheme = SchemeChoice(TAMED)
     bun = jacobian(spec, g, w, scheme)
-    rep = representation_parts(spec, bun, w, scheme, s_stride=64)
+    rep = representation_parts(spec, bun, w, s_stride=64)
     x = bun.base.values[:, 0]
     # A(s, t) = sigma(s, X_s) for every t >= s, exactly
     for pos, sj in enumerate(rep.s_indices):
@@ -95,7 +95,7 @@ def test_representation_defect_scales_with_dt():
         scheme = SchemeChoice(TAMED)
         bun = jacobian(spec, g, w, scheme)
         fld = malliavin_field(spec, g, w, scheme, s_stride=N // 8)
-        rep = representation_parts(spec, bun, w, scheme, s_stride=N // 8)
+        rep = representation_parts(spec, bun, w, s_stride=N // 8)
         worst = 0.0
         for pos, sj in enumerate(rep.s_indices):
             for ti in range(sj, g.N + 1, N // 8):
@@ -118,7 +118,7 @@ def test_representation_with_random_coefficients():
         w = sample_noise(g, 1, seed=7)
         bun = jacobian(spec, g, w, scheme)
         fld = malliavin_field(spec, g, w, scheme, s_stride=N // 8)
-        rep = representation_parts(spec, bun, w, scheme, s_stride=N // 8)
+        rep = representation_parts(spec, bun, w, s_stride=N // 8)
         worst = max(
             abs(fld.entries[pos, -1, 0, 0] - rep.predicted(sj, g.N)[0, 0])
             for pos, sj in enumerate(rep.s_indices)

@@ -33,6 +33,7 @@ from monosde.solver import (
     IMPLICIT,
     TAMED,
     SchemeChoice,
+    run_paths,
     simulate_batch,
 )
 
@@ -194,6 +195,40 @@ def test_sup_moment_heavy_tail_flagged():
         theta_sampler=pareto_theta_sampler(1.5),
     )
     assert rep.nonconvergent
+    # the (gen, n) sampler draws what a scalar pareto() draw gives, so the
+    # estimate equals the one of the earlier (gen) -> (d,) sampler
+    draws = [
+        np.random.Generator(np.random.Philox(3)).pareto(1.5, **size)
+        for size in ({}, {"size": (1, 1)})
+    ]
+    assert draws[0] == draws[1][0, 0]
+    assert rep.estimate.mean[0] == float.fromhex("0x1.b4a82e12b9780p+54")
+    assert rep.estimate.stderr[0] == float.fromhex("0x1.b4a41cffd45dbp+54")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_paths_concatenates_each_array_in_path_order(workers):
+    g = make_grid(1.0, 4)
+    starts = []
+
+    def fn(inc, start):
+        starts.append(start)
+        idx = start + np.arange(len(inc))
+        return idx, inc[:, :, 0], np.stack([idx, -idx], axis=1)
+
+    idx, inc, pairs = run_paths(fn, g, 1, 5, 600, workers, size=256)
+    assert sorted(starts) == [0, 256, 512]
+    assert np.array_equal(idx, np.arange(600))
+    assert np.array_equal(inc, sample_increments(g, 1, 5, 0, 600)[:, :, 0])
+    assert np.array_equal(pairs[:, 1], -np.arange(600))
+    # a single array is concatenated as well
+    single = run_paths(lambda inc, start: inc, g, 2, 5, 300, workers, size=256)
+    assert np.array_equal(single, sample_increments(g, 2, 5, 0, 300))
+
+
+def test_run_paths_rejects_an_empty_run():
+    with pytest.raises(InvalidParameterError, match="n_paths"):
+        run_paths(lambda inc, start: inc, make_grid(1.0, 4), 1, 5, 0)
 
 
 def test_stability_ratio_gbm_scale_invariant():

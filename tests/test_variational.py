@@ -11,6 +11,7 @@ from monosde import (
     linear_sde_solve,
     make_grid,
     sample_noise,
+    simulate,
     zoo_lookup,
 )
 from monosde.core import sample_increments
@@ -133,6 +134,26 @@ def test_linear_sde_pure_brownian():
     ref = 0.5 + w.brownian()[:, 0]
     assert np.allclose(res.numeric.values[:, 0], ref, atol=1e-12)
     assert np.allclose(res.explicit.values[:, 0], ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", [EULER, TAMED, IMPLICIT])
+def test_linear_sde_numeric_is_the_scheme_kernel(kind):
+    # dX = -kappa X dt + sigma dW is zoo ou; every scheme gives its bits
+    kappa, sig = 5.0, 0.5
+    coeffs = LinearSDECoeffs(
+        d=1,
+        m=1,
+        B=lambda t, h: np.array([[-kappa]]),
+        Sigma=lambda t, h: np.zeros((1, 1, 1)),
+        b=lambda t, h: np.zeros(1),
+        sigma=lambda t, h: np.array([[sig]]),
+    )
+    spec = zoo_lookup("ou", {"kappa": kappa, "sigma": sig})
+    g = make_grid(1.0, 16)
+    w = sample_noise(g, 1, seed=3)
+    res = linear_sde_solve(coeffs, g, w, spec.theta0, SchemeChoice(kind))
+    ref = simulate(spec, g, w, scheme=SchemeChoice(kind))
+    assert np.array_equal(res.numeric.values, ref.values)
 
 
 def test_linear_sde_gbm_numeric_vs_fundamental_matrix():
