@@ -78,6 +78,11 @@ def _fmt(x) -> str:
     return _FMT.format(float(x))
 
 
+def _row(*values) -> list:
+    """CSV fields: text as it is, integers with str, other numbers with _fmt."""
+    return [v if isinstance(v, str) else str(v) if isinstance(v, int) else _fmt(v) for v in values]
+
+
 class _Reader(NamedTuple):
     """How a config value is read from its text and echoed back to it."""
 
@@ -317,11 +322,7 @@ def _run_malliavin(cfg, out_dir, workers):
     fld.export_csv(os.path.join(out_dir, "malliavin_field.csv"))
     t_idx = int(fld.s_indices[-1])
     mm = malliavin_matrix(fld, t_idx)
-    rows = [
-        [_fmt(mm.t)]
-        + [_fmt(v) for v in mm.Q.ravel()]
-        + [_fmt(mm.min_eigenvalue)]
-    ]
+    rows = [_row(mm.t, *mm.Q.ravel(), mm.min_eigenvalue)]
     header = (
         ["t"]
         + [f"Q{a}{b}" for a in range(spec.d) for b in range(spec.d)]
@@ -346,10 +347,7 @@ def _run_ladder(cfg, out_dir, workers):
         cfg.seed,
         workers=workers,
     )
-    rows = [
-        [_fmt(e), _fmt(m), _fmt(s), _fmt(d), _fmt(p), str(c)]
-        for (e, m, s, d, p, c) in lad.rows()
-    ]
+    rows = [_row(*r) for r in lad.rows()]
     header = ["epsilon", "mean_error", "stderr", "delta", "exceedance_prob", "diverged_count"]
     _write_csv(os.path.join(out_dir, "ladder.csv"), header, map(_line, rows))
     return ["ladder.csv"]
@@ -367,15 +365,8 @@ def _run_cameron_martin(cfg, out_dir, workers):
         workers=workers,
     )
     rows = [
-        [
-            _fmt(rep.lhs.mean[0]),
-            _fmt(rep.lhs.stderr[0]),
-            _fmt(rep.rhs.mean[0]),
-            _fmt(rep.rhs.stderr[0]),
-            _fmt(rep.z_score),
-            str(rep.n_paths),
-            str(rep.n_diverged),
-        ]
+        _row(rep.lhs.mean[0], rep.lhs.stderr[0], rep.rhs.mean[0], rep.rhs.stderr[0],
+             rep.z_score, rep.n_paths, rep.n_diverged)
     ]
     header = ["lhs_mean", "lhs_stderr", "rhs_mean", "rhs_stderr", "z_score", "n_paths", "diverged_count"]
     _write_csv(os.path.join(out_dir, "cameron_martin.csv"), header, map(_line, rows))
@@ -396,19 +387,12 @@ def _run_greeks(cfg, out_dir, workers):
         spec, grid, scheme, BELConfig(payoff, grid.N, weight), cfg.fd_eps,
         cfg.n_paths, cfg.seed, workers=workers,
     )
-    rows = []
-    for rep in (bel, fd):
-        for k in range(spec.d):
-            rows.append(
-                [
-                    rep.method,
-                    str(k),
-                    _fmt(rep.estimate.mean[k]),
-                    _fmt(rep.estimate.stderr[k]),
-                    str(rep.estimate.n_paths),
-                    str(rep.n_diverged),
-                ]
-            )
+    rows = [
+        _row(rep.method, k, rep.estimate.mean[k], rep.estimate.stderr[k],
+             rep.estimate.n_paths, rep.n_diverged)
+        for rep in (bel, fd)
+        for k in range(spec.d)
+    ]
     header = ["method", "component", "estimate", "stderr", "n_paths", "diverged_count"]
     _write_csv(os.path.join(out_dir, "greeks.csv"), header, map(_line, rows))
     return ["greeks.csv"]
@@ -424,7 +408,7 @@ def _run_verify(cfg, out_dir, workers):
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{r.number:>2}] {r.name:<{width}} {status}  {r.detail}")
-        rows.append([str(r.number), r.name, status, r.detail])
+        rows.append(_row(r.number, r.name, status, r.detail))
     _write_csv(
         os.path.join(out_dir, "verify.csv"),
         ["number", "criterion", "status", "detail"],
@@ -488,6 +472,9 @@ def main(argv=None) -> int:
         )
         p.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
+        return 1
 
     if args.config is not None:
         try:

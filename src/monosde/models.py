@@ -270,37 +270,19 @@ def _random_sigma_closed_form(g_func):
         return np.exp(w - 0.5 * t)[:, None, None]
 
     def malliavin(inc, grid, s_idx, t_idx):
-        if s_idx > t_idx:
-            return np.zeros((inc.shape[0], 1, 1))
-        g_vals = g_func(grid)
-        w, e, _, gw, s = random_sigma_parts(inc, grid, g_vals)
-        x_s = state(inc, grid, s_idx)[:, 0]
-        js = np.exp(
-            (w[:, t_idx] - w[:, s_idx]) - 0.5 * (t_idx - s_idx) * grid.dt
-        )
-        gs = g_vals[s_idx] if s_idx < grid.N else g_vals[-1]
-        bracket = x_s + gw[:, s_idx] + gs * (s[:, t_idx] - s[:, s_idx]) / e[:, s_idx]
-        return (js * bracket)[:, None, None]
+        return random_sigma_malliavin_lattice(inc, grid, g_func(grid), [s_idx], [t_idx])
 
     return ClosedForm(state, jacobian, malliavin)
 
 
 # ---------------------------------------------------------------------------
-# Zoo
+# Zoo: a builder takes the parameters as zoo_lookup resolved them (every
+# declared name, each a finite float) and checks only its own domain.
 # ---------------------------------------------------------------------------
 
 
-def _positive(params, key, default):
-    v = float(params.get(key, default))
-    if v <= 0:
-        raise OutOfDomainError(f"parameter {key} must be > 0")
-    return v
-
-
-def _build_gbm(params):
-    mu = float(params.get("mu", 0.05))
-    sig = float(params.get("sigma", 0.2))
-    x0 = float(params.get("x0", 1.0))
+def _build_gbm(p):
+    mu, sig, x0 = p["mu"], p["sigma"], p["x0"]
     f = _scalar_field(
         b=lambda t, h, u: mu * u,
         db=_const(mu),
@@ -309,16 +291,13 @@ def _build_gbm(params):
         monotone_const=max(mu, 0.0),
         lip_diffusion=abs(sig),
     )
-    return ModelSpec(
-        "gbm", f, {"mu": mu, "sigma": sig, "x0": x0}, np.array([x0]),
-        closed_form=_gbm_closed_form(x0, mu, sig),
-    )
+    return ModelSpec("gbm", f, p, np.array([x0]), closed_form=_gbm_closed_form(x0, mu, sig))
 
 
-def _build_ou(params):
-    kappa = _positive(params, "kappa", 1.0)
-    sig = float(params.get("sigma", 0.5))
-    x0 = float(params.get("x0", 1.0))
+def _build_ou(p):
+    kappa, sig, x0 = p["kappa"], p["sigma"], p["x0"]
+    if kappa <= 0:
+        raise OutOfDomainError("parameter kappa must be > 0")
     f = _scalar_field(
         b=lambda t, h, u: -kappa * u,
         db=_const(-kappa),
@@ -327,17 +306,12 @@ def _build_ou(params):
         monotone_const=0.0,
         lip_diffusion=0.0,
     )
-    return ModelSpec(
-        "ou", f, {"kappa": kappa, "sigma": sig, "x0": x0}, np.array([x0]),
-        closed_form=_ou_closed_form(x0, kappa, sig),
-    )
+    return ModelSpec("ou", f, p, np.array([x0]), closed_form=_ou_closed_form(x0, kappa, sig))
 
 
-def _build_ginzburg_landau(params):
+def _build_ginzburg_landau(p):
     # dX = (eta X - X^3) dt + sigma X dW
-    eta = float(params.get("eta", 1.0))
-    sig = float(params.get("sigma", 1.0))
-    x0 = float(params.get("x0", 1.0))
+    eta, sig = p["eta"], p["sigma"]
     f = _scalar_field(
         b=lambda t, h, u: eta * u - u**3,
         db=lambda t, h, u: eta - 3.0 * u**2,
@@ -346,17 +320,13 @@ def _build_ginzburg_landau(params):
         monotone_const=eta,
         lip_diffusion=abs(sig),
     )
-    return ModelSpec(
-        "ginzburg_landau", f, {"eta": eta, "sigma": sig, "x0": x0}, np.array([x0])
-    )
+    return ModelSpec("ginzburg_landau", f, p, np.array([p["x0"]]))
 
 
-def _build_verhulst(params):
+def _build_verhulst(p):
     # dX = (lam X - X^2) dt + sigma X dW; one-sided Lipschitz on x >= 0 only
-    lam = float(params.get("lam", 1.0))
-    sig = float(params.get("sigma", 1.0))
-    x0 = float(params.get("x0", 1.0))
-    if x0 < 0:
+    lam, sig = p["lam"], p["sigma"]
+    if p["x0"] < 0:
         raise OutOfDomainError("verhulst initial condition must be >= 0")
     f = _scalar_field(
         b=lambda t, h, u: lam * u - u**2,
@@ -366,33 +336,26 @@ def _build_verhulst(params):
         monotone_const=lam,
         lip_diffusion=abs(sig),
     )
-    spec = ModelSpec(
-        "verhulst", f, {"lam": lam, "sigma": sig, "x0": x0}, np.array([x0])
-    )
-    spec.probe_bounds = (0.0, 3.0)
-    return spec
+    return ModelSpec("verhulst", f, p, np.array([p["x0"]]), probe_bounds=(0.0, 3.0))
 
 
-def _build_quintic(params):
+def _build_quintic(p):
     # b(x) = x - x^5 with constant diffusion
-    sig = float(params.get("sigma", 1.0))
-    x0 = float(params.get("x0", 1.0))
     f = _scalar_field(
         b=lambda t, h, u: u - u**5,
         db=lambda t, h, u: 1.0 - 5.0 * u**4,
-        sigma=_const(sig),
+        sigma=_const(p["sigma"]),
         dsigma=_const(0.0),
         monotone_const=1.0,
         lip_diffusion=0.0,
     )
-    return ModelSpec("quintic", f, {"sigma": sig, "x0": x0}, np.array([x0]))
+    return ModelSpec("quintic", f, p, np.array([p["x0"]]))
 
 
-def _build_wright_fisher_like(params):
+def _build_wright_fisher_like(p):
     # b = -x, sigma = (x^2 - 1)^2 inside [-1, 1], 0 outside; paths started in
     # [-1, 1] stay there, so the flat extension is never active.
-    x0 = float(params.get("x0", 0.0))
-    if not (-1.0 <= x0 <= 1.0):
+    if not (-1.0 <= p["x0"] <= 1.0):
         raise OutOfDomainError(
             "wright_fisher_like initial condition must lie in [-1, 1]"
         )
@@ -413,17 +376,15 @@ def _build_wright_fisher_like(params):
         monotone_const=0.0,
         lip_diffusion=8.0 / (3.0 * np.sqrt(3.0)),
     )
-    spec = ModelSpec("wright_fisher_like", f, {"x0": x0}, np.array([x0]))
-    spec.probe_bounds = (-1.0, 1.0)
-    return spec
+    return ModelSpec(
+        "wright_fisher_like", f, p, np.array([p["x0"]]), probe_bounds=(-1.0, 1.0)
+    )
 
 
-def _build_random_sigma_example(params):
+def _build_random_sigma_example(p):
     # sigma(t, w, x) = x + int_0^t g dW with a step function g; b = 0.
     # The initial condition is 1 (the explicit solution is stated for it).
-    g_low = float(params.get("g_low", 1.0))
-    g_high = float(params.get("g_high", 2.0))
-    break_frac = float(params.get("g_break_frac", 0.5))
+    g_low, g_high, break_frac = p["g_low"], p["g_high"], p["g_break_frac"]
     if not (0.0 < break_frac < 1.0):
         raise OutOfDomainError("g_break_frac must lie in (0, 1)")
 
@@ -458,35 +419,49 @@ def _build_random_sigma_example(params):
         V=V,
     )
     spec = ModelSpec(
-        "random_sigma_example",
-        f,
-        {"g_low": g_low, "g_high": g_high, "g_break_frac": break_frac},
-        np.array([1.0]),
+        "random_sigma_example", f, p, np.array([1.0]),
         closed_form=_random_sigma_closed_form(g_func),
     )
     spec.g_func = g_func
     return spec
 
 
+#: name -> (builder, {parameter: default}); the defaults declare the names.
 _ZOO = {
-    "gbm": _build_gbm,
-    "ou": _build_ou,
-    "ginzburg_landau": _build_ginzburg_landau,
-    "verhulst": _build_verhulst,
-    "quintic": _build_quintic,
-    "wright_fisher_like": _build_wright_fisher_like,
-    "random_sigma_example": _build_random_sigma_example,
+    "gbm": (_build_gbm, {"mu": 0.05, "sigma": 0.2, "x0": 1.0}),
+    "ou": (_build_ou, {"kappa": 1.0, "sigma": 0.5, "x0": 1.0}),
+    "ginzburg_landau": (_build_ginzburg_landau, {"eta": 1.0, "sigma": 1.0, "x0": 1.0}),
+    "verhulst": (_build_verhulst, {"lam": 1.0, "sigma": 1.0, "x0": 1.0}),
+    "quintic": (_build_quintic, {"sigma": 1.0, "x0": 1.0}),
+    "wright_fisher_like": (_build_wright_fisher_like, {"x0": 0.0}),
+    "random_sigma_example": (
+        _build_random_sigma_example, {"g_low": 1.0, "g_high": 2.0, "g_break_frac": 0.5}
+    ),
 }
 
 ZOO_NAMES = tuple(sorted(_ZOO))
 
 
 def zoo_lookup(name: str, params: Optional[dict] = None) -> ModelSpec:
+    """The zoo model `name` built with `params` over its defaults; an unknown
+    or non-finite parameter is an InvalidParameterError."""
     if name not in _ZOO:
         raise UnknownModelError(
             f"unknown model {name!r}; available: {', '.join(ZOO_NAMES)}"
         )
-    return _ZOO[name](dict(params or {}))
+    build, defaults = _ZOO[name]
+    p = dict(defaults)
+    for key, value in (params or {}).items():
+        if key not in defaults:
+            raise InvalidParameterError(
+                f"model {name} has no parameter {key!r}; parameters: {', '.join(defaults)}"
+            )
+        p[key] = float(value)
+        if not np.isfinite(p[key]):
+            raise InvalidParameterError(
+                f"model {name} parameter {key} must be a finite number, got {value!r}"
+            )
+    return build(p)
 
 
 # ---------------------------------------------------------------------------
@@ -598,21 +573,15 @@ def eval_closed_form(
     cf = spec.closed_form
     if cf is None:
         raise NoClosedFormError(f"model {spec.name} has no closed form")
-    inc = w.increments[None]
-    grid = w.grid
-    if kind == "state":
-        if cf.state is None:
-            raise NoClosedFormError(f"{spec.name}: no closed-form state")
-        return cf.state(inc, grid, grid.index_of(t))[0]
-    if kind == "jacobian":
-        if cf.jacobian is None:
-            raise NoClosedFormError(f"{spec.name}: no closed-form jacobian")
-        return cf.jacobian(inc, grid, grid.index_of(t))[0]
-    if kind == "malliavin":
-        if cf.malliavin is None:
-            raise NoClosedFormError(f"{spec.name}: no closed-form malliavin")
-        s_idx, t_idx = grid.index_of(s), grid.index_of(t)
-        if s_idx > t_idx:
-            raise InvalidParameterError("need s <= t")
-        return cf.malliavin(inc, grid, s_idx, t_idx)[0]
-    raise InvalidParameterError(f"unknown closed-form kind {kind!r}")
+    if kind not in ("state", "jacobian", "malliavin"):
+        raise InvalidParameterError(f"unknown closed-form kind {kind!r}")
+    oracle = getattr(cf, kind)
+    if oracle is None:
+        raise NoClosedFormError(f"{spec.name}: no closed-form {kind}")
+    inc, grid = w.increments[None], w.grid
+    if kind != "malliavin":
+        return oracle(inc, grid, grid.index_of(t))[0]
+    s_idx, t_idx = grid.index_of(s), grid.index_of(t)
+    if s_idx > t_idx:
+        raise InvalidParameterError("need s <= t")
+    return oracle(inc, grid, s_idx, t_idx)[0]

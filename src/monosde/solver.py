@@ -238,6 +238,8 @@ def run_paths(fn, grid: TimeGrid, m: int, seed: int, n_paths: int,
     returns, concatenated in path order."""
     if n_paths < 1:
         raise InvalidParameterError("n_paths must be >= 1")
+    if workers < 1:
+        raise InvalidParameterError("workers must be >= 1")
 
     def chunk(start, count):
         return fn(sample_increments(grid, m, seed, start, count), start)

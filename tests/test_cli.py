@@ -315,6 +315,26 @@ def test_workers_flag_is_the_only_worker_knob(tmp_path, monkeypatch):
     assert seen == [1, 2]
 
 
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_workers_below_one_is_one_error_line(tmp_path, capsys, workers):
+    conf = tmp_path / "sim.conf"
+    conf.write_text(GOOD)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(conf), "--out", str(out), "--workers", workers]) == 1
+    assert capsys.readouterr().err == "error: --workers must be >= 1\n"
+    assert not out.exists()
+
+
+def test_unknown_model_parameter_is_a_config_error(tmp_path, capsys):
+    conf = tmp_path / "sim.conf"
+    conf.write_text(GOOD.replace("model.sigma", "model.sigm"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: model gbm has no parameter 'sigm'; parameters: mu, sigma, x0\n"
+    assert not out.exists()
+
+
 def test_verify_failure_exits_3(tmp_path, monkeypatch, capsys):
     import monosde.acceptance as acceptance
     from monosde.acceptance import CriterionResult

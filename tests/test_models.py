@@ -15,7 +15,7 @@ from monosde import (
     uniform_sampler,
     zoo_lookup,
 )
-from monosde.models import CoefficientField, step_function_values
+from monosde.models import ZOO_NAMES, ClosedForm, CoefficientField, step_function_values
 from monosde.solver import EULER, SchemeChoice
 
 
@@ -59,6 +59,86 @@ def test_zoo_errors():
         zoo_lookup("wright_fisher_like", {"x0": 1.5})
     with pytest.raises(OutOfDomainError):
         zoo_lookup("ou", {"kappa": -1.0})
+
+
+def test_unknown_parameter_names_the_models_parameters():
+    with pytest.raises(InvalidParameterError) as exc:
+        zoo_lookup("gbm", {"sigm": 0.3})
+    assert str(exc.value) == "model gbm has no parameter 'sigm'; parameters: mu, sigma, x0"
+    # a parameter of another model is unknown too
+    with pytest.raises(InvalidParameterError, match="parameters: x0$"):
+        zoo_lookup("wright_fisher_like", {"sigma": 1.0})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_parameter_is_rejected(value):
+    with pytest.raises(InvalidParameterError, match="mu must be a finite number"):
+        zoo_lookup("gbm", {"mu": value})
+
+
+# Recorded before the zoo declared its defaults in one table.
+_ZOO_DEFAULTS = {
+    "gbm": ({"mu": 0.05, "sigma": 0.2, "x0": 1.0}, [1.0], (-3.0, 3.0)),
+    "ginzburg_landau": ({"eta": 1.0, "sigma": 1.0, "x0": 1.0}, [1.0], (-3.0, 3.0)),
+    "ou": ({"kappa": 1.0, "sigma": 0.5, "x0": 1.0}, [1.0], (-3.0, 3.0)),
+    "quintic": ({"sigma": 1.0, "x0": 1.0}, [1.0], (-3.0, 3.0)),
+    "random_sigma_example": (
+        {"g_low": 1.0, "g_high": 2.0, "g_break_frac": 0.5}, [1.0], (-3.0, 3.0)
+    ),
+    "verhulst": ({"lam": 1.0, "sigma": 1.0, "x0": 1.0}, [1.0], (0.0, 3.0)),
+    "wright_fisher_like": ({"x0": 0.0}, [0.0], (-1.0, 1.0)),
+}
+
+
+def test_zoo_defaults_are_pinned():
+    assert ZOO_NAMES == tuple(sorted(_ZOO_DEFAULTS))
+    for name, (params, theta0, bounds) in _ZOO_DEFAULTS.items():
+        spec = zoo_lookup(name)
+        assert list(spec.params.items()) == list(params.items()), name
+        assert spec.theta0.tolist() == theta0 and spec.probe_bounds == bounds, name
+        # given values are converted with float and keep the declared order
+        given = {k: str(v) for k, v in reversed(params.items())}
+        assert list(zoo_lookup(name, given).params.items()) == list(params.items()), name
+
+
+# (g_low, g_high, g_break_frac), s, t, D_s X(t) on seed 3, N = 16; recorded
+# before the point oracle was read off the lattice oracle.
+_RANDOM_SIGMA_MALLIAVIN = [
+    ((1.0, 2.0, 0.5), 0.0, 0.0, 1.0),
+    ((1.0, 2.0, 0.5), 0.25, 0.75, 2.899237493166688),
+    ((1.0, 2.0, 0.5), 0.5, 0.5, 3.1434963698988465),
+    ((1.0, 2.0, 0.5), 0.5625, 1.0, 0.8563100472370859),
+    ((1.0, 2.0, 0.5), 0.9375, 1.0, 0.22805054650378717),
+    ((1.0, 2.0, 0.5), 1.0, 1.0, 0.24879945085471375),
+    ((0.5, -1.5, 0.25), 0.125, 0.875, 0.5178682243217236),
+    ((0.5, -1.5, 0.25), 0.3125, 0.5, 1.053618705998538),
+]
+
+
+def test_random_sigma_closed_form_malliavin_is_pinned():
+    g = make_grid(1.0, 16)
+    w = sample_noise(g, 1, seed=3)
+    for (low, high, frac), s, t, value in _RANDOM_SIGMA_MALLIAVIN:
+        spec = zoo_lookup(
+            "random_sigma_example", {"g_low": low, "g_high": high, "g_break_frac": frac}
+        )
+        val = eval_closed_form(spec, "malliavin", w, s=s, t=t)
+        assert val.shape == (1, 1) and val[0, 0] == value, (s, t)
+    # the oracle itself is zero for s > t
+    inc = w.increments[None]
+    assert np.array_equal(spec.closed_form.malliavin(inc, g, 10, 4), np.zeros((1, 1, 1)))
+    with pytest.raises(InvalidParameterError, match="need s <= t"):
+        eval_closed_form(spec, "malliavin", w, s=0.75, t=0.25)
+
+
+def test_closed_form_errors_name_the_kind():
+    spec = zoo_lookup("ou")
+    w = sample_noise(make_grid(1.0, 8), 1, seed=1)
+    with pytest.raises(InvalidParameterError, match="^unknown closed-form kind 'drift'$"):
+        eval_closed_form(spec, "drift", w, t=1.0)
+    spec.closed_form = ClosedForm(state=spec.closed_form.state)
+    with pytest.raises(NoClosedFormError, match="^ou: no closed-form jacobian$"):
+        eval_closed_form(spec, "jacobian", w, t=1.0)
 
 
 def test_probe_ou_quotient():

@@ -231,6 +231,12 @@ def test_run_paths_rejects_an_empty_run():
         run_paths(lambda inc, start: inc, make_grid(1.0, 4), 1, 5, 0)
 
 
+@pytest.mark.parametrize("workers", [0, -5])
+def test_run_paths_rejects_workers_below_one(workers):
+    with pytest.raises(InvalidParameterError, match="workers must be >= 1"):
+        run_paths(lambda inc, start: inc, make_grid(1.0, 4), 1, 5, 8, workers)
+
+
 def test_stability_ratio_gbm_scale_invariant():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 256)
