@@ -156,9 +156,6 @@ class StatePath:
     def terminal(self) -> np.ndarray:
         return self.values[-1]
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
-
 
 @dataclass(frozen=True, eq=False)
 class MCEstimate:
@@ -183,16 +180,6 @@ class MCEstimate:
     @property
     def ci95_halfwidth(self) -> np.ndarray:
         return 1.96 * self.stderr
-
-    def scalar(self) -> float:
-        if self.mean.size != 1:
-            raise InvalidParameterError("estimate is not scalar")
-        return float(self.mean[0])
-
-    def scalar_stderr(self) -> float:
-        if self.stderr.size != 1:
-            raise InvalidParameterError("estimate is not scalar")
-        return float(self.stderr[0])
 
 
 def mc_estimate(samples: np.ndarray) -> MCEstimate:

@@ -16,25 +16,18 @@ the base path and step in lockstep, so the field costs O(n_s * N).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .core import CameronMartinPath, History, NoisePath, StatePath, TimeGrid, format_block
-from .errors import DivergenceError, InvalidParameterError
+from .errors import InvalidParameterError
 from .models import CoefficientField, ModelSpec
 from .solver import EULER, SchemeChoice, SimBatch, simulate_one
-from .variational import JacobianBundle, VariationalFactors
+from .variational import JacobianBundle, VariationalFactors, check_finite_nodes
 
 
-def _resolve_s_indices(grid: TimeGrid, s_stride: int, s_indices) -> np.ndarray:
-    if s_indices is not None:
-        idx = np.asarray(s_indices, dtype=np.int64)
-        if idx.ndim != 1 or len(idx) == 0 or np.any(np.diff(idx) <= 0):
-            raise InvalidParameterError("s_indices must be strictly increasing")
-        if idx[0] < 0 or idx[-1] > grid.N:
-            raise InvalidParameterError("s_indices out of range")
-        return idx
+def _resolve_s_indices(grid: TimeGrid, s_stride: int) -> np.ndarray:
     if s_stride < 1:
         raise InvalidParameterError("s_stride must be >= 1")
     return np.arange(0, grid.N + 1, s_stride, dtype=np.int64)
@@ -151,15 +144,14 @@ def malliavin_field(
     w: NoisePath,
     scheme: SchemeChoice = SchemeChoice(EULER),
     s_stride: int = 1,
-    s_indices: Optional[Sequence[int]] = None,
     theta: Optional[np.ndarray] = None,
 ) -> MalliavinField:
     """Compute D_s X(t) on the (s_lattice x grid) lattice for one noise path."""
-    s_idx = _resolve_s_indices(grid, s_stride, s_indices)
+    s_idx = _resolve_s_indices(grid, s_stride)
     out = simulate_one(spec, grid, w, theta, scheme)
-    entries = _field_batch(spec.field, out, scheme, s_idx)[0]
-    if not np.all(np.isfinite(entries)):
-        raise DivergenceError(grid.N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = _field_batch(spec.field, out, scheme, s_idx)[0]
+    check_finite_nodes(entries, axis=1)
     return MalliavinField(grid, s_idx, entries, StatePath(grid, spec.d, out.values[0]))
 
 
@@ -191,7 +183,6 @@ def representation_parts(
     bundle: JacobianBundle,
     w: NoisePath,
     s_stride: int = 1,
-    s_indices: Optional[Sequence[int]] = None,
 ) -> RepresentationParts:
     """A(s, t) = sigma(s, X(s)) + int_s^t J_s(r)^{-1} (U - <grad_sigma, V>) dr
     + int_s^t J_s(r)^{-1} V dW(r), with J_s(r)^{-1} = J(s) K(r).
@@ -201,7 +192,7 @@ def representation_parts(
     """
     grid = bundle.grid
     field = spec.field
-    s_idx = _resolve_s_indices(grid, s_stride, s_indices)
+    s_idx = _resolve_s_indices(grid, s_stride)
     hist = History.from_path(w)
     d, m = field.d, field.m
     k = len(s_idx)
@@ -275,9 +266,9 @@ def directional_derivative(
 ) -> StatePath:
     """D^h X = int_0^. M_s(.) hdot(s) ds computed as one linear SDE."""
     out = simulate_one(spec, grid, w, theta, scheme)
-    vals = _directional_batch(spec.field, out, scheme, h)[0]
-    if not np.all(np.isfinite(vals)):
-        raise DivergenceError(grid.N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _directional_batch(spec.field, out, scheme, h)[0]
+    check_finite_nodes(vals)
     return StatePath(grid, spec.d, vals)
 
 

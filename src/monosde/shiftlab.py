@@ -171,14 +171,12 @@ def gateaux_ladder(
     n_paths: int,
     seed: int,
     workers: int = 1,
-    exclude_diverged: bool = False,
 ) -> QuotientLadder:
     """Difference-quotient convergence experiment with common random numbers.
 
     For each path the base solution X, the direct directional derivative
     D^h X, and every shifted solution X(w + eps h) share one noise draw.
-    Diverged paths are counted; they enter the statistics unless
-    exclude_diverged is set explicitly.
+    Diverged paths enter the statistics and are counted.
     """
     eps = np.asarray(list(epsilons), dtype=float)
     if len(eps) < 1 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
@@ -208,7 +206,7 @@ def gateaux_ladder(
     se = np.empty(len(eps))
     exc = np.empty((len(eps), len(dlt)))
     for a in range(len(eps)):
-        row = errs[~divs[:, a], a] if exclude_diverged else errs[:, a]
+        row = errs[:, a]
         est = mc_estimate(row)
         mean[a], se[a] = est.mean[0], est.stderr[0]
         exc[a] = [(row > t).mean() for t in dlt]

@@ -96,6 +96,12 @@ def _newton_solve(field, t_next, hist, x, dt, scheme, step_index):
         norm = np.max(np.abs(res), axis=1)
         if np.all(norm <= tol):
             return y
+        # a non-finite iterate never turns finite again and simulate_batch
+        # tags its path, so it must not keep the rest of the batch iterating
+        if not np.isfinite(norm.max()) and np.all(
+            (norm <= tol) | ~np.all(np.isfinite(y), axis=1)
+        ):
+            return y
         jac = eye - dt * field.grad_drift(t_next, hist, y)
         if d == 1:
             # bit-identical to LAPACK's 1x1 solve, without its per-call cost

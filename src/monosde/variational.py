@@ -24,7 +24,7 @@ dW^j dW^k instead of dt, so log det J - log D stays O(dt) pathwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -36,7 +36,7 @@ from .errors import (
     InvalidParameterError,
     MissingGradientsError,
 )
-from .models import CoefficientField, ModelSpec
+from .models import CoefficientField, ModelSpec, probe_assumptions, uniform_sampler
 from .solver import (
     EULER, TAMED, SchemeChoice, SimBatch, check_noise, simulate, simulate_batch,
     simulate_one,
@@ -206,13 +206,22 @@ def gateaux_direction(
     f = np.empty((grid.N + 1, spec.d))
     f[0] = h
     cur = np.broadcast_to(h, (1, spec.d)).copy()
-    for i in range(grid.N):
-        vf.load(i)
-        cur = cur + np.einsum("bij,bj->bi", vf.amat, cur)
-        f[i + 1] = cur[0]
-    if not np.all(np.isfinite(f)):
-        raise DivergenceError(int(np.argmax(~np.all(np.isfinite(f), axis=1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.N):
+            vf.load(i)
+            cur = cur + np.einsum("bij,bj->bi", vf.amat, cur)
+            f[i + 1] = cur[0]
+    check_finite_nodes(f)
     return StatePath(grid, spec.d, f)
+
+
+def check_finite_nodes(values: np.ndarray, axis: int = 0):
+    """Raise DivergenceError at the first grid node (along axis) at which
+    values holds a non-finite entry."""
+    nodes = np.moveaxis(values, axis, 0).reshape(values.shape[axis], -1)
+    bad = ~np.all(np.isfinite(nodes), axis=1)
+    if np.any(bad):
+        raise DivergenceError(int(np.argmax(bad)))
 
 
 def finite_difference_jacobian(
@@ -279,25 +288,16 @@ def probe_linear_quadratic_bound(
     horizon: float = 1.0,
     scale: float = 3.0,
 ):
-    """Statistically probe x^T B(t) x <= bound |x|^2 for the linear system.
+    """Statistically probe x^T B(t) x <= bound |x|^2 for the linear system:
+    the one-sided quotient of the drift B(t) x + b(t) is z^T B(t) z / |z|^2.
 
     Returns (max_quotient, ok); a violated bound is reported, not raised.
     """
-    from .core import make_grid, sample_noise, _path_generator
-
-    gen = _path_generator(seed, 0)
-    grid = make_grid(horizon, 64)
-    hist = History.from_path(sample_noise(grid, coeffs.m, seed, 0))
-    worst = -np.inf
-    for _ in range(n_probes):
-        t = grid.left_times[int(gen.integers(0, grid.N))]
-        z = gen.uniform(-scale, scale, size=coeffs.d)
-        n2 = float(z @ z)
-        if n2 == 0.0:
-            continue
-        bmat = np.asarray(coeffs.B(t, hist), dtype=float).reshape(-1, coeffs.d, coeffs.d)[0]
-        worst = max(worst, float(z @ bmat @ z) / n2)
-    return worst, worst <= bound + 1e-9 * max(1.0, abs(bound))
+    report = probe_assumptions(
+        replace(_linear_field(coeffs), monotone_const=bound),
+        uniform_sampler(-scale, scale, coeffs.d), n_probes, seed, horizon,
+    )
+    return report.max_onesided, report.monotone_ok
 
 
 def _linear_field(coeffs: LinearSDECoeffs) -> CoefficientField:

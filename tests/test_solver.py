@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monosde import (
     CameronMartinPath,
@@ -26,7 +27,8 @@ from monosde import (
     stability_ratio,
     zoo_lookup,
 )
-from monosde.core import sample_increments
+from monosde.core import CHUNK, sample_increments
+from monosde.greeks import BELConfig, _bel_samples, identity_payoff
 from monosde.models import CoefficientField
 from monosde.solver import (
     EULER,
@@ -237,6 +239,37 @@ def test_run_paths_rejects_workers_below_one(workers):
         run_paths(lambda inc, start: inc, make_grid(1.0, 4), 1, 5, 8, workers)
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    model=st.sampled_from(["gbm", "ginzburg_landau"]),
+    kind=st.sampled_from([EULER, TAMED]),
+    x0=st.sampled_from([1.0, 6.0]),
+    N=st.integers(1, 16),
+    n_paths=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+)
+def test_chunk_size_does_not_change_explicit_results(model, kind, x0, N, n_paths, seed):
+    # explicit steps never couple a chunk's paths, so every chunk size gives
+    # the bytes of the fixed chunks; x0 = 6 makes Euler GL paths diverge
+    spec = zoo_lookup(model, {"x0": x0})
+    g = make_grid(1.0, N)
+    scheme = SchemeChoice(kind)
+    cfg = BELConfig(identity_payoff(), N)
+    a = cfg.weights_on(g)
+
+    def fn(inc, start):
+        out = simulate_batch(spec.field, g, inc, spec.theta0, scheme)
+        return (out.values, out.diverged, out.first_bad,
+                *_bel_samples(spec, g, scheme, cfg, a, inc))
+
+    def run(size=CHUNK):
+        return [r.tobytes() for r in run_paths(fn, g, 1, seed, n_paths, size=size)]
+
+    fixed = run()
+    for k in range(1, n_paths + 1):
+        assert run(k) == fixed
+
+
 def test_stability_ratio_gbm_scale_invariant():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 256)
@@ -413,9 +446,25 @@ def test_nan_path_is_tagged_while_the_rest_converge():
     clean = _gl_implicit(1.0, 10.0, 4, count=8)
     assert out.diverged.tolist() == [True] + [False] * 7
     assert out.first_bad[0] == 1
-    # the NaN path keeps Newton iterating, so the converged paths take a few
-    # more sub-tolerance updates than in the clean batch
+    # Newton stops once every finite iterate has converged; the batch still
+    # iterates until its slowest finite path converges, so in general the
+    # converged paths may differ from the clean batch in the last bits
     assert np.max(np.abs(out.values[1:] - clean.values[1:])) < 1e-12
+
+
+def test_nan_path_does_not_keep_newton_iterating():
+    # path 0's iterate turns NaN in the first Newton iteration; the batch must
+    # then stop once the finite paths converge, not run to newton_max_iter
+    f = zoo_lookup("ginzburg_landau", {"x0": 10.0}).field
+    counts = []
+    for field in (f, _nan_on_path_0(f)):
+        per_step = {}
+        counted = replace(field, grad_drift=_counted(field.grad_drift, per_step, 1 / 64))
+        _gl_implicit(1.0, 10.0, 64, count=8, field=counted)
+        counts.append(per_step)
+    clean, nan = counts
+    assert sorted(nan) == list(range(64))
+    assert all(nan[i] <= clean[i] for i in range(64))
 
 
 def _single_path_calls(spec, grid, w):
@@ -466,3 +515,26 @@ def test_single_path_noise_of_another_dimension_is_rejected(fn):
     w = sample_noise(g, 2, seed=1)
     with pytest.raises(InvalidParameterError, match="noise dimension"):
         _single_path_calls(spec, g, w)[fn]()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "fn", ("malliavin_field", "directional_derivative", "gateaux_direction")
+)
+def test_single_path_derivative_reports_its_first_bad_node(fn):
+    # grad_drift is inf at t_5 only, so the derivative is first non-finite
+    # at node 6, and the recursion must not warn on its way there
+    spec = zoo_lookup("ou")
+    g = make_grid(1.0, 16)
+    f = spec.field
+
+    def grad_drift(t, hist, x):
+        out = np.array(f.grad_drift(t, hist, x), dtype=float)
+        if round(t / g.dt) == 5:
+            out[...] = np.inf
+        return out
+
+    bad = replace(spec, field=replace(f, grad_drift=grad_drift))
+    with pytest.raises(DivergenceError) as exc:
+        _single_path_calls(bad, g, sample_noise(g, 1, seed=3))[fn]()
+    assert exc.value.step == 6

@@ -231,6 +231,25 @@ def test_probe_linear_quadratic_bound():
     assert not ok
 
 
+def test_probe_linear_quadratic_bound_of_a_non_normal_matrix():
+    # z^T B z / |z|^2 peaks at the top eigenvalue 1/2 of (B + B^T) / 2, not
+    # at the eigenvalue -1 of B; the inhomogeneity b drops out of the quotient
+    from monosde.variational import probe_linear_quadratic_bound
+
+    coeffs = LinearSDECoeffs(
+        d=2,
+        m=1,
+        B=lambda t, h: np.array([[-1.0, 3.0], [0.0, -1.0]]),
+        Sigma=lambda t, h: np.zeros((2, 1, 2)),
+        b=lambda t, h: np.ones(2),
+        sigma=lambda t, h: np.zeros((2, 1)),
+    )
+    worst, ok = probe_linear_quadratic_bound(coeffs, bound=0.5)
+    assert ok and 0.5 - 1e-4 < worst <= 0.5 + 1e-12
+    worst, ok = probe_linear_quadratic_bound(coeffs, bound=0.49)
+    assert not ok
+
+
 def _diag(v):
     out = np.zeros(v.shape + v.shape[-1:])
     k = np.arange(v.shape[-1])
