@@ -3,9 +3,15 @@ and deterministic Monte Carlo reduction primitives.
 
 Reproducibility contract: every stochastic quantity in the library is keyed by
 (seed, path_index) through a counter-based Philox stream, so regenerating with
-the same key is bit-identical and distinct paths are independent.  Estimators
-process paths in fixed chunks of ``CHUNK`` paths; worker count only schedules
-chunks and never changes any result.
+the same key is bit-identical and distinct paths are independent.  Exactly:
+the Brownian increments of a path are ``Generator(Philox(ss)).standard_normal
+((N, m)) * sqrt(dt)``, drawn from counter 0 in row-major (N, m) order, where
+``ss = SeedSequence(entropy=seed, spawn_key=(path_index,))``; initial
+conditions use ``spawn_key=(path_index, 1)``.  A batch derives the Philox keys
+of all its paths in one vectorised pass over SeedSequence's hash and re-keys a
+single Philox per path, with the same bytes; tests/test_core.py pins them.
+Estimators process paths in fixed chunks of ``CHUNK`` paths; worker count only
+schedules chunks and never changes any result.
 """
 
 from __future__ import annotations
@@ -214,17 +220,30 @@ def paired_z_score(diff_samples: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _path_generator(seed: int, path_index: int, branch: int = 0) -> np.random.Generator:
-    """Philox generator for one (seed, path_index) substream.
+def _check_streams(seed: int, start: int, count: int = 1) -> None:
+    """Reject the arguments no (seed, path_index) stream range exists for."""
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    if start < 0:
+        raise InvalidParameterError(f"path index must be >= 0, got {start}")
+    if count < 0:
+        raise InvalidParameterError(f"path count must be >= 0, got {count}")
+
+
+def _seed_sequence(seed: int, path_index: int, branch: int = 0) -> np.random.SeedSequence:
+    """The SeedSequence of one (seed, path_index) substream.
 
     branch separates independent per-path streams (0 = Brownian increments,
     1 = random initial conditions).
     """
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     key = (path_index,) if branch == 0 else (path_index, branch)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
+
+
+def _path_generator(seed: int, path_index: int) -> np.random.Generator:
+    """Philox generator for one (seed, path_index) Brownian substream."""
+    _check_streams(seed, path_index)
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path_index)))
 
 
 def _path_increments(grid: TimeGrid, m: int, seed: int, path_index: int) -> np.ndarray:
@@ -240,13 +259,76 @@ def sample_noise(grid: TimeGrid, m: int, seed: int, path_index: int = 0) -> Nois
     return NoisePath(grid, m, _path_increments(grid, m, seed, path_index))
 
 
+def _hash_multipliers(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k < n: the running multiplier of
+    SeedSequence's hash, which does not depend on the data hashed."""
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+# SeedSequence's hash with its pool of 4 words.  Hash call k of mix_entropy
+# xors with _HASH_A[k] and multiplies by _HASH_A[k + 1]; the seed's words take
+# calls 0..15 and spawn-key word j calls 16 + 4j .. 19 + 4j, one per pool word.
+# Output word i of generate_state does the same with _HASH_B[i], _HASH_B[i + 1].
+_HASH_A = _hash_multipliers(0x43B0D7E5, 0x931E8875, 25)
+_HASH_B = _hash_multipliers(0x8B51F9DD, 0x58F38DED, 5)
+
+
+def _philox_keys(seed: int, start: int, count: int, branch: int = 0) -> np.ndarray:
+    """Philox keys (count, 2) of the streams (seed, start + k), k < count.
+
+    Row k equals _seed_sequence(seed, start + k, branch).generate_state(2,
+    np.uint64).  The spawn-key words are hashed into the seed's pool for all
+    rows and all pool words in one vectorised uint32 pass.
+    """
+    if seed >= 1 << 128 or start + count > 1 << 32:
+        # more than 4 seed words or a 2-word path index: another entropy layout
+        keys = [_seed_sequence(seed, start + k, branch).generate_state(2, np.uint64)
+                for k in range(count)]
+        return np.array(keys, dtype=np.uint64).reshape(count, 2)
+    # the seed hashed into the pool: numpy pads a spawned seed's words with
+    # zeros to the pool size, which hashes as an unspawned seed's missing words
+    pool = np.random.SeedSequence(int(seed)).pool
+    words = [np.arange(start, start + count, dtype=np.uint32)[:, None]]
+    if branch:
+        words.append(np.uint32(branch))
+    for j, word in enumerate(words):
+        h = (word ^ _HASH_A[16 + 4 * j:20 + 4 * j]) * _HASH_A[17 + 4 * j:21 + 4 * j]
+        h ^= h >> 16
+        pool = 0xCA01F9DD * pool - 0x4973F715 * h  # SeedSequence's mix(pool, h)
+        pool ^= pool >> 16
+    state = (pool ^ _HASH_B[:4]) * _HASH_B[1:]
+    state ^= state >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _keyed_generators(keys: np.ndarray):
+    """One generator per Philox key row, at counter 0 with an empty buffer:
+    the generator Philox(SeedSequence) gives for that key.  One Philox is
+    re-keyed for every row, so each must be used up before the next."""
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    for key in keys:
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield gen
+
+
 def sample_increments(
     grid: TimeGrid, m: int, seed: int, start: int, count: int
 ) -> np.ndarray:
-    """Increments for paths start..start+count-1, shape (count, N, m)."""
+    """Increments for paths start..start+count-1, shape (count, N, m); row k
+    is the stream _path_increments(grid, m, seed, start + k)."""
+    _check_streams(seed, start, count)
+    if m < 1:
+        raise InvalidParameterError("m must be >= 1")
     out = np.empty((count, grid.N, m))
-    for k in range(count):
-        out[k] = _path_increments(grid, m, seed, start + k)
+    for row, gen in zip(out, _keyed_generators(_philox_keys(seed, start, count))):
+        gen.standard_normal(out=row)
+    out *= math.sqrt(grid.dt)
     return out
 
 
@@ -255,10 +337,10 @@ def sample_theta(
 ) -> np.ndarray:
     """Initial conditions from a per-path stream independent of the noise;
     sampler(gen, n) draws n initial conditions (n, d)."""
+    _check_streams(seed, start, count)
     out = np.empty((count, d))
-    for k in range(count):
-        gen = _path_generator(seed, start + k, branch=1)
-        out[k] = np.asarray(sampler(gen, 1), dtype=float).reshape(d)
+    for row, gen in zip(out, _keyed_generators(_philox_keys(seed, start, count, 1))):
+        row[:] = np.asarray(sampler(gen, 1), dtype=float).reshape(d)
     return out
 
 
