@@ -10,14 +10,19 @@ the Brownian increments of a path are ``Generator(Philox(ss)).standard_normal
 conditions use ``spawn_key=(path_index, 1)``.  A batch derives the Philox keys
 of all its paths in one vectorised pass over SeedSequence's hash and re-keys a
 single Philox per path, with the same bytes; tests/test_core.py pins them.
-Estimators process paths in fixed chunks of ``CHUNK`` paths; worker count only
-schedules chunks and never changes any result.
+Estimators process paths in fixed chunks of ``CHUNK`` paths.  With
+``workers > 1`` the chunks run in up to that many worker processes forked
+from the caller, each holding one chunk's working set at a time, so peak
+memory is about ``workers`` times that.  Chunks fork only on Linux from a
+process running no other Python thread; elsewhere they run serially.  The
+worker count only schedules chunks and never changes any result.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -428,18 +433,54 @@ def chunk_ranges(n_paths: int, chunk: int = CHUNK):
     return [(s, min(chunk, n_paths - s)) for s in range(0, n_paths, chunk)]
 
 
+#: The chunk function of the pool this worker process was forked for; set only
+#: in the worker, by the pool's initializer.
+_worker_fn = None
+
+
+def _set_worker_fn(fn):
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _run_chunk(start, count):
+    return _worker_fn(start, count)
+
+
 def run_chunks(fn, n_paths: int, workers: int = 1, chunk: int = CHUNK) -> list:
     """Evaluate fn(start, count) over fixed chunks; results in chunk order.
 
-    fn must be pure.  With workers > 1 the chunks are mapped onto a thread
-    pool; the returned list ordering (and hence every reduction downstream)
-    is identical for any worker count.
+    fn must be pure.  With workers > 1 and more than one chunk, the chunks
+    run in min(workers, chunks) worker processes forked from this one: fn
+    reaches them by inheritance, so it may be a closure, and only (start,
+    count) and the returned arrays are pickled.  Peak memory is about workers
+    times one chunk's working set.  Only on Linux, and only when the calling
+    process runs no other Python thread, is the pool used; otherwise the
+    chunks run serially.  The returned list, and the exception raised (the
+    first failing chunk's, in chunk order), are the same for any worker
+    count.
     """
     ranges = chunk_ranges(n_paths, chunk)
-    if workers <= 1 or len(ranges) <= 1:
+    # fork is known safe only on Linux (on macOS a child forked after system
+    # frameworks such as numpy's BLAS are in use can crash or hang), and only
+    # from a process running no other Python thread, whose held locks the
+    # child would inherit locked
+    forks_safely = sys.platform.startswith("linux") and threading.active_count() == 1
+    if workers <= 1 or len(ranges) <= 1 or not forks_safely:
         return [fn(s, c) for s, c in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda rc: fn(*rc), ranges))
+    # imported here: a serial run pays neither their import time nor memory
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        min(workers, len(ranges)), multiprocessing.get_context("fork"),
+        initializer=_set_worker_fn, initargs=(fn,),
+    )
+    try:
+        futures = [pool.submit(_run_chunk, s, c) for s, c in ranges]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,11 @@
+import concurrent.futures
 import hashlib
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -211,15 +217,16 @@ def test_sup_moment_heavy_tail_flagged():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_paths_concatenates_each_array_in_path_order(workers):
     g = make_grid(1.0, 4)
-    starts = []
 
     def fn(inc, start):
-        starts.append(start)
         idx = start + np.arange(len(inc))
-        return idx, inc[:, :, 0], np.stack([idx, -idx], axis=1)
+        # each row carries its chunk's start: a worker process cannot report
+        # it through a side effect
+        return np.full(len(inc), start), idx, inc[:, :, 0], np.stack([idx, -idx], axis=1)
 
-    idx, inc, pairs = run_paths(fn, g, 1, 5, 600, workers, size=256)
-    assert sorted(starts) == [0, 256, 512]
+    starts, idx, inc, pairs = run_paths(fn, g, 1, 5, 600, workers, size=256)
+    # each chunk start seen exactly once, by its own rows
+    assert np.array_equal(starts, np.repeat([0, 256, 512], [256, 256, 88]))
     assert np.array_equal(idx, np.arange(600))
     assert np.array_equal(inc, sample_increments(g, 1, 5, 0, 600)[:, :, 0])
     assert np.array_equal(pairs[:, 1], -np.arange(600))
@@ -237,6 +244,83 @@ def test_run_paths_rejects_an_empty_run():
 def test_run_paths_rejects_workers_below_one(workers):
     with pytest.raises(InvalidParameterError, match="workers must be >= 1"):
         run_paths(lambda inc, start: inc, make_grid(1.0, 4), 1, 5, 8, workers)
+
+
+def _failing_chunks(inc, start):
+    """Chunk 2 (of 64 paths each) diverges late, chunk 3 fails at once."""
+    if start == 128:
+        time.sleep(0.3)  # so chunk 3's error is raised first in time
+        raise DivergenceError(7, start + 5)
+    if start == 192:
+        raise InvalidParameterError("chunk 3")
+    return inc
+
+
+def test_run_paths_raises_the_first_failing_chunk_in_path_order():
+    g = make_grid(1.0, 4)
+    raised = []
+    for workers in (1, 2):
+        with pytest.raises(DivergenceError) as info:
+            run_paths(_failing_chunks, g, 1, 5, 256, workers, size=64)
+        raised.append(info.value)
+        assert multiprocessing.active_children() == []
+    serial, pooled = raised
+    assert type(pooled) is type(serial)
+    assert str(pooled) == str(serial) == "state diverged at step 7 (path 133)"
+    assert vars(pooled) == vars(serial)
+
+
+@pytest.mark.parametrize("workers, n_chunks, forked", [
+    pytest.param(8, 3, 3, marks=pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                                   reason="the pool forks only on Linux")),
+    (1, 3, 0), (8, 1, 0),
+])
+def test_run_paths_forks_one_process_per_chunk_at_most(monkeypatch, workers, n_chunks, forked):
+    started = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def counted(proc):
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counted)
+    g = make_grid(1.0, 4)
+    pids, inc = run_paths(
+        lambda inc, start: (np.full(len(inc), os.getpid()), inc), g, 1, 5, 64 * n_chunks,
+        workers, size=64,
+    )
+    assert len(started) == forked
+    # with a pool, the chunks ran in the workers, not here
+    foreign = set(pids.tolist()) - {os.getpid()}
+    assert (1 <= len(foreign) <= forked) if forked else not foreign
+    assert np.array_equal(inc, sample_increments(g, 1, 5, 0, 64 * n_chunks))
+    assert multiprocessing.active_children() == []
+
+
+def _serial_pids(monkeypatch):
+    """The pids that run 4 chunks at workers = 4, where making a pool fails."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was created")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    return run_paths(lambda inc, start: np.full(len(inc), os.getpid()), make_grid(1.0, 4), 1,
+                     5, 256, 4, size=64)
+
+
+def test_run_paths_runs_serially_off_linux(monkeypatch):
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert np.array_equal(_serial_pids(monkeypatch), np.full(256, os.getpid()))
+
+
+def test_run_paths_runs_serially_beside_another_thread(monkeypatch):
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert np.array_equal(_serial_pids(monkeypatch), np.full(256, os.getpid()))
+    finally:
+        release.set()
+        other.join()
 
 
 @settings(max_examples=30, deadline=None, database=None)
