@@ -468,7 +468,7 @@ def main(argv=None) -> int:
             "--workers",
             type=int,
             default=1,
-            help="worker threads (default 1); never changes results",
+            help="worker processes (default 1); never changes results",
         )
         p.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)

@@ -29,7 +29,9 @@ from .core import (
 )
 from .errors import DivergenceError, InvalidParameterError
 from .models import ModelSpec
-from .solver import DIVERGENCE_BOUND, SchemeChoice, run_paths, simulate_batch, sup_norms
+from .solver import (
+    DIVERGENCE_BOUND, SchemeChoice, live_paths, run_paths, simulate_batch, sup_norms,
+)
 from .malliavin import _directional_batch
 
 
@@ -112,17 +114,17 @@ def cameron_martin_check(
         dd = np.exp(_log_dd(inc, h, grid.N))
         lhs = functional(shifted.values)
         rhs = functional(base.values) * dd
-        div = base.diverged | shifted.diverged
-        return lhs, rhs, div
+        return lhs, rhs, np.minimum(base.first_bad, shifted.first_bad, out=base.first_bad)
 
-    lhs, rhs, div = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
-    lhs, rhs = lhs[~div], rhs[~div]
+    lhs, rhs, first_bad = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
+    live = live_paths(first_bad, grid.N)
+    lhs, rhs = lhs[live], rhs[live]
     return CameronMartinReport(
         lhs=mc_estimate(lhs),
         rhs=mc_estimate(rhs),
         z_score=paired_z_score(lhs - rhs),
         n_paths=int(len(lhs)),
-        n_diverged=int(div.sum()),
+        n_diverged=int(np.sum(~live)),
     )
 
 

@@ -8,9 +8,10 @@ tamed_euler         X' = X + b dt / (1 + dt |b|) + sigma dW
 split_step_implicit solve Y = X + b(t', Y) dt by damped Newton, X' = Y + sigma(X) dW
 
 The implicit equation has a unique root whenever dt * L_mono < 1 by the
-one-sided Lipschitz property.  Any state with |X| > DIVERGENCE_BOUND or a
-non-finite entry is tagged diverged at the first bad step; divergence is never
-silent.
+one-sided Lipschitz property.  Newton stops each path at its own first iterate
+within tol, so in every scheme a path's values do not depend on its batch.
+Any state with |X| > DIVERGENCE_BOUND or a non-finite entry is tagged diverged
+at the first bad step; divergence is never silent.
 """
 
 from __future__ import annotations
@@ -33,11 +34,7 @@ from .core import (
     sample_increments,
     sample_theta,
 )
-from .errors import (
-    DivergenceError,
-    InvalidParameterError,
-    NewtonFailureError,
-)
+from .errors import DivergenceError, InvalidParameterError, NewtonFailureError
 from .models import CoefficientField, ModelSpec
 
 DIVERGENCE_BOUND = 1e150
@@ -86,22 +83,24 @@ def _check_implicit_dt(field: CoefficientField, grid: TimeGrid):
 
 
 def _newton_solve(field, t_next, hist, x, dt, scheme, step_index):
-    """Solve Y = x + dt b(t_next, Y) with damped Newton, batched over paths."""
+    """Solve Y = x + dt b(t_next, Y) with damped Newton, batched over paths.
+
+    Each path stops at its own first iterate within tol, so its root does not
+    depend on the other paths of the batch."""
     B, d = x.shape
     eye = np.eye(d)
     y = x.copy()
     tol = scheme.newton_tol
     res = y - x - dt * field.drift(t_next, hist, y)
-    for _ in range(scheme.newton_max_iter):
-        norm = np.max(np.abs(res), axis=1)
-        if np.all(norm <= tol):
+    norm = np.abs(res).max(axis=1)
+    for it in range(scheme.newton_max_iter + 1):
+        # A path iterates while its iterate is finite and its residual is not
+        # within tol (NaN is not); simulate_batch tags a non-finite iterate.
+        active = ~(norm <= tol) & np.isfinite(y).all(axis=1)
+        if not active.any():
             return y
-        # a non-finite iterate never turns finite again and simulate_batch
-        # tags its path, so it must not keep the rest of the batch iterating
-        if not np.isfinite(norm.max()) and np.all(
-            (norm <= tol) | ~np.all(np.isfinite(y), axis=1)
-        ):
-            return y
+        if it == scheme.newton_max_iter:
+            raise NewtonFailureError(step_index, np.max(norm[active]), tol)
         jac = eye - dt * field.grad_drift(t_next, hist, y)
         if d == 1:
             # bit-identical to LAPACK's 1x1 solve, without its per-call cost
@@ -109,26 +108,19 @@ def _newton_solve(field, t_next, hist, x, dt, scheme, step_index):
         else:
             step = np.linalg.solve(jac, -res[..., None])[..., 0]
         lam = np.ones((B, 1))
-        for _ in range(30):
+        for halvings in range(31):
             y_try = y + lam * step
             res_try = y_try - x - dt * field.drift(t_next, hist, y_try)
-            worse = (np.max(np.abs(res_try), axis=1) > norm) & (norm > tol)
-            if not np.any(worse):
-                y, res = y_try, res_try
+            norm_try = np.abs(res_try).max(axis=1)
+            worse = (norm_try > norm) & active
+            # once the 30 halvings have run out, the last trial is taken
+            if halvings == 30 or not worse.any():
                 break
             lam[worse] *= 0.5
-        else:
-            # the halvings ran out, and lam was halved after the last trial
-            y = y + lam * step
-            res = y - x - dt * field.drift(t_next, hist, y)
-    # A path with a non-finite iterate is tagged diverged by simulate_batch.
-    # Every other path must be within tol; NaN fails the <=, so a NaN
-    # residual at a finite iterate raises as well.
-    norm = np.max(np.abs(res), axis=1)
-    stuck = ~(norm <= tol) & np.all(np.isfinite(y), axis=1)
-    if np.any(stuck):
-        raise NewtonFailureError(step_index, np.max(norm[stuck]), tol)
-    return y
+        # only active paths take the step
+        np.copyto(y, y_try, where=active[:, None])
+        np.copyto(res, res_try, where=active[:, None])
+        np.copyto(norm, norm_try, where=active)
 
 
 def simulate_batch(
@@ -265,18 +257,33 @@ def simulate_paths(
     workers: int = 1,
 ) -> np.ndarray:
     """Paths 0..n_paths-1 of the base SDE from spec.theta0 on their (seed,
-    path) noise, values (n_paths, N+1, d); raises DivergenceError for the
-    first diverged path in path order."""
+    path) noise, values (n_paths, N+1, d); raises the DivergenceError or
+    NewtonFailureError of the first failing path in path order."""
 
     def chunk(inc, start):
-        out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
+        try:
+            out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
+        except NewtonFailureError:
+            if len(inc) == 1:
+                raise
+            # the batch raised for its earliest failing step; one path at a
+            # time raises for its first failing path instead
+            return np.concatenate([chunk(inc[k:k + 1], start + k) for k in range(len(inc))])
         if np.any(out.diverged):
             raise DivergenceError(out.first_bad[np.argmax(out.diverged)])
         return out.values
 
-    # Batched Newton couples the paths of a chunk (all iterate until all converge).
-    size = 1 if scheme.kind == IMPLICIT else CHUNK
-    return run_paths(chunk, grid, spec.m, seed, n_paths, workers, size)
+    return run_paths(chunk, grid, spec.m, seed, n_paths, workers)
+
+
+def live_paths(first_bad: np.ndarray, N: int) -> np.ndarray:
+    """The mask of the paths that never diverged (first_bad N+1); raises
+    DivergenceError at the earliest first_bad when divergence leaves fewer
+    than 2 of them for an estimate."""
+    live = first_bad > N
+    if np.count_nonzero(live) < 2 and not np.all(live):
+        raise DivergenceError(first_bad.min())
+    return live
 
 
 def sup_norms(values: np.ndarray) -> np.ndarray:
@@ -326,34 +333,25 @@ def estimate_sup_moment(
         else:
             theta = sample_theta(theta_sampler, spec.d, seed, start, len(inc))
         out = simulate_batch(spec.field, grid, inc, theta, scheme)
-        return sup_norms(out.values) ** p, out.diverged
+        return sup_norms(out.values) ** p, out.first_bad
 
-    vals, div = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
-    good = vals[~div]
-    if len(good) < 2:
-        raise DivergenceError(0)
+    vals, first_bad = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
+    live = live_paths(first_bad, grid.N)
+    good = vals[live]
     est = mc_estimate(good)
 
-    prefix_means = np.array(
-        [good[: max(2, len(good) // k)].mean() for k in (4, 2, 1)]
-    )
-    prefix_se = np.array(
-        [
-            good[: max(2, len(good) // k)].std(ddof=1)
-            / math.sqrt(max(2, len(good) // k))
-            for k in (4, 2, 1)
-        ]
-    )
+    sizes = [max(2, len(good) // k) for k in (4, 2, 1)]
+    prefix_means = np.array([good[:n].mean() for n in sizes])
+    prefix_se = [good[:n].std(ddof=1) / math.sqrt(n) for n in sizes]
     grows = [
-        prefix_means[i + 1] - prefix_means[i]
-        > math.hypot(prefix_se[i], prefix_se[i + 1])
+        prefix_means[i + 1] - prefix_means[i] > math.hypot(prefix_se[i], prefix_se[i + 1])
         for i in range(2)
     ]
     max_share = float(good.max() / good.sum()) if good.sum() > 0 else 0.0
     return MomentReport(
         estimate=est,
         p=p,
-        n_diverged=int(div.sum()),
+        n_diverged=int(np.sum(~live)),
         nonconvergent=all(grows) or max_share > 0.2,
         prefix_means=prefix_means,
         max_share=max_share,

@@ -582,6 +582,17 @@ def test_multi_path_simulate_reports_the_first_failing_path(tmp_path, capsys, ca
     assert not (out / "paths.csv").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["cameron-martin", "greeks"])
+def test_run_with_every_path_diverged_exits_2(tmp_path, capsys, subcommand):
+    # every path diverges at step 5: a valid config whose run fails numerically
+    body = ("model = ginzburg_landau\nmodel.x0 = 50\ngrid.T = 2\ngrid.N = 8\n"
+            "scheme = euler_maruyama\nn_paths = 16\n")
+    code, out = _cli(tmp_path, subcommand, body)
+    assert code == 2
+    assert capsys.readouterr().err == "error: state diverged at step 5\n"
+    assert not list(out.glob("*.csv"))
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     conf = tmp_path / "sim.conf"
     conf.write_text(GOOD)

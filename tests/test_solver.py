@@ -41,6 +41,7 @@ from monosde.solver import (
     IMPLICIT,
     TAMED,
     SchemeChoice,
+    live_paths,
     run_paths,
     simulate_batch,
 )
@@ -190,6 +191,38 @@ def test_sup_moment_stable_under_refinement():
     assert diff <= tol
 
 
+def test_sup_moment_with_every_path_diverged_names_the_earliest_step():
+    # paths 0..14 diverge at step 7 and path 15 at step 6
+    spec = zoo_lookup("ginzburg_landau", {"x0": 3.5})
+    with pytest.raises(DivergenceError) as exc:
+        estimate_sup_moment(spec, make_grid(2.0, 8), SchemeChoice(EULER), p=2.0,
+                            n_paths=16, seed=0)
+    assert exc.value.step == 6
+
+
+@pytest.mark.parametrize(
+    "first_bad, live",
+    [
+        ([9, 7, 9], [True, False, True]),  # two paths left
+        ([9, 9], [True, True]),
+        ([9], [True]),  # one path that never diverged is not a divergence
+    ],
+    ids=["two_left", "none_diverged", "one_path"],
+)
+def test_live_paths_keeps_an_estimate_of_two_paths(first_bad, live):
+    assert live_paths(np.array(first_bad), 8).tolist() == live
+
+
+@pytest.mark.parametrize(
+    "first_bad, step", [([9, 7, 6], 6), ([5, 3], 3), ([4], 4)],
+    ids=["one_left", "none_left", "one_path"],
+)
+def test_live_paths_raises_at_the_earliest_step_below_two_paths(first_bad, step):
+    with pytest.raises(DivergenceError) as exc:
+        live_paths(np.array(first_bad), 8)
+    assert exc.value.step == step
+
+
 def test_sup_moment_heavy_tail_flagged():
     # Pareto(alpha = 1.5) initial conditions: E[ sup^6 ] is infinite
     spec = zoo_lookup("quintic")
@@ -326,16 +359,18 @@ def test_run_paths_runs_serially_beside_another_thread(monkeypatch):
 @settings(max_examples=30, deadline=None, database=None)
 @given(
     model=st.sampled_from(["gbm", "ginzburg_landau"]),
-    kind=st.sampled_from([EULER, TAMED]),
+    kind=st.sampled_from([EULER, TAMED, IMPLICIT]),
     x0=st.sampled_from([1.0, 6.0]),
     N=st.integers(1, 16),
     n_paths=st.integers(1, 40),
     seed=st.integers(0, 2**32),
 )
-def test_chunk_size_does_not_change_explicit_results(model, kind, x0, N, n_paths, seed):
-    # explicit steps never couple a chunk's paths, so every chunk size gives
-    # the bytes of the fixed chunks; x0 = 6 makes Euler GL paths diverge
+def test_chunk_size_does_not_change_results(model, kind, x0, N, n_paths, seed):
+    # every chunk size gives the bytes of the fixed chunks; x0 = 6 makes Euler
+    # GL paths diverge, and N >= 2 keeps dt * L_mono < 1 for the implicit scheme
     spec = zoo_lookup(model, {"x0": x0})
+    if kind == IMPLICIT:
+        N = max(N, 2)
     g = make_grid(1.0, N)
     scheme = SchemeChoice(kind)
     cfg = BELConfig(identity_payoff(), N)
@@ -435,26 +470,94 @@ def _gl_implicit(eta, x0, N, count=16, field=None, scheme=None):
     )
 
 
-@pytest.mark.parametrize(
-    "eta, x0, N, digest",
-    [
-        (1.0, 1.0, 4, "4ab2f5ee999785f0e477d3cc49b958d1e2a53b441cdb97c75b8b4a2f781aec38"),
-        (1.0, 1.0, 64, "675d0853e93311c1a1ee7f8e00c2292968bc7ce19d84147224468449ea7b9b3e"),
-        (1.0, 3.0, 4, "a8dbd0bccc83095250b6fd34e0669cf86cc163f30157418b9323189f916148f1"),
-        (1.0, 3.0, 64, "ab188e10ce61feffb2dba22412388165dbda9dc22b4ddd9bb87bdacdd62ba23e"),
-        (1.0, 20.0, 4, "48b2f76158e5d4ab64f629f1c203c29dfd76a5cd1eb02f49409341597852ffc5"),
-        (1.0, 20.0, 64, "0e60123d47f0c0c762cc0b3df48180521c35a3e0d2251c0e9401937ed49d6f15"),
-        # dt * eta near 1 makes Newton overshoot, so these enter backtracking
-        (3.9, 1.0, 4, "b0b291438919bb88d75870c3142f3fd2f15223ed36fc4d9c7131721c8efcdc00"),
-        (3.9, 3.0, 4, "4e43d31cb4cbba11adf8b768ec4df6edb4c3dc131cef5b975b586384a3404051"),
-        (60.0, 1.0, 64, "0c51ecbfc4bde31b190321894829f5d02abd32521d60122ec7c59aefe9262b6a"),
-    ],
-)
+#: (eta, x0, N, sha256 of the values) of 16-path GL batches: the digests of
+#: the 16 single-path runs stacked, recorded while a batch still iterated
+#: Newton on every path until its slowest one converged
+_KERNEL_PINS = [
+    (1.0, 1.0, 4, "38902165fc70c303525c409caa59954c218b728903dda8e44c209a4ef6c5f63f"),
+    (1.0, 1.0, 64, "431eb7a2171fe624d85fa0ac9321c7f79bb2b0420cee8d2b826b156e1dc9adfa"),
+    (1.0, 3.0, 4, "2dde1bd7b8cb5ea7d0a7b45615d1c1d2faebdfd142ad5051a283a0522fd29fe6"),
+    (1.0, 3.0, 64, "f3fdea71f89a35b18630b914ebaf830038b63d0e0ae435b578b3be0a87f5837f"),
+    (1.0, 20.0, 4, "d17e1490b3f887c3d554c047962af07754d6bec5aad1600c3a6926b8cd882a74"),
+    (1.0, 20.0, 64, "546016d91050b24502af342d3ee08ac7e1b6f95186ed2f3536bf05c6b91581b4"),
+    # dt * eta near 1 makes Newton overshoot, so these enter backtracking
+    (3.9, 1.0, 4, "9f6f660b07f4b2a5a770035446780dcf1f6997402ded3a0a1aed1a7671f982fc"),
+    (3.9, 3.0, 4, "abda3e4e06a951abbd19ef507a72a2021794a7fb14fa5c4d126350175b88454e"),
+    (60.0, 1.0, 64, "87eea53bef6cfcaac0ea220946a3f9b277c7b7b06a3c9f0a383c7ad21261ac32"),
+]
+_KERNEL_IDS = [f"{eta}-{x0}-{N}" for eta, x0, N, _ in _KERNEL_PINS]
+
+
+@pytest.mark.parametrize("eta, x0, N, digest", _KERNEL_PINS, ids=_KERNEL_IDS)
 def test_implicit_kernel_bytes_are_pinned(eta, x0, N, digest):
-    # digests recorded before the d = 1 Newton division and residual reuse
     out = _gl_implicit(eta, x0, N)
     assert not out.diverged.any()
     assert hashlib.sha256(out.values.tobytes()).hexdigest() == digest
+
+
+def _cubic_d2():
+    """b(x) = -|x|^2 x + (x1, -x0): a d = 2 monotone drift, so Newton takes
+    the np.linalg.solve branch."""
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def grad_drift(t, h, x):
+        sq = np.sum(x * x, axis=1)[:, None, None]
+        return rot - sq * np.eye(2) - 2.0 * x[:, :, None] * x[:, None, :]
+
+    return CoefficientField(
+        2, 2,
+        lambda t, h, x: x @ rot.T - np.sum(x * x, axis=1, keepdims=True) * x,
+        lambda t, h, x: np.broadcast_to(0.5 * np.eye(2), (x.shape[0], 2, 2)),
+        grad_drift,
+        lambda t, h, x: np.zeros((x.shape[0], 2, 2, 2)),
+    )
+
+
+def _nan_on_path_0(field):
+    def drift(t, hist, x):
+        b = field.drift(t, hist, x)
+        b[0] = np.nan
+        return b
+
+    return replace(field, drift=drift)
+
+
+def _assert_batch_is_stack(batch_field, path_fields, g, theta, inc):
+    """simulate_batch over inc equals, bit for bit, path k run alone under
+    path_fields[k]; returns the batch."""
+    scheme = SchemeChoice(IMPLICIT)
+    batch = simulate_batch(batch_field, g, inc, theta, scheme)
+    alone = [simulate_batch(f, g, inc[k:k + 1], theta, scheme) for k, f in enumerate(path_fields)]
+    for name in ("values", "diverged", "first_bad"):
+        stack = np.concatenate([getattr(out, name) for out in alone])
+        assert getattr(batch, name).tobytes() == stack.tobytes()
+    return batch
+
+
+@pytest.mark.parametrize("eta, x0, N", [pin[:3] for pin in _KERNEL_PINS], ids=_KERNEL_IDS)
+def test_implicit_batch_equals_its_single_path_stack(eta, x0, N):
+    # each path stops Newton at its own first iterate within tol, so no path
+    # depends on its batch mates
+    spec = zoo_lookup("ginzburg_landau", {"eta": eta, "x0": x0})
+    g = make_grid(1.0, N)
+    inc = sample_increments(g, 1, seed=5, start=0, count=16)
+    _assert_batch_is_stack(spec.field, [spec.field] * 16, g, spec.theta0, inc)
+
+
+def test_implicit_batch_with_a_nan_path_equals_its_single_path_stack():
+    f = zoo_lookup("ginzburg_landau", {"x0": 10.0}).field
+    g = make_grid(1.0, 4)
+    inc = sample_increments(g, 1, seed=5, start=0, count=8)
+    out = _assert_batch_is_stack(_nan_on_path_0(f), [_nan_on_path_0(f)] + [f] * 7,
+                                 g, np.array([10.0]), inc)
+    assert out.diverged.tolist() == [True] + [False] * 7
+
+
+def test_implicit_d2_batch_equals_its_single_path_stack():
+    g = make_grid(1.0, 32)
+    inc = sample_increments(g, 2, seed=5, start=0, count=16)
+    out = _assert_batch_is_stack(_cubic_d2(), [_cubic_d2()] * 16, g, np.array([2.0, -1.0]), inc)
+    assert not out.diverged.any()
 
 
 def _counted(fn, counts, dt):
@@ -507,15 +610,6 @@ def test_newton_exhausted_line_search_keeps_last_halving():
     assert exc.value.residual == 0.8346479547509976
 
 
-def _nan_on_path_0(field):
-    def drift(t, hist, x):
-        b = field.drift(t, hist, x)
-        b[0] = np.nan
-        return b
-
-    return replace(field, drift=drift)
-
-
 def test_newton_failure_not_hidden_by_nan_path():
     spec = zoo_lookup("ginzburg_landau", {"x0": 10.0})
     one_iter = SchemeChoice(IMPLICIT, newton_max_iter=1)
@@ -530,10 +624,7 @@ def test_nan_path_is_tagged_while_the_rest_converge():
     clean = _gl_implicit(1.0, 10.0, 4, count=8)
     assert out.diverged.tolist() == [True] + [False] * 7
     assert out.first_bad[0] == 1
-    # Newton stops once every finite iterate has converged; the batch still
-    # iterates until its slowest finite path converges, so in general the
-    # converged paths may differ from the clean batch in the last bits
-    assert np.max(np.abs(out.values[1:] - clean.values[1:])) < 1e-12
+    assert out.values[1:].tobytes() == clean.values[1:].tobytes()
 
 
 def test_nan_path_does_not_keep_newton_iterating():
