@@ -7,11 +7,10 @@ formatting plus a metadata sidecar (the canonical config echo, library
 version, and seed), sufficient to reproduce it bit-identically; artifacts
 contain no timestamps.
 
-Exit codes: 0 success; 1 invalid config, or a parameter or domain error
-raised while running; 2 numerical runtime failure (DivergenceError,
-NewtonFailureError, SingularDiffusionError, DegenerateWronskianError); 3
-acceptance failure (verify).  Errors of the library reach stderr as one
-``error: ...`` line, never as a traceback.
+Exit codes: 0 success; 1 invalid config; 1 or 2 for an error of the library
+raised while running, by its class (see monosde.errors); 3 acceptance
+failure (verify).  Errors of the library reach stderr as one ``error: ...``
+line, never as a traceback.
 """
 
 from __future__ import annotations
@@ -32,13 +31,7 @@ from .core import (
     make_grid,
     sample_noise,
 )
-from .errors import (
-    DegenerateWronskianError,
-    DivergenceError,
-    MonosdeError,
-    NewtonFailureError,
-    SingularDiffusionError,
-)
+from .errors import MonosdeError
 from .models import ZOO_NAMES, zoo_lookup
 from .solver import SCHEMES, SchemeChoice, simulate_paths
 from .variational import jacobian
@@ -277,9 +270,7 @@ def _write_sidecar(path, cfg: ExperimentConfig):
         fh.write(emit_config(cfg))
 
 
-def _run_simulate(cfg, out_dir, workers):
-    spec = zoo_lookup(cfg.model, cfg.model_params)
-    grid = make_grid(cfg.grid_T, cfg.grid_N)
+def _run_simulate(cfg, spec, grid, out_dir, workers):
     values = simulate_paths(spec, grid, cfg.scheme_choice(), cfg.seed, cfg.n_paths, workers)
     header = ["path", "t"] + [f"x{k}" for k in range(spec.d)]
     t = grid.nodes
@@ -288,12 +279,9 @@ def _run_simulate(cfg, out_dir, workers):
         format_block(np.column_stack([t, x]), f"{p},{row_fmt}") for p, x in enumerate(values)
     )
     _write_csv(os.path.join(out_dir, "paths.csv"), header, blocks)
-    return ["paths.csv"]
 
 
-def _run_jacobian(cfg, out_dir, workers):
-    spec = zoo_lookup(cfg.model, cfg.model_params)
-    grid = make_grid(cfg.grid_T, cfg.grid_N)
+def _run_jacobian(cfg, spec, grid, out_dir, workers):
     scheme = cfg.scheme_choice()
     w = sample_noise(grid, spec.m, cfg.seed, 0)
     bun = jacobian(spec, grid, w, scheme)
@@ -310,18 +298,14 @@ def _run_jacobian(cfg, out_dir, workers):
     )
     text = format_block(block, _line(["%.17g"] * len(header)))
     _write_csv(os.path.join(out_dir, "jacobian.csv"), header, [text])
-    return ["jacobian.csv"]
 
 
-def _run_malliavin(cfg, out_dir, workers):
-    spec = zoo_lookup(cfg.model, cfg.model_params)
-    grid = make_grid(cfg.grid_T, cfg.grid_N)
+def _run_malliavin(cfg, spec, grid, out_dir, workers):
     scheme = cfg.scheme_choice()
     w = sample_noise(grid, spec.m, cfg.seed, 0)
     fld = malliavin_field(spec, grid, w, scheme, s_stride=cfg.s_stride)
+    mm = malliavin_matrix(fld, int(fld.s_indices[-1]))
     fld.export_csv(os.path.join(out_dir, "malliavin_field.csv"))
-    t_idx = int(fld.s_indices[-1])
-    mm = malliavin_matrix(fld, t_idx)
     rows = [_row(mm.t, *mm.Q.ravel(), mm.min_eigenvalue)]
     header = (
         ["t"]
@@ -329,12 +313,9 @@ def _run_malliavin(cfg, out_dir, workers):
         + ["min_eigenvalue"]
     )
     _write_csv(os.path.join(out_dir, "malliavin_matrix.csv"), header, map(_line, rows))
-    return ["malliavin_field.csv", "malliavin_matrix.csv"]
 
 
-def _run_ladder(cfg, out_dir, workers):
-    spec = zoo_lookup(cfg.model, cfg.model_params)
-    grid = make_grid(cfg.grid_T, cfg.grid_N)
+def _run_ladder(cfg, spec, grid, out_dir, workers):
     h = CameronMartinPath.constant(grid, cfg.hdot, spec.m)
     lad = gateaux_ladder(
         spec,
@@ -350,12 +331,9 @@ def _run_ladder(cfg, out_dir, workers):
     rows = [_row(*r) for r in lad.rows()]
     header = ["epsilon", "mean_error", "stderr", "delta", "exceedance_prob", "diverged_count"]
     _write_csv(os.path.join(out_dir, "ladder.csv"), header, map(_line, rows))
-    return ["ladder.csv"]
 
 
-def _run_cameron_martin(cfg, out_dir, workers):
-    spec = zoo_lookup(cfg.model, cfg.model_params)
-    grid = make_grid(cfg.grid_T, cfg.grid_N)
+def _run_cameron_martin(cfg, spec, grid, out_dir, workers):
     h = CameronMartinPath.constant(grid, cfg.hdot, spec.m)
     functional = (
         clipped_sup_norm(cfg.clip) if cfg.functional == "clipped_sup" else terminal_value()
@@ -370,12 +348,9 @@ def _run_cameron_martin(cfg, out_dir, workers):
     ]
     header = ["lhs_mean", "lhs_stderr", "rhs_mean", "rhs_stderr", "z_score", "n_paths", "diverged_count"]
     _write_csv(os.path.join(out_dir, "cameron_martin.csv"), header, map(_line, rows))
-    return ["cameron_martin.csv"]
 
 
-def _run_greeks(cfg, out_dir, workers):
-    spec = zoo_lookup(cfg.model, cfg.model_params)
-    grid = make_grid(cfg.grid_T, cfg.grid_N)
+def _run_greeks(cfg, spec, grid, out_dir, workers):
     scheme = cfg.scheme_choice()
     payoff = {
         "identity": identity_payoff(),
@@ -395,10 +370,9 @@ def _run_greeks(cfg, out_dir, workers):
     ]
     header = ["method", "component", "estimate", "stderr", "n_paths", "diverged_count"]
     _write_csv(os.path.join(out_dir, "greeks.csv"), header, map(_line, rows))
-    return ["greeks.csv"]
 
 
-def _run_verify(cfg, out_dir, workers):
+def _run_verify(cfg, spec, grid, out_dir, workers):
     from .acceptance import run_criteria
 
     results = run_criteria(cfg.criteria or None, workers=workers)
@@ -414,8 +388,7 @@ def _run_verify(cfg, out_dir, workers):
         ["number", "criterion", "status", "detail"],
         map(_line, rows),
     )
-    ok = all(r.passed for r in results)
-    return ["verify.csv"] if ok else None
+    return 0 if all(r.passed for r in results) else 3
 
 
 _RUNNERS = {
@@ -429,28 +402,20 @@ _RUNNERS = {
 }
 
 
-#: Numerical failures at run time; every other MonosdeError is a parameter or
-#: domain error.
-_RUNTIME_ERRORS = (
-    DivergenceError,
-    NewtonFailureError,
-    SingularDiffusionError,
-    DegenerateWronskianError,
-)
-
-
 def run(cfg: ExperimentConfig, out_dir: str = ".", workers: int = 1) -> int:
-    """Execute one experiment; writes artifacts plus a metadata sidecar."""
+    """Execute one experiment; writes artifacts plus a metadata sidecar.
+    Returns the exit code: 0; 3 when verify fails a criterion; 1 or 2 for a
+    MonosdeError, by its class (see monosde.errors)."""
     os.makedirs(out_dir, exist_ok=True)
     try:
-        artifacts = _RUNNERS[cfg.experiment](cfg, out_dir, workers)
+        spec = zoo_lookup(cfg.model, cfg.model_params)
+        grid = make_grid(cfg.grid_T, cfg.grid_N)
+        code = _RUNNERS[cfg.experiment](cfg, spec, grid, out_dir, workers)
     except MonosdeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, _RUNTIME_ERRORS) else 1
+        return 2 if isinstance(exc, RuntimeError) else 1
     _write_sidecar(os.path.join(out_dir, f"{cfg.experiment}.meta"), cfg)
-    if artifacts is None:
-        return 3
-    return 0
+    return code or 0
 
 
 def main(argv=None) -> int:

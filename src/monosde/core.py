@@ -138,6 +138,12 @@ class CameronMartinPath:
         np.cumsum(self.density * self.grid.dt, axis=0, out=h[1:])
         return h
 
+    def check_on(self, grid: TimeGrid, m: int):
+        """Reject use on another grid than grid, or with another noise
+        dimension than m."""
+        if self.grid != grid or self.m != m:
+            raise InvalidParameterError("direction h lives on a different grid or dimension")
+
     def norm_sq(self) -> float:
         """L2 norm squared of the density: sum |hdot_i|^2 dt."""
         return float(np.sum(self.density**2) * self.grid.dt)
@@ -239,7 +245,8 @@ def _seed_sequence(seed: int, path_index: int, branch: int = 0) -> np.random.See
     """The SeedSequence of one (seed, path_index) substream.
 
     branch separates independent per-path streams (0 = Brownian increments,
-    1 = random initial conditions).
+    1 = random initial conditions, 2 = the probe points of probe_assumptions,
+    on path 0 only).
     """
     key = (path_index,) if branch == 0 else (path_index, branch)
     return np.random.SeedSequence(entropy=int(seed), spawn_key=key)

@@ -1,4 +1,10 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Every error of the library is a MonosdeError.  The CLI exits 2 for one that
+is also a RuntimeError (a numerical failure at run time: DivergenceError,
+NewtonFailureError, SingularDiffusionError, DegenerateWronskianError) and 1
+for any other (a parameter or domain error).
+"""
 
 
 class MonosdeError(Exception):

@@ -277,8 +277,7 @@ def _directional_batch(
 ) -> np.ndarray:
     """Batched D^h X along solved paths, shape (B, N+1, d)."""
     grid = out.grid
-    if h.grid != grid or h.m != field.m:
-        raise InvalidParameterError("direction h lives on a different grid")
+    h.check_on(grid, field.m)
     B = out.values.shape[0]
     d, m = field.d, field.m
     N, dt = grid.N, grid.dt

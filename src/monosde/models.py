@@ -24,7 +24,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import History, NoisePath, TimeGrid, _path_generator, make_grid, sample_noise
+from .core import (
+    History, NoisePath, TimeGrid, _check_streams, _keyed_generators, _philox_keys, make_grid,
+    sample_noise,
+)
 from .errors import (
     InvalidParameterError,
     NoClosedFormError,
@@ -517,7 +520,8 @@ def probe_assumptions(
     """
     if n_probes < 1:
         raise InvalidParameterError("n_probes must be >= 1")
-    gen = _path_generator(seed, 0)
+    _check_streams(seed, 0)
+    gen = next(_keyed_generators(_philox_keys(seed, 0, 1, 2)))  # stream (seed, (0, 2))
     x = sampler(gen, n_probes)
     y = sampler(gen, n_probes)
     same = np.all(x == y, axis=1)

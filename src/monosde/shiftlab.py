@@ -7,6 +7,10 @@ discrete Gaussian increments as well, so its z-score is scheme-independent.
 Convergence in probability is operationalized as exceedance frequencies
 P[ sup-error > delta ] at fixed thresholds.
 
+Both estimators take a direction h on the simulation grid (else
+InvalidParameterError), and leave out of their statistics, and count, each
+path on which one of the solutions compared diverged.
+
 Path functionals are batched: a functional maps solved path values of shape
 (B, N+1, d) to per-path reals (B,); terminal_value and clipped_sup_norm
 build the common ones.
@@ -69,8 +73,7 @@ def _log_dd(increments: np.ndarray, h: CameronMartinPath, t_index: int) -> np.nd
 
 def doleans_dade(w: NoisePath, h: CameronMartinPath, t_index: int) -> float:
     """E(hdot)(t_index) = exp(sum_{i<t} hdot_i dW_i - 1/2 sum |hdot_i|^2 dt)."""
-    if w.grid != h.grid or w.m != h.m:
-        raise InvalidParameterError("noise and direction grids/dimensions differ")
+    h.check_on(w.grid, w.m)
     if not (0 <= t_index <= w.grid.N):
         raise InvalidParameterError("t_index out of range")
     return float(np.exp(_log_dd(w.increments[None], h, t_index)[0]))
@@ -104,8 +107,10 @@ def cameron_martin_check(
 
     The shift uses eps = 1 (the identity is exact for any fixed h); the
     z-score is computed from per-path differences, which is the sharp CRN
-    statistic.
+    statistic.  A path whose base or shifted solution diverged is left out
+    and counted; DivergenceError is raised when fewer than 2 paths are left.
     """
+    h.check_on(grid, spec.m)
     shift = h.density * grid.dt
 
     def chunk(inc, start):
@@ -142,7 +147,7 @@ class QuotientLadder:
     mean_error: np.ndarray  # (k,)
     stderr: np.ndarray  # (k,)
     exceedance: np.ndarray  # (k, j): P[Delta_eps > delta]
-    diverged: np.ndarray  # (k,) diverged-path counts (includes base/direction)
+    diverged: np.ndarray  # (k,) paths left out: the base or eps-shifted solution diverged
     n_paths: int
 
     def rows(self):
@@ -178,7 +183,9 @@ def gateaux_ladder(
 
     For each path the base solution X, the direct directional derivative
     D^h X, and every shifted solution X(w + eps h) share one noise draw.
-    Diverged paths enter the statistics and are counted.
+    For each eps, a path whose base or shifted solution diverged is left out
+    of the statistics and counted; DivergenceError is raised when fewer than
+    2 paths are left.
     """
     eps = np.asarray(list(epsilons), dtype=float)
     if len(eps) < 1 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
@@ -190,35 +197,40 @@ def gateaux_ladder(
 
     def chunk(inc, start):
         base = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
-        dh = _directional_batch(spec.field, base, scheme, h)
         errs = np.empty((len(inc), len(eps)))
-        divs = np.empty((len(inc), len(eps)), dtype=bool)
-        for a, e in enumerate(eps):
-            bumped = simulate_batch(
-                spec.field, grid, inc + e * shift, spec.theta0, scheme
-            )
-            quot = (bumped.values - base.values) / e
-            errs[:, a] = sup_norms(quot - dh)
-            divs[:, a] = base.diverged | bumped.diverged
-        return errs, divs
+        first_bad = np.empty((len(inc), len(eps)), dtype=np.int64)
+        # a diverged path's quotient may overflow; it is left out below
+        with np.errstate(over="ignore", invalid="ignore"):
+            dh = _directional_batch(spec.field, base, scheme, h)
+            for a, e in enumerate(eps):
+                bumped = simulate_batch(
+                    spec.field, grid, inc + e * shift, spec.theta0, scheme
+                )
+                quot = (bumped.values - base.values) / e
+                errs[:, a] = sup_norms(quot - dh)
+                np.minimum(base.first_bad, bumped.first_bad, out=first_bad[:, a])
+        return errs, first_bad
 
-    errs, divs = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
+    errs, first_bad = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
 
     mean = np.empty(len(eps))
     se = np.empty(len(eps))
     exc = np.empty((len(eps), len(dlt)))
+    diverged = np.empty(len(eps), dtype=np.int64)
     for a in range(len(eps)):
-        row = errs[:, a]
+        live = live_paths(first_bad[:, a], grid.N)
+        row = errs[live, a]
         est = mc_estimate(row)
         mean[a], se[a] = est.mean[0], est.stderr[0]
         exc[a] = [(row > t).mean() for t in dlt]
+        diverged[a] = np.count_nonzero(~live)
     return QuotientLadder(
         epsilons=eps,
         deltas=dlt,
         mean_error=mean,
         stderr=se,
         exceedance=exc,
-        diverged=divs.sum(axis=0),
+        diverged=diverged,
         n_paths=n_paths,
     )
 

@@ -274,7 +274,7 @@ def test_library_errors_exit_with_one_line(tmp_path, capsys, case):
 def test_error_class_exit_codes(tmp_path, monkeypatch, capsys, exc, code):
     import monosde.cli as cli
 
-    def raising(cfg, out_dir, workers):
+    def raising(cfg, spec, grid, out_dir, workers):
         raise exc
 
     monkeypatch.setitem(cli._RUNNERS, "simulate", raising)
@@ -582,7 +582,7 @@ def test_multi_path_simulate_reports_the_first_failing_path(tmp_path, capsys, ca
     assert not (out / "paths.csv").exists()
 
 
-@pytest.mark.parametrize("subcommand", ["cameron-martin", "greeks"])
+@pytest.mark.parametrize("subcommand", ["cameron-martin", "greeks", "ladder"])
 def test_run_with_every_path_diverged_exits_2(tmp_path, capsys, subcommand):
     # every path diverges at step 5: a valid config whose run fails numerically
     body = ("model = ginzburg_landau\nmodel.x0 = 50\ngrid.T = 2\ngrid.N = 8\n"
@@ -591,6 +591,16 @@ def test_run_with_every_path_diverged_exits_2(tmp_path, capsys, subcommand):
     assert code == 2
     assert capsys.readouterr().err == "error: state diverged at step 5\n"
     assert not list(out.glob("*.csv"))
+
+
+def test_failing_malliavin_run_writes_no_file(tmp_path, capsys):
+    # a one-row s-lattice has no Malliavin matrix; the field is not written either
+    body = "model = ou\ngrid.T = 1\ngrid.N = 4\nmalliavin.s_stride = 8\n"
+    code, out = _cli(tmp_path, "malliavin", body)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: t_index must be covered by the s-lattice (including s = t)\n"
+    assert not list(out.iterdir())
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

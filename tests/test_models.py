@@ -148,6 +148,20 @@ def test_probe_ou_quotient():
     assert rep.passed
 
 
+def test_probe_points_have_their_own_stream():
+    # branch 2 of path 0, not path 0's Brownian stream
+    draws = []
+    uniform = uniform_sampler(-3, 3)
+
+    def sampler(gen, n):
+        draws.append(gen.random())
+        return uniform(gen, n)
+
+    probe_assumptions(zoo_lookup("ou").field, sampler, 10, seed=3)
+    seq = np.random.SeedSequence(entropy=3, spawn_key=(0, 2))
+    assert draws[0] == np.random.Generator(np.random.Philox(seq)).random()
+
+
 def test_probe_quintic_against_dense_scan():
     # independent oracle: maximize (x - y)(b(x) - b(y)) / (x - y)^2 on a grid
     xs = np.linspace(-3, 3, 601)

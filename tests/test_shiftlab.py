@@ -119,6 +119,47 @@ def test_gateaux_ladder_rejects_bad_input():
         )
 
 
+@pytest.mark.filterwarnings("error")
+def test_gateaux_ladder_leaves_diverged_paths_out():
+    # 32 of the 64 Euler paths diverge; the statistics come from the other 32
+    spec = zoo_lookup("ginzburg_landau", {"x0": 3.0})
+    g = make_grid(2.0, 8)
+    lad = gateaux_ladder(
+        spec, g, SchemeChoice(EULER), CameronMartinPath.constant(g, 1.0),
+        [0.5, 0.25, 0.125], [0.1, 0.01], n_paths=64, seed=5,
+    )
+    assert np.all(np.isfinite(lad.mean_error)) and np.all(np.isfinite(lad.stderr))
+    assert np.all(lad.diverged == 32)
+    assert np.all(lad.exceedance[:, 1] == 1.0)
+
+
+def test_gateaux_ladder_raises_when_every_path_diverged():
+    spec = zoo_lookup("ginzburg_landau", {"x0": 50.0})
+    g = make_grid(2.0, 8)
+    with pytest.raises(DivergenceError, match="at step 5$"):
+        gateaux_ladder(
+            spec, g, SchemeChoice(EULER), CameronMartinPath.constant(g, 1.0),
+            [0.5, 0.25], [0.1], n_paths=16, seed=0,
+        )
+
+
+@pytest.mark.parametrize("T, N", [(1.0, 32), (1.0, 1), (2.0, 64)])
+def test_cameron_martin_rejects_a_direction_on_another_grid(monkeypatch, T, N):
+    import monosde.shiftlab as shiftlab
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking h")
+
+    monkeypatch.setattr(shiftlab, "simulate_batch", no_simulation)
+    spec = zoo_lookup("ou")
+    h = CameronMartinPath.constant(make_grid(T, N), 0.5)
+    with pytest.raises(InvalidParameterError, match="direction h"):
+        cameron_martin_check(
+            spec, make_grid(1.0, 64), SchemeChoice(EULER), h, terminal_value(),
+            n_paths=64, seed=1,
+        )
+
+
 def test_gateaux_ladder_rows_schema():
     spec = zoo_lookup("ou")
     g = make_grid(1.0, 64)
