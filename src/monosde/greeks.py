@@ -47,23 +47,23 @@ def linear_weight() -> Callable[[float, float], float]:
     return lambda s, t: 2.0 * s / t**2
 
 
-def identity_payoff(component: int = 0) -> Callable:
+def identity_payoff() -> Callable:
     def f(x: np.ndarray) -> np.ndarray:
-        return x[:, component]
+        return x[:, 0]
 
     return f
 
 
-def tanh_payoff(component: int = 0) -> Callable:
+def tanh_payoff() -> Callable:
     def f(x: np.ndarray) -> np.ndarray:
-        return np.tanh(x[:, component])
+        return np.tanh(x[:, 0])
 
     return f
 
 
-def digital_payoff(strike: float, component: int = 0) -> Callable:
+def digital_payoff(strike: float) -> Callable:
     def f(x: np.ndarray) -> np.ndarray:
-        return (x[:, component] > strike).astype(float)
+        return (x[:, 0] > strike).astype(float)
 
     return f
 

@@ -23,7 +23,7 @@ import numpy as np
 from .core import CameronMartinPath, History, NoisePath, StatePath, TimeGrid, format_block
 from .errors import InvalidParameterError
 from .models import CoefficientField, ModelSpec
-from .solver import EULER, SchemeChoice, SimBatch, simulate_one
+from .solver import EULER, SchemeChoice, SimBatch, check_noise, simulate_one
 from .variational import JacobianBundle, VariationalFactors, check_finite_nodes
 
 
@@ -31,6 +31,16 @@ def _resolve_s_indices(grid: TimeGrid, s_stride: int) -> np.ndarray:
     if s_stride < 1:
         raise InvalidParameterError("s_stride must be >= 1")
     return np.arange(0, grid.N + 1, s_stride, dtype=np.int64)
+
+
+def _lattice_row(s_indices: np.ndarray, N: int, s_idx: int, t_idx: int) -> int:
+    """The row of s_idx in s_indices, for s_idx on the s-lattice and t_idx in 0..N."""
+    pos = int(np.searchsorted(s_indices, s_idx))
+    if not (0 <= t_idx <= N) or pos == len(s_indices) or s_indices[pos] != s_idx:
+        raise InvalidParameterError(
+            f"(s, t) index ({s_idx}, {t_idx}) needs s on the s-lattice and t in 0..{N}"
+        )
+    return pos
 
 
 @dataclass
@@ -52,9 +62,7 @@ class MalliavinField:
 
     def value(self, s_idx: int, t_idx: int) -> np.ndarray:
         """D_s X(t) at lattice nodes; the zero matrix when s > t."""
-        pos = np.searchsorted(self.s_indices, s_idx)
-        if pos == len(self.s_indices) or self.s_indices[pos] != s_idx:
-            raise InvalidParameterError(f"s index {s_idx} not on the s-lattice")
+        pos = _lattice_row(self.s_indices, self.grid.N, s_idx, t_idx)
         if s_idx > t_idx:
             return np.zeros((self.d, self.m))
         return self.entries[pos, t_idx]
@@ -144,11 +152,10 @@ def malliavin_field(
     w: NoisePath,
     scheme: SchemeChoice = SchemeChoice(EULER),
     s_stride: int = 1,
-    theta: Optional[np.ndarray] = None,
 ) -> MalliavinField:
     """Compute D_s X(t) on the (s_lattice x grid) lattice for one noise path."""
     s_idx = _resolve_s_indices(grid, s_stride)
-    out = simulate_one(spec, grid, w, theta, scheme)
+    out = simulate_one(spec, grid, w, scheme)
     with np.errstate(over="ignore", invalid="ignore"):
         entries = _field_batch(spec.field, out, scheme, s_idx)[0]
     check_finite_nodes(entries, axis=1)
@@ -169,10 +176,8 @@ class RepresentationParts:
     A: np.ndarray  # (k, N+1, d, m); A(s, t) defined for t >= s
 
     def predicted(self, s_idx: int, t_idx: int) -> np.ndarray:
-        """J_s(t) A(s, t), the representation's value for D_s X(t)."""
-        pos = int(np.searchsorted(self.s_indices, s_idx))
-        if pos == len(self.s_indices) or self.s_indices[pos] != s_idx:
-            raise InvalidParameterError(f"s index {s_idx} not on the s-lattice")
+        """J_s(t) A(s, t), the representation's value for D_s X(t); zero when s > t."""
+        pos = _lattice_row(self.s_indices, self.bundle.grid.N, s_idx, t_idx)
         if s_idx > t_idx:
             return np.zeros_like(self.A[pos, t_idx])
         return self.bundle.flow_between(s_idx, t_idx) @ self.A[pos, t_idx]
@@ -189,8 +194,12 @@ def representation_parts(
 
     For deterministic coefficients both integrals vanish and
     A(s, t) = sigma(s, X(s)) exactly.
+
+    w must be the bundle's noise: one on another grid raises
+    InvalidParameterError, another draw on the same grid goes undetected.
     """
     grid = bundle.grid
+    check_noise(grid, w, spec.m)
     field = spec.field
     s_idx = _resolve_s_indices(grid, s_stride)
     hist = History.from_path(w)
@@ -262,10 +271,9 @@ def directional_derivative(
     w: NoisePath,
     scheme: SchemeChoice,
     h: CameronMartinPath,
-    theta: Optional[np.ndarray] = None,
 ) -> StatePath:
     """D^h X = int_0^. M_s(.) hdot(s) ds computed as one linear SDE."""
-    out = simulate_one(spec, grid, w, theta, scheme)
+    out = simulate_one(spec, grid, w, scheme)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = _directional_batch(spec.field, out, scheme, h)[0]
     check_finite_nodes(vals)

@@ -494,11 +494,12 @@ def uniform_sampler(lo: float, hi: float, d: int = 1):
     return sampler
 
 
-def pareto_theta_sampler(alpha: float, scale: float = 1.0, d: int = 1):
-    """Heavy-tailed initial-condition sampler: scale * (1 + Pareto(alpha))."""
+def pareto_theta_sampler(alpha: float):
+    """Heavy-tailed initial-condition sampler for d = 1 models: n draws of
+    1 + Pareto(alpha), shape (n, 1)."""
 
     def sampler(gen: np.random.Generator, n: int) -> np.ndarray:
-        return scale * (1.0 + gen.pareto(alpha, size=(n, 1))) * np.ones(d)
+        return 1.0 + gen.pareto(alpha, size=(n, 1))
 
     return sampler
 
@@ -511,9 +512,9 @@ def probe_assumptions(
     sampler,
     n_probes: int = 1000,
     seed: int = 0,
-    horizon: float = 1.0,
 ) -> ProbeReport:
-    """Statistically probe the one-sided-Lipschitz and diffusion-Lipschitz bounds.
+    """Statistically probe the one-sided-Lipschitz and diffusion-Lipschitz bounds
+    at probe times in [0, 1].
 
     sampler(gen, n) draws probe points (n, d).  A violated bound is reported,
     never raised.
@@ -526,9 +527,9 @@ def probe_assumptions(
     y = sampler(gen, n_probes)
     same = np.all(x == y, axis=1)
     y[same] += 1e-6  # probes need x != y
-    times = gen.uniform(0.0, horizon, size=n_probes)
+    times = gen.uniform(0.0, 1.0, size=n_probes)
     # a short noise history so random fields have something to look at
-    grid = make_grid(horizon, 64)
+    grid = make_grid(1.0, 64)
     hist = History.from_path(sample_noise(grid, field.m, seed, 0))
     times = grid.left_times[
         np.clip((times / grid.dt).astype(int), 0, grid.N - 1)

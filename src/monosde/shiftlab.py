@@ -44,9 +44,9 @@ from .malliavin import _directional_batch
 # ---------------------------------------------------------------------------
 
 
-def terminal_value(component: int = 0) -> Callable:
+def terminal_value() -> Callable:
     def f(values: np.ndarray) -> np.ndarray:
-        return values[:, -1, component]
+        return values[:, -1, 0]
 
     return f
 

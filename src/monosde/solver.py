@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -201,14 +200,13 @@ def simulate_one(
     spec: ModelSpec,
     grid: TimeGrid,
     w: NoisePath,
-    theta: Optional[np.ndarray] = None,
     scheme: SchemeChoice = SchemeChoice(EULER),
 ) -> SimBatch:
-    """One path of the base SDE as a batch of one, from theta (default
-    spec.theta0) on the noise w; raises DivergenceError on blow-up."""
+    """One path of the base SDE as a batch of one, from spec.theta0 on the
+    noise w; raises DivergenceError on blow-up.  Another initial condition is
+    another spec: dataclasses.replace(spec, theta0=...)."""
     check_noise(grid, w, spec.m)
-    theta = spec.theta0 if theta is None else np.asarray(theta, dtype=float)
-    out = simulate_batch(spec.field, grid, w.increments[None], theta, scheme)
+    out = simulate_batch(spec.field, grid, w.increments[None], spec.theta0, scheme)
     if out.diverged[0]:
         raise DivergenceError(out.first_bad[0])
     return out
@@ -218,11 +216,10 @@ def simulate(
     spec: ModelSpec,
     grid: TimeGrid,
     w: NoisePath,
-    theta: Optional[np.ndarray] = None,
     scheme: SchemeChoice = SchemeChoice(EULER),
 ) -> StatePath:
     """Simulate one path of the base SDE; raises DivergenceError on blow-up."""
-    out = simulate_one(spec, grid, w, theta, scheme)
+    out = simulate_one(spec, grid, w, scheme)
     return StatePath(grid, spec.d, out.values[0])
 
 

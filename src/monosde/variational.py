@@ -74,18 +74,17 @@ class VariationalFactors:
         t = i * dt
         x = self.out.values[:, i]
         dw = self.hist.increments[:, i]
-        self.gb = field.grad_drift(t, self.hist, x)  # (B, d, d)
         self.gs = field.grad_diffusion(t, self.hist, x)  # (B, d, m, d)
         self.sig = field.diffusion(t, self.hist, x)  # (B, d, m)
         self.dw = dw
         # S = sum_j grad_sigma^{(.,j)} dW^j
         self.smat = np.einsum("bimj,bm->bij", self.gs, dw)
         if self.scheme.kind == EULER:
-            self.dmat = self.gb * dt
+            self.dmat = field.grad_drift(t, self.hist, x) * dt
         elif self.scheme.kind == TAMED:
             b = field.drift(t, self.hist, x)
             tame = 1.0 / (1.0 + dt * np.linalg.norm(b, axis=1))
-            self.dmat = self.gb * (dt * tame[:, None, None])
+            self.dmat = field.grad_drift(t, self.hist, x) * (dt * tame[:, None, None])
         else:  # IMPLICIT: (I - dt grad_b(t_{i+1}, Y))^{-1} - I, Y from the stored step
             y = self.out.values[:, i + 1] - np.einsum("bdm,bm->bd", self.sig, dw)
             jac = self._eye - dt * field.grad_drift(t + dt, self.hist, y)
@@ -178,10 +177,9 @@ def jacobian(
     grid: TimeGrid,
     w: NoisePath,
     scheme: SchemeChoice = SchemeChoice(EULER),
-    theta: Optional[np.ndarray] = None,
 ) -> JacobianBundle:
     """Solve the base SDE and its first-variation system on one noise path."""
-    out = simulate_one(spec, grid, w, theta, scheme)
+    out = simulate_one(spec, grid, w, scheme)
     J, K, D = _jacobian_arrays(spec.field, out, scheme)
     if not np.all(np.isfinite(D[0])) or np.any(D[0] <= 0.0):
         raise DegenerateWronskianError("Wronskian non-positive along the path")
@@ -196,12 +194,11 @@ def gateaux_direction(
     w: NoisePath,
     scheme: SchemeChoice,
     h: np.ndarray,
-    theta: Optional[np.ndarray] = None,
 ) -> StatePath:
     """The parametric Gateaux direction F(t)[h]: the linear SDE with initial
     value h driven along the base path; equals J(t) h up to rounding."""
     h = np.asarray(h, dtype=float).reshape(spec.d)
-    out = simulate_one(spec, grid, w, theta, scheme)
+    out = simulate_one(spec, grid, w, scheme)
     vf = VariationalFactors(spec.field, out, scheme)
     f = np.empty((grid.N + 1, spec.d))
     f[0] = h
@@ -230,21 +227,19 @@ def finite_difference_jacobian(
     w: NoisePath,
     scheme: SchemeChoice,
     eps: float,
-    theta: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Central-difference flow derivative (X_{x+eps e_k} - X_{x-eps e_k}) / 2 eps
-    per basis direction on common noise; shape (N+1, d, d)."""
+    at x = spec.theta0, per basis direction on common noise; shape (N+1, d, d)."""
     if not (eps > 0):
         raise InvalidParameterError("eps must be > 0")
     check_noise(grid, w, spec.m)
-    theta = spec.theta0 if theta is None else np.asarray(theta, dtype=float)
     d = spec.d
     fd = np.empty((grid.N + 1, d, d))
     for k in range(d):
         bump = np.zeros(d)
         bump[k] = eps
-        up = simulate_batch(spec.field, grid, w.increments[None], theta + bump, scheme)
-        dn = simulate_batch(spec.field, grid, w.increments[None], theta - bump, scheme)
+        up = simulate_batch(spec.field, grid, w.increments[None], spec.theta0 + bump, scheme)
+        dn = simulate_batch(spec.field, grid, w.increments[None], spec.theta0 - bump, scheme)
         if up.diverged[0] or dn.diverged[0]:
             raise DivergenceError(min(up.first_bad[0], dn.first_bad[0]))
         fd[:, :, k] = (up.values[0] - dn.values[0]) / (2.0 * eps)
@@ -283,19 +278,17 @@ class LinearSolveResult:
 def probe_linear_quadratic_bound(
     coeffs: LinearSDECoeffs,
     bound: float,
-    n_probes: int = 500,
     seed: int = 0,
-    horizon: float = 1.0,
-    scale: float = 3.0,
 ):
     """Statistically probe x^T B(t) x <= bound |x|^2 for the linear system:
-    the one-sided quotient of the drift B(t) x + b(t) is z^T B(t) z / |z|^2.
+    the one-sided quotient of the drift B(t) x + b(t) is z^T B(t) z / |z|^2,
+    at 500 points uniform on [-3, 3]^d and times in [0, 1].
 
     Returns (max_quotient, ok); a violated bound is reported, not raised.
     """
     report = probe_assumptions(
         replace(_linear_field(coeffs), monotone_const=bound),
-        uniform_sampler(-scale, scale, coeffs.d), n_probes, seed, horizon,
+        uniform_sampler(-3.0, 3.0, coeffs.d), 500, seed,
     )
     return report.max_onesided, report.monotone_ok
 

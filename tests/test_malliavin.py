@@ -67,6 +67,39 @@ def test_field_structural_zeros():
         fld.value(17, 32)  # off-lattice s
 
 
+def _ou_lattice_accessors():
+    spec = zoo_lookup("ou")
+    g = make_grid(1.0, 16)
+    w = sample_noise(g, 1, seed=4)
+    scheme = SchemeChoice(EULER)
+    fld = malliavin_field(spec, g, w, scheme, s_stride=4)
+    rep = representation_parts(spec, jacobian(spec, g, w, scheme), w, s_stride=4)
+    return fld.value, rep.predicted
+
+
+@pytest.mark.parametrize("s_idx, t_idx", [(0, 17), (0, -1), (4, -3), (-4, 8), (20, 16), (3, 8)])
+def test_lattice_accessors_reject_nodes_off_the_lattice(s_idx, t_idx):
+    # t outside 0..N raised a raw IndexError or returned a zero matrix
+    for accessor in _ou_lattice_accessors():
+        with pytest.raises(InvalidParameterError):
+            accessor(s_idx, t_idx)
+
+
+def test_lattice_accessors_keep_zeros_above_the_diagonal():
+    for accessor in _ou_lattice_accessors():
+        assert np.all(accessor(8, 4) == 0.0)
+        assert np.all(accessor(0, 16) != 0.0)
+
+
+@pytest.mark.parametrize("T, N", [(2.0, 16), (1.0, 32)])
+def test_representation_rejects_noise_from_another_grid(T, N):
+    spec = zoo_lookup("ou")
+    g = make_grid(1.0, 16)
+    bun = jacobian(spec, g, sample_noise(g, 1, seed=4), SchemeChoice(EULER))
+    with pytest.raises(InvalidParameterError):
+        representation_parts(spec, bun, sample_noise(make_grid(T, N), 1, seed=4))
+
+
 def test_representation_deterministic_coefficients():
     spec = zoo_lookup("ginzburg_landau")
     g = make_grid(1.0, 512)

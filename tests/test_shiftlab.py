@@ -182,6 +182,16 @@ def test_gronwall_shadow_exceedance_decays():
     assert shadow.exceedance[-1, 0] <= 0.01
 
 
+def test_gronwall_shadow_does_not_depend_on_the_worker_count():
+    # 1100 paths span two chunks
+    g = make_grid(1.0, 16)
+    one, two = (
+        gronwall_shadow([0.3, 0.1], [0.5, 0.1], g, 1100, 10, workers).exceedance
+        for workers in (1, 2)
+    )
+    assert one.tobytes() == two.tobytes()
+
+
 def test_gronwall_shadow_raises_on_divergence():
     # amplitude 50 sends the paths to NaN; NaN > delta would read as no exceedance
     with warnings.catch_warnings():

@@ -389,6 +389,26 @@ def test_chunk_size_does_not_change_results(model, kind, x0, N, n_paths, seed):
         assert run(k) == fixed
 
 
+def test_estimators_do_not_depend_on_the_worker_count():
+    # 1100 paths span two chunks; the Pareto sampler draws each chunk's
+    # initial conditions from the streams of its own paths
+    spec = zoo_lookup("quintic")
+    g = make_grid(1.0, 16)
+    scheme = SchemeChoice(TAMED)
+
+    def run(workers):
+        rep = estimate_sup_moment(
+            spec, g, scheme, 2.0, 1100, 8, pareto_theta_sampler(1.5), workers
+        )
+        ratio = stability_ratio(
+            spec, g, scheme, np.array([1.0]), np.array([1.1]), 2.0, 1100, 8, workers
+        )
+        arrays = (rep.estimate.mean, rep.estimate.stderr, rep.prefix_means, ratio.mean, ratio.stderr)
+        return [a.tobytes() for a in arrays] + [rep.max_share, rep.n_diverged]
+
+    assert run(1) == run(2)
+
+
 def test_stability_ratio_gbm_scale_invariant():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 256)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -298,3 +300,24 @@ def test_implicit_d2_twin_equals_d1_bitwise(eta, x0, N):
         vf1.load(i)
         vf2.load(i)
         assert np.array_equal(vf2.dmat, _diag(np.repeat(vf1.dmat[:, 0], 2, axis=1)))
+
+
+@pytest.mark.parametrize("kind", [EULER, TAMED, IMPLICIT])
+def test_variational_step_evaluates_grad_drift_once(kind):
+    # the implicit factor needs grad_drift at the Newton root only, not at X_i
+    spec = zoo_lookup("ginzburg_landau")
+    g = make_grid(1.0, 64)
+    scheme = SchemeChoice(kind)
+    out = simulate_batch(
+        spec.field, g, sample_increments(g, 1, seed=5, start=0, count=16), spec.theta0, scheme
+    )
+    calls = []
+
+    def grad_drift(t, h, x):
+        calls.append(t)
+        return spec.field.grad_drift(t, h, x)
+
+    vf = VariationalFactors(replace(spec.field, grad_drift=grad_drift), out, scheme)
+    for i in range(g.N):
+        vf.load(i)
+    assert len(calls) == g.N
