@@ -67,7 +67,7 @@ def criterion_01(workers: int = 1) -> CriterionResult:
     for N in (2**11, 2**12):
         grid = make_grid(T, N)
         w = sample_noise(grid, 1, seed=101, path_index=0)
-        fld = malliavin_field(spec, grid, w, SchemeChoice(EULER), s_stride=N // 512)
+        fld = malliavin_field(spec, w, SchemeChoice(EULER), s_stride=N // 512)
         worst = 0.0
         for pos, sj in enumerate(fld.s_indices):
             ti = np.arange(sj, N + 1)
@@ -99,18 +99,18 @@ def criterion_02(workers: int = 1) -> CriterionResult:
     worst = 0.0
     for p in range(4):
         w = sample_noise(grid, 1, seed=102, path_index=p)
-        bun = jacobian(spec, grid, w, scheme)
+        bun = jacobian(spec, w, scheme)
         x = bun.base.values[:, 0]
         worst = max(
             worst,
             float(np.max(np.abs(bun.J[:, 0, 0] - x / x0) / np.abs(x / x0))),
         )
-        fld = malliavin_field(spec, grid, w, scheme, s_stride=64)
+        fld = malliavin_field(spec, w, scheme, s_stride=64)
         for pos, sj in enumerate(fld.s_indices):
             tail = fld.entries[pos, sj:, 0, 0]
             ref = 0.2 * x[sj:]
             worst = max(worst, float(np.max(np.abs(tail - ref) / np.abs(ref))))
-        f = gateaux_direction(spec, grid, w, scheme, np.array([2.0]))
+        f = gateaux_direction(spec, w, scheme, np.array([2.0]))
         ref = bun.J[:, 0, 0] * 2.0
         worst = max(worst, float(np.max(np.abs(f.values[:, 0] - ref) / np.abs(ref))))
     ok = worst <= 1e-12
@@ -134,7 +134,7 @@ def criterion_03(workers: int = 1) -> CriterionResult:
         grid = make_grid(1.0, N)
         inc = sample_increments(grid, 1, seed=103, start=0, count=n_paths)
         out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
-        J, K, D = _jacobian_arrays(spec.field, out, scheme)
+        J, K, D = _jacobian_arrays(out)
         positive &= bool(np.all(np.isfinite(D)) and np.all(D > 0.0))
         defect = np.abs(K[:, :, 0, 0] * J[:, :, 0, 0] - 1.0)
         inv_err.append(float(np.mean(np.max(defect, axis=1))))
@@ -170,8 +170,8 @@ def criterion_04(workers: int = 1) -> CriterionResult:
         s_idx = np.arange(0, N + 1, stride)
         inc = sample_increments(grid, 1, seed=104, start=0, count=n_paths)
         out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
-        J, K, _ = _jacobian_arrays(spec.field, out, scheme)
-        fld = _field_batch(spec.field, out, scheme, s_idx, t_keep=s_idx)
+        J, K, _ = _jacobian_arrays(out)
+        fld = _field_batch(out=out, s_idx=s_idx, t_keep=s_idx)
         # deterministic coefficients: A(s, t) = sigma(s, X_s) exactly
         worst = np.zeros(n_paths)
         for pos, sj in enumerate(s_idx):
@@ -221,7 +221,7 @@ def criterion_05(workers: int = 1) -> CriterionResult:
         def chunk(inc, start):
             inc = inc.reshape(len(inc), N, factor, 1).sum(axis=2)
             out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
-            fld = _field_batch(spec.field, out, scheme, s_idx, t_keep=fixed)
+            fld = _field_batch(out=out, s_idx=s_idx, t_keep=fixed)
             closed = random_sigma_malliavin_lattice(inc, grid, g_vals, s_idx, fixed)
             diff = np.abs(fld[..., 0, 0] - closed)
             err = np.max(diff, axis=(1, 2))

@@ -284,7 +284,7 @@ def _run_simulate(cfg, spec, grid, out_dir, workers):
 def _run_jacobian(cfg, spec, grid, out_dir, workers):
     scheme = cfg.scheme_choice()
     w = sample_noise(grid, spec.m, cfg.seed, 0)
-    bun = jacobian(spec, grid, w, scheme)
+    bun = jacobian(spec, w, scheme)
     n = grid.N + 1
     defect = np.linalg.norm(bun.K @ bun.J - np.eye(spec.d), axis=(1, 2))
     block = np.column_stack(
@@ -303,7 +303,7 @@ def _run_jacobian(cfg, spec, grid, out_dir, workers):
 def _run_malliavin(cfg, spec, grid, out_dir, workers):
     scheme = cfg.scheme_choice()
     w = sample_noise(grid, spec.m, cfg.seed, 0)
-    fld = malliavin_field(spec, grid, w, scheme, s_stride=cfg.s_stride)
+    fld = malliavin_field(spec, w, scheme, s_stride=cfg.s_stride)
     mm = malliavin_matrix(fld, int(fld.s_indices[-1]))
     fld.export_csv(os.path.join(out_dir, "malliavin_field.csv"))
     rows = [_row(mm.t, *mm.Q.ravel(), mm.min_eigenvalue)]

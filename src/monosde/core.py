@@ -348,11 +348,17 @@ def sample_theta(
     sampler, d: int, seed: int, start: int, count: int
 ) -> np.ndarray:
     """Initial conditions from a per-path stream independent of the noise;
-    sampler(gen, n) draws n initial conditions (n, d)."""
+    sampler(gen, n) draws n initial conditions (n, d), else
+    InvalidParameterError."""
     _check_streams(seed, start, count)
     out = np.empty((count, d))
     for row, gen in zip(out, _keyed_generators(_philox_keys(seed, start, count, 1))):
-        row[:] = np.asarray(sampler(gen, 1), dtype=float).reshape(d)
+        draw = np.asarray(sampler(gen, 1), dtype=float)
+        if draw.shape != (1, d):
+            raise InvalidParameterError(
+                f"theta sampler must draw shape (n, d) = (1, {d}), got {draw.shape}"
+            )
+        row[:] = draw[0]
     return out
 
 

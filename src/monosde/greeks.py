@@ -143,16 +143,16 @@ def _check_live_diffusion(bad, live, step):
         )
 
 
-def _bel_weights_batch(field, out, scheme, cfg, a):
-    """Accumulate w* = sum a_i (sigma_i^{-1} J_i)^T dW_i over one batch.
+def _bel_weights_batch(out, cfg, a):
+    """Accumulate w* = sum a_i (sigma_i^{-1} J_i)^T dW_i over one solved batch.
 
     Only live paths are checked for a near-singular sigma: the frozen state of
     a diverged path may overflow J."""
     B = out.values.shape[0]
     live = ~out.diverged
-    d = field.d
+    d = out.field.d
     eye = np.eye(d)
-    vf = VariationalFactors(field, out, scheme)
+    vf = VariationalFactors(out)
     J = np.broadcast_to(eye, (B, d, d)).copy()
     wstar = np.zeros((B, d))
     for i in range(cfg.t_index):
@@ -200,7 +200,7 @@ def _bel_samples(spec, grid, scheme, cfg, a, inc):
     # diverged paths stay frozen at up to DIVERGENCE_BOUND, so their weights
     # overflow; _report masks those paths out
     with np.errstate(over="ignore", invalid="ignore"):
-        wstar = _bel_weights_batch(spec.field, out, scheme, cfg, a)
+        wstar = _bel_weights_batch(out, cfg, a)
         phi = cfg.payoff(out.values[:, cfg.t_index])
         return phi[:, None] * wstar, out.first_bad
 

@@ -20,10 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CameronMartinPath, History, NoisePath, StatePath, TimeGrid, format_block
+from .core import CameronMartinPath, NoisePath, StatePath, TimeGrid, format_block
 from .errors import InvalidParameterError
-from .models import CoefficientField, ModelSpec
-from .solver import EULER, SchemeChoice, SimBatch, check_noise, simulate_one
+from .models import ModelSpec
+from .solver import EULER, SchemeChoice, SimBatch, simulate_one
 from .variational import JacobianBundle, VariationalFactors, check_finite_nodes
 
 
@@ -84,18 +84,16 @@ class MalliavinField:
 
 
 def _field_batch(
-    field: CoefficientField,
     out: SimBatch,
-    scheme: SchemeChoice,
     s_idx: np.ndarray,
     t_keep: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Batched Malliavin field along solved paths.
+    """Batched Malliavin field along solved paths, under their field and scheme.
 
     Returns (B, k, N+1, d, m), or (B, k, len(t_keep), d, m) when t_keep (a
     sorted array of node indices) restricts which t-columns are stored.
     """
-    grid = out.grid
+    field, grid = out.field, out.grid
     B = out.values.shape[0]
     d, m = field.d, field.m
     k = len(s_idx)
@@ -115,7 +113,7 @@ def _field_batch(
         n_cols = len(t_keep)
 
     entries = np.zeros((B, k, n_cols, d, m))
-    vf = VariationalFactors(field, out, scheme)
+    vf = VariationalFactors(out)
     active = 0
     cur = np.zeros((B, k, d, m))
     for i in range(N + 1):
@@ -148,16 +146,17 @@ def _field_batch(
 
 def malliavin_field(
     spec: ModelSpec,
-    grid: TimeGrid,
     w: NoisePath,
     scheme: SchemeChoice = SchemeChoice(EULER),
     s_stride: int = 1,
 ) -> MalliavinField:
-    """Compute D_s X(t) on the (s_lattice x grid) lattice for one noise path."""
+    """Compute D_s X(t) on the (s_lattice x grid) lattice for one noise path,
+    on its grid."""
+    grid = w.grid
     s_idx = _resolve_s_indices(grid, s_stride)
-    out = simulate_one(spec, grid, w, scheme)
+    out = simulate_one(spec, w, scheme)
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = _field_batch(spec.field, out, scheme, s_idx)[0]
+        entries = _field_batch(out=out, s_idx=s_idx)[0]
     check_finite_nodes(entries, axis=1)
     return MalliavinField(grid, s_idx, entries, StatePath(grid, spec.d, out.values[0]))
 
@@ -184,25 +183,19 @@ class RepresentationParts:
 
 
 def representation_parts(
-    spec: ModelSpec,
     bundle: JacobianBundle,
-    w: NoisePath,
     s_stride: int = 1,
 ) -> RepresentationParts:
     """A(s, t) = sigma(s, X(s)) + int_s^t J_s(r)^{-1} (U - <grad_sigma, V>) dr
-    + int_s^t J_s(r)^{-1} V dW(r), with J_s(r)^{-1} = J(s) K(r).
+    + int_s^t J_s(r)^{-1} V dW(r), with J_s(r)^{-1} = J(s) K(r), for the
+    model and on the noise path the bundle was solved with.
 
     For deterministic coefficients both integrals vanish and
     A(s, t) = sigma(s, X(s)) exactly.
-
-    w must be the bundle's noise: one on another grid raises
-    InvalidParameterError, another draw on the same grid goes undetected.
     """
-    grid = bundle.grid
-    check_noise(grid, w, spec.m)
-    field = spec.field
+    grid, hist = bundle.grid, bundle.hist
+    field = bundle.spec.field
     s_idx = _resolve_s_indices(grid, s_stride)
-    hist = History.from_path(w)
     d, m = field.d, field.m
     k = len(s_idx)
     N = grid.N
@@ -248,7 +241,7 @@ def representation_parts(
         # <grad_sigma(r), V(s, r)>^{(i,k)} = sum_{j,l} gs[i,j,l] V[l,j,k]
         gsr = field.grad_diffusion(t, hist, values[:, i])[0]  # (d, m, d)
         contr = np.einsum("ijl,sljk->sik", gsr, vmat)
-        v_dw = np.einsum("sijk,j->sik", vmat, w.increments[i])
+        v_dw = np.einsum("sijk,j->sik", vmat, hist.increments[0, i])
         jinv = np.einsum(
             "sab,sbc->sac",
             np.broadcast_to(bundle.J[s_idx[:active]], (active, d, d)),
@@ -267,24 +260,23 @@ def representation_parts(
 
 def directional_derivative(
     spec: ModelSpec,
-    grid: TimeGrid,
     w: NoisePath,
     scheme: SchemeChoice,
     h: CameronMartinPath,
 ) -> StatePath:
-    """D^h X = int_0^. M_s(.) hdot(s) ds computed as one linear SDE."""
-    out = simulate_one(spec, grid, w, scheme)
+    """D^h X = int_0^. M_s(.) hdot(s) ds on the noise w, computed as one
+    linear SDE."""
+    out = simulate_one(spec, w, scheme)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _directional_batch(spec.field, out, scheme, h)[0]
+        vals = _directional_batch(out, h)[0]
     check_finite_nodes(vals)
-    return StatePath(grid, spec.d, vals)
+    return StatePath(w.grid, spec.d, vals)
 
 
-def _directional_batch(
-    field: CoefficientField, out: SimBatch, scheme: SchemeChoice, h: CameronMartinPath
-) -> np.ndarray:
-    """Batched D^h X along solved paths, shape (B, N+1, d)."""
-    grid = out.grid
+def _directional_batch(out: SimBatch, h: CameronMartinPath) -> np.ndarray:
+    """Batched D^h X along solved paths, under their field and scheme, shape
+    (B, N+1, d)."""
+    field, grid = out.field, out.grid
     h.check_on(grid, field.m)
     B = out.values.shape[0]
     d, m = field.d, field.m
@@ -296,7 +288,7 @@ def _directional_batch(
 
     vals = np.zeros((B, N + 1, d))
     y = np.zeros((B, d))
-    vf = VariationalFactors(field, out, scheme)
+    vf = VariationalFactors(out)
     left = grid.left_times
     for i in range(N):
         t = i * dt

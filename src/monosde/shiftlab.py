@@ -201,7 +201,7 @@ def gateaux_ladder(
         first_bad = np.empty((len(inc), len(eps)), dtype=np.int64)
         # a diverged path's quotient may overflow; it is left out below
         with np.errstate(over="ignore", invalid="ignore"):
-            dh = _directional_batch(spec.field, base, scheme, h)
+            dh = _directional_batch(base, h)
             for a, e in enumerate(eps):
                 bumped = simulate_batch(
                     spec.field, grid, inc + e * shift, spec.theta0, scheme

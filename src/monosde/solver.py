@@ -64,8 +64,11 @@ class SchemeChoice:
 @dataclass
 class SimBatch:
     """Batched simulation output: values (B, N+1, d) with diverged paths frozen
-    at their last finite state from first_bad onward."""
+    at their last finite state from first_bad onward, and the field, scheme
+    and noise (hist) they were solved with."""
 
+    field: CoefficientField
+    scheme: SchemeChoice
     grid: TimeGrid
     values: np.ndarray
     diverged: np.ndarray  # (B,) bool
@@ -185,28 +188,25 @@ def simulate_batch(
             x = x_next
             values[:, i + 1] = x
 
-    return SimBatch(grid, values, diverged, first_bad, hist)
+    return SimBatch(field, scheme, grid, values, diverged, first_bad, hist)
 
 
-def check_noise(grid: TimeGrid, w: NoisePath, m: int):
-    """Reject a noise path on another grid, or of another dimension than m."""
-    if w.grid != grid:
-        raise InvalidParameterError("noise path lives on a different grid")
+def check_noise(w: NoisePath, m: int):
+    """Reject a noise path of another dimension than m."""
     if w.m != m:
         raise InvalidParameterError("noise dimension does not match the model")
 
 
 def simulate_one(
     spec: ModelSpec,
-    grid: TimeGrid,
     w: NoisePath,
     scheme: SchemeChoice = SchemeChoice(EULER),
 ) -> SimBatch:
     """One path of the base SDE as a batch of one, from spec.theta0 on the
-    noise w; raises DivergenceError on blow-up.  Another initial condition is
-    another spec: dataclasses.replace(spec, theta0=...)."""
-    check_noise(grid, w, spec.m)
-    out = simulate_batch(spec.field, grid, w.increments[None], spec.theta0, scheme)
+    noise w and its grid; raises DivergenceError on blow-up.  Another initial
+    condition is another spec: dataclasses.replace(spec, theta0=...)."""
+    check_noise(w, spec.m)
+    out = simulate_batch(spec.field, w.grid, w.increments[None], spec.theta0, scheme)
     if out.diverged[0]:
         raise DivergenceError(out.first_bad[0])
     return out
@@ -214,13 +214,13 @@ def simulate_one(
 
 def simulate(
     spec: ModelSpec,
-    grid: TimeGrid,
     w: NoisePath,
     scheme: SchemeChoice = SchemeChoice(EULER),
 ) -> StatePath:
-    """Simulate one path of the base SDE; raises DivergenceError on blow-up."""
-    out = simulate_one(spec, grid, w, scheme)
-    return StatePath(grid, spec.d, out.values[0])
+    """Simulate one path of the base SDE on the noise w and its grid; raises
+    DivergenceError on blow-up."""
+    out = simulate_one(spec, w, scheme)
+    return StatePath(w.grid, spec.d, out.values[0])
 
 
 def run_paths(fn, grid: TimeGrid, m: int, seed: int, n_paths: int,
@@ -252,8 +252,9 @@ def simulate_paths(
     workers: int = 1,
 ) -> np.ndarray:
     """Paths 0..n_paths-1 of the base SDE from spec.theta0 on their (seed,
-    path) noise, values (n_paths, N+1, d); raises the DivergenceError or
-    NewtonFailureError of the first failing path in path order."""
+    path) noise, values (n_paths, N+1, d); raises the DivergenceError (with
+    its path index) or NewtonFailureError of the first failing path in path
+    order."""
 
     def chunk(inc, start):
         try:
@@ -265,10 +266,18 @@ def simulate_paths(
             # time raises for its first failing path instead
             return np.concatenate([chunk(inc[k:k + 1], start + k) for k in range(len(inc))])
         if np.any(out.diverged):
-            raise DivergenceError(out.first_bad[np.argmax(out.diverged)])
+            k = int(np.argmax(out.diverged))
+            raise DivergenceError(out.first_bad[k], start + k)
         return out.values
 
     return run_paths(chunk, grid, spec.m, seed, n_paths, workers)
+
+
+def _earliest_divergence(first_bad: np.ndarray) -> DivergenceError:
+    """The DivergenceError of the earliest first_bad over paths 0..n-1, with
+    the first path that reached it."""
+    k = int(np.argmin(first_bad))
+    return DivergenceError(first_bad[k], k)
 
 
 def live_paths(first_bad: np.ndarray, N: int) -> np.ndarray:
@@ -277,7 +286,7 @@ def live_paths(first_bad: np.ndarray, N: int) -> np.ndarray:
     than 2 of them for an estimate."""
     live = first_bad > N
     if np.count_nonzero(live) < 2 and not np.all(live):
-        raise DivergenceError(first_bad.min())
+        raise _earliest_divergence(first_bad)
     return live
 
 
@@ -364,7 +373,10 @@ def stability_ratio(
     seed: int,
     workers: int = 1,
 ) -> MCEstimate:
-    """E[ sup_t |X_xi - X_theta|^p ] / |xi - theta|^p with common random numbers."""
+    """E[ sup_t |X_xi - X_theta|^p ] / |xi - theta|^p with common random numbers.
+
+    Raises DivergenceError at the earliest step at which either solution of
+    any path diverged."""
     theta = np.asarray(theta, dtype=float).reshape(spec.d)
     xi = np.asarray(xi, dtype=float).reshape(spec.d)
     gap = float(np.linalg.norm(xi - theta))
@@ -374,11 +386,13 @@ def stability_ratio(
     def chunk(inc, start):
         a = simulate_batch(spec.field, grid, inc, theta, scheme)
         b = simulate_batch(spec.field, grid, inc, xi, scheme)
-        # first_bad is N+1 on paths that never diverged
-        step = min(a.first_bad.min(), b.first_bad.min())
-        if step <= grid.N:
-            raise DivergenceError(step)
-        return sup_norms(b.values - a.values) ** p
+        # a diverged path's frozen values may overflow; the run raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = sup_norms(b.values - a.values) ** p
+        return vals, np.minimum(a.first_bad, b.first_bad, out=a.first_bad)
 
-    vals = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
+    vals, first_bad = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
+    # first_bad is N+1 on paths that never diverged
+    if np.any(first_bad <= grid.N):
+        raise _earliest_divergence(first_bad)
     return mc_estimate(vals / gap**p)

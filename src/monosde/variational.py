@@ -55,15 +55,17 @@ class VariationalFactors:
         dmat(i): treated drift matrix (B, d, d)
         smat(i): sum_j grad_sigma^j(X_i) dW_i^j as a (B, d, d) matrix
         amat(i): dmat + smat (the one-step flow is I + amat)
-    plus the raw gradients for forcing terms.
+    plus the raw gradients for forcing terms, under the batch's field and
+    scheme.
     """
 
-    def __init__(self, field: CoefficientField, out: SimBatch, scheme: SchemeChoice):
+    def __init__(self, out: SimBatch):
+        field = out.field
         if field.grad_drift is None or field.grad_diffusion is None:
             raise MissingGradientsError("model does not supply coefficient gradients")
         self.field = field
         self.out = out
-        self.scheme = scheme
+        self.scheme = out.scheme
         self.hist = out.hist
         self.dt = out.grid.dt
         self._eye = np.eye(field.d)
@@ -121,14 +123,20 @@ class VariationalFactors:
 
 @dataclass
 class JacobianBundle:
-    """The flow derivative J, its inverse process K, and the Wronskian D,
-    computed on the same noise as the base path."""
+    """The flow derivative J, its inverse process K, and the Wronskian D of
+    spec, computed with the base path on one noise path (hist, as the
+    coefficient callbacks read it)."""
 
-    grid: TimeGrid
+    spec: ModelSpec
+    hist: History
     J: np.ndarray  # (N+1, d, d)
     K: np.ndarray  # (N+1, d, d)
     D: np.ndarray  # (N+1,)
     base: StatePath
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.hist.grid
 
     @property
     def d(self) -> int:
@@ -151,11 +159,11 @@ class JacobianBundle:
         return self.J[t_idx] @ self.K[s_idx]
 
 
-def _jacobian_arrays(field, out: SimBatch, scheme):
+def _jacobian_arrays(out: SimBatch):
     """Batched J, K (B, N+1, d, d) and D (B, N+1) along solved paths."""
     B = out.values.shape[0]
     N = out.grid.N
-    d = field.d
+    d = out.field.d
     eye = np.eye(d)
     J = np.empty((B, N + 1, d, d))
     K = np.empty((B, N + 1, d, d))
@@ -163,7 +171,7 @@ def _jacobian_arrays(field, out: SimBatch, scheme):
     J[:, 0] = eye
     K[:, 0] = eye
     logD[:, 0] = 0.0
-    vf = VariationalFactors(field, out, scheme)
+    vf = VariationalFactors(out)
     for i in range(N):
         vf.load(i)
         J[:, i + 1] = J[:, i] + vf.amat @ J[:, i]
@@ -174,32 +182,32 @@ def _jacobian_arrays(field, out: SimBatch, scheme):
 
 def jacobian(
     spec: ModelSpec,
-    grid: TimeGrid,
     w: NoisePath,
     scheme: SchemeChoice = SchemeChoice(EULER),
 ) -> JacobianBundle:
-    """Solve the base SDE and its first-variation system on one noise path."""
-    out = simulate_one(spec, grid, w, scheme)
-    J, K, D = _jacobian_arrays(spec.field, out, scheme)
+    """Solve the base SDE and its first-variation system on one noise path
+    and its grid."""
+    out = simulate_one(spec, w, scheme)
+    J, K, D = _jacobian_arrays(out)
     if not np.all(np.isfinite(D[0])) or np.any(D[0] <= 0.0):
         raise DegenerateWronskianError("Wronskian non-positive along the path")
     return JacobianBundle(
-        grid, J[0], K[0], D[0], StatePath(grid, spec.d, out.values[0])
+        spec, out.hist, J[0], K[0], D[0], StatePath(w.grid, spec.d, out.values[0])
     )
 
 
 def gateaux_direction(
     spec: ModelSpec,
-    grid: TimeGrid,
     w: NoisePath,
     scheme: SchemeChoice,
     h: np.ndarray,
 ) -> StatePath:
     """The parametric Gateaux direction F(t)[h]: the linear SDE with initial
-    value h driven along the base path; equals J(t) h up to rounding."""
+    value h driven along the base path on w; equals J(t) h up to rounding."""
     h = np.asarray(h, dtype=float).reshape(spec.d)
-    out = simulate_one(spec, grid, w, scheme)
-    vf = VariationalFactors(spec.field, out, scheme)
+    grid = w.grid
+    out = simulate_one(spec, w, scheme)
+    vf = VariationalFactors(out)
     f = np.empty((grid.N + 1, spec.d))
     f[0] = h
     cur = np.broadcast_to(h, (1, spec.d)).copy()
@@ -223,17 +231,17 @@ def check_finite_nodes(values: np.ndarray, axis: int = 0):
 
 def finite_difference_jacobian(
     spec: ModelSpec,
-    grid: TimeGrid,
     w: NoisePath,
     scheme: SchemeChoice,
     eps: float,
 ) -> np.ndarray:
     """Central-difference flow derivative (X_{x+eps e_k} - X_{x-eps e_k}) / 2 eps
-    at x = spec.theta0, per basis direction on common noise; shape (N+1, d, d)."""
+    at x = spec.theta0, per basis direction on the common noise w; shape
+    (N+1, d, d)."""
     if not (eps > 0):
         raise InvalidParameterError("eps must be > 0")
-    check_noise(grid, w, spec.m)
-    d = spec.d
+    check_noise(w, spec.m)
+    grid, d = w.grid, spec.d
     fd = np.empty((grid.N + 1, d, d))
     for k in range(d):
         bump = np.zeros(d)
@@ -324,22 +332,22 @@ def _linear_field(coeffs: LinearSDECoeffs) -> CoefficientField:
 
 def linear_sde_solve(
     coeffs: LinearSDECoeffs,
-    grid: TimeGrid,
     w: NoisePath,
     theta: np.ndarray,
     scheme: SchemeChoice = SchemeChoice(EULER),
 ) -> LinearSolveResult:
-    """Integrate the inhomogeneous linear SDE with the scheme's stepping
-    kernel; for d = 1 also evaluate the fundamental-matrix (exponential)
-    solution as a cross-check.
+    """Integrate the inhomogeneous linear SDE on the noise w and its grid with
+    the scheme's stepping kernel; for d = 1 also evaluate the
+    fundamental-matrix (exponential) solution as a cross-check.
 
     The exponential formula solves the matrix equation only when the
     coefficient matrices commute, so it is evaluated for d = 1 alone.
     """
     theta = np.asarray(theta, dtype=float).reshape(coeffs.d)
     spec = ModelSpec("linear", _linear_field(coeffs), {}, theta)
-    numeric = simulate(spec, grid, w, scheme=scheme)
+    numeric = simulate(spec, w, scheme=scheme)
     hist = History.from_path(w)
+    grid = w.grid
     dt, N = grid.dt, grid.N
 
     explicit = None

@@ -502,7 +502,8 @@ _GL = "model = ginzburg_landau\ngrid.T = 1\n"
 
 #: sha256 of artifacts as the row-by-row writers wrote them: paths per
 #: scheme, 1025 tamed paths (past the 1024-path chunk boundary), the
-#: Malliavin field at two strides, and the Jacobian per scheme.
+#: Malliavin field at two strides, and the Jacobian per scheme; then the
+#: greeks (BEL weights and FD) and the Gateaux ladder (D^h X) per scheme.
 _PINNED = {
     "paths_euler": (
         "simulate", "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 3\n",
@@ -540,6 +541,30 @@ _PINNED = {
         "jacobian", "grid.N = 64\nscheme = split_step_implicit\nseed = 9\n",
         "jacobian.csv", "f166d3392f5ba7d6fcbf5f3e50b27a469b6dd3d083d2ec47d92838b6fd3f205d",
     ),
+    "greeks_euler": (
+        "greeks", "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 64\n",
+        "greeks.csv", "55931bf612c42ca4446e11f857220aa3e0279749ca5a01ab0682db954eb9dd0f",
+    ),
+    "greeks_tamed": (
+        "greeks", "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 64\n",
+        "greeks.csv", "7d1338c1b98b8baf4279e8bfbf5a4b8b0a1060b96f72b1968bd9a0c908faf7a2",
+    ),
+    "greeks_implicit": (
+        "greeks", "grid.N = 64\nscheme = split_step_implicit\nseed = 5\nn_paths = 64\n",
+        "greeks.csv", "d9d3c7d2e31797a44def5c43b09ac1fa4fc7271c4fb53bd99b1d283742d1eca3",
+    ),
+    "ladder_euler": (
+        "ladder", "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 64\n",
+        "ladder.csv", "5b2e392ea6e8bf2046de5c4c77968cbf9e7c86de2314558909bf4eb06e115826",
+    ),
+    "ladder_tamed": (
+        "ladder", "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 64\n",
+        "ladder.csv", "e558ec44fc335ef7e3db2e597ad7fa7daa8719c15a599f1aa1256e48766f385b",
+    ),
+    "ladder_implicit": (
+        "ladder", "grid.N = 64\nscheme = split_step_implicit\nseed = 5\nn_paths = 64\n",
+        "ladder.csv", "5526f9a1ed23b4f9a51d96f40523d1ead3fe5f4e648e186b2075f39eb63d5b95",
+    ),
 }
 
 
@@ -561,7 +586,7 @@ _MULTI_PATH_FAILURES = {
     "divergence": (
         "model.x0 = 3\ngrid.T = 2\ngrid.N = 8\nscheme = euler_maruyama\nseed = 3\n"
         "n_paths = 12\n",
-        "error: state diverged at step 8\n",
+        "error: state diverged at step 8 (path 7)\n",
     ),
     # paths 0 and 1 converge in 3 Newton iterations, path 2 does not
     "newton_failure": (
@@ -584,12 +609,13 @@ def test_multi_path_simulate_reports_the_first_failing_path(tmp_path, capsys, ca
 
 @pytest.mark.parametrize("subcommand", ["cameron-martin", "greeks", "ladder"])
 def test_run_with_every_path_diverged_exits_2(tmp_path, capsys, subcommand):
-    # every path diverges at step 5: a valid config whose run fails numerically
+    # every path diverges at step 5, path 0 first: a valid config whose run
+    # fails numerically
     body = ("model = ginzburg_landau\nmodel.x0 = 50\ngrid.T = 2\ngrid.N = 8\n"
             "scheme = euler_maruyama\nn_paths = 16\n")
     code, out = _cli(tmp_path, subcommand, body)
     assert code == 2
-    assert capsys.readouterr().err == "error: state diverged at step 5\n"
+    assert capsys.readouterr().err == "error: state diverged at step 5 (path 0)\n"
     assert not list(out.glob("*.csv"))
 
 

@@ -15,6 +15,7 @@ from monosde import (
     doleans_dade,
     make_grid,
     mc_estimate,
+    pareto_theta_sampler,
     sample_noise,
     shift_noise,
     uniform_sampler,
@@ -128,6 +129,13 @@ def test_theta_rows_are_the_single_path_streams():
     for k in range(4):
         ss = np.random.SeedSequence(entropy=3, spawn_key=(1023 + k, 1))
         assert theta[k, 0] == sampler(np.random.Generator(np.random.Philox(ss)), 1)[0, 0]
+
+
+def test_theta_sampler_of_the_wrong_width_raises_a_typed_error():
+    # the d = 1 Pareto sampler for d = 2 initial conditions raised a raw numpy
+    # ValueError ("cannot reshape array of size 1 into shape (2,)")
+    with pytest.raises(InvalidParameterError, match=r"shape \(n, d\) = \(1, 2\), got \(1, 1\)"):
+        sample_theta(pareto_theta_sampler(1.5), 2, 0, 0, 3)
 
 
 @pytest.mark.parametrize(

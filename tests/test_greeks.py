@@ -302,4 +302,4 @@ def test_bel_d2_singular_live_row_raises(small, message):
     cfg = BELConfig(tanh_payoff(), g.N)
     with pytest.raises(SingularDiffusionError, match=message):
         with np.errstate(over="ignore", invalid="ignore"):
-            _bel_weights_batch(field, out, scheme, cfg, cfg.weights_on(g))
+            _bel_weights_batch(out, cfg, cfg.weights_on(g))

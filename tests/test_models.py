@@ -48,7 +48,7 @@ def test_zoo_degenerate_gbm_constant_path():
     spec = zoo_lookup("gbm", {"mu": 0.0, "sigma": 0.0, "x0": 3.0})
     g = make_grid(1.0, 32)
     w = sample_noise(g, 1, seed=2)
-    x = simulate(spec, g, w, scheme=SchemeChoice(EULER))
+    x = simulate(spec, w, scheme=SchemeChoice(EULER))
     assert np.all(x.values == 3.0)
 
 
@@ -256,7 +256,7 @@ def test_gbm_closed_form_vs_fine_simulation():
     g = make_grid(1.0, 2**12)
     w = sample_noise(g, 1, seed=7)
     closed = eval_closed_form(spec, "state", w, t=1.0)[0]
-    numeric = simulate(spec, g, w, scheme=SchemeChoice(EULER)).terminal[0]
+    numeric = simulate(spec, w, scheme=SchemeChoice(EULER)).terminal[0]
     assert abs(closed - numeric) < 0.01  # strong error ~ sqrt(dt)
 
 
@@ -266,7 +266,7 @@ def test_ou_malliavin_closed_vs_numeric():
     spec = zoo_lookup("ou", {"kappa": 1.0, "sigma": 0.5})
     g = make_grid(1.0, 512)
     w = sample_noise(g, 1, seed=8)
-    fld = malliavin_field(spec, g, w, SchemeChoice(EULER), s_stride=64)
+    fld = malliavin_field(spec, w, SchemeChoice(EULER), s_stride=64)
     for pos, sj in enumerate(fld.s_indices[:-1]):
         closed = eval_closed_form(spec, "malliavin", w, s=sj * g.dt, t=1.0)
         assert abs(fld.entries[pos, -1, 0, 0] - closed[0, 0]) < 5 * g.dt
@@ -297,5 +297,5 @@ def test_wright_fisher_stays_near_unit_interval():
     g = make_grid(1.0, 512)
     for p in range(4):
         w = sample_noise(g, 1, seed=20, path_index=p)
-        x = simulate(spec, g, w, scheme=SchemeChoice(EULER))
+        x = simulate(spec, w, scheme=SchemeChoice(EULER))
         assert np.max(np.abs(x.values)) <= 1.0 + 0.05

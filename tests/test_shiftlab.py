@@ -136,7 +136,7 @@ def test_gateaux_ladder_leaves_diverged_paths_out():
 def test_gateaux_ladder_raises_when_every_path_diverged():
     spec = zoo_lookup("ginzburg_landau", {"x0": 50.0})
     g = make_grid(2.0, 8)
-    with pytest.raises(DivergenceError, match="at step 5$"):
+    with pytest.raises(DivergenceError, match=r"at step 5 \(path 0\)$"):
         gateaux_ladder(
             spec, g, SchemeChoice(EULER), CameronMartinPath.constant(g, 1.0),
             [0.5, 0.25], [0.1], n_paths=16, seed=0,

@@ -55,7 +55,7 @@ def test_constant_path(scheme):
     spec = zoo_lookup("gbm", {"mu": 0.0, "sigma": 0.0, "x0": 3.0})
     g = make_grid(1.0, 16)
     w = sample_noise(g, 1, seed=1)
-    x = simulate(spec, g, w, scheme=scheme)
+    x = simulate(spec, w, scheme=scheme)
     assert np.all(x.values == 3.0)
 
 
@@ -63,8 +63,8 @@ def test_simulate_is_deterministic():
     spec = zoo_lookup("ginzburg_landau")
     g = make_grid(1.0, 64)
     w = sample_noise(g, 1, seed=2)
-    a = simulate(spec, g, w, scheme=SchemeChoice(TAMED))
-    b = simulate(spec, g, w, scheme=SchemeChoice(TAMED))
+    a = simulate(spec, w, scheme=SchemeChoice(TAMED))
+    b = simulate(spec, w, scheme=SchemeChoice(TAMED))
     assert np.array_equal(a.values, b.values)
 
 
@@ -164,7 +164,7 @@ def test_simulate_raises_divergence_with_step():
     g = make_grid(2.0, 64)
     w = sample_noise(g, 1, seed=5)
     with pytest.raises(DivergenceError) as exc:
-        simulate(spec, g, w, scheme=SchemeChoice(EULER))
+        simulate(spec, w, scheme=SchemeChoice(EULER))
     assert 1 <= exc.value.step <= 64
 
 
@@ -198,6 +198,27 @@ def test_sup_moment_with_every_path_diverged_names_the_earliest_step():
         estimate_sup_moment(spec, make_grid(2.0, 8), SchemeChoice(EULER), p=2.0,
                             n_paths=16, seed=0)
     assert exc.value.step == 6
+    assert exc.value.path_index == 15
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stability_ratio_reports_the_earliest_divergence_of_the_run(workers):
+    # 2048 paths in two chunks: the first chunk's earliest divergence is at
+    # step 8, the run's is at step 7 on a path of the second chunk
+    spec = zoo_lookup("ginzburg_landau")
+    g = make_grid(2.0, 8)
+    scheme = SchemeChoice(EULER)
+    theta, xi = np.array([2.2]), np.array([2.3])
+    inc = sample_increments(g, 1, 3, 0, 2048)
+    first_bad = np.minimum(
+        simulate_batch(spec.field, g, inc, theta, scheme).first_bad,
+        simulate_batch(spec.field, g, inc, xi, scheme).first_bad,
+    )
+    assert first_bad[:CHUNK].min() > first_bad.min()
+    with pytest.raises(DivergenceError) as exc:
+        stability_ratio(spec, g, scheme, theta, xi, 2.0, 2048, 3, workers)
+    assert exc.value.step == first_bad.min()
+    assert exc.value.path_index == np.argmin(first_bad)
 
 
 @pytest.mark.parametrize(
@@ -450,7 +471,7 @@ def test_scheme_consistency_on_lipschitz_model():
     for N in (256, 512):
         g = make_grid(1.0, N)
         w = sample_noise(g, 1, seed=11)
-        paths = [simulate(spec, g, w, scheme=s).values for s in ALL_SCHEMES]
+        paths = [simulate(spec, w, scheme=s).values for s in ALL_SCHEMES]
         worst = max(
             float(np.max(np.abs(paths[a] - paths[b])))
             for a in range(3)
@@ -464,7 +485,7 @@ def test_split_step_matches_hand_recursion_on_ou():
     spec = zoo_lookup("ou", {"kappa": 1.0, "sigma": 0.5})
     g = make_grid(1.0, 128)
     w = sample_noise(g, 1, seed=12)
-    x = simulate(spec, g, w, scheme=SchemeChoice(IMPLICIT))
+    x = simulate(spec, w, scheme=SchemeChoice(IMPLICIT))
     manual = np.empty(g.N + 1)
     manual[0] = spec.theta0[0]
     for i in range(g.N):
@@ -478,7 +499,7 @@ def test_implicit_requires_small_dt():
     g = make_grid(1.0, 1)  # dt = 1 -> dt L = 2 >= 1
     w = sample_noise(g, 1, seed=13)
     with pytest.raises(InvalidParameterError):
-        simulate(spec, g, w, scheme=SchemeChoice(IMPLICIT))
+        simulate(spec, w, scheme=SchemeChoice(IMPLICIT))
 
 
 def _gl_implicit(eta, x0, N, count=16, field=None, scheme=None):
@@ -662,9 +683,9 @@ def test_nan_path_does_not_keep_newton_iterating():
     assert all(nan[i] <= clean[i] for i in range(64))
 
 
-def _single_path_calls(spec, grid, w):
+def _single_path_calls(spec, w):
     scheme = SchemeChoice(EULER)
-    h = CameronMartinPath.constant(grid, 1.0, spec.m)
+    h = CameronMartinPath.constant(w.grid, 1.0, spec.m)
     d, m = spec.d, spec.m
     ou = LinearSDECoeffs(
         d, m,
@@ -674,15 +695,13 @@ def _single_path_calls(spec, grid, w):
         sigma=lambda t, hist: np.ones((d, m)),
     )
     return {
-        "finite_difference_jacobian": lambda: finite_difference_jacobian(
-            spec, grid, w, scheme, 1e-4
-        ),
-        "linear_sde_solve": lambda: linear_sde_solve(ou, grid, w, spec.theta0),
-        "simulate": lambda: simulate(spec, grid, w),
-        "jacobian": lambda: jacobian(spec, grid, w, scheme),
-        "gateaux_direction": lambda: gateaux_direction(spec, grid, w, scheme, np.ones(spec.d)),
-        "malliavin_field": lambda: malliavin_field(spec, grid, w, scheme, s_stride=8),
-        "directional_derivative": lambda: directional_derivative(spec, grid, w, scheme, h),
+        "finite_difference_jacobian": lambda: finite_difference_jacobian(spec, w, scheme, 1e-4),
+        "linear_sde_solve": lambda: linear_sde_solve(ou, w, spec.theta0),
+        "simulate": lambda: simulate(spec, w),
+        "jacobian": lambda: jacobian(spec, w, scheme),
+        "gateaux_direction": lambda: gateaux_direction(spec, w, scheme, np.ones(spec.d)),
+        "malliavin_field": lambda: malliavin_field(spec, w, scheme, s_stride=8),
+        "directional_derivative": lambda: directional_derivative(spec, w, scheme, h),
     }
 
 
@@ -693,23 +712,13 @@ _SINGLE_PATH = (
 
 
 @pytest.mark.parametrize("fn", _SINGLE_PATH)
-def test_single_path_noise_on_another_grid_is_rejected(fn):
-    # same N, four times the horizon: every step would use the wrong dt
-    spec = zoo_lookup("ou")
-    g = make_grid(1.0, 64)
-    w = sample_noise(make_grid(4.0, 64), spec.m, seed=1)
-    with pytest.raises(InvalidParameterError, match="different grid"):
-        _single_path_calls(spec, g, w)[fn]()
-
-
-@pytest.mark.parametrize("fn", _SINGLE_PATH)
 def test_single_path_noise_of_another_dimension_is_rejected(fn):
     # two noise columns for the m = 1 gbm would be broadcast by einsum
     spec = zoo_lookup("gbm")
     g = make_grid(1.0, 64)
     w = sample_noise(g, 2, seed=1)
     with pytest.raises(InvalidParameterError, match="noise dimension"):
-        _single_path_calls(spec, g, w)[fn]()
+        _single_path_calls(spec, w)[fn]()
 
 
 @pytest.mark.filterwarnings("error")
@@ -731,5 +740,5 @@ def test_single_path_derivative_reports_its_first_bad_node(fn):
 
     bad = replace(spec, field=replace(f, grad_drift=grad_drift))
     with pytest.raises(DivergenceError) as exc:
-        _single_path_calls(bad, g, sample_noise(g, 1, seed=3))[fn]()
+        _single_path_calls(bad, sample_noise(g, 1, seed=3))[fn]()
     assert exc.value.step == 6

@@ -27,7 +27,7 @@ def test_gbm_jacobian_is_scaled_state():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2, "x0": x0})
     g = make_grid(1.0, 1024)
     w = sample_noise(g, 1, seed=1)
-    bun = jacobian(spec, g, w, SchemeChoice(EULER))
+    bun = jacobian(spec, w, SchemeChoice(EULER))
     ref = bun.base.values[:, 0] / x0
     assert np.max(np.abs(bun.J[:, 0, 0] - ref) / np.abs(ref)) < 1e-12
 
@@ -36,7 +36,7 @@ def test_ou_bundle_recursions():
     spec = zoo_lookup("ou", {"kappa": 1.0, "sigma": 0.5})
     g = make_grid(1.0, 512)
     w = sample_noise(g, 1, seed=2)
-    bun = jacobian(spec, g, w, SchemeChoice(EULER))
+    bun = jacobian(spec, w, SchemeChoice(EULER))
     i = np.arange(g.N + 1, dtype=float)
     assert np.max(np.abs(bun.J[:, 0, 0] - (1 - g.dt) ** i)) < 1e-14
     # K matches the inverse recursion up to the O(N dt^4) expansion remainder
@@ -54,7 +54,7 @@ def test_gl_inverse_and_wronskian_defects_halve():
         inv_d, wro_d = [], []
         for p in range(4):
             w = sample_noise(g, 1, seed=3, path_index=p)
-            bun = jacobian(spec, g, w, SchemeChoice(TAMED))
+            bun = jacobian(spec, w, SchemeChoice(TAMED))
             inv_d.append(bun.inverse_defect())
             wro_d.append(bun.wronskian_defect())
             assert np.all(bun.D > 0)
@@ -68,7 +68,7 @@ def test_flow_semigroup():
     spec = zoo_lookup("ginzburg_landau")
     g = make_grid(1.0, 256)
     w = sample_noise(g, 1, seed=4)
-    bun = jacobian(spec, g, w, SchemeChoice(TAMED))
+    bun = jacobian(spec, w, SchemeChoice(TAMED))
     assert np.array_equal(bun.flow_between(0, g.N), bun.J[g.N])
     for s in (32, 128, 255):
         assert abs(bun.flow_between(s, s)[0, 0] - 1.0) < 5 * g.dt
@@ -78,7 +78,7 @@ def test_gateaux_zero_direction():
     spec = zoo_lookup("ginzburg_landau")
     g = make_grid(1.0, 128)
     w = sample_noise(g, 1, seed=5)
-    f = gateaux_direction(spec, g, w, SchemeChoice(TAMED), np.array([0.0]))
+    f = gateaux_direction(spec, w, SchemeChoice(TAMED), np.array([0.0]))
     assert np.all(f.values == 0.0)
 
 
@@ -86,8 +86,8 @@ def test_gateaux_equals_jacobian_action():
     spec = zoo_lookup("ginzburg_landau")
     g = make_grid(1.0, 256)
     w = sample_noise(g, 1, seed=6)
-    bun = jacobian(spec, g, w, SchemeChoice(TAMED))
-    f = gateaux_direction(spec, g, w, SchemeChoice(TAMED), np.array([0.7]))
+    bun = jacobian(spec, w, SchemeChoice(TAMED))
+    f = gateaux_direction(spec, w, SchemeChoice(TAMED), np.array([0.7]))
     ref = bun.J[:, 0, 0] * 0.7
     assert np.max(np.abs(f.values[:, 0] - ref)) < 1e-12 * np.max(np.abs(ref))
 
@@ -97,9 +97,9 @@ def test_gateaux_linearity():
     g = make_grid(1.0, 256)
     w = sample_noise(g, 1, seed=7)
     scheme = SchemeChoice(TAMED)
-    f1 = gateaux_direction(spec, g, w, scheme, np.array([0.3]))
-    f2 = gateaux_direction(spec, g, w, scheme, np.array([-0.4]))
-    f12 = gateaux_direction(spec, g, w, scheme, np.array([0.3 - 0.8]))
+    f1 = gateaux_direction(spec, w, scheme, np.array([0.3]))
+    f2 = gateaux_direction(spec, w, scheme, np.array([-0.4]))
+    f12 = gateaux_direction(spec, w, scheme, np.array([0.3 - 0.8]))
     combo = f1.values + 2.0 * f2.values
     scale = np.max(np.abs(f12.values)) + 1e-30
     assert np.max(np.abs(f12.values - combo)) / scale < 1e-12
@@ -116,7 +116,7 @@ def test_linear_sde_deterministic_forcing():
     )
     g = make_grid(1.0, 64)
     w = sample_noise(g, 1, seed=8)
-    res = linear_sde_solve(coeffs, g, w, np.array([1.0]))
+    res = linear_sde_solve(coeffs, w, np.array([1.0]))
     assert np.allclose(res.numeric.values[:, 0], 1.0 + 2.0 * g.nodes, atol=1e-12)
     assert np.allclose(res.explicit.values[:, 0], 1.0 + 2.0 * g.nodes, atol=1e-12)
 
@@ -132,7 +132,7 @@ def test_linear_sde_pure_brownian():
     )
     g = make_grid(1.0, 64)
     w = sample_noise(g, 1, seed=9)
-    res = linear_sde_solve(coeffs, g, w, np.array([0.5]))
+    res = linear_sde_solve(coeffs, w, np.array([0.5]))
     ref = 0.5 + w.brownian()[:, 0]
     assert np.allclose(res.numeric.values[:, 0], ref, atol=1e-12)
     assert np.allclose(res.explicit.values[:, 0], ref, atol=1e-12)
@@ -153,8 +153,8 @@ def test_linear_sde_numeric_is_the_scheme_kernel(kind):
     spec = zoo_lookup("ou", {"kappa": kappa, "sigma": sig})
     g = make_grid(1.0, 16)
     w = sample_noise(g, 1, seed=3)
-    res = linear_sde_solve(coeffs, g, w, spec.theta0, SchemeChoice(kind))
-    ref = simulate(spec, g, w, scheme=SchemeChoice(kind))
+    res = linear_sde_solve(coeffs, w, spec.theta0, SchemeChoice(kind))
+    ref = simulate(spec, w, scheme=SchemeChoice(kind))
     assert np.array_equal(res.numeric.values, ref.values)
 
 
@@ -172,7 +172,7 @@ def test_linear_sde_gbm_numeric_vs_fundamental_matrix():
     for N in (256, 1024):
         g = make_grid(1.0, N)
         w = sample_noise(g, 1, seed=10)
-        res = linear_sde_solve(coeffs, g, w, np.array([1.0]))
+        res = linear_sde_solve(coeffs, w, np.array([1.0]))
         errs.append(
             float(np.max(np.abs(res.numeric.values - res.explicit.values)))
         )
@@ -184,9 +184,9 @@ def test_finite_difference_gbm_exact_for_any_eps():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 256)
     w = sample_noise(g, 1, seed=11)
-    bun = jacobian(spec, g, w, SchemeChoice(EULER))
+    bun = jacobian(spec, w, SchemeChoice(EULER))
     for eps in (1e-1, 1e-3):
-        fd = finite_difference_jacobian(spec, g, w, SchemeChoice(EULER), eps)
+        fd = finite_difference_jacobian(spec, w, SchemeChoice(EULER), eps)
         assert np.max(np.abs(fd[:, 0, 0] - bun.J[:, 0, 0])) < 1e-9
 
 
@@ -194,11 +194,11 @@ def test_finite_difference_ladder_on_gl():
     spec = zoo_lookup("ginzburg_landau")
     g = make_grid(1.0, 256)
     w = sample_noise(g, 1, seed=12)
-    bun = jacobian(spec, g, w, SchemeChoice(TAMED))
+    bun = jacobian(spec, w, SchemeChoice(TAMED))
     errs = [
         np.max(
             np.abs(
-                finite_difference_jacobian(spec, g, w, SchemeChoice(TAMED), eps)[:, 0, 0]
+                finite_difference_jacobian(spec, w, SchemeChoice(TAMED), eps)[:, 0, 0]
                 - bun.J[:, 0, 0]
             )
         )
@@ -213,7 +213,7 @@ def test_finite_difference_rejects_zero_eps():
     g = make_grid(1.0, 8)
     w = sample_noise(g, 1, seed=13)
     with pytest.raises(InvalidParameterError):
-        finite_difference_jacobian(spec, g, w, SchemeChoice(EULER), 0.0)
+        finite_difference_jacobian(spec, w, SchemeChoice(EULER), 0.0)
 
 
 def test_probe_linear_quadratic_bound():
@@ -294,8 +294,8 @@ def test_implicit_d2_twin_equals_d1_bitwise(eta, x0, N):
     )
     for k in range(2):
         assert np.array_equal(two.values[..., k], one.values[..., 0])
-    vf1 = VariationalFactors(spec.field, one, scheme)
-    vf2 = VariationalFactors(twin_field, two, scheme)
+    vf1 = VariationalFactors(one)
+    vf2 = VariationalFactors(two)
     for i in range(N):
         vf1.load(i)
         vf2.load(i)
@@ -317,7 +317,7 @@ def test_variational_step_evaluates_grad_drift_once(kind):
         calls.append(t)
         return spec.field.grad_drift(t, h, x)
 
-    vf = VariationalFactors(replace(spec.field, grad_drift=grad_drift), out, scheme)
+    vf = VariationalFactors(replace(out, field=replace(spec.field, grad_drift=grad_drift)))
     for i in range(g.N):
         vf.load(i)
     assert len(calls) == g.N
