@@ -24,6 +24,7 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -392,30 +393,44 @@ class History:
     only use information up to t (progressive measurability is a documented
     contract, asserted statistically by model tests).  Cached cumulatives make
     running Ito integrals O(1) per step.
+
+    With variants = K, the batch is K runs of the same paths on one noise:
+    row k * P + p is path p of variant k.  Each view is computed on the P
+    paths and tiled on first use, so no view is built per variant.
     """
 
-    def __init__(self, grid: TimeGrid, increments: np.ndarray):
+    def __init__(self, grid: TimeGrid, increments: np.ndarray, variants: int = 1):
         inc = np.asarray(increments, dtype=float)
         if inc.ndim == 2:
             inc = inc[None]
         self.grid = grid
-        self.increments = inc  # (B, N, m)
-        self.B, _, self.m = inc.shape
-        self._brownian = None
+        self._paths = inc  # (P, N, m)
+        self.variants = variants
+        self.B = variants * inc.shape[0]
+        self.m = inc.shape[2]
         self._ito = {}
 
     @classmethod
     def from_path(cls, w: NoisePath) -> "History":
         return cls(w.grid, w.increments[None])
 
-    @property
+    def _tiled(self, a: np.ndarray) -> np.ndarray:
+        """a, computed on the P paths, repeated for each variant."""
+        if self.variants == 1:
+            return a
+        return np.tile(a, (self.variants,) + (1,) * (a.ndim - 1))
+
+    @cached_property
+    def increments(self) -> np.ndarray:
+        """dW per row, shape (B, N, m)."""
+        return self._tiled(self._paths)
+
+    @cached_property
     def brownian(self) -> np.ndarray:
-        """W(t_i) per path, shape (B, N + 1, m)."""
-        if self._brownian is None:
-            wb = np.zeros((self.B, self.grid.N + 1, self.m))
-            np.cumsum(self.increments, axis=1, out=wb[:, 1:])
-            self._brownian = wb
-        return self._brownian
+        """W(t_i) per row, shape (B, N + 1, m)."""
+        wb = np.zeros((self._paths.shape[0], self.grid.N + 1, self.m))
+        np.cumsum(self._paths, axis=1, out=wb[:, 1:])
+        return self._tiled(wb)
 
     def idx(self, t: float) -> int:
         return self.grid.index_of(t)
@@ -430,9 +445,9 @@ class History:
             g = np.asarray(integrand, dtype=float)
             if g.ndim == 1:
                 g = g[:, None]
-            s = np.zeros((self.B, self.grid.N + 1))
-            np.cumsum(np.einsum("bnm,nm->bn", self.increments, g), axis=1, out=s[:, 1:])
-            self._ito[key] = s
+            s = np.zeros((self._paths.shape[0], self.grid.N + 1))
+            np.cumsum(np.einsum("bnm,nm->bn", self._paths, g), axis=1, out=s[:, 1:])
+            self._ito[key] = self._tiled(s)
         return self._ito[key]
 
 

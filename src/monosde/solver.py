@@ -11,13 +11,21 @@ The implicit equation has a unique root whenever dt * L_mono < 1 by the
 one-sided Lipschitz property.  Newton stops each path at its own first iterate
 within tol, so in every scheme a path's values do not depend on its batch.
 Any state with |X| > DIVERGENCE_BOUND or a non-finite entry is tagged diverged
-at the first bad step; divergence is never silent.
+at the first bad step; divergence is never silent.  A start beyond the bound
+is rejected.
+
+The kernel is a Stepper: iterating it yields one StepRecord per step, holding
+what the step evaluated (X_i, sigma, the tamed denominator, dW_i)
+and X_{i+1}.  Each caller keeps only what it reads: simulate_batch stores every
+state, the greeks pass runs its variational recursion on the records.  A
+Stepper may run K variants of its paths on one noise (theta of K*P rows).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -125,6 +133,122 @@ def _newton_solve(field, t_next, hist, x, dt, scheme, step_index):
         np.copyto(norm, norm_try, where=active)
 
 
+def tamed_denominator(b: np.ndarray, dt: float) -> np.ndarray:
+    """1 + dt |b| per row of the drift b (B, d), shape (B, 1)."""
+    # what np.linalg.norm(b, axis=1, keepdims=True) computes, bit for bit
+    return 1.0 + dt * np.sqrt(np.add.reduce(b * b, axis=1, keepdims=True))
+
+
+@dataclass
+class StepRecord:
+    """What the kernel evaluated on step i, per row of its batch: the state
+    x = X_i, the diffusion sig = sigma(t_i, x) (B, d, m), the tamed
+    denominator 1 + dt |b(t_i, x)| (B, 1) (None for the other schemes), the
+    row increments dw (B, m), and x_next = X_{i+1} with the diverged rows
+    frozen at their last finite state."""
+
+    i: int
+    x: np.ndarray
+    sig: np.ndarray
+    denom: Optional[np.ndarray]
+    dw: np.ndarray
+    x_next: np.ndarray
+
+    def head(self, rows: int) -> "StepRecord":
+        """The record of the first rows rows."""
+        return StepRecord(self.i, *(
+            None if a is None else a[:rows]
+            for a in (self.x, self.sig, self.denom, self.dw, self.x_next)
+        ))
+
+
+class Stepper:
+    """The stepping kernel over a batch of paths.
+
+    increments: (P, N, m); theta: (d,), (P, d), or (K*P, d) for K variants of
+    the P paths that share their noise (row k*P + p runs path p from
+    theta[k*P + p]).  Iterating runs the N steps in order and yields each
+    step's StepRecord after the divergence tagging; `diverged` and
+    `first_bad` (N+1 for a row that never diverged) are final after the last
+    step.  `hist` is the noise as the coefficient callbacks read it, one row
+    per state.  Iterate once.
+    """
+
+    def __init__(
+        self,
+        field: CoefficientField,
+        grid: TimeGrid,
+        increments: np.ndarray,
+        theta: np.ndarray,
+        scheme: SchemeChoice,
+    ):
+        inc = np.asarray(increments, dtype=float)
+        P, self.N, _ = inc.shape
+        theta = np.asarray(theta, dtype=float).reshape(-1, field.d)
+        if len(theta) == 1:
+            theta = np.broadcast_to(theta, (P, field.d))
+        elif P == 0 or len(theta) % P:
+            raise InvalidParameterError(
+                f"theta has {len(theta)} rows for {P} paths; want 1 or a multiple"
+            )
+        # NaN fails the <= as well
+        if not np.all(np.abs(theta) <= DIVERGENCE_BOUND):
+            raise InvalidParameterError(
+                f"theta must be finite with |theta| <= {DIVERGENCE_BOUND:.0e}"
+            )
+        if scheme.kind == IMPLICIT:
+            _check_implicit_dt(field, grid)
+        self.field, self.grid, self.scheme, self.theta = field, grid, scheme, theta
+        self.variants = len(theta) // P if P else 1
+        self.hist = History(grid, inc, self.variants)
+        self._inc = inc
+        self.diverged = np.zeros(len(theta), dtype=bool)
+        self.first_bad = np.full(len(theta), self.N + 1, dtype=np.int64)
+
+    def __iter__(self):
+        field, scheme, hist = self.field, self.scheme, self.hist
+        dt = self.grid.dt
+        diverged, first_bad = self.diverged, self.first_bad
+        any_diverged = False
+        x = self.theta.copy()
+        for i in range(self.N):
+            t = i * dt
+            dw = self._inc[:, i]
+            if self.variants > 1:
+                dw = np.tile(dw, (self.variants, 1))
+            denom = None
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                if scheme.kind == IMPLICIT:
+                    sig = field.diffusion(t, hist, x)
+                    y = _newton_solve(field, t + dt, hist, x, dt, scheme, i)
+                    x_next = y + np.einsum("bdm,bm->bd", sig, dw)
+                else:
+                    b = field.drift(t, hist, x)
+                    sig = field.diffusion(t, hist, x)
+                    if scheme.kind == TAMED:
+                        # |b| dt / (1 + dt |b|) < 1 for every drift value, and
+                        # a NaN drift reaches the divergence tagging below
+                        denom = tamed_denominator(b, dt)
+                        drift_step = b * (dt / denom)
+                    else:
+                        drift_step = b * dt
+                    x_next = x + drift_step + np.einsum("bdm,bm->bd", sig, dw)
+
+                # NaN fails the <=, so non-finite states are tagged as well
+                bad = ~(np.abs(x_next).max(axis=1) <= DIVERGENCE_BOUND)
+            if any_diverged:
+                bad &= ~diverged
+            if bad.any():
+                first_bad[bad] = i + 1
+                diverged |= bad
+                any_diverged = True
+            if any_diverged:
+                # freeze diverged paths at their last finite state
+                x_next[diverged] = x[diverged]
+            yield StepRecord(i, x, sig, denom, dw, x_next)
+            x = x_next
+
+
 def simulate_batch(
     field: CoefficientField,
     grid: TimeGrid,
@@ -132,63 +256,16 @@ def simulate_batch(
     theta: np.ndarray,
     scheme: SchemeChoice,
 ) -> SimBatch:
-    """Core stepping kernel over a batch of paths.
+    """The Stepper's batch with every state stored.
 
-    increments: (B, N, m); theta: (d,) or (B, d).
+    increments: (P, N, m); theta: (d,), (P, d) or (K*P, d) as for Stepper.
     """
-    inc = np.asarray(increments, dtype=float)
-    B, N, m = inc.shape
-    d = field.d
-    theta = np.broadcast_to(np.asarray(theta, dtype=float).reshape(-1, d), (B, d))
-    if not np.all(np.isfinite(theta)):
-        raise InvalidParameterError("theta must be finite")
-    if scheme.kind == IMPLICIT:
-        _check_implicit_dt(field, grid)
-
-    hist = History(grid, inc)
-    dt = grid.dt
-    values = np.empty((B, N + 1, d))
-    values[:, 0] = theta
-    diverged = np.zeros(B, dtype=bool)
-    first_bad = np.full(B, N + 1, dtype=np.int64)
-    any_diverged = False
-    x = theta.copy()
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(N):
-            t = i * dt
-            dw = inc[:, i]
-            if scheme.kind == IMPLICIT:
-                sig = field.diffusion(t, hist, x)
-                y = _newton_solve(field, t + dt, hist, x, dt, scheme, i)
-                x_next = y + np.einsum("bdm,bm->bd", sig, dw)
-            else:
-                b = field.drift(t, hist, x)
-                sig = field.diffusion(t, hist, x)
-                if scheme.kind == TAMED:
-                    # |b| dt / (1 + dt |b|) < 1 for every drift value, and a
-                    # NaN drift reaches the divergence tagging below
-                    nb = dt * np.linalg.norm(b, axis=1, keepdims=True)
-                    drift_step = b * (dt / (1.0 + nb))
-                else:
-                    drift_step = b * dt
-                x_next = x + drift_step + np.einsum("bdm,bm->bd", sig, dw)
-
-            # NaN fails the <=, so non-finite states are tagged as well
-            bad = ~(np.max(np.abs(x_next), axis=1) <= DIVERGENCE_BOUND)
-            if any_diverged:
-                bad &= ~diverged
-            if np.any(bad):
-                first_bad[bad] = i + 1
-                diverged |= bad
-                any_diverged = True
-            if any_diverged:
-                # freeze diverged paths at their last finite state
-                x_next[diverged] = x[diverged]
-            x = x_next
-            values[:, i + 1] = x
-
-    return SimBatch(field, scheme, grid, values, diverged, first_bad, hist)
+    run = Stepper(field, grid, increments, theta, scheme)
+    values = np.empty((len(run.theta), run.N + 1, field.d))
+    values[:, 0] = run.theta
+    for rec in run:
+        values[:, rec.i + 1] = rec.x_next
+    return SimBatch(field, scheme, grid, values, run.diverged, run.first_bad, run.hist)
 
 
 def check_noise(w: NoisePath, m: int):

@@ -38,8 +38,8 @@ from .errors import (
 )
 from .models import CoefficientField, ModelSpec, probe_assumptions, uniform_sampler
 from .solver import (
-    EULER, TAMED, SchemeChoice, SimBatch, check_noise, simulate, simulate_batch,
-    simulate_one,
+    EULER, TAMED, SchemeChoice, SimBatch, StepRecord, check_noise, simulate,
+    simulate_batch, simulate_one, tamed_denominator,
 )
 
 
@@ -49,17 +49,18 @@ from .solver import (
 
 
 class VariationalFactors:
-    """Builds the per-step matrices of the linearized flow along a solved batch.
+    """Builds the per-step matrices of the linearized flow along a batch.
 
     For step i (state X_i, increment dW_i) it provides
-        dmat(i): treated drift matrix (B, d, d)
-        smat(i): sum_j grad_sigma^j(X_i) dW_i^j as a (B, d, d) matrix
-        amat(i): dmat + smat (the one-step flow is I + amat)
-    plus the raw gradients for forcing terms, under the batch's field and
-    scheme.
+        dmat: treated drift matrix (B, d, d)
+        smat: sum_j grad_sigma^j(X_i) dW_i^j as a (B, d, d) matrix
+        amat: dmat + smat (the one-step flow is I + amat)
+    plus the raw gradients for forcing terms, under the field and scheme of
+    `out`: a solved SimBatch, whose step i load(i) rebuilds from the stored
+    values, or a running Stepper, whose records a pass hands to take().
     """
 
-    def __init__(self, out: SimBatch):
+    def __init__(self, out):
         field = out.field
         if field.grad_drift is None or field.grad_diffusion is None:
             raise MissingGradientsError("model does not supply coefficient gradients")
@@ -71,24 +72,37 @@ class VariationalFactors:
         self._eye = np.eye(field.d)
 
     def load(self, i: int):
-        """Evaluate gradients at step i; call once per step in order."""
-        field, dt = self.field, self.dt
+        """Take step i of the stored batch, re-evaluating sigma (and for
+        tamed_euler the drift) at its values; call once per step in order."""
+        field, dt, values = self.field, self.dt, self.out.values
         t = i * dt
-        x = self.out.values[:, i]
-        dw = self.hist.increments[:, i]
+        x = values[:, i]
+        denom = None
+        if self.scheme.kind == TAMED:
+            denom = tamed_denominator(field.drift(t, self.hist, x), dt)
+        self.take(StepRecord(
+            i, x, field.diffusion(t, self.hist, x), denom,
+            self.hist.increments[:, i], values[:, i + 1],
+        ))
+
+    def take(self, rec: StepRecord):
+        """The factors of the step the record holds, reading its sigma and
+        tamed denominator instead of evaluating them again."""
+        field, dt = self.field, self.dt
+        t = rec.i * dt
+        x, dw = rec.x, rec.dw
         self.gs = field.grad_diffusion(t, self.hist, x)  # (B, d, m, d)
-        self.sig = field.diffusion(t, self.hist, x)  # (B, d, m)
+        self.sig = rec.sig  # (B, d, m)
         self.dw = dw
         # S = sum_j grad_sigma^{(.,j)} dW^j
         self.smat = np.einsum("bimj,bm->bij", self.gs, dw)
         if self.scheme.kind == EULER:
             self.dmat = field.grad_drift(t, self.hist, x) * dt
         elif self.scheme.kind == TAMED:
-            b = field.drift(t, self.hist, x)
-            tame = 1.0 / (1.0 + dt * np.linalg.norm(b, axis=1))
-            self.dmat = field.grad_drift(t, self.hist, x) * (dt * tame[:, None, None])
-        else:  # IMPLICIT: (I - dt grad_b(t_{i+1}, Y))^{-1} - I, Y from the stored step
-            y = self.out.values[:, i + 1] - np.einsum("bdm,bm->bd", self.sig, dw)
+            tame = 1.0 / rec.denom  # (B, 1)
+            self.dmat = field.grad_drift(t, self.hist, x) * (dt * tame[:, :, None])
+        else:  # IMPLICIT: (I - dt grad_b(t_{i+1}, Y))^{-1} - I, Y rebuilt from the step
+            y = rec.x_next - np.einsum("bdm,bm->bd", rec.sig, dw)
             jac = self._eye - dt * field.grad_drift(t + dt, self.hist, y)
             if field.d == 1:
                 inv = 1.0 / jac  # bit-identical to LAPACK's 1x1 solve
@@ -188,7 +202,11 @@ def jacobian(
     """Solve the base SDE and its first-variation system on one noise path
     and its grid."""
     out = simulate_one(spec, w, scheme)
-    J, K, D = _jacobian_arrays(out)
+    # J and K may overflow on a finite path: raise at their first
+    # non-finite node, before the Wronskian is blamed
+    with np.errstate(over="ignore", invalid="ignore"):
+        J, K, D = _jacobian_arrays(out)
+    check_finite_nodes(np.stack([J[0], K[0]], axis=1))
     if not np.all(np.isfinite(D[0])) or np.any(D[0] <= 0.0):
         raise DegenerateWronskianError("Wronskian non-positive along the path")
     return JacobianBundle(

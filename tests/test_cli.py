@@ -232,6 +232,31 @@ _FAILING_CONFIGS = {
         2,
         "diffusion below",
     ),
+    # sigma = 0 makes every BEL weight divide by zero; all paths diverge, and
+    # the pass stays quiet until the divergence is reported
+    "bel_zero_sigma_diverged": (
+        "greeks",
+        "model = ginzburg_landau\nmodel.sigma = 0\nmodel.x0 = 50\ngrid.T = 2\n"
+        "grid.N = 8\nscheme = euler_maruyama\nn_paths = 16\nseed = 1\n",
+        2,
+        "state diverged at step 5 (path 0)",
+    ),
+    # the state stays at 0 while J and K overflow: a divergence of the
+    # variational system, not a Wronskian failure
+    "jacobian_overflow": (
+        "jacobian",
+        "model = gbm\nmodel.mu = 1e200\nmodel.x0 = 0\ngrid.T = 1\ngrid.N = 3\n",
+        2,
+        "state diverged at step 1",
+    ),
+    # a start beyond the divergence bound is rejected before any step
+    "theta_beyond_bound": (
+        "cameron-martin",
+        "model = ginzburg_landau\nmodel.x0 = 1e200\ngrid.T = 1\ngrid.N = 16\n"
+        "cm.functional = clipped_sup\n",
+        1,
+        "theta must be finite with |theta| <= 1e+150",
+    ),
     # the Ito correction -sigma^2 T / 2 = -5000 underflows exp(log D) to 0
     "degenerate_wronskian": (
         "jacobian",

@@ -286,6 +286,19 @@ def test_history_cum_ito():
     assert s is hist.cum_ito("k", gvals)  # cached
 
 
+def test_history_variants_view_the_tiled_paths():
+    # three variants of 4 paths read what a history of the tiled noise reads
+    g = make_grid(1.0, 8)
+    inc = sample_increments(g, 2, 6, 0, 4)
+    gvals = np.arange(8, dtype=float)
+    stacked = History(g, inc, variants=3)
+    tiled = History(g, np.tile(inc, (3, 1, 1)))
+    assert stacked.B == tiled.B == 12
+    for view in (lambda h: h.increments, lambda h: h.brownian,
+                 lambda h: h.cum_ito("k", gvals)):
+        assert view(stacked).tobytes() == view(tiled).tobytes()
+
+
 def test_run_chunks_worker_independent():
     def work(start, count):
         return np.arange(start, start + count, dtype=float) ** 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +22,14 @@ from monosde import (
     tanh_payoff,
     zoo_lookup,
 )
-from monosde.core import sample_increments
-from monosde.greeks import _bel_weights_batch
+from monosde.core import mc_estimate, sample_increments
+from monosde.greeks import _samples
 from monosde.models import CoefficientField, ModelSpec
-from monosde.solver import EULER, TAMED, SchemeChoice, simulate_batch
+from monosde.solver import (
+    EULER, IMPLICIT, SCHEMES, TAMED, SchemeChoice, live_paths, simulate_batch,
+)
+from monosde.variational import VariationalFactors
+from test_solver import STACK_CASES
 from test_variational import _twin_ginzburg_landau
 
 
@@ -144,6 +149,8 @@ def test_bel_vs_fd_on_ginzburg_landau():
         (1.0, 1.0, 32, TAMED, 1500, 2),
         # explicit Euler from x0 = 3 with dt = 1/4 blows up on some paths
         (3.0, 2.0, 8, EULER, 1100, 2),
+        (1.0, 1.0, 32, IMPLICIT, 1100, 1),
+        (3.0, 2.0, 8, IMPLICIT, 1100, 2),
     ],
 )
 def test_fused_pass_equals_separate_estimators(x0, T, N, kind, n_paths, workers):
@@ -297,9 +304,140 @@ def test_bel_d2_singular_live_row_raises(small, message):
     theta = np.full((64, 2), 3.0)
     theta[-1] = (1.0, small)
     scheme = SchemeChoice(EULER)
-    out = simulate_batch(field, g, sample_increments(g, 2, 21, 0, 64), theta, scheme)
+    inc = sample_increments(g, 2, 21, 0, 64)
+    out = simulate_batch(field, g, inc, theta, scheme)
     assert np.any(out.diverged) and not out.diverged[-1]
     cfg = BELConfig(tanh_payoff(), g.N)
     with pytest.raises(SingularDiffusionError, match=message):
+        _samples(field, g, scheme, theta, cfg.payoff, cfg.t_index, inc, a=cfg.weights_on(g))
+
+
+def _time_singular_field(scales):
+    """d = m = 2 with zero drift and sigma = diag(1, scales[i]) on step i."""
+    N = len(scales)
+
+    def diffusion(t, h, x):
+        s = scales[min(round(t * N), N - 1)]
+        return np.broadcast_to(np.diag([1.0, s]), (x.shape[0], 2, 2))
+
+    def zeros(shape):
+        return lambda t, h, x: np.zeros((x.shape[0],) + shape)
+
+    return CoefficientField(2, 2, zeros((2,)), diffusion, zeros((2, 2)), zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize(
+    "scales, message",
+    [
+        # near singular at step 1, no solve at step 3: the earlier step wins
+        ([1.0, 1e-13, 1.0, 0.0], "diffusion below 1/1e\\+12 at step 1$"),
+        ([1.0, 1.0, 1.0, 0.0], "singular diffusion at step 3$"),
+    ],
+)
+def test_bel_d2_reports_the_first_singular_step(scales, message):
+    g = make_grid(1.0, len(scales))
+    inc = sample_increments(g, 2, 4, 0, 8)
+    cfg = BELConfig(identity_payoff(), g.N)
+    with pytest.raises(SingularDiffusionError, match=message):
+        _samples(_time_singular_field(scales), g, SchemeChoice(EULER), np.ones(2),
+                 cfg.payoff, g.N, inc, a=cfg.weights_on(g))
+
+
+def _stored_samples(spec, g, scheme, payoff, a, eps, inc):
+    """BEL and FD samples of one chunk from separate stored runs: the BEL
+    weights by the load(i) recursion over the base values, FD from one run
+    per bumped start."""
+    d, N = spec.d, g.N
+    samples = []
+    if a is not None:
+        out = simulate_batch(spec.field, g, inc, spec.theta0, scheme)
+        vf = VariationalFactors(out)
+        J = np.broadcast_to(np.eye(d), (len(inc), d, d)).copy()
+        wstar = np.zeros((len(inc), d))
         with np.errstate(over="ignore", invalid="ignore"):
-            _bel_weights_batch(out, cfg, cfg.weights_on(g))
+            for i in range(N):
+                vf.load(i)
+                siginv_j = J / vf.sig if d == 1 else np.linalg.solve(vf.sig, J)
+                wstar = wstar + a[i] * np.einsum(
+                    "bdm,bm->bd", siginv_j.transpose(0, 2, 1), vf.dw
+                )
+                J = J + vf.amat @ J
+            samples += [payoff(out.values[:, N])[:, None] * wstar, out.first_bad]
+    if eps is not None:
+        grads = np.empty((len(inc), d))
+        bad = []
+        for k in range(d):
+            bump = np.zeros(d)
+            bump[k] = eps
+            up = simulate_batch(spec.field, g, inc, spec.theta0 + bump, scheme)
+            dn = simulate_batch(spec.field, g, inc, spec.theta0 - bump, scheme)
+            grads[:, k] = (payoff(up.values[:, N]) - payoff(dn.values[:, N])) / (2.0 * eps)
+            bad += [up.first_bad, dn.first_bad]
+        samples += [grads, np.min(bad, axis=0)]
+    return samples
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stacked_pass_equals_separate_stored_runs(case, kind):
+    # one stacked pass per chunk gives the per-path samples of separate
+    # stored runs bit for bit; BEL needs deterministic coefficients, so the
+    # random-coefficient case runs FD alone
+    make_spec, T, N = STACK_CASES[case]
+    spec = make_spec()
+    g = make_grid(T, N)
+    scheme = SchemeChoice(kind)
+    inc = sample_increments(g, spec.m, 21, 0, 300)
+    payoff = tanh_payoff()
+    a = BELConfig(payoff, N).weights_on(g) if spec.field.deterministic else None
+    got = _samples(spec.field, g, scheme, spec.theta0, payoff, N, inc, a, 1e-3)
+    want = _stored_samples(spec, g, scheme, payoff, a, 1e-3, inc)
+    assert len(got) == len(want) == (4 if a is not None else 2)
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    # the 300 paths are one chunk, so fd_gradient reduces the same samples
+    grads, first_bad = want[-2:]
+    fd = fd_gradient(spec, g, scheme, payoff, N, 1e-3, n_paths=300, seed=21)
+    live = live_paths(first_bad, N)
+    assert fd.n_diverged == np.count_nonzero(~live)
+    ref = mc_estimate(grads[live])
+    assert np.array_equal(fd.estimate.mean, ref.mean)
+    assert np.array_equal(fd.estimate.stderr, ref.stderr)
+
+
+def test_greeks_chunk_stores_no_path_values():
+    # a 1024-path BEL + FD chunk on GL at N = 256 allocates less than 1 KB
+    # per path on top of its 2 KB/path of increments; three stored
+    # (B, N+1, 1) value arrays alone would take 6 KB
+    spec = zoo_lookup("ginzburg_landau")
+    g = make_grid(1.0, 256)
+    cfg = BELConfig(tanh_payoff(), g.N)
+    a = cfg.weights_on(g)
+    inc = sample_increments(g, 1, 1, 0, 1024)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _samples(spec.field, g, SchemeChoice(TAMED), spec.theta0, cfg.payoff, g.N, inc, a, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / 1024 < 1024
+
+
+def test_bel_near_singular_row_that_diverges_later_does_not_raise():
+    # sigma = diag(x) is near singular at step 0 on the last row, which then
+    # diverges at step 5: a path masked out of the estimate raises nothing
+    field = _twin_ginzburg_landau(1.0)
+    g = make_grid(2.0, 8)
+    theta = np.ones((64, 2))
+    theta[-1] = (50.0, 1e-13)
+    scheme = SchemeChoice(EULER)
+    inc = sample_increments(g, 2, 21, 0, 64)
+    cfg = BELConfig(tanh_payoff(), g.N)
+    _, first_bad = _samples(field, g, scheme, theta, cfg.payoff, g.N, inc, a=cfg.weights_on(g))
+    assert first_bad[-1] == 5 and np.all(first_bad[:-1] == g.N + 1)
+    # the same row started at 1 stays live, and raises at step 0
+    theta[-1] = (1.0, 1e-13)
+    with pytest.raises(SingularDiffusionError, match="at step 0"):
+        _samples(field, g, scheme, theta, cfg.payoff, g.N, inc, a=cfg.weights_on(g))

@@ -34,17 +34,19 @@ from monosde import (
     zoo_lookup,
 )
 from monosde.core import CHUNK, sample_increments
-from monosde.greeks import BELConfig, _bel_samples, identity_payoff
-from monosde.models import CoefficientField
+from monosde.greeks import BELConfig, _samples, identity_payoff
+from monosde.models import CoefficientField, ModelSpec
 from monosde.solver import (
     EULER,
     IMPLICIT,
+    SCHEMES,
     TAMED,
     SchemeChoice,
     live_paths,
     run_paths,
     simulate_batch,
 )
+from test_variational import _twin_ginzburg_landau
 
 
 ALL_SCHEMES = [SchemeChoice(EULER), SchemeChoice(TAMED), SchemeChoice(IMPLICIT)]
@@ -400,7 +402,7 @@ def test_chunk_size_does_not_change_results(model, kind, x0, N, n_paths, seed):
     def fn(inc, start):
         out = simulate_batch(spec.field, g, inc, spec.theta0, scheme)
         return (out.values, out.diverged, out.first_bad,
-                *_bel_samples(spec, g, scheme, cfg, a, inc))
+                *_samples(spec.field, g, scheme, spec.theta0, cfg.payoff, N, inc, a))
 
     def run(size=CHUNK):
         return [r.tobytes() for r in run_paths(fn, g, 1, seed, n_paths, size=size)]
@@ -742,3 +744,73 @@ def test_single_path_derivative_reports_its_first_bad_node(fn):
     with pytest.raises(DivergenceError) as exc:
         _single_path_calls(bad, sample_noise(g, 1, seed=3))[fn]()
     assert exc.value.step == 6
+
+
+#: name -> (spec, T, N) of the stacked-variant checks
+STACK_CASES = {
+    "gl_x0_1": (lambda: zoo_lookup("ginzburg_landau"), 1.0, 16),
+    # explicit Euler from x0 = 3 with dt = 1/4 diverges on some rows
+    "gl_x0_3": (lambda: zoo_lookup("ginzburg_landau", {"x0": 3.0}), 2.0, 8),
+    "quintic": (lambda: zoo_lookup("quintic"), 1.0, 16),
+    "twin_gl": (
+        lambda: ModelSpec("twin_gl", _twin_ginzburg_landau(1.0), {}, np.full(2, 3.0)),
+        2.0, 8,
+    ),
+    # sigma reads the history: its rows must be the stacked rows
+    "random_sigma": (lambda: zoo_lookup("random_sigma_example"), 1.0, 16),
+}
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stacked_variants_equal_separate_runs(case, kind):
+    # three variants of 64 paths on one noise, one of them with a start per
+    # row: each variant's rows are its own run, bit for bit
+    make_spec, T, N = STACK_CASES[case]
+    spec = make_spec()
+    g = make_grid(T, N)
+    scheme = SchemeChoice(kind)
+    inc = sample_increments(g, spec.m, 21, 0, 64)
+    starts = [
+        np.broadcast_to(spec.theta0 + 1e-3, (64, spec.d)),
+        np.broadcast_to(spec.theta0, (64, spec.d)),
+        spec.theta0 + np.linspace(-0.5, 0.5, 64)[:, None],
+    ]
+    stacked = simulate_batch(spec.field, g, inc, np.concatenate(starts), scheme)
+    assert stacked.hist.B == 3 * 64
+    for k, theta in enumerate(starts):
+        alone = simulate_batch(spec.field, g, inc, theta, scheme)
+        for name in ("values", "diverged", "first_bad"):
+            part = getattr(stacked, name)[64 * k:64 * (k + 1)]
+            assert part.tobytes() == getattr(alone, name).tobytes()
+    if kind == EULER and case in ("gl_x0_3", "twin_gl"):
+        assert stacked.diverged.any()
+
+
+def test_theta_rows_must_be_one_or_a_multiple_of_the_paths():
+    spec = zoo_lookup("ginzburg_landau")
+    g = make_grid(1.0, 4)
+    inc = sample_increments(g, 1, 1, 0, 4)
+    with pytest.raises(InvalidParameterError, match="6 rows for 4 paths"):
+        simulate_batch(spec.field, g, inc, np.ones((6, 1)), SchemeChoice(EULER))
+
+
+@pytest.mark.parametrize("theta", [1e200, -2e150, np.inf, np.nan])
+def test_theta_beyond_the_divergence_bound_is_rejected(theta):
+    spec = zoo_lookup("ginzburg_landau")
+    g = make_grid(1.0, 4)
+    inc = sample_increments(g, 1, 1, 0, 4)
+    with pytest.raises(InvalidParameterError, match="theta must be finite"):
+        simulate_batch(spec.field, g, inc, np.array([theta]), SchemeChoice(TAMED))
+
+
+def test_sampled_start_beyond_the_divergence_bound_is_rejected():
+    # a start past the bound is not a path that diverged: the estimate stops
+    spec = zoo_lookup("ginzburg_landau")
+
+    def sampler(gen, n):
+        return np.full((n, 1), 1e200)
+
+    with pytest.raises(InvalidParameterError, match="theta must be finite"):
+        estimate_sup_moment(spec, make_grid(1.0, 4), SchemeChoice(TAMED), p=2.0,
+                            n_paths=4, seed=1, theta_sampler=sampler)
