@@ -25,6 +25,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -83,11 +84,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NoisePath:
-    """One realization of m-dimensional Brownian increments on a grid."""
+    """One realization of m-dimensional Brownian increments on a grid, with
+    the index of its (seed, path_index) stream when it was drawn from one."""
 
     grid: TimeGrid
     m: int
     increments: np.ndarray  # (N, m), increment i ~ Normal(0, dt I_m)
+    path_index: Optional[int] = None
 
     def __post_init__(self):
         inc = np.asarray(self.increments, dtype=float)
@@ -269,7 +272,7 @@ def sample_noise(grid: TimeGrid, m: int, seed: int, path_index: int = 0) -> Nois
     """Draw N independent Normal(0, dt I_m) increments for one path."""
     if m < 1:
         raise InvalidParameterError("m must be >= 1")
-    return NoisePath(grid, m, _path_increments(grid, m, seed, path_index))
+    return NoisePath(grid, m, _path_increments(grid, m, seed, path_index), path_index)
 
 
 def _hash_multipliers(init: int, mult: int, n: int) -> np.ndarray:
@@ -394,19 +397,24 @@ class History:
     contract, asserted statistically by model tests).  Cached cumulatives make
     running Ito integrals O(1) per step.
 
-    With variants = K, the batch is K runs of the same paths on one noise:
-    row k * P + p is path p of variant k.  Each view is computed on the P
-    paths and tiled on first use, so no view is built per variant.
+    With variants = K, the batch is K runs of the same P paths: row k * P + p
+    is path p of variant k.  Without shifts every variant reads the noise of
+    the P paths; with shifts (K, N, m), variant k reads the noise shifted by
+    shifts[k], increments inc[p] + shifts[k].  Each view is built on first
+    use, so none is built that no callback reads: on the P paths and tiled,
+    or on each variant's shifted noise, as a history of that noise builds it.
     """
 
-    def __init__(self, grid: TimeGrid, increments: np.ndarray, variants: int = 1):
+    def __init__(self, grid: TimeGrid, increments: np.ndarray, variants: int = 1,
+                 shifts: Optional[np.ndarray] = None):
         inc = np.asarray(increments, dtype=float)
         if inc.ndim == 2:
             inc = inc[None]
         self.grid = grid
         self._paths = inc  # (P, N, m)
-        self.variants = variants
-        self.B = variants * inc.shape[0]
+        self._shifts = shifts
+        self.variants = variants if shifts is None else len(shifts)
+        self.B = self.variants * inc.shape[0]
         self.m = inc.shape[2]
         self._ito = {}
 
@@ -414,8 +422,11 @@ class History:
     def from_path(cls, w: NoisePath) -> "History":
         return cls(w.grid, w.increments[None])
 
-    def _tiled(self, a: np.ndarray) -> np.ndarray:
-        """a, computed on the P paths, repeated for each variant."""
+    def _rows(self, view) -> np.ndarray:
+        """view(increments) of each variant's (P, N, m) noise, in row order."""
+        if self._shifts is not None:
+            return np.concatenate([view(self._paths + s) for s in self._shifts])
+        a = view(self._paths)
         if self.variants == 1:
             return a
         return np.tile(a, (self.variants,) + (1,) * (a.ndim - 1))
@@ -423,14 +434,18 @@ class History:
     @cached_property
     def increments(self) -> np.ndarray:
         """dW per row, shape (B, N, m)."""
-        return self._tiled(self._paths)
+        return self._rows(lambda inc: inc)
 
     @cached_property
     def brownian(self) -> np.ndarray:
         """W(t_i) per row, shape (B, N + 1, m)."""
-        wb = np.zeros((self._paths.shape[0], self.grid.N + 1, self.m))
-        np.cumsum(self._paths, axis=1, out=wb[:, 1:])
-        return self._tiled(wb)
+
+        def cumulate(inc):
+            wb = np.zeros((inc.shape[0], self.grid.N + 1, self.m))
+            np.cumsum(inc, axis=1, out=wb[:, 1:])
+            return wb
+
+        return self._rows(cumulate)
 
     def idx(self, t: float) -> int:
         return self.grid.index_of(t)
@@ -445,9 +460,13 @@ class History:
             g = np.asarray(integrand, dtype=float)
             if g.ndim == 1:
                 g = g[:, None]
-            s = np.zeros((self._paths.shape[0], self.grid.N + 1))
-            np.cumsum(np.einsum("bnm,nm->bn", self._paths, g), axis=1, out=s[:, 1:])
-            self._ito[key] = self._tiled(s)
+
+            def cumulate(inc):
+                s = np.zeros((inc.shape[0], self.grid.N + 1))
+                np.cumsum(np.einsum("bnm,nm->bn", inc, g), axis=1, out=s[:, 1:])
+                return s
+
+            self._ito[key] = self._rows(cumulate)
         return self._ito[key]
 
 

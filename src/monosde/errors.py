@@ -42,16 +42,19 @@ class DivergenceError(MonosdeError, RuntimeError):
     ----------
     step : index of the first bad node.
     path_index : global path index, when known.
+    what : the quantity that left the finite range ("state", the default, is
+        the solution X; a derivative process names itself).
     """
 
-    def __init__(self, step, path_index=None):
+    def __init__(self, step, path_index=None, what="state"):
         self.step = int(step)
         self.path_index = path_index
+        self.what = what
         where = f" (path {path_index})" if path_index is not None else ""
-        super().__init__(f"state diverged at step {self.step}{where}")
+        super().__init__(f"{what} diverged at step {self.step}{where}")
 
     def __reduce__(self):
-        return type(self), (self.step, self.path_index)
+        return type(self), (self.step, self.path_index, self.what)
 
 
 class NewtonFailureError(MonosdeError, RuntimeError):

@@ -21,9 +21,11 @@ from typing import Optional
 import numpy as np
 
 from .core import CameronMartinPath, NoisePath, StatePath, TimeGrid, format_block
-from .errors import InvalidParameterError
+from .errors import DivergenceError, InvalidParameterError
 from .models import ModelSpec
-from .solver import EULER, SchemeChoice, SimBatch, simulate_one
+from .solver import (
+    EULER, SchemeChoice, SimBatch, StepRecord, Stepper, check_noise, simulate_one,
+)
 from .variational import JacobianBundle, VariationalFactors, check_finite_nodes
 
 
@@ -157,7 +159,7 @@ def malliavin_field(
     out = simulate_one(spec, w, scheme)
     with np.errstate(over="ignore", invalid="ignore"):
         entries = _field_batch(out=out, s_idx=s_idx)[0]
-    check_finite_nodes(entries, axis=1)
+    check_finite_nodes(entries, "Malliavin field D_s X", axis=1)
     return MalliavinField(grid, s_idx, entries, StatePath(grid, spec.d, out.values[0]))
 
 
@@ -258,6 +260,36 @@ def representation_parts(
 # ---------------------------------------------------------------------------
 
 
+def directional_step(vf: VariationalFactors, rec: StepRecord,
+                     h: CameronMartinPath, y: np.ndarray) -> np.ndarray:
+    """D^h X at node i+1 from y = D^h X at node i (B, d), along the rows of
+    rec, the kernel's record of step i: the linearized step I + A_i, forced by
+    sigma hdot_i dt and the U and V terms.  vf reads rec through take(), so
+    its hist must be the noise of rec's rows."""
+    field, hist, dt = vf.field, vf.hist, vf.dt
+    i = rec.i
+    B, d, m = len(y), field.d, field.m
+    t = i * dt
+    hd = h.density  # (N, m)
+    vf.take(rec)
+    force_dt = np.einsum("bdm,m->bd", vf.sig, hd[i]) * dt
+    force_dw = np.zeros((B, d))
+    if i > 0 and (field.mall_drift is not None or field.mall_diffusion is not None):
+        left = np.arange(i) * dt  # the left nodes s < t_i
+        if field.mall_drift is not None:
+            # int_0^{t_i} U(s, t_i) hdot(s) ds, left-point in s
+            u = np.asarray(field.mall_drift(left, t, hist), dtype=float)
+            u = np.broadcast_to(u, (B, i, d, m))
+            force_dt = force_dt + np.einsum("bsdm,sm->bd", u, hd[:i]) * dt * dt
+        if field.mall_diffusion is not None:
+            v = np.asarray(field.mall_diffusion(left, t, hist), dtype=float)
+            v = np.broadcast_to(v, (B, i, d, m, m))
+            # (int_0^{t_i} V(s, t_i) hdot(s) ds)^{(d, j)} then contract with dW^j
+            iv = np.einsum("bsdjk,sk->bdj", v, hd[:i]) * dt
+            force_dw = np.einsum("bdj,bj->bd", iv, vf.dw)
+    return y + np.einsum("bij,bj->bi", vf.amat, y) + force_dt + force_dw
+
+
 def directional_derivative(
     spec: ModelSpec,
     w: NoisePath,
@@ -265,50 +297,24 @@ def directional_derivative(
     h: CameronMartinPath,
 ) -> StatePath:
     """D^h X = int_0^. M_s(.) hdot(s) ds on the noise w, computed as one
-    linear SDE."""
-    out = simulate_one(spec, w, scheme)
+    linear SDE stepped along the base path's records."""
+    check_noise(w, spec.m)
+    grid = w.grid
+    h.check_on(grid, spec.m)
+    run = Stepper(spec.field, grid, w.increments[None], spec.theta0, scheme)
+    vf = VariationalFactors(run)
+    vals = np.zeros((grid.N + 1, spec.d))
+    y = np.zeros((1, spec.d))
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _directional_batch(out, h)[0]
-    check_finite_nodes(vals)
-    return StatePath(w.grid, spec.d, vals)
-
-
-def _directional_batch(out: SimBatch, h: CameronMartinPath) -> np.ndarray:
-    """Batched D^h X along solved paths, under their field and scheme, shape
-    (B, N+1, d)."""
-    field, grid = out.field, out.grid
-    h.check_on(grid, field.m)
-    B = out.values.shape[0]
-    d, m = field.d, field.m
-    N, dt = grid.N, grid.dt
-    hist = out.hist
-    hd = h.density  # (N, m)
-    use_u = field.mall_drift is not None
-    use_v = field.mall_diffusion is not None
-
-    vals = np.zeros((B, N + 1, d))
-    y = np.zeros((B, d))
-    vf = VariationalFactors(out)
-    left = grid.left_times
-    for i in range(N):
-        t = i * dt
-        vf.load(i)
-        force_dt = np.einsum("bdm,m->bd", vf.sig, hd[i]) * dt
-        if use_u and i > 0:
-            # int_0^{t_i} U(s, t_i) hdot(s) ds, left-point in s
-            u = np.asarray(field.mall_drift(left[:i], t, hist), dtype=float)
-            u = np.broadcast_to(u, (B, i, d, m))
-            force_dt = force_dt + np.einsum("bsdm,sm->bd", u, hd[:i]) * dt * dt
-        force_dw = np.zeros((B, d))
-        if use_v and i > 0:
-            v = np.asarray(field.mall_diffusion(left[:i], t, hist), dtype=float)
-            v = np.broadcast_to(v, (B, i, d, m, m))
-            # (int_0^{t_i} V(s, t_i) hdot(s) ds)^{(d, j)} then contract with dW^j
-            iv = np.einsum("bsdjk,sk->bdj", v, hd[:i]) * dt
-            force_dw = np.einsum("bdj,bj->bd", iv, hist.increments[:, i])
-        y = y + np.einsum("bij,bj->bi", vf.amat, y) + force_dt + force_dw
-        vals[:, i + 1] = y
-    return vals
+        for rec in run:
+            if run.diverged[0]:
+                break
+            y = directional_step(vf, rec, h, y)
+            vals[rec.i + 1] = y[0]
+    if run.diverged[0]:
+        raise DivergenceError(run.first_bad[0], w.path_index)
+    check_finite_nodes(vals, "directional derivative D^h X")
+    return StatePath(grid, spec.d, vals)
 
 
 # ---------------------------------------------------------------------------

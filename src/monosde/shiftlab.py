@@ -11,6 +11,15 @@ Both estimators take a direction h on the simulation grid (else
 InvalidParameterError), and leave out of their statistics, and count, each
 path on which one of the solutions compared diverged.
 
+Every solution an estimator compares is a noise-shifted variant of the base
+path, X(w + eps h), so each chunk is stepped once as one stacked batch of the
+solver's Stepper: the base rows run on the zero shift and each other variant
+on its shift eps h, all on the chunk's one noise draw (common random
+numbers).  The Cameron-Martin check stores the stacked values, because its
+path functional reads whole paths.  The ladder stores no path: it steps
+D^h X along the base rows of each step record and folds each rung's sup
+error into a running max.
+
 Path functionals are batched: a functional maps solved path values of shape
 (B, N+1, d) to per-path reals (B,); terminal_value and clipped_sup_norm
 build the common ones.
@@ -25,6 +34,7 @@ import numpy as np
 
 from .core import (
     CameronMartinPath,
+    History,
     MCEstimate,
     NoisePath,
     TimeGrid,
@@ -34,9 +44,11 @@ from .core import (
 from .errors import DivergenceError, InvalidParameterError
 from .models import ModelSpec
 from .solver import (
-    DIVERGENCE_BOUND, SchemeChoice, live_paths, run_paths, simulate_batch, sup_norms,
+    DIVERGENCE_BOUND, SchemeChoice, Stepper, live_paths, run_paths, simulate_batch,
+    sup_norms,
 )
-from .malliavin import _directional_batch
+from .malliavin import directional_step
+from .variational import VariationalFactors
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +91,17 @@ def doleans_dade(w: NoisePath, h: CameronMartinPath, t_index: int) -> float:
     return float(np.exp(_log_dd(w.increments[None], h, t_index)[0]))
 
 
+def _effective_sample_size(weights: np.ndarray) -> float:
+    """(sum w)^2 / sum w^2 of nonnegative weights (Kong 1992); 0 when every
+    weight is 0, NaN when one is not finite."""
+    top = np.max(weights)
+    if top == 0.0:
+        return 0.0
+    with np.errstate(invalid="ignore"):
+        v = weights / top  # scaled so that the squares cannot overflow
+        return float(np.sum(v) ** 2 / np.sum(v * v))
+
+
 # ---------------------------------------------------------------------------
 # Cameron-Martin identity check
 # ---------------------------------------------------------------------------
@@ -107,26 +130,38 @@ def cameron_martin_check(
 
     The shift uses eps = 1 (the identity is exact for any fixed h); the
     z-score is computed from per-path differences, which is the sharp CRN
-    statistic.  A path whose base or shifted solution diverged is left out
-    and counted; DivergenceError is raised when fewer than 2 paths are left.
+    statistic.  The base and shifted solutions of a chunk are one stacked
+    batch.  A path whose base or shifted solution diverged is left out and
+    counted; DivergenceError is raised when fewer than 2 paths are left.
+    InvalidParameterError is raised when the Doleans-Dade weights of the live
+    paths have an effective sample size below 2: h is then too large for the
+    identity to be checked with this many paths.
     """
     h.check_on(grid, spec.m)
     shift = h.density * grid.dt
+    shifts = np.stack([np.zeros_like(shift), shift])
 
     def chunk(inc, start):
-        base = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
-        shifted = simulate_batch(spec.field, grid, inc + shift, spec.theta0, scheme)
+        P = len(inc)
+        out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme, shifts)
         dd = np.exp(_log_dd(inc, h, grid.N))
-        lhs = functional(shifted.values)
-        rhs = functional(base.values) * dd
-        return lhs, rhs, np.minimum(base.first_bad, shifted.first_bad, out=base.first_bad)
+        lhs = functional(out.values[P:])
+        rhs = functional(out.values[:P]) * dd
+        return lhs, rhs, dd, out.first_bad.reshape(2, P).min(axis=0)
 
-    lhs, rhs, first_bad = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
+    lhs, rhs, dd, first_bad = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
     live = live_paths(first_bad, grid.N)
     lhs, rhs = lhs[live], rhs[live]
+    lhs_est, rhs_est = mc_estimate(lhs), mc_estimate(rhs)
+    ess = _effective_sample_size(dd[live])
+    if not ess >= 2.0:
+        raise InvalidParameterError(
+            f"h is too large to check at this path count: the Doleans-Dade "
+            f"weights have effective sample size {ess:.3g} < 2"
+        )
     return CameronMartinReport(
-        lhs=mc_estimate(lhs),
-        rhs=mc_estimate(rhs),
+        lhs=lhs_est,
+        rhs=rhs_est,
         z_score=paired_z_score(lhs - rhs),
         n_paths=int(len(lhs)),
         n_diverged=int(np.sum(~live)),
@@ -168,6 +203,31 @@ class QuotientLadder:
         return out
 
 
+def _ladder_samples(spec, grid, scheme, h, eps, inc):
+    """Per-path Delta_eps and first_bad (N+1 when neither the base nor the
+    eps-shifted solution diverged), both (P, k), of the paths on inc (P, N, m)
+    from one stacked stepping pass."""
+    P, d = len(inc), spec.d
+    shift = h.density * grid.dt
+    # variant 0 is the base path; variant 1 + a runs on the noise w + eps_a h
+    shifts = np.concatenate([np.zeros_like(shift)[None], eps[:, None, None] * shift])
+    run = Stepper(spec.field, grid, inc, spec.theta0, scheme, shifts)
+    # the base rows read the unshifted noise of the P paths
+    vf = VariationalFactors(run, History(grid, inc))
+    dh = np.zeros((P, d))
+    errs = np.zeros((len(eps), P))  # node 0 contributes 0
+    # a diverged path's quotient may overflow; it is left out of the statistics
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rec in run:
+            dh = directional_step(vf, rec.head(P), h, dh)
+            x = rec.x_next.reshape(1 + len(eps), P, d)
+            quot = (x[1:] - x[0]) / eps[:, None, None]
+            np.maximum(errs, np.linalg.norm(quot - dh, axis=-1), out=errs)
+            del quot  # freed before the next step's Newton temporaries
+    first_bad = run.first_bad.reshape(1 + len(eps), P)
+    return errs.T, np.minimum(first_bad[0], first_bad[1:]).T
+
+
 def gateaux_ladder(
     spec: ModelSpec,
     grid: TimeGrid,
@@ -182,7 +242,10 @@ def gateaux_ladder(
     """Difference-quotient convergence experiment with common random numbers.
 
     For each path the base solution X, the direct directional derivative
-    D^h X, and every shifted solution X(w + eps h) share one noise draw.
+    D^h X, and every shifted solution X(w + eps h) share one noise draw: a
+    chunk is one stacked batch of the base rows (zero shift) and a variant
+    per eps, D^h X steps along the base rows of each step record, and
+    Delta_eps is folded into a running max, so no path is stored.
     For each eps, a path whose base or shifted solution diverged is left out
     of the statistics and counted; DivergenceError is raised when fewer than
     2 paths are left.
@@ -191,25 +254,12 @@ def gateaux_ladder(
     if len(eps) < 1 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise InvalidParameterError("epsilons must be positive and strictly decreasing")
     dlt = np.asarray(list(deltas), dtype=float)
+    h.check_on(grid, spec.m)
     if h.norm_sq() == 0.0:
         raise InvalidParameterError("direction h must be nonzero")
-    shift = h.density * grid.dt
 
     def chunk(inc, start):
-        base = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
-        errs = np.empty((len(inc), len(eps)))
-        first_bad = np.empty((len(inc), len(eps)), dtype=np.int64)
-        # a diverged path's quotient may overflow; it is left out below
-        with np.errstate(over="ignore", invalid="ignore"):
-            dh = _directional_batch(base, h)
-            for a, e in enumerate(eps):
-                bumped = simulate_batch(
-                    spec.field, grid, inc + e * shift, spec.theta0, scheme
-                )
-                quot = (bumped.values - base.values) / e
-                errs[:, a] = sup_norms(quot - dh)
-                np.minimum(base.first_bad, bumped.first_bad, out=first_bad[:, a])
-        return errs, first_bad
+        return _ladder_samples(spec, grid, scheme, h, eps, inc)
 
     errs, first_bad = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
 

@@ -16,9 +16,16 @@ is rejected.
 
 The kernel is a Stepper: iterating it yields one StepRecord per step, holding
 what the step evaluated (X_i, sigma, the tamed denominator, dW_i)
-and X_{i+1}.  Each caller keeps only what it reads: simulate_batch stores every
-state, the greeks pass runs its variational recursion on the records.  A
-Stepper may run K variants of its paths on one noise (theta of K*P rows).
+and X_{i+1}.  A Stepper may run K variants of its P paths as one batch: K
+starts on one noise (theta of K*P rows), or K noise-shifted variants (shifts
+(K, N, m), row k*P + p driven by inc[p] + shifts[k], formed step by step, so
+no shifted copy of the noise is built).
+
+Each caller keeps only what it reads.  simulate_batch stores every state,
+which a path functional such as a Cameron-Martin functional needs; the greeks
+pass and the Gateaux ladder run their variational recursions on the records;
+estimate_sup_moment, stability_ratio and the ladder fold a running sup over
+the records instead of storing paths to take it.
 """
 
 from __future__ import annotations
@@ -166,9 +173,11 @@ class Stepper:
     """The stepping kernel over a batch of paths.
 
     increments: (P, N, m); theta: (d,), (P, d), or (K*P, d) for K variants of
-    the P paths that share their noise (row k*P + p runs path p from
-    theta[k*P + p]).  Iterating runs the N steps in order and yields each
-    step's StepRecord after the divergence tagging; `diverged` and
+    the P paths (row k*P + p runs path p from theta[k*P + p]).  The variants
+    share the noise, or with shifts (K, N, m) variant k runs on the noise
+    shifted by shifts[k]: its step i reads inc[:, i] + shifts[k, i]; theta is
+    then (d,) or (K*P, d).  Iterating runs the N steps in order and yields
+    each step's StepRecord after the divergence tagging; `diverged` and
     `first_bad` (N+1 for a row that never diverged) are final after the last
     step.  `hist` is the noise as the coefficient callbacks read it, one row
     per state.  Iterate once.
@@ -181,15 +190,25 @@ class Stepper:
         increments: np.ndarray,
         theta: np.ndarray,
         scheme: SchemeChoice,
+        shifts: Optional[np.ndarray] = None,
     ):
         inc = np.asarray(increments, dtype=float)
-        P, self.N, _ = inc.shape
+        P, self.N, m = inc.shape
+        K = 1
+        if shifts is not None:
+            shifts = np.asarray(shifts, dtype=float)
+            K = len(shifts)
+            if shifts.shape != (K, self.N, m) or K == 0:
+                raise InvalidParameterError(
+                    f"shifts must have shape (K, {self.N}, {m}), got {shifts.shape}"
+                )
         theta = np.asarray(theta, dtype=float).reshape(-1, field.d)
         if len(theta) == 1:
-            theta = np.broadcast_to(theta, (P, field.d))
-        elif P == 0 or len(theta) % P:
+            theta = np.broadcast_to(theta, (K * P, field.d))
+        elif P == 0 or len(theta) % P or (shifts is not None and len(theta) != K * P):
+            want = "a multiple" if shifts is None else f"{K * P} for {K} shifts"
             raise InvalidParameterError(
-                f"theta has {len(theta)} rows for {P} paths; want 1 or a multiple"
+                f"theta has {len(theta)} rows for {P} paths; want 1 or {want}"
             )
         # NaN fails the <= as well
         if not np.all(np.abs(theta) <= DIVERGENCE_BOUND):
@@ -199,29 +218,34 @@ class Stepper:
         if scheme.kind == IMPLICIT:
             _check_implicit_dt(field, grid)
         self.field, self.grid, self.scheme, self.theta = field, grid, scheme, theta
-        self.variants = len(theta) // P if P else 1
-        self.hist = History(grid, inc, self.variants)
+        self.variants = len(theta) // P if P else K
+        self.hist = History(grid, inc, self.variants, shifts)
         self._inc = inc
+        self._shifts = shifts
         self.diverged = np.zeros(len(theta), dtype=bool)
         self.first_bad = np.full(len(theta), self.N + 1, dtype=np.int64)
 
     def __iter__(self):
         field, scheme, hist = self.field, self.scheme, self.hist
         dt = self.grid.dt
-        diverged, first_bad = self.diverged, self.first_bad
+        diverged, first_bad, shifts = self.diverged, self.first_bad, self._shifts
         any_diverged = False
         x = self.theta.copy()
         for i in range(self.N):
             t = i * dt
             dw = self._inc[:, i]
-            if self.variants > 1:
+            if shifts is not None:
+                # (K, 1, m) + (P, m): row k*P + p is inc[p, i] + shifts[k, i]
+                dw = (shifts[:, i, None] + dw).reshape(-1, dw.shape[1])
+            elif self.variants > 1:
                 dw = np.tile(dw, (self.variants, 1))
             denom = None
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 if scheme.kind == IMPLICIT:
                     sig = field.diffusion(t, hist, x)
-                    y = _newton_solve(field, t + dt, hist, x, dt, scheme, i)
-                    x_next = y + np.einsum("bdm,bm->bd", sig, dw)
+                    # the root Y becomes X_{i+1} = Y + sigma dW in place
+                    x_next = _newton_solve(field, t + dt, hist, x, dt, scheme, i)
+                    x_next += np.einsum("bdm,bm->bd", sig, dw)
                 else:
                     b = field.drift(t, hist, x)
                     sig = field.diffusion(t, hist, x)
@@ -255,12 +279,13 @@ def simulate_batch(
     increments: np.ndarray,
     theta: np.ndarray,
     scheme: SchemeChoice,
+    shifts: Optional[np.ndarray] = None,
 ) -> SimBatch:
     """The Stepper's batch with every state stored.
 
-    increments: (P, N, m); theta: (d,), (P, d) or (K*P, d) as for Stepper.
+    increments: (P, N, m); theta and shifts as for Stepper.
     """
-    run = Stepper(field, grid, increments, theta, scheme)
+    run = Stepper(field, grid, increments, theta, scheme, shifts)
     values = np.empty((len(run.theta), run.N + 1, field.d))
     values[:, 0] = run.theta
     for rec in run:
@@ -285,7 +310,7 @@ def simulate_one(
     check_noise(w, spec.m)
     out = simulate_batch(spec.field, w.grid, w.increments[None], spec.theta0, scheme)
     if out.diverged[0]:
-        raise DivergenceError(out.first_bad[0])
+        raise DivergenceError(out.first_bad[0], w.path_index)
     return out
 
 
@@ -413,8 +438,12 @@ def estimate_sup_moment(
             theta = spec.theta0
         else:
             theta = sample_theta(theta_sampler, spec.d, seed, start, len(inc))
-        out = simulate_batch(spec.field, grid, inc, theta, scheme)
-        return sup_norms(out.values) ** p, out.first_bad
+        run = Stepper(spec.field, grid, inc, theta, scheme)
+        # the running sup_norms of the path, from |theta| at node 0
+        sup = np.linalg.norm(run.theta, axis=-1)
+        for rec in run:
+            np.maximum(sup, np.linalg.norm(rec.x_next, axis=-1), out=sup)
+        return sup ** p, run.first_bad
 
     vals, first_bad = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
     live = live_paths(first_bad, grid.N)
@@ -452,8 +481,9 @@ def stability_ratio(
 ) -> MCEstimate:
     """E[ sup_t |X_xi - X_theta|^p ] / |xi - theta|^p with common random numbers.
 
-    Raises DivergenceError at the earliest step at which either solution of
-    any path diverged."""
+    Both solutions of a chunk's paths run as one stacked batch (rows theta,
+    then xi), and the sup is folded over the steps.  Raises DivergenceError
+    at the earliest step at which either solution of any path diverged."""
     theta = np.asarray(theta, dtype=float).reshape(spec.d)
     xi = np.asarray(xi, dtype=float).reshape(spec.d)
     gap = float(np.linalg.norm(xi - theta))
@@ -461,12 +491,17 @@ def stability_ratio(
         raise InvalidParameterError("theta and xi must differ")
 
     def chunk(inc, start):
-        a = simulate_batch(spec.field, grid, inc, theta, scheme)
-        b = simulate_batch(spec.field, grid, inc, xi, scheme)
+        P = len(inc)
+        starts = np.concatenate([np.broadcast_to(v, (P, spec.d)) for v in (theta, xi)])
+        run = Stepper(spec.field, grid, inc, starts, scheme)
+        sup = np.linalg.norm(run.theta[P:] - run.theta[:P], axis=-1)
         # a diverged path's frozen values may overflow; the run raises below
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = sup_norms(b.values - a.values) ** p
-        return vals, np.minimum(a.first_bad, b.first_bad, out=a.first_bad)
+            for rec in run:
+                x = rec.x_next
+                np.maximum(sup, np.linalg.norm(x[P:] - x[:P], axis=-1), out=sup)
+            vals = sup ** p
+        return vals, run.first_bad.reshape(2, P).min(axis=0)
 
     vals, first_bad = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
     # first_bad is N+1 on paths that never diverged

@@ -58,16 +58,18 @@ class VariationalFactors:
     plus the raw gradients for forcing terms, under the field and scheme of
     `out`: a solved SimBatch, whose step i load(i) rebuilds from the stored
     values, or a running Stepper, whose records a pass hands to take().
+    hist is the noise of the rows handed to take(), when they are not all the
+    rows of out (the base rows of a noise-shifted Stepper).
     """
 
-    def __init__(self, out):
+    def __init__(self, out, hist: Optional[History] = None):
         field = out.field
         if field.grad_drift is None or field.grad_diffusion is None:
             raise MissingGradientsError("model does not supply coefficient gradients")
         self.field = field
         self.out = out
         self.scheme = out.scheme
-        self.hist = out.hist
+        self.hist = out.hist if hist is None else hist
         self.dt = out.grid.dt
         self._eye = np.eye(field.d)
 
@@ -206,7 +208,7 @@ def jacobian(
     # non-finite node, before the Wronskian is blamed
     with np.errstate(over="ignore", invalid="ignore"):
         J, K, D = _jacobian_arrays(out)
-    check_finite_nodes(np.stack([J[0], K[0]], axis=1))
+    check_finite_nodes(np.stack([J[0], K[0]], axis=1), "first variation (J, K)")
     if not np.all(np.isfinite(D[0])) or np.any(D[0] <= 0.0):
         raise DegenerateWronskianError("Wronskian non-positive along the path")
     return JacobianBundle(
@@ -238,13 +240,13 @@ def gateaux_direction(
     return StatePath(grid, spec.d, f)
 
 
-def check_finite_nodes(values: np.ndarray, axis: int = 0):
+def check_finite_nodes(values: np.ndarray, what: str = "state", axis: int = 0):
     """Raise DivergenceError at the first grid node (along axis) at which
-    values holds a non-finite entry."""
+    values holds a non-finite entry; what names the quantity values holds."""
     nodes = np.moveaxis(values, axis, 0).reshape(values.shape[axis], -1)
     bad = ~np.all(np.isfinite(nodes), axis=1)
     if np.any(bad):
-        raise DivergenceError(int(np.argmax(bad)))
+        raise DivergenceError(int(np.argmax(bad)), what=what)
 
 
 def finite_difference_jacobian(
@@ -267,7 +269,7 @@ def finite_difference_jacobian(
         up = simulate_batch(spec.field, grid, w.increments[None], spec.theta0 + bump, scheme)
         dn = simulate_batch(spec.field, grid, w.increments[None], spec.theta0 - bump, scheme)
         if up.diverged[0] or dn.diverged[0]:
-            raise DivergenceError(min(up.first_bad[0], dn.first_bad[0]))
+            raise DivergenceError(min(up.first_bad[0], dn.first_bad[0]), w.path_index)
         fd[:, :, k] = (up.values[0] - dn.values[0]) / (2.0 * eps)
     return fd
 

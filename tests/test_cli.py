@@ -247,7 +247,17 @@ _FAILING_CONFIGS = {
         "jacobian",
         "model = gbm\nmodel.mu = 1e200\nmodel.x0 = 0\ngrid.T = 1\ngrid.N = 3\n",
         2,
-        "state diverged at step 1",
+        "first variation (J, K) diverged at step 1",
+    ),
+    # every Doleans-Dade weight exp(1000 W - 5e5) underflows to 0, so the
+    # identity cannot be checked at this h (the run used to report z = inf)
+    "cm_weights_degenerate": (
+        "cameron-martin",
+        "model = quintic\nmodel.sigma = -1\ngrid.T = 1\ngrid.N = 2\n"
+        "scheme = euler_maruyama\nladder.hdot = 1000\ncm.functional = clipped_sup\n"
+        "n_paths = 4000\n",
+        1,
+        "h is too large to check at this path count",
     ),
     # a start beyond the divergence bound is rejected before any step
     "theta_beyond_bound": (
@@ -277,6 +287,7 @@ def test_library_errors_exit_with_one_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.glob("o/*.csv"))
 
 
 @pytest.mark.parametrize(
@@ -632,10 +643,12 @@ def test_multi_path_simulate_reports_the_first_failing_path(tmp_path, capsys, ca
     assert not (out / "paths.csv").exists()
 
 
-@pytest.mark.parametrize("subcommand", ["cameron-martin", "greeks", "ladder"])
+@pytest.mark.parametrize(
+    "subcommand", ["cameron-martin", "greeks", "ladder", "jacobian", "malliavin"]
+)
 def test_run_with_every_path_diverged_exits_2(tmp_path, capsys, subcommand):
     # every path diverges at step 5, path 0 first: a valid config whose run
-    # fails numerically
+    # fails numerically; the single-path subcommands run path 0 and name it
     body = ("model = ginzburg_landau\nmodel.x0 = 50\ngrid.T = 2\ngrid.N = 8\n"
             "scheme = euler_maruyama\nn_paths = 16\n")
     code, out = _cli(tmp_path, subcommand, body)

@@ -307,3 +307,18 @@ def test_run_chunks_worker_independent():
     b = np.concatenate(run_chunks(work, 5000, workers=4, chunk=256))
     assert np.array_equal(a, b)
     assert chunk_ranges(5000, 256)[-1] == (4864, 136)
+
+
+def test_history_shifts_view_the_shifted_paths():
+    # three noise-shifted variants of 4 paths read what a history of the
+    # separately shifted noise reads
+    g = make_grid(1.0, 8)
+    inc = sample_increments(g, 2, 6, 0, 4)
+    gvals = np.arange(8, dtype=float)
+    shifts = np.array([0.0, 0.5, -0.25])[:, None, None] * np.linspace(0.1, 1.6, 16).reshape(8, 2)
+    stacked = History(g, inc, shifts=shifts)
+    separate = History(g, np.concatenate([inc + s for s in shifts]))
+    assert stacked.B == separate.B == 12 and stacked.variants == 3
+    for view in (lambda h: h.increments, lambda h: h.brownian,
+                 lambda h: h.cum_ito("k", gvals)):
+        assert view(stacked).tobytes() == view(separate).tobytes()

@@ -6,9 +6,9 @@ import pytest
 from monosde import errors
 
 #: Constructor arguments of the error classes that take more than a message;
-#: DivergenceError also without its optional path index.
+#: DivergenceError also without its optional path index, and with a label.
 _ARGS = {
-    errors.DivergenceError: [(3, 5), (4,)],
+    errors.DivergenceError: [(3, 5), (4,), (2, None, "first variation (J, K)")],
     errors.NewtonFailureError: [(7, 71.35, 1e-10)],
 }
 

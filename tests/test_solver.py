@@ -33,7 +33,7 @@ from monosde import (
     stability_ratio,
     zoo_lookup,
 )
-from monosde.core import CHUNK, sample_increments
+from monosde.core import CHUNK, mc_estimate, sample_increments
 from monosde.greeks import BELConfig, _samples, identity_payoff
 from monosde.models import CoefficientField, ModelSpec
 from monosde.solver import (
@@ -744,6 +744,24 @@ def test_single_path_derivative_reports_its_first_bad_node(fn):
     with pytest.raises(DivergenceError) as exc:
         _single_path_calls(bad, sample_noise(g, 1, seed=3))[fn]()
     assert exc.value.step == 6
+    # the message names the derivative that blew up, not the state
+    what = {
+        "malliavin_field": "Malliavin field D_s X",
+        "directional_derivative": "directional derivative D^h X",
+        "gateaux_direction": "state",
+    }[fn]
+    assert str(exc.value) == f"{what} diverged at step 6"
+
+
+@pytest.mark.parametrize("fn", _SINGLE_PATH[:-1])
+def test_single_path_divergence_names_the_noise_path(fn):
+    # GL from x0 = 50 diverges at step 5 on path 3 of the seed under Euler
+    spec = zoo_lookup("ginzburg_landau", {"x0": 50.0})
+    w = sample_noise(make_grid(2.0, 8), 1, seed=0, path_index=3)
+    assert w.path_index == 3
+    with pytest.raises(DivergenceError) as exc:
+        _single_path_calls(spec, w)[fn]()
+    assert (exc.value.step, exc.value.path_index) == (5, 3)
 
 
 #: name -> (spec, T, N) of the stacked-variant checks
@@ -814,3 +832,96 @@ def test_sampled_start_beyond_the_divergence_bound_is_rejected():
     with pytest.raises(InvalidParameterError, match="theta must be finite"):
         estimate_sup_moment(spec, make_grid(1.0, 4), SchemeChoice(TAMED), p=2.0,
                             n_paths=4, seed=1, theta_sampler=sampler)
+
+
+def _shifts(spec, g, scales):
+    """Shifts scale * hdot * dt of the direction hdot(t) = 1 + t per noise
+    column, one per scale: the noise-shifted variants of the ladder."""
+    hdot = np.broadcast_to((1.0 + g.left_times)[:, None], (g.N, spec.m))
+    return np.array([s * (hdot * g.dt) for s in scales])
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_noise_shifted_variants_equal_separate_runs(case, kind):
+    # three noise-shifted variants of 64 paths, the zero shift among them:
+    # each variant's rows are the run on its shifted noise, bit for bit, and
+    # a random-coefficient sigma reads its own row's shifted history
+    make_spec, T, N = STACK_CASES[case]
+    spec = make_spec()
+    g = make_grid(T, N)
+    scheme = SchemeChoice(kind)
+    inc = sample_increments(g, spec.m, 21, 0, 64)
+    shifts = _shifts(spec, g, [0.0, 0.5, 0.125])
+    stacked = simulate_batch(spec.field, g, inc, spec.theta0, scheme, shifts)
+    assert stacked.hist.B == 3 * 64
+    for k, shift in enumerate(shifts):
+        alone = simulate_batch(spec.field, g, inc + shift, spec.theta0, scheme)
+        for name in ("values", "diverged", "first_bad"):
+            part = getattr(stacked, name)[64 * k:64 * (k + 1)]
+            assert part.tobytes() == getattr(alone, name).tobytes()
+    if kind == EULER and case in ("gl_x0_3", "twin_gl"):
+        assert stacked.diverged.any()
+
+
+def test_shifts_take_one_start_or_one_per_row():
+    spec = zoo_lookup("ginzburg_landau")
+    g = make_grid(1.0, 4)
+    inc = sample_increments(g, 1, 1, 0, 4)
+    shifts = _shifts(spec, g, [0.0, 1.0])
+    with pytest.raises(InvalidParameterError, match="4 rows for 4 paths; want 1 or 8"):
+        simulate_batch(spec.field, g, inc, np.ones((4, 1)), SchemeChoice(EULER), shifts)
+    with pytest.raises(InvalidParameterError, match="shifts must have shape"):
+        simulate_batch(spec.field, g, inc, spec.theta0, SchemeChoice(EULER), shifts[:, :3])
+    rows = simulate_batch(spec.field, g, inc, np.ones((8, 1)), SchemeChoice(EULER), shifts)
+    one = simulate_batch(spec.field, g, inc, np.ones(1), SchemeChoice(EULER), shifts)
+    assert rows.values.tobytes() == one.values.tobytes()
+
+
+@pytest.mark.parametrize("case", ["gl_x0_3", "quintic", "twin_gl", "random_sigma"])
+def test_sup_moment_folds_the_stored_sup(case):
+    # the running sup gives the estimate of sup_norms over stored paths
+    make_spec, T, N = STACK_CASES[case]
+    spec = make_spec()
+    g = make_grid(T, N)
+    scheme = SchemeChoice(EULER)
+    out = simulate_batch(spec.field, g, sample_increments(g, spec.m, 21, 0, 300),
+                         spec.theta0, scheme)
+    live = live_paths(out.first_bad, N)
+    # live Euler paths from x0 = 3 reach 3.6e149, whose cube overflows, so
+    # the estimate of both forms is inf with a NaN stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = estimate_sup_moment(spec, g, scheme, p=3.0, n_paths=300, seed=21)
+        want = mc_estimate(np.max(np.linalg.norm(out.values, axis=2), axis=1)[live] ** 3.0)
+    assert rep.n_diverged == np.count_nonzero(~live)
+    assert rep.estimate.mean.tobytes() == want.mean.tobytes()
+    assert rep.estimate.stderr.tobytes() == want.stderr.tobytes()
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stability_ratio_equals_its_separate_runs(case, kind):
+    # theta and xi stepped as one stacked batch give the estimate (or the
+    # earliest divergence) of two separate stored runs
+    make_spec, T, N = STACK_CASES[case]
+    spec = make_spec()
+    g = make_grid(T, N)
+    scheme = SchemeChoice(kind)
+    theta, xi = spec.theta0, spec.theta0 + 0.25
+    inc = sample_increments(g, spec.m, 21, 0, 300)
+    a = simulate_batch(spec.field, g, inc, theta, scheme)
+    b = simulate_batch(spec.field, g, inc, xi, scheme)
+    first_bad = np.minimum(a.first_bad, b.first_bad)
+    if np.any(first_bad <= N):
+        with pytest.raises(DivergenceError) as exc:
+            stability_ratio(spec, g, scheme, theta, xi, 2.0, 300, 21)
+        assert (exc.value.step, exc.value.path_index) == (
+            first_bad.min(), np.argmin(first_bad)
+        )
+        return
+    gap = float(np.linalg.norm(xi - theta))
+    want = mc_estimate(np.max(np.linalg.norm(b.values - a.values, axis=2), axis=1) ** 2.0
+                       / gap**2.0)
+    got = stability_ratio(spec, g, scheme, theta, xi, 2.0, 300, 21)
+    assert got.mean.tobytes() == want.mean.tobytes()
+    assert got.stderr.tobytes() == want.stderr.tobytes()
