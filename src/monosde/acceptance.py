@@ -23,6 +23,7 @@ from .solver import (
     IMPLICIT,
     TAMED,
     SchemeChoice,
+    Stepper,
     run_paths,
     simulate_batch,
     stability_ratio,
@@ -133,8 +134,7 @@ def criterion_03(workers: int = 1) -> CriterionResult:
     for N in (2**10, 2**11, 2**12):
         grid = make_grid(1.0, N)
         inc = sample_increments(grid, 1, seed=103, start=0, count=n_paths)
-        out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
-        J, K, D = _jacobian_arrays(out)
+        J, K, D = _jacobian_arrays(Stepper(spec.field, grid, inc, spec.theta0, scheme))
         positive &= bool(np.all(np.isfinite(D)) and np.all(D > 0.0))
         defect = np.abs(K[:, :, 0, 0] * J[:, :, 0, 0] - 1.0)
         inv_err.append(float(np.mean(np.max(defect, axis=1))))
@@ -169,16 +169,16 @@ def criterion_04(workers: int = 1) -> CriterionResult:
         stride = N // 64
         s_idx = np.arange(0, N + 1, stride)
         inc = sample_increments(grid, 1, seed=104, start=0, count=n_paths)
-        out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
-        J, K, _ = _jacobian_arrays(out)
-        fld = _field_batch(out=out, s_idx=s_idx, t_keep=s_idx)
-        # deterministic coefficients: A(s, t) = sigma(s, X_s) exactly
+        J, K, _ = _jacobian_arrays(Stepper(spec.field, grid, inc, spec.theta0, scheme))
+        fld = _field_batch(
+            out=Stepper(spec.field, grid, inc, spec.theta0, scheme), s_idx=s_idx, t_keep=s_idx
+        )
+        # deterministic coefficients: A(s, t) = sigma(s, X_s) exactly, the
+        # field's value at t = s
         worst = np.zeros(n_paths)
         for pos, sj in enumerate(s_idx):
-            sig = spec.field.diffusion(sj * grid.dt, out.hist, out.values[:, sj])
-            pred = (
-                J[:, s_idx[pos:], 0, 0] * K[:, sj, 0, 0][:, None] * sig[:, 0, 0][:, None]
-            )
+            sig = fld[:, pos, pos, 0, 0]
+            pred = J[:, s_idx[pos:], 0, 0] * K[:, sj, 0, 0][:, None] * sig[:, None]
             got = fld[:, pos, pos:, 0, 0]
             worst = np.maximum(worst, np.max(np.abs(got - pred), axis=1))
         errs.append(float(np.mean(worst)))
@@ -220,8 +220,8 @@ def criterion_05(workers: int = 1) -> CriterionResult:
 
         def chunk(inc, start):
             inc = inc.reshape(len(inc), N, factor, 1).sum(axis=2)
-            out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
-            fld = _field_batch(out=out, s_idx=s_idx, t_keep=fixed)
+            run = Stepper(spec.field, grid, inc, spec.theta0, scheme)
+            fld = _field_batch(out=run, s_idx=s_idx, t_keep=fixed)
             closed = random_sigma_malliavin_lattice(inc, grid, g_vals, s_idx, fixed)
             diff = np.abs(fld[..., 0, 0] - closed)
             err = np.max(diff, axis=(1, 2))

@@ -51,8 +51,6 @@ from .greeks import (
     linear_weight,
     tanh_payoff,
 )
-# Not called here; perfbench/tracer.py wraps these two names in this module.
-from .greeks import bel_gradient, fd_gradient  # noqa: F401
 
 EXPERIMENTS = (
     "simulate",

@@ -23,9 +23,7 @@ import numpy as np
 from .core import CameronMartinPath, NoisePath, StatePath, TimeGrid, format_block
 from .errors import DivergenceError, InvalidParameterError
 from .models import ModelSpec
-from .solver import (
-    EULER, SchemeChoice, SimBatch, StepRecord, Stepper, check_noise, simulate_one,
-)
+from .solver import EULER, PathStepper, SchemeChoice, StepRecord, Stepper
 from .variational import JacobianBundle, VariationalFactors, check_finite_nodes
 
 
@@ -86,22 +84,21 @@ class MalliavinField:
 
 
 def _field_batch(
-    out: SimBatch,
+    out: Stepper,
     s_idx: np.ndarray,
     t_keep: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Batched Malliavin field along solved paths, under their field and scheme.
+    """Batched Malliavin field along the rows of the Stepper out, stepping it.
 
     Returns (B, k, N+1, d, m), or (B, k, len(t_keep), d, m) when t_keep (a
-    sorted array of node indices) restricts which t-columns are stored.
+    sorted array of node indices) restricts which t-columns are stored.  A
+    row s < t_N starts from the sigma its step's record holds; only the row
+    s = t_N evaluates sigma outside the kernel.
     """
-    field, grid = out.field, out.grid
-    B = out.values.shape[0]
-    d, m = field.d, field.m
+    field, hist = out.field, out.hist
+    B, d, m = len(out.theta), field.d, field.m
     k = len(s_idx)
-    N = grid.N
-    dt = grid.dt
-    hist = out.hist
+    N, dt = out.N, out.grid.dt
     use_uv = field.mall_drift is not None or field.mall_diffusion is not None
     s_times = s_idx * dt
 
@@ -118,17 +115,21 @@ def _field_batch(
     vf = VariationalFactors(out)
     active = 0
     cur = np.zeros((B, k, d, m))
-    for i in range(N + 1):
-        t = i * dt
-        # activate rows whose s equals the current node: M_s(s) = sigma(s, X(s))
+
+    def activate(i, sig):
+        # rows whose s is node i start at M_s(s) = sigma(s, X(s)); column i keeps them
+        nonlocal active
         while active < k and s_idx[active] == i:
-            cur[:, active] = field.diffusion(t, hist, out.values[:, i])
+            cur[:, active] = sig
             active += 1
         if col_of[i] >= 0:
             entries[:, :active, col_of[i]] = cur[:, :active]
-        if i == N:
-            break
-        vf.load(i)
+
+    for rec in out:
+        i = rec.i
+        t = i * dt
+        activate(i, rec.sig)
+        vf.take(rec)
         upd = cur[:, :active] + vf.amat[:, None] @ cur[:, :active]
         if use_uv:
             sv = s_times[:active]
@@ -143,6 +144,7 @@ def _field_batch(
                 )
                 upd = upd + np.einsum("bsijk,bj->bsik", v, vf.dw)
         cur[:, :active] = upd
+    activate(N, field.diffusion(N * dt, hist, rec.x_next) if active < k else None)
     return entries
 
 
@@ -154,13 +156,12 @@ def malliavin_field(
 ) -> MalliavinField:
     """Compute D_s X(t) on the (s_lattice x grid) lattice for one noise path,
     on its grid."""
-    grid = w.grid
-    s_idx = _resolve_s_indices(grid, s_stride)
-    out = simulate_one(spec, w, scheme)
+    s_idx = _resolve_s_indices(w.grid, s_stride)
+    run = PathStepper(spec, w, scheme)
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = _field_batch(out=out, s_idx=s_idx)[0]
+        entries = _field_batch(out=run, s_idx=s_idx)[0]
     check_finite_nodes(entries, "Malliavin field D_s X", axis=1)
-    return MalliavinField(grid, s_idx, entries, StatePath(grid, spec.d, out.values[0]))
+    return MalliavinField(w.grid, s_idx, entries, run.path)
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +299,16 @@ def directional_derivative(
 ) -> StatePath:
     """D^h X = int_0^. M_s(.) hdot(s) ds on the noise w, computed as one
     linear SDE stepped along the base path's records."""
-    check_noise(w, spec.m)
     grid = w.grid
     h.check_on(grid, spec.m)
-    run = Stepper(spec.field, grid, w.increments[None], spec.theta0, scheme)
+    run = PathStepper(spec, w, scheme)
     vf = VariationalFactors(run)
     vals = np.zeros((grid.N + 1, spec.d))
     y = np.zeros((1, spec.d))
     with np.errstate(over="ignore", invalid="ignore"):
         for rec in run:
-            if run.diverged[0]:
-                break
             y = directional_step(vf, rec, h, y)
             vals[rec.i + 1] = y[0]
-    if run.diverged[0]:
-        raise DivergenceError(run.first_bad[0], w.path_index)
     check_finite_nodes(vals, "directional derivative D^h X")
     return StatePath(grid, spec.d, vals)
 
@@ -350,5 +346,8 @@ def malliavin_matrix(field: MalliavinField, t_index: int) -> MalliavinMatrix:
     weights[:-1] += 0.5 * gaps
     weights[1:] += 0.5 * gaps
     q = np.einsum("k,kij->ij", weights, outer)
+    if not np.all(np.isfinite(q)):
+        # a finite field whose squares overflow
+        raise DivergenceError(t_index, what="Malliavin matrix Q")
     mineig = float(np.linalg.eigvalsh(q).min())
     return MalliavinMatrix(t_index * dt, q, mineig)

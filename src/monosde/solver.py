@@ -22,10 +22,12 @@ starts on one noise (theta of K*P rows), or K noise-shifted variants (shifts
 no shifted copy of the noise is built).
 
 Each caller keeps only what it reads.  simulate_batch stores every state,
-which a path functional such as a Cameron-Martin functional needs; the greeks
-pass and the Gateaux ladder run their variational recursions on the records;
-estimate_sup_moment, stability_ratio and the ladder fold a running sup over
-the records instead of storing paths to take it.
+which a path functional such as a Cameron-Martin functional needs.  Every
+variational pass reads the records through VariationalFactors.take: J, K, D,
+the Malliavin field, F[h] and D^h X along one PathStepper, the greeks pass and
+the Gateaux ladder along stacked batches.  estimate_sup_moment,
+stability_ratio and the ladder fold a running sup over the records instead of
+storing paths to take it.
 """
 
 from __future__ import annotations
@@ -79,11 +81,9 @@ class SchemeChoice:
 @dataclass
 class SimBatch:
     """Batched simulation output: values (B, N+1, d) with diverged paths frozen
-    at their last finite state from first_bad onward, and the field, scheme
-    and noise (hist) they were solved with."""
+    at their last finite state from first_bad onward, and the noise (hist)
+    they were solved on."""
 
-    field: CoefficientField
-    scheme: SchemeChoice
     grid: TimeGrid
     values: np.ndarray
     diverged: np.ndarray  # (B,) bool
@@ -290,7 +290,7 @@ def simulate_batch(
     values[:, 0] = run.theta
     for rec in run:
         values[:, rec.i + 1] = rec.x_next
-    return SimBatch(field, scheme, grid, values, run.diverged, run.first_bad, run.hist)
+    return SimBatch(grid, values, run.diverged, run.first_bad, run.hist)
 
 
 def check_noise(w: NoisePath, m: int):
@@ -299,19 +299,30 @@ def check_noise(w: NoisePath, m: int):
         raise InvalidParameterError("noise dimension does not match the model")
 
 
-def simulate_one(
-    spec: ModelSpec,
-    w: NoisePath,
-    scheme: SchemeChoice = SchemeChoice(EULER),
-) -> SimBatch:
-    """One path of the base SDE as a batch of one, from spec.theta0 on the
-    noise w and its grid; raises DivergenceError on blow-up.  Another initial
+class PathStepper(Stepper):
+    """The Stepper of every single-path function: one path from spec.theta0
+    on the noise w and its grid.  Iterating keeps its states (`path` once the
+    last step ran) and raises DivergenceError (with w.path_index) in place of
+    the record of the step at which the path diverges.  Another initial
     condition is another spec: dataclasses.replace(spec, theta0=...)."""
-    check_noise(w, spec.m)
-    out = simulate_batch(spec.field, w.grid, w.increments[None], spec.theta0, scheme)
-    if out.diverged[0]:
-        raise DivergenceError(out.first_bad[0], w.path_index)
-    return out
+
+    def __init__(self, spec: ModelSpec, w: NoisePath, scheme: SchemeChoice):
+        check_noise(w, spec.m)
+        super().__init__(spec.field, w.grid, w.increments[None], spec.theta0, scheme)
+        self.path_index = w.path_index
+        self.values = np.empty((self.N + 1, spec.d))
+        self.values[0] = self.theta[0]
+
+    def __iter__(self):
+        for rec in super().__iter__():
+            if self.diverged[0]:
+                raise DivergenceError(self.first_bad[0], self.path_index)
+            self.values[rec.i + 1] = rec.x_next[0]
+            yield rec
+
+    @property
+    def path(self) -> StatePath:
+        return StatePath(self.grid, self.field.d, self.values)
 
 
 def simulate(
@@ -321,8 +332,10 @@ def simulate(
 ) -> StatePath:
     """Simulate one path of the base SDE on the noise w and its grid; raises
     DivergenceError on blow-up."""
-    out = simulate_one(spec, w, scheme)
-    return StatePath(w.grid, spec.d, out.values[0])
+    run = PathStepper(spec, w, scheme)
+    for _ in run:
+        pass
+    return run.path
 
 
 def run_paths(fn, grid: TimeGrid, m: int, seed: int, n_paths: int,
@@ -443,16 +456,25 @@ def estimate_sup_moment(
         sup = np.linalg.norm(run.theta, axis=-1)
         for rec in run:
             np.maximum(sup, np.linalg.norm(rec.x_next, axis=-1), out=sup)
-        return sup ** p, run.first_bad
+        # a path's sup^p may overflow; the estimate below is checked instead
+        with np.errstate(over="ignore"):
+            return sup ** p, run.first_bad
 
     vals, first_bad = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
     live = live_paths(first_bad, grid.N)
     good = vals[live]
-    est = mc_estimate(good)
-
     sizes = [max(2, len(good) // k) for k in (4, 2, 1)]
-    prefix_means = np.array([good[:n].mean() for n in sizes])
-    prefix_se = [good[:n].std(ddof=1) / math.sqrt(n) for n in sizes]
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = mc_estimate(good)
+        prefix_means = np.array([good[:n].mean() for n in sizes])
+        prefix_se = [good[:n].std(ddof=1) / math.sqrt(n) for n in sizes]
+    # the last prefix is every live path, so these cover the estimate too
+    if not np.all(np.isfinite([*prefix_means, *prefix_se])):
+        k = int(np.argmax(np.where(live, vals, -np.inf)))
+        raise InvalidParameterError(
+            f"E[sup |X|^p] at p = {p:g} is out of floating-point range: "
+            f"path {k} has sup |X|^p = {vals[k]:.3g}"
+        )
     grows = [
         prefix_means[i + 1] - prefix_means[i] > math.hypot(prefix_se[i], prefix_se[i + 1])
         for i in range(2)

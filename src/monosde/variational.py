@@ -38,8 +38,7 @@ from .errors import (
 )
 from .models import CoefficientField, ModelSpec, probe_assumptions, uniform_sampler
 from .solver import (
-    EULER, TAMED, SchemeChoice, SimBatch, StepRecord, check_noise, simulate,
-    simulate_batch, simulate_one, tamed_denominator,
+    EULER, TAMED, PathStepper, SchemeChoice, StepRecord, Stepper, check_noise, simulate,
 )
 
 
@@ -49,43 +48,27 @@ from .solver import (
 
 
 class VariationalFactors:
-    """Builds the per-step matrices of the linearized flow along a batch.
+    """Builds the per-step matrices of the linearized flow along the rows of a
+    running Stepper, from the StepRecords a pass hands to take().
 
     For step i (state X_i, increment dW_i) it provides
         dmat: treated drift matrix (B, d, d)
         smat: sum_j grad_sigma^j(X_i) dW_i^j as a (B, d, d) matrix
         amat: dmat + smat (the one-step flow is I + amat)
     plus the raw gradients for forcing terms, under the field and scheme of
-    `out`: a solved SimBatch, whose step i load(i) rebuilds from the stored
-    values, or a running Stepper, whose records a pass hands to take().
-    hist is the noise of the rows handed to take(), when they are not all the
-    rows of out (the base rows of a noise-shifted Stepper).
+    run.  hist is the noise of the rows handed to take(), when they are not
+    all the rows of run (the base rows of a noise-shifted Stepper).
     """
 
-    def __init__(self, out, hist: Optional[History] = None):
-        field = out.field
+    def __init__(self, run: Stepper, hist: Optional[History] = None):
+        field = run.field
         if field.grad_drift is None or field.grad_diffusion is None:
             raise MissingGradientsError("model does not supply coefficient gradients")
         self.field = field
-        self.out = out
-        self.scheme = out.scheme
-        self.hist = out.hist if hist is None else hist
-        self.dt = out.grid.dt
+        self.scheme = run.scheme
+        self.hist = run.hist if hist is None else hist
+        self.dt = run.grid.dt
         self._eye = np.eye(field.d)
-
-    def load(self, i: int):
-        """Take step i of the stored batch, re-evaluating sigma (and for
-        tamed_euler the drift) at its values; call once per step in order."""
-        field, dt, values = self.field, self.dt, self.out.values
-        t = i * dt
-        x = values[:, i]
-        denom = None
-        if self.scheme.kind == TAMED:
-            denom = tamed_denominator(field.drift(t, self.hist, x), dt)
-        self.take(StepRecord(
-            i, x, field.diffusion(t, self.hist, x), denom,
-            self.hist.increments[:, i], values[:, i + 1],
-        ))
 
     def take(self, rec: StepRecord):
         """The factors of the step the record holds, reading its sigma and
@@ -175,21 +158,21 @@ class JacobianBundle:
         return self.J[t_idx] @ self.K[s_idx]
 
 
-def _jacobian_arrays(out: SimBatch):
-    """Batched J, K (B, N+1, d, d) and D (B, N+1) along solved paths."""
-    B = out.values.shape[0]
-    N = out.grid.N
-    d = out.field.d
+def _jacobian_arrays(run: Stepper):
+    """Batched J, K (B, N+1, d, d) and D (B, N+1) along the rows of run,
+    stepping it."""
+    B, d = run.theta.shape
+    N = run.N
     eye = np.eye(d)
     J = np.empty((B, N + 1, d, d))
     K = np.empty((B, N + 1, d, d))
     logD = np.empty((B, N + 1))
-    J[:, 0] = eye
-    K[:, 0] = eye
+    J[:, 0] = K[:, 0] = eye
     logD[:, 0] = 0.0
-    vf = VariationalFactors(out)
-    for i in range(N):
-        vf.load(i)
+    vf = VariationalFactors(run)
+    for rec in run:
+        i = rec.i
+        vf.take(rec)
         J[:, i + 1] = J[:, i] + vf.amat @ J[:, i]
         K[:, i + 1] = K[:, i] @ vf.inverse_factor()
         logD[:, i + 1] = logD[:, i] + vf.wronskian_increment()
@@ -203,17 +186,15 @@ def jacobian(
 ) -> JacobianBundle:
     """Solve the base SDE and its first-variation system on one noise path
     and its grid."""
-    out = simulate_one(spec, w, scheme)
+    run = PathStepper(spec, w, scheme)
     # J and K may overflow on a finite path: raise at their first
     # non-finite node, before the Wronskian is blamed
     with np.errstate(over="ignore", invalid="ignore"):
-        J, K, D = _jacobian_arrays(out)
+        J, K, D = _jacobian_arrays(run)
     check_finite_nodes(np.stack([J[0], K[0]], axis=1), "first variation (J, K)")
     if not np.all(np.isfinite(D[0])) or np.any(D[0] <= 0.0):
         raise DegenerateWronskianError("Wronskian non-positive along the path")
-    return JacobianBundle(
-        spec, out.hist, J[0], K[0], D[0], StatePath(w.grid, spec.d, out.values[0])
-    )
+    return JacobianBundle(spec, run.hist, J[0], K[0], D[0], run.path)
 
 
 def gateaux_direction(
@@ -225,22 +206,21 @@ def gateaux_direction(
     """The parametric Gateaux direction F(t)[h]: the linear SDE with initial
     value h driven along the base path on w; equals J(t) h up to rounding."""
     h = np.asarray(h, dtype=float).reshape(spec.d)
-    grid = w.grid
-    out = simulate_one(spec, w, scheme)
-    vf = VariationalFactors(out)
-    f = np.empty((grid.N + 1, spec.d))
+    run = PathStepper(spec, w, scheme)
+    vf = VariationalFactors(run)
+    f = np.empty((run.N + 1, spec.d))
     f[0] = h
-    cur = np.broadcast_to(h, (1, spec.d)).copy()
+    cur = h[None]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.N):
-            vf.load(i)
+        for rec in run:
+            vf.take(rec)
             cur = cur + np.einsum("bij,bj->bi", vf.amat, cur)
-            f[i + 1] = cur[0]
-    check_finite_nodes(f)
-    return StatePath(grid, spec.d, f)
+            f[rec.i + 1] = cur[0]
+    check_finite_nodes(f, "Gateaux direction F[h]")
+    return StatePath(w.grid, spec.d, f)
 
 
-def check_finite_nodes(values: np.ndarray, what: str = "state", axis: int = 0):
+def check_finite_nodes(values: np.ndarray, what: str, axis: int = 0):
     """Raise DivergenceError at the first grid node (along axis) at which
     values holds a non-finite entry; what names the quantity values holds."""
     nodes = np.moveaxis(values, axis, 0).reshape(values.shape[axis], -1)
@@ -257,21 +237,21 @@ def finite_difference_jacobian(
 ) -> np.ndarray:
     """Central-difference flow derivative (X_{x+eps e_k} - X_{x-eps e_k}) / 2 eps
     at x = spec.theta0, per basis direction on the common noise w; shape
-    (N+1, d, d)."""
+    (N+1, d, d).  The 2d starts x +- eps e_k run as one stacked Stepper."""
     if not (eps > 0):
         raise InvalidParameterError("eps must be > 0")
     check_noise(w, spec.m)
-    grid, d = w.grid, spec.d
-    fd = np.empty((grid.N + 1, d, d))
-    for k in range(d):
-        bump = np.zeros(d)
-        bump[k] = eps
-        up = simulate_batch(spec.field, grid, w.increments[None], spec.theta0 + bump, scheme)
-        dn = simulate_batch(spec.field, grid, w.increments[None], spec.theta0 - bump, scheme)
-        if up.diverged[0] or dn.diverged[0]:
-            raise DivergenceError(min(up.first_bad[0], dn.first_bad[0]), w.path_index)
-        fd[:, :, k] = (up.values[0] - dn.values[0]) / (2.0 * eps)
-    return fd
+    d = spec.d
+    # rows k and d + k start from x + eps e_k and x - eps e_k
+    bumps = np.concatenate([np.eye(d), -np.eye(d)]) * eps
+    run = Stepper(spec.field, w.grid, w.increments[None], spec.theta0 + bumps, scheme)
+    x = np.empty((run.N + 1, 2 * d, d))
+    x[0] = run.theta
+    for rec in run:
+        if run.diverged.any():
+            raise DivergenceError(run.first_bad.min(), w.path_index)
+        x[rec.i + 1] = rec.x_next
+    return ((x[:, :d] - x[:, d:]) / (2.0 * eps)).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
+import contextlib
 import hashlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -535,71 +540,102 @@ def _cli(tmp_path, subcommand, body, workers=1):
 
 
 _GL = "model = ginzburg_landau\ngrid.T = 1\n"
+_GBM = "model = gbm\ngrid.T = 1\n"
 
 #: sha256 of artifacts as the row-by-row writers wrote them: paths per
 #: scheme, 1025 tamed paths (past the 1024-path chunk boundary), the
 #: Malliavin field at two strides, and the Jacobian per scheme; then the
-#: greeks (BEL weights and FD) and the Gateaux ladder (D^h X) per scheme.
+#: greeks (BEL weights and FD) and the Gateaux ladder (D^h X) per scheme;
+#: then the field under the other two schemes and on the random-sigma
+#: model (its U and V forcings, t_N off the s-lattice), and the gbm Jacobian per
+#: scheme (multiplicative noise: a non-zero S and the Wronskian's
+#: realized-QV term).
 _PINNED = {
     "paths_euler": (
-        "simulate", "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 3\n",
+        "simulate", _GL + "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 3\n",
         "paths.csv", "5cf857b6db97708dad410183227ff98d256690bcc3996ed5b7d70710026244ac",
     ),
     "paths_tamed": (
-        "simulate", "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 3\n",
+        "simulate", _GL + "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 3\n",
         "paths.csv", "091c2feb02330e5cd432470b8f82a22fd030a16dacf2df67a0cedf3e90bf06b9",
     ),
     "paths_implicit": (
-        "simulate", "grid.N = 64\nscheme = split_step_implicit\nseed = 5\nn_paths = 3\n",
+        "simulate", _GL + "grid.N = 64\nscheme = split_step_implicit\nseed = 5\nn_paths = 3\n",
         "paths.csv", "facd734a787a55bdd086d6746707fc291494b64d52944dd7fc84d47db4c4713b",
     ),
     "paths_tamed_1025": (
-        "simulate", "grid.N = 4\nscheme = tamed_euler\nseed = 3\nn_paths = 1025\n",
+        "simulate", _GL + "grid.N = 4\nscheme = tamed_euler\nseed = 3\nn_paths = 1025\n",
         "paths.csv", "3f95c6b8beb4200a4519dbf1f9d495bae663089cbc61ce0dc9ecd33c03c0c8c8",
     ),
     "field_stride_1": (
-        "malliavin", "grid.N = 64\nscheme = tamed_euler\nseed = 9\nmalliavin.s_stride = 1\n",
+        "malliavin", _GL + "grid.N = 64\nscheme = tamed_euler\nseed = 9\nmalliavin.s_stride = 1\n",
         "malliavin_field.csv", "9c22d1294a50b22fba3e4f313c9712134b8651173cfd6aad84046b33b8891b47",
     ),
     "field_stride_8": (
-        "malliavin", "grid.N = 64\nscheme = tamed_euler\nseed = 9\nmalliavin.s_stride = 8\n",
+        "malliavin", _GL + "grid.N = 64\nscheme = tamed_euler\nseed = 9\nmalliavin.s_stride = 8\n",
         "malliavin_field.csv", "803bd146f6dbab650b93dfb61288e4724cdd08f3ddf0c7fa34e2b7067640eec1",
     ),
     "jacobian_euler": (
-        "jacobian", "grid.N = 64\nscheme = euler_maruyama\nseed = 9\n",
+        "jacobian", _GL + "grid.N = 64\nscheme = euler_maruyama\nseed = 9\n",
         "jacobian.csv", "312affbddca3f9990b4d47a55035e8c80154793b8ce6e5dd7945341555941cf7",
     ),
     "jacobian_tamed": (
-        "jacobian", "grid.N = 64\nscheme = tamed_euler\nseed = 9\n",
+        "jacobian", _GL + "grid.N = 64\nscheme = tamed_euler\nseed = 9\n",
         "jacobian.csv", "ae7b19ae3255431b14d636507ddab58ba39b3031ee74fa5a6bdb809c68c438e0",
     ),
     "jacobian_implicit": (
-        "jacobian", "grid.N = 64\nscheme = split_step_implicit\nseed = 9\n",
+        "jacobian", _GL + "grid.N = 64\nscheme = split_step_implicit\nseed = 9\n",
         "jacobian.csv", "f166d3392f5ba7d6fcbf5f3e50b27a469b6dd3d083d2ec47d92838b6fd3f205d",
     ),
     "greeks_euler": (
-        "greeks", "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 64\n",
+        "greeks", _GL + "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 64\n",
         "greeks.csv", "55931bf612c42ca4446e11f857220aa3e0279749ca5a01ab0682db954eb9dd0f",
     ),
     "greeks_tamed": (
-        "greeks", "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 64\n",
+        "greeks", _GL + "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 64\n",
         "greeks.csv", "7d1338c1b98b8baf4279e8bfbf5a4b8b0a1060b96f72b1968bd9a0c908faf7a2",
     ),
     "greeks_implicit": (
-        "greeks", "grid.N = 64\nscheme = split_step_implicit\nseed = 5\nn_paths = 64\n",
+        "greeks", _GL + "grid.N = 64\nscheme = split_step_implicit\nseed = 5\nn_paths = 64\n",
         "greeks.csv", "d9d3c7d2e31797a44def5c43b09ac1fa4fc7271c4fb53bd99b1d283742d1eca3",
     ),
     "ladder_euler": (
-        "ladder", "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 64\n",
+        "ladder", _GL + "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 64\n",
         "ladder.csv", "5b2e392ea6e8bf2046de5c4c77968cbf9e7c86de2314558909bf4eb06e115826",
     ),
     "ladder_tamed": (
-        "ladder", "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 64\n",
+        "ladder", _GL + "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 64\n",
         "ladder.csv", "e558ec44fc335ef7e3db2e597ad7fa7daa8719c15a599f1aa1256e48766f385b",
     ),
     "ladder_implicit": (
-        "ladder", "grid.N = 64\nscheme = split_step_implicit\nseed = 5\nn_paths = 64\n",
+        "ladder", _GL + "grid.N = 64\nscheme = split_step_implicit\nseed = 5\nn_paths = 64\n",
         "ladder.csv", "5526f9a1ed23b4f9a51d96f40523d1ead3fe5f4e648e186b2075f39eb63d5b95",
+    ),
+    "field_euler": (
+        "malliavin", _GL + "grid.N = 64\nscheme = euler_maruyama\nseed = 9\nmalliavin.s_stride = 8\n",
+        "malliavin_field.csv", "4b14d4143ae6333bb63c49d0e41144b02234d0b0b4bf8f605ddd22363661ef2e",
+    ),
+    "field_implicit": (
+        "malliavin", _GL + "grid.N = 64\nscheme = split_step_implicit\nseed = 9\nmalliavin.s_stride = 8\n",
+        "malliavin_field.csv", "cbe59b78e8e937a9e8b6a56c3c33eab8e6fea390988c6a6d5bc505eb8b23f8ec",
+    ),
+    "field_random_sigma": (
+        "malliavin",
+        "model = random_sigma_example\ngrid.T = 1\ngrid.N = 64\nscheme = euler_maruyama\n"
+        "seed = 9\nmalliavin.s_stride = 5\n",
+        "malliavin_field.csv", "983d0f74b2b9d71468b60595f44951798a4a27e4e7ffeba66d37c96699b5f384",
+    ),
+    "jacobian_gbm_euler": (
+        "jacobian", _GBM + "grid.N = 64\nscheme = euler_maruyama\nseed = 9\n",
+        "jacobian.csv", "5f8adf099865fbc9fe00a62705627c5748f9facb7ebc8a9535ede1c0fd78cf64",
+    ),
+    "jacobian_gbm_tamed": (
+        "jacobian", _GBM + "grid.N = 64\nscheme = tamed_euler\nseed = 9\n",
+        "jacobian.csv", "83d9bde21de4c75577c11359a2808c81bb55eb875a5ce7a2b45f11f74047d5d0",
+    ),
+    "jacobian_gbm_implicit": (
+        "jacobian", _GBM + "grid.N = 64\nscheme = split_step_implicit\nseed = 9\n",
+        "jacobian.csv", "4ea5a9fc98eeb7407d136111c80fcb400969a597aa14afd06cbae8dd0896c1cc",
     ),
 }
 
@@ -608,7 +644,7 @@ _PINNED = {
 @pytest.mark.parametrize("case", sorted(_PINNED))
 def test_artifact_bytes_are_pinned(tmp_path, case, workers):
     subcommand, body, name, digest = _PINNED[case]
-    code, out = _cli(tmp_path, subcommand, _GL + body, workers)
+    code, out = _cli(tmp_path, subcommand, body, workers)
     assert code == 0
     data = (out / name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
@@ -657,6 +693,17 @@ def test_run_with_every_path_diverged_exits_2(tmp_path, capsys, subcommand):
     assert not list(out.glob("*.csv"))
 
 
+def test_malliavin_matrix_out_of_range_exits_2(tmp_path, capsys):
+    # g = 1e158 makes sigma(t_1) about 1e155: the field is finite, but Q(t_1)
+    # overflows, and the run must not write Q = inf
+    body = ("model = random_sigma_example\nmodel.g_low = 1e158\nmodel.g_high = 1e158\n"
+            "grid.T = 1e-6\ngrid.N = 1\nscheme = euler_maruyama\nmalliavin.s_stride = 1\n")
+    code, out = _cli(tmp_path, "malliavin", body)
+    assert code == 2
+    assert capsys.readouterr().err == "error: Malliavin matrix Q diverged at step 1\n"
+    assert not list(out.iterdir())
+
+
 def test_failing_malliavin_run_writes_no_file(tmp_path, capsys):
     # a one-row s-lattice has no Malliavin matrix; the field is not written either
     body = "model = ou\ngrid.T = 1\ngrid.N = 4\nmalliavin.s_stride = 8\n"
@@ -680,3 +727,51 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "ref")]) == 0
     assert (out / "paths.csv").read_bytes() == (tmp_path / "ref" / "paths.csv").read_bytes()
+
+
+#: parameter values at the edges of what a config accepts
+_EXTREME = (-1e300, -1e6, -50.0, -1.0, -0.0, 1e-300, 1e-9, 0.5, 1.0, 3.0, 50.0, 1e6, 1e300)
+_NON_FINITE = re.compile(r"(?i)(?<![a-z])(nan|inf)(?![a-z])")
+
+
+@st.composite
+def _contract_configs(draw, model, scheme):
+    """A config body of a single-path subcommand on model under scheme, with
+    N <= 16 and extreme model.* values; (subcommand, body)."""
+    subcommand = draw(st.sampled_from(("simulate", "jacobian", "malliavin")))
+    values = st.one_of(st.sampled_from(_EXTREME), st.floats(allow_nan=False, allow_infinity=False))
+    params = draw(st.dictionaries(st.sampled_from(sorted(zoo_lookup(model).params)), values))
+    lines = [
+        f"model = {model}", f"scheme = {scheme}",
+        f"grid.T = {draw(st.sampled_from((1e-6, 1.0, 2.0, 1e3)))!r}",
+        f"grid.N = {draw(st.integers(1, 16))}", f"seed = {draw(st.integers(0, 99))}",
+        f"n_paths = {draw(st.integers(1, 4))}",
+        f"malliavin.s_stride = {draw(st.integers(1, 20))}",
+    ] + [f"model.{k} = {v!r}" for k, v in params.items()]
+    return subcommand, "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("scheme", sorted(cli.SCHEMES))
+@pytest.mark.parametrize("model", cli.ZOO_NAMES)
+@settings(max_examples=2, deadline=None, database=None)
+@given(data=st.data())
+def test_single_path_runs_keep_the_error_contract(model, scheme, data):
+    # exit 0, 1 or 2; at most one error line and never a traceback; no
+    # warning; no non-finite number in an artifact of a successful run
+    subcommand, body = data.draw(_contract_configs(model, scheme))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        conf = os.path.join(tmp, "run.conf")
+        with open(conf, "w") as fh:
+            fh.write(f"schema_version = 1\nexperiment = {subcommand}\n{body}")
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stderr(err):
+            code = main([subcommand, "--config", conf, "--out", out])
+        assert code in (0, 1, 2)
+        assert not caught, [str(w.message) for w in caught]
+        assert err.getvalue() == "" or re.fullmatch(r"(config )?error: [^\n]+\n", err.getvalue())
+        if code == 0:
+            for name in os.listdir(out):
+                with open(os.path.join(out, name)) as fh:
+                    assert not _NON_FINITE.search(fh.read()), name

@@ -28,9 +28,8 @@ from monosde.models import CoefficientField, ModelSpec
 from monosde.solver import (
     EULER, IMPLICIT, SCHEMES, TAMED, SchemeChoice, live_paths, simulate_batch,
 )
-from monosde.variational import VariationalFactors
 from test_solver import STACK_CASES
-from test_variational import _twin_ginzburg_landau
+from test_variational import _twin_ginzburg_landau, stored_factors, stored_records
 
 
 def test_skorokhod_zero_integrand():
@@ -345,18 +344,18 @@ def test_bel_d2_reports_the_first_singular_step(scales, message):
 
 def _stored_samples(spec, g, scheme, payoff, a, eps, inc):
     """BEL and FD samples of one chunk from separate stored runs: the BEL
-    weights by the load(i) recursion over the base values, FD from one run
-    per bumped start."""
+    weights by the recursion over the records rebuilt from the base values,
+    FD from one run per bumped start."""
     d, N = spec.d, g.N
     samples = []
     if a is not None:
-        out = simulate_batch(spec.field, g, inc, spec.theta0, scheme)
-        vf = VariationalFactors(out)
+        out, vf = stored_factors(spec.field, g, inc, spec.theta0, scheme)
         J = np.broadcast_to(np.eye(d), (len(inc), d, d)).copy()
         wstar = np.zeros((len(inc), d))
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(N):
-                vf.load(i)
+            for rec in stored_records(vf, out):
+                i = rec.i
+                vf.take(rec)
                 siginv_j = J / vf.sig if d == 1 else np.linalg.solve(vf.sig, J)
                 wstar = wstar + a[i] * np.einsum(
                     "bdm,bm->bd", siginv_j.transpose(0, 2, 1), vf.dw

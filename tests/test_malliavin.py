@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from monosde import (
 )
 from monosde.core import StatePath
 from monosde.malliavin import MalliavinField
-from monosde.solver import EULER, TAMED, SchemeChoice
+from monosde.solver import EULER, IMPLICIT, TAMED, SchemeChoice
 
 
 def test_ou_field_matches_closed_form():
@@ -277,3 +278,38 @@ def test_field_csv_export_matches_a_row_by_row_writer(tmp_path):
                         v = entries[pos, ti, a, b]
                         wr.writerow([f"{sj * g.dt:.17g}", f"{ti * g.dt:.17g}", a, b, f"{v:.17g}"])
     assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _counting(spec, counts):
+    """spec whose drift and diffusion callbacks count their calls in counts."""
+    def counted(name):
+        fn = getattr(spec.field, name)
+
+        def call(t, hist, x):
+            counts[name] += 1
+            return fn(t, hist, x)
+
+        return call
+
+    return replace(spec, field=replace(
+        spec.field, drift=counted("drift"), diffusion=counted("diffusion")
+    ))
+
+
+@pytest.mark.parametrize("stride, sigma_rows", [(8, 1), (5, 0)])
+def test_field_evaluates_the_coefficients_once_per_step(stride, sigma_rows):
+    # the pass reads sigma and the tamed drift from the kernel's records; only
+    # the row s = t_N, when t_N is on the s-lattice, evaluates sigma again
+    counts = dict(drift=0, diffusion=0)
+    g = make_grid(1.0, 64)
+    spec = _counting(zoo_lookup("ginzburg_landau"), counts)
+    malliavin_field(spec, sample_noise(g, 1, seed=9), SchemeChoice(TAMED), s_stride=stride)
+    assert counts == dict(drift=g.N, diffusion=g.N + sigma_rows)
+
+
+def test_implicit_jacobian_evaluates_sigma_once_per_step():
+    counts = dict(drift=0, diffusion=0)
+    g = make_grid(1.0, 64)
+    spec = _counting(zoo_lookup("ginzburg_landau"), counts)
+    jacobian(spec, sample_noise(g, 1, seed=9), SchemeChoice(IMPLICIT))
+    assert counts["diffusion"] == g.N

@@ -26,8 +26,8 @@ from monosde.shiftlab import _ladder_samples, _log_dd
 from monosde.solver import (
     EULER, IMPLICIT, SCHEMES, TAMED, SchemeChoice, live_paths, simulate_batch, sup_norms,
 )
-from monosde.variational import VariationalFactors
 from test_solver import STACK_CASES
+from test_variational import stored_factors, stored_records
 
 
 def test_doleans_dade_zero_direction():
@@ -207,21 +207,21 @@ def test_gronwall_shadow_raises_on_divergence():
             gronwall_shadow([0.1, 50.0], [0.5], make_grid(1.0, 8), 64, 3)
 
 
-def _stored_directional(out, h):
-    """D^h X (B, N+1, d) along the stored paths of out, stepped with load(i)
-    and the unshifted increments: the ladder's D^h X before it read the
-    kernel's step records."""
-    field, grid = out.field, out.grid
+def _stored_directional(out, vf, h):
+    """D^h X (B, N+1, d) along the stored paths of out, stepped on the records
+    rebuilt from its values (vf from stored_factors) and the unshifted
+    increments: the ladder's D^h X before it read the kernel's step records."""
+    field, grid = vf.field, out.grid
     B, d, m = out.values.shape[0], field.d, field.m
     N, dt = grid.N, grid.dt
     hist, hd = out.hist, h.density
     vals = np.zeros((B, N + 1, d))
     y = np.zeros((B, d))
-    vf = VariationalFactors(out)
     left = grid.left_times
-    for i in range(N):
+    for rec in stored_records(vf, out):
+        i = rec.i
         t = i * dt
-        vf.load(i)
+        vf.take(rec)
         force_dt = np.einsum("bdm,m->bd", vf.sig, hd[i]) * dt
         if field.mall_drift is not None and i > 0:
             u = np.asarray(field.mall_drift(left[:i], t, hist), dtype=float)
@@ -241,11 +241,11 @@ def _stored_directional(out, h):
 def _stored_ladder(spec, g, scheme, h, eps, inc):
     """Per-path Delta_eps and first_bad from separate stored runs on
     inc + eps h dt."""
-    base = simulate_batch(spec.field, g, inc, spec.theta0, scheme)
+    base, vf = stored_factors(spec.field, g, inc, spec.theta0, scheme)
     errs = np.empty((len(inc), len(eps)))
     first_bad = np.empty((len(inc), len(eps)), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
-        dh = _stored_directional(base, h)
+        dh = _stored_directional(base, vf, h)
         for a, e in enumerate(eps):
             bumped = simulate_batch(
                 spec.field, g, inc + e * (h.density * g.dt), spec.theta0, scheme

@@ -37,6 +37,7 @@ from monosde.core import CHUNK, mc_estimate, sample_increments
 from monosde.greeks import BELConfig, _samples, identity_payoff
 from monosde.models import CoefficientField, ModelSpec
 from monosde.solver import (
+    DIVERGENCE_BOUND,
     EULER,
     IMPLICIT,
     SCHEMES,
@@ -45,6 +46,7 @@ from monosde.solver import (
     live_paths,
     run_paths,
     simulate_batch,
+    sup_norms,
 )
 from test_variational import _twin_ginzburg_landau
 
@@ -748,7 +750,7 @@ def test_single_path_derivative_reports_its_first_bad_node(fn):
     what = {
         "malliavin_field": "Malliavin field D_s X",
         "directional_derivative": "directional derivative D^h X",
-        "gateaux_direction": "state",
+        "gateaux_direction": "Gateaux direction F[h]",
     }[fn]
     assert str(exc.value) == f"{what} diverged at step 6"
 
@@ -888,14 +890,35 @@ def test_sup_moment_folds_the_stored_sup(case):
     out = simulate_batch(spec.field, g, sample_increments(g, spec.m, 21, 0, 300),
                          spec.theta0, scheme)
     live = live_paths(out.first_bad, N)
-    # live Euler paths from x0 = 3 reach 3.6e149, whose cube overflows, so
-    # the estimate of both forms is inf with a NaN stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = estimate_sup_moment(spec, g, scheme, p=3.0, n_paths=300, seed=21)
         want = mc_estimate(np.max(np.linalg.norm(out.values, axis=2), axis=1)[live] ** 3.0)
+    if not np.all(np.isfinite([*want.mean, *want.stderr])):
+        # live Euler paths from x0 = 3 reach 3.6e149, whose cube overflows
+        with pytest.raises(InvalidParameterError, match="out of floating-point range"):
+            estimate_sup_moment(spec, g, scheme, p=3.0, n_paths=300, seed=21)
+        return
+    rep = estimate_sup_moment(spec, g, scheme, p=3.0, n_paths=300, seed=21)
     assert rep.n_diverged == np.count_nonzero(~live)
     assert rep.estimate.mean.tobytes() == want.mean.tobytes()
     assert rep.estimate.stderr.tobytes() == want.stderr.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_sup_moment_out_of_range_names_the_path_and_p():
+    # a live Euler path from x0 = 3 reaches a sup whose cube overflows: the
+    # estimate is refused, quietly, naming the path with the largest sup
+    spec = zoo_lookup("ginzburg_landau", {"x0": 3.0})
+    g = make_grid(2.0, 8)
+    scheme = SchemeChoice(EULER)
+    out = simulate_batch(spec.field, g, sample_increments(g, 1, 21, 0, 300), spec.theta0, scheme)
+    sups = np.where(out.diverged, -np.inf, sup_norms(out.values))
+    k = int(np.argmax(sups))
+    assert np.cbrt(np.finfo(float).max) < sups[k] <= DIVERGENCE_BOUND
+    with pytest.raises(InvalidParameterError) as exc:
+        estimate_sup_moment(spec, g, scheme, p=3.0, n_paths=300, seed=21)
+    assert str(exc.value) == (
+        f"E[sup |X|^p] at p = 3 is out of floating-point range: path {k} has sup |X|^p = inf"
+    )
 
 
 @pytest.mark.parametrize("kind", SCHEMES)

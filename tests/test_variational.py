@@ -17,9 +17,36 @@ from monosde import (
     zoo_lookup,
 )
 from monosde.core import sample_increments
-from monosde.models import CoefficientField
-from monosde.solver import EULER, IMPLICIT, TAMED, SchemeChoice, simulate_batch
+from monosde.models import CoefficientField, ModelSpec
+from monosde.solver import (
+    EULER, IMPLICIT, TAMED, SchemeChoice, StepRecord, Stepper, simulate_batch,
+    tamed_denominator,
+)
 from monosde.variational import VariationalFactors
+
+
+def stored_records(vf, out):
+    """The StepRecords of the stored batch out, rebuilt from its values with
+    sigma (and for tamed_euler the drift's denominator) evaluated again at
+    them under the field and scheme of vf: the stored-batch reference for
+    the kernel's records."""
+    field, g, hist, values = vf.field, out.grid, out.hist, out.values
+    for i in range(g.N):
+        t, x = i * g.dt, values[:, i]
+        denom = None
+        if vf.scheme.kind == TAMED:
+            denom = tamed_denominator(field.drift(t, hist, x), g.dt)
+        yield StepRecord(
+            i, x, field.diffusion(t, hist, x), denom, hist.increments[:, i], values[:, i + 1]
+        )
+
+
+def stored_factors(field, g, inc, theta, scheme):
+    """The stored batch of field on inc from theta, and VariationalFactors
+    that read its stored_records: built on a Stepper of the same batch that
+    is never stepped."""
+    out = simulate_batch(field, g, inc, theta, scheme)
+    return out, VariationalFactors(Stepper(field, g, inc, theta, scheme))
 
 
 def test_gbm_jacobian_is_scaled_state():
@@ -208,6 +235,35 @@ def test_finite_difference_ladder_on_gl():
     assert errs[2] < errs[1]
 
 
+def _separate_fd(spec, w, scheme, eps):
+    """finite_difference_jacobian as two separate stored runs per direction."""
+    d = spec.d
+    fd = np.empty((w.grid.N + 1, d, d))
+    for k in range(d):
+        bump = np.zeros(d)
+        bump[k] = eps
+        up = simulate_batch(spec.field, w.grid, w.increments[None], spec.theta0 + bump, scheme)
+        dn = simulate_batch(spec.field, w.grid, w.increments[None], spec.theta0 - bump, scheme)
+        fd[:, :, k] = (up.values[0] - dn.values[0]) / (2.0 * eps)
+    return fd
+
+
+@pytest.mark.parametrize("kind", [EULER, TAMED, IMPLICIT])
+@pytest.mark.parametrize("model", ["gl", "twin_gl"])
+def test_finite_difference_stacked_equals_separate_runs(model, kind):
+    # the 2d bumped starts stepped as one stacked batch give the central
+    # differences of separate runs per direction, bit for bit
+    if model == "gl":
+        spec = zoo_lookup("ginzburg_landau", {"x0": 1.5})
+    else:
+        spec = ModelSpec("twin_gl", _twin_ginzburg_landau(1.0), {}, np.array([1.5, -0.5]))
+    g = make_grid(1.0, 64)
+    w = sample_noise(g, spec.m, seed=14, path_index=2)
+    scheme = SchemeChoice(kind)
+    got = finite_difference_jacobian(spec, w, scheme, 1e-3)
+    assert got.tobytes() == _separate_fd(spec, w, scheme, 1e-3).tobytes()
+
+
 def test_finite_difference_rejects_zero_eps():
     spec = zoo_lookup("gbm")
     g = make_grid(1.0, 8)
@@ -287,18 +343,16 @@ def test_implicit_d2_twin_equals_d1_bitwise(eta, x0, N):
     g = make_grid(1.0, N)
     scheme = SchemeChoice(IMPLICIT)
     inc = sample_increments(g, 1, seed=5, start=0, count=16)
-    one = simulate_batch(spec.field, g, inc, spec.theta0, scheme)
+    one, vf1 = stored_factors(spec.field, g, inc, spec.theta0, scheme)
     twin_field = _twin_ginzburg_landau(eta)
-    two = simulate_batch(
+    two, vf2 = stored_factors(
         twin_field, g, np.concatenate([inc, inc], axis=2), np.full(2, x0), scheme
     )
     for k in range(2):
         assert np.array_equal(two.values[..., k], one.values[..., 0])
-    vf1 = VariationalFactors(one)
-    vf2 = VariationalFactors(two)
-    for i in range(N):
-        vf1.load(i)
-        vf2.load(i)
+    for rec1, rec2 in zip(stored_records(vf1, one), stored_records(vf2, two)):
+        vf1.take(rec1)
+        vf2.take(rec2)
         assert np.array_equal(vf2.dmat, _diag(np.repeat(vf1.dmat[:, 0], 2, axis=1)))
 
 
@@ -308,16 +362,17 @@ def test_variational_step_evaluates_grad_drift_once(kind):
     spec = zoo_lookup("ginzburg_landau")
     g = make_grid(1.0, 64)
     scheme = SchemeChoice(kind)
-    out = simulate_batch(
-        spec.field, g, sample_increments(g, 1, seed=5, start=0, count=16), spec.theta0, scheme
-    )
+    inc = sample_increments(g, 1, seed=5, start=0, count=16)
+    out = simulate_batch(spec.field, g, inc, spec.theta0, scheme)
     calls = []
 
     def grad_drift(t, h, x):
         calls.append(t)
         return spec.field.grad_drift(t, h, x)
 
-    vf = VariationalFactors(replace(out, field=replace(spec.field, grad_drift=grad_drift)))
-    for i in range(g.N):
-        vf.load(i)
+    counted = replace(spec.field, grad_drift=grad_drift)
+    vf = VariationalFactors(Stepper(counted, g, inc, spec.theta0, scheme))
+    # the records evaluate drift and diffusion only
+    for rec in stored_records(vf, out):
+        vf.take(rec)
     assert len(calls) == g.N
