@@ -18,11 +18,9 @@ from .core import (
     NoisePath,
     StatePath,
     TimeGrid,
-    coarsen_noise,
     make_grid,
     mc_estimate,
     sample_noise,
-    shift_noise,
 )
 from .errors import (
     DegenerateWronskianError,
@@ -33,7 +31,6 @@ from .errors import (
     MonosdeError,
     NewtonFailureError,
     NoClosedFormError,
-    NonAdaptedIntegrandError,
     OutOfDomainError,
     SingularDiffusionError,
     UnknownModelError,
@@ -45,7 +42,6 @@ from .models import (
     ProbeReport,
     ZOO_NAMES,
     eval_closed_form,
-    pareto_theta_sampler,
     probe_assumptions,
     uniform_sampler,
     zoo_lookup,
@@ -55,9 +51,7 @@ from .solver import (
     IMPLICIT,
     SCHEMES,
     TAMED,
-    MomentReport,
     SchemeChoice,
-    estimate_sup_moment,
     simulate,
     stability_ratio,
 )
@@ -81,13 +75,11 @@ from .malliavin import (
 )
 from .shiftlab import (
     CameronMartinReport,
-    GronwallShadow,
     QuotientLadder,
     cameron_martin_check,
     clipped_sup_norm,
     doleans_dade,
     gateaux_ladder,
-    gronwall_shadow,
     terminal_value,
 )
 from .greeks import (
@@ -100,6 +92,5 @@ from .greeks import (
     fd_gradient,
     identity_payoff,
     linear_weight,
-    skorokhod_adapted,
     tanh_payoff,
 )

@@ -6,10 +6,11 @@ Reproducibility contract: every stochastic quantity in the library is keyed by
 the same key is bit-identical and distinct paths are independent.  Exactly:
 the Brownian increments of a path are ``Generator(Philox(ss)).standard_normal
 ((N, m)) * sqrt(dt)``, drawn from counter 0 in row-major (N, m) order, where
-``ss = SeedSequence(entropy=seed, spawn_key=(path_index,))``; initial
-conditions use ``spawn_key=(path_index, 1)``.  A batch derives the Philox keys
-of all its paths in one vectorised pass over SeedSequence's hash and re-keys a
-single Philox per path, with the same bytes; tests/test_core.py pins them.
+``ss = SeedSequence(entropy=seed, spawn_key=(path_index,))``; the probe
+points of probe_assumptions use ``spawn_key=(0, 2)``.  A batch derives the
+Philox keys of all its paths in one vectorised pass over SeedSequence's hash
+and re-keys a single Philox per path, with the same bytes; tests/test_core.py
+pins them.
 Estimators process paths in fixed chunks of ``CHUNK`` paths.  With
 ``workers > 1`` the chunks run in up to that many worker processes forked
 from the caller, each holding one chunk's working set at a time, so peak
@@ -207,7 +208,8 @@ def mc_estimate(samples: np.ndarray) -> MCEstimate:
     """Reduce per-path samples (n,) or (n, k) to an MCEstimate.
 
     The samples array is always assembled in path order before reduction, so
-    the result does not depend on how chunks were scheduled.
+    the result does not depend on how chunks were scheduled.  Raises
+    InvalidParameterError when a sample, their sum or a square is not finite.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
@@ -215,18 +217,30 @@ def mc_estimate(samples: np.ndarray) -> MCEstimate:
     n = x.shape[0]
     if n < 2:
         raise InvalidParameterError("need at least 2 samples")
-    mean = x.mean(axis=0)
-    se = x.std(axis=0, ddof=1) / math.sqrt(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        se = x.std(axis=0, ddof=1) / math.sqrt(n)
+    # a non-finite mean makes the stderr non-finite as well
+    if not np.all(np.isfinite(se)):
+        raise InvalidParameterError("the Monte Carlo estimate is out of floating-point range")
     return MCEstimate(mean, se, n)
 
 
 def paired_z_score(diff_samples: np.ndarray) -> float:
-    """|mean| / stderr of per-path differences; 0 when the difference is exactly 0."""
+    """|mean| / stderr of per-path differences; 0 when the difference is
+    exactly 0.  Raises InvalidParameterError when the stderr is not finite, or
+    is 0 (equal differences, or squares that underflow) while the mean is not."""
     d = np.asarray(diff_samples, dtype=float)
-    m = float(d.mean())
-    se = float(d.std(ddof=1)) / math.sqrt(len(d))
-    if se == 0.0:
-        return 0.0 if m == 0.0 else math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = float(d.mean())
+        se = float(d.std(ddof=1)) / math.sqrt(len(d))
+    if m == 0.0 and se == 0.0:
+        return 0.0
+    if not 0.0 < se < math.inf:
+        raise InvalidParameterError(
+            "the z-score of the paired differences is out of floating-point range "
+            f"(mean {m:.3g}, stderr {se:.3g})"
+        )
     return abs(m) / se
 
 
@@ -249,8 +263,8 @@ def _seed_sequence(seed: int, path_index: int, branch: int = 0) -> np.random.See
     """The SeedSequence of one (seed, path_index) substream.
 
     branch separates independent per-path streams (0 = Brownian increments,
-    1 = random initial conditions, 2 = the probe points of probe_assumptions,
-    on path 0 only).
+    2 = the probe points of probe_assumptions, on path 0 only; branch 1, once
+    random initial conditions, is retired and 2 keeps its number).
     """
     key = (path_index,) if branch == 0 else (path_index, branch)
     return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
@@ -346,42 +360,6 @@ def sample_increments(
         gen.standard_normal(out=row)
     out *= math.sqrt(grid.dt)
     return out
-
-
-def sample_theta(
-    sampler, d: int, seed: int, start: int, count: int
-) -> np.ndarray:
-    """Initial conditions from a per-path stream independent of the noise;
-    sampler(gen, n) draws n initial conditions (n, d), else
-    InvalidParameterError."""
-    _check_streams(seed, start, count)
-    out = np.empty((count, d))
-    for row, gen in zip(out, _keyed_generators(_philox_keys(seed, start, count, 1))):
-        draw = np.asarray(sampler(gen, 1), dtype=float)
-        if draw.shape != (1, d):
-            raise InvalidParameterError(
-                f"theta sampler must draw shape (n, d) = (1, {d}), got {draw.shape}"
-            )
-        row[:] = draw[0]
-    return out
-
-
-def shift_noise(w: NoisePath, h: CameronMartinPath, eps: float) -> NoisePath:
-    """Cameron-Martin shift: increments become dW_i + eps * hdot_i * dt."""
-    if w.grid != h.grid or w.m != h.m:
-        raise DimensionMismatchError("noise and direction grids/dimensions differ")
-    if eps == 0.0:
-        return NoisePath(w.grid, w.m, w.increments.copy())
-    return NoisePath(w.grid, w.m, w.increments + eps * h.density * w.grid.dt)
-
-
-def coarsen_noise(w: NoisePath, factor: int) -> NoisePath:
-    """Aggregate increments onto a grid coarsened by an integer factor."""
-    if factor < 1 or w.grid.N % factor != 0:
-        raise InvalidParameterError("factor must divide N")
-    coarse = make_grid(w.grid.T, w.grid.N // factor)
-    inc = w.increments.reshape(coarse.N, factor, w.m).sum(axis=1)
-    return NoisePath(coarse, w.m, inc)
 
 
 # ---------------------------------------------------------------------------

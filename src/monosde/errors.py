@@ -76,9 +76,5 @@ class SingularDiffusionError(MonosdeError, RuntimeError):
     """The diffusion matrix is (numerically) singular where an inverse is needed."""
 
 
-class NonAdaptedIntegrandError(MonosdeError, ValueError):
-    """An integrand declared non-adapted was passed to the adapted Skorokhod integral."""
-
-
 class DegenerateWronskianError(MonosdeError, RuntimeError):
     """The stochastic Wronskian collapsed to zero or a non-finite value."""

@@ -1,6 +1,6 @@
 """Sensitivity estimation: the Bismut-Elworthy-Li weight estimator for
-deterministic-coefficient models, a common-random-numbers bump-and-revalue
-baseline, and the Skorokhod-as-Ito integral for adapted integrands.
+deterministic-coefficient models and a common-random-numbers bump-and-revalue
+baseline.
 
 The BEL weight for a payoff at time t is
 
@@ -25,12 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MCEstimate, NoisePath, TimeGrid, mc_estimate
-from .errors import (
-    InvalidParameterError,
-    NonAdaptedIntegrandError,
-    SingularDiffusionError,
-)
+from .core import MCEstimate, TimeGrid, mc_estimate
+from .errors import InvalidParameterError, SingularDiffusionError
 from .models import ModelSpec
 from .solver import SchemeChoice, Stepper, live_paths, run_paths
 from .variational import VariationalFactors
@@ -98,33 +94,6 @@ class BELConfig:
         a = a / total
         assert abs(float(np.sum(a) * grid.dt) - 1.0) <= 1e-12
         return a
-
-
-# ---------------------------------------------------------------------------
-# Skorokhod integral, adapted case
-# ---------------------------------------------------------------------------
-
-
-def skorokhod_adapted(
-    integrand: np.ndarray, w: NoisePath, t_index: int, adapted: bool = True
-) -> np.ndarray:
-    """delta(u) for an adapted integrand = the left-point Ito sum.
-
-    integrand: (steps, d, m) with row i depending only on information up to
-    t_i (declared by the caller).  Returns sum_{i < t_index} u_i dW_i in R^d.
-    """
-    if not adapted:
-        raise NonAdaptedIntegrandError(
-            "the adapted Skorokhod integral requires an adapted integrand"
-        )
-    u = np.asarray(integrand, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None, None]
-    if u.ndim != 3 or u.shape[0] < t_index or u.shape[2] != w.m:
-        raise InvalidParameterError("integrand must have shape (>=t_index, d, m)")
-    if not (0 <= t_index <= w.grid.N):
-        raise InvalidParameterError("t_index out of range")
-    return np.einsum("ndm,nm->d", u[:t_index], w.increments[:t_index])
 
 
 # ---------------------------------------------------------------------------

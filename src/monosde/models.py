@@ -494,16 +494,6 @@ def uniform_sampler(lo: float, hi: float, d: int = 1):
     return sampler
 
 
-def pareto_theta_sampler(alpha: float):
-    """Heavy-tailed initial-condition sampler for d = 1 models: n draws of
-    1 + Pareto(alpha), shape (n, 1)."""
-
-    def sampler(gen: np.random.Generator, n: int) -> np.ndarray:
-        return 1.0 + gen.pareto(alpha, size=(n, 1))
-
-    return sampler
-
-
 _SLACK = 1e-9
 
 

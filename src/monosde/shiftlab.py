@@ -41,11 +41,10 @@ from .core import (
     mc_estimate,
     paired_z_score,
 )
-from .errors import DivergenceError, InvalidParameterError
+from .errors import InvalidParameterError
 from .models import ModelSpec
 from .solver import (
-    DIVERGENCE_BOUND, SchemeChoice, Stepper, live_paths, run_paths, simulate_batch,
-    sup_norms,
+    SchemeChoice, Stepper, live_paths, run_paths, simulate_batch, sup_norms,
 )
 from .malliavin import directional_step
 from .variational import VariationalFactors
@@ -283,56 +282,3 @@ def gateaux_ladder(
         diverged=diverged,
         n_paths=n_paths,
     )
-
-
-# ---------------------------------------------------------------------------
-# Gronwall-in-probability shadow
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GronwallShadow:
-    amplitudes: np.ndarray
-    deltas: np.ndarray
-    exceedance: np.ndarray  # (k, j): P[ sup |U_n| > delta ]
-
-
-def gronwall_shadow(
-    amplitudes: Sequence[float],
-    deltas: Sequence[float],
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    workers: int = 1,
-) -> GronwallShadow:
-    """Forced monotone test system U(t) = A(t) + int f(U) ds + int g(U) dW with
-    f(u) = u - u^3 and g(u) = u / 2, driven by the deterministic forcing
-    A(t) = amp * sin(2 pi t / T).  As the forcing amplitude (its sup norm)
-    goes to zero the exceedance P[ sup |U| > delta ] must go to zero.
-    """
-    amps = np.asarray(list(amplitudes), dtype=float)
-    dlt = np.asarray(list(deltas), dtype=float)
-    t_nodes = grid.nodes
-    forcing = np.sin(2.0 * np.pi * t_nodes / grid.T)
-    dforce = np.diff(forcing)
-    dt = grid.dt
-
-    def chunk(inc, start):
-        inc = inc[..., 0]
-        sups = np.empty((len(inc), len(amps)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for a, amp in enumerate(amps):
-                u = np.zeros(len(inc))
-                smax = np.zeros(len(inc))
-                for i in range(grid.N):
-                    u = u + amp * dforce[i] + (u - u**3) * dt + 0.5 * u * inc[:, i]
-                    np.maximum(smax, np.abs(u), out=smax)
-                    # NaN fails the <=, so non-finite states raise as well
-                    if not np.all(smax <= DIVERGENCE_BOUND):
-                        raise DivergenceError(i + 1)
-                sups[:, a] = smax
-        return sups
-
-    sups = run_paths(chunk, grid, 1, seed, n_paths, workers)
-    exc = np.array([[(sups[:, a] > t).mean() for t in dlt] for a in range(len(amps))])
-    return GronwallShadow(amps, dlt, exc)

@@ -1,5 +1,5 @@
-"""Time stepping for the base SDE under super-linear drifts, plus moment and
-stability estimators.
+"""Time stepping for the base SDE under super-linear drifts, plus the
+stability estimator.
 
 Schemes
 -------
@@ -25,9 +25,8 @@ Each caller keeps only what it reads.  simulate_batch stores every state,
 which a path functional such as a Cameron-Martin functional needs.  Every
 variational pass reads the records through VariationalFactors.take: J, K, D,
 the Malliavin field, F[h] and D^h X along one PathStepper, the greeks pass and
-the Gateaux ladder along stacked batches.  estimate_sup_moment,
-stability_ratio and the ladder fold a running sup over the records instead of
-storing paths to take it.
+the Gateaux ladder along stacked batches.  stability_ratio and the ladder
+fold a running sup over the records instead of storing paths to take it.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from .core import (
     mc_estimate,
     run_chunks,
     sample_increments,
-    sample_theta,
 )
 from .errors import DivergenceError, InvalidParameterError, NewtonFailureError
 from .models import CoefficientField, ModelSpec
@@ -415,81 +413,6 @@ def sup_norms(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MomentReport:
-    estimate: MCEstimate
-    p: float
-    n_diverged: int
-    nonconvergent: bool
-    prefix_means: np.ndarray  # running means over n/4, n/2, n prefixes
-    max_share: float  # largest sample's share of the total mass
-
-
-def estimate_sup_moment(
-    spec: ModelSpec,
-    grid: TimeGrid,
-    scheme: SchemeChoice,
-    p: float,
-    n_paths: int,
-    seed: int,
-    theta_sampler=None,
-    workers: int = 1,
-) -> MomentReport:
-    """Monte Carlo estimate of E[ sup_t |X(t)|^p ].
-
-    Diverged paths are excluded from the estimate and counted separately.
-    The nonconvergent flag fires when the running mean keeps growing by more
-    than one combined stderr over the n/4 -> n/2 -> n prefix ladder, or when
-    a single sample carries more than 20% of the total mass; both are
-    fingerprints of an infinite-moment (heavy-tailed) target.
-    """
-    if p < 1:
-        raise InvalidParameterError("p must be >= 1")
-
-    def chunk(inc, start):
-        if theta_sampler is None:
-            theta = spec.theta0
-        else:
-            theta = sample_theta(theta_sampler, spec.d, seed, start, len(inc))
-        run = Stepper(spec.field, grid, inc, theta, scheme)
-        # the running sup_norms of the path, from |theta| at node 0
-        sup = np.linalg.norm(run.theta, axis=-1)
-        for rec in run:
-            np.maximum(sup, np.linalg.norm(rec.x_next, axis=-1), out=sup)
-        # a path's sup^p may overflow; the estimate below is checked instead
-        with np.errstate(over="ignore"):
-            return sup ** p, run.first_bad
-
-    vals, first_bad = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
-    live = live_paths(first_bad, grid.N)
-    good = vals[live]
-    sizes = [max(2, len(good) // k) for k in (4, 2, 1)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        est = mc_estimate(good)
-        prefix_means = np.array([good[:n].mean() for n in sizes])
-        prefix_se = [good[:n].std(ddof=1) / math.sqrt(n) for n in sizes]
-    # the last prefix is every live path, so these cover the estimate too
-    if not np.all(np.isfinite([*prefix_means, *prefix_se])):
-        k = int(np.argmax(np.where(live, vals, -np.inf)))
-        raise InvalidParameterError(
-            f"E[sup |X|^p] at p = {p:g} is out of floating-point range: "
-            f"path {k} has sup |X|^p = {vals[k]:.3g}"
-        )
-    grows = [
-        prefix_means[i + 1] - prefix_means[i] > math.hypot(prefix_se[i], prefix_se[i + 1])
-        for i in range(2)
-    ]
-    max_share = float(good.max() / good.sum()) if good.sum() > 0 else 0.0
-    return MomentReport(
-        estimate=est,
-        p=p,
-        n_diverged=int(np.sum(~live)),
-        nonconvergent=all(grows) or max_share > 0.2,
-        prefix_means=prefix_means,
-        max_share=max_share,
-    )
-
-
 def stability_ratio(
     spec: ModelSpec,
     grid: TimeGrid,
@@ -505,7 +428,9 @@ def stability_ratio(
 
     Both solutions of a chunk's paths run as one stacked batch (rows theta,
     then xi), and the sup is folded over the steps.  Raises DivergenceError
-    at the earliest step at which either solution of any path diverged."""
+    at the earliest step at which either solution of any path diverged, and
+    InvalidParameterError, naming p and the first path, when a path's ratio
+    leaves the floating-point range."""
     theta = np.asarray(theta, dtype=float).reshape(spec.d)
     xi = np.asarray(xi, dtype=float).reshape(spec.d)
     gap = float(np.linalg.norm(xi - theta))
@@ -529,4 +454,19 @@ def stability_ratio(
     # first_bad is N+1 on paths that never diverged
     if np.any(first_bad <= grid.N):
         raise _earliest_divergence(first_bad)
-    return mc_estimate(vals / gap**p)
+    try:
+        scale = gap**p
+    except OverflowError:  # a Python float power raises where numpy gives inf
+        scale = math.inf
+    # a path's sup^p or |xi - theta|^p may overflow or underflow to 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ratios = vals / scale
+    finite = np.isfinite(ratios)
+    if not np.all(finite):
+        k = int(np.argmin(finite))
+        raise InvalidParameterError(
+            f"E[sup |X_xi - X_theta|^p] / |xi - theta|^p at p = {p:g} is out of "
+            f"floating-point range: path {k} has sup |X_xi - X_theta|^p = "
+            f"{vals[k]:.3g} against |xi - theta|^p = {scale:.3g}"
+        )
+    return mc_estimate(ratios)

@@ -24,7 +24,7 @@ dW^j dW^k instead of dt, so log det J - log D stays O(dt) pathwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,7 +36,7 @@ from .errors import (
     InvalidParameterError,
     MissingGradientsError,
 )
-from .models import CoefficientField, ModelSpec, probe_assumptions, uniform_sampler
+from .models import CoefficientField, ModelSpec
 from .solver import (
     EULER, TAMED, PathStepper, SchemeChoice, StepRecord, Stepper, check_noise, simulate,
 )
@@ -281,24 +281,6 @@ class LinearSDECoeffs:
 class LinearSolveResult:
     numeric: StatePath
     explicit: Optional[StatePath]  # fundamental-matrix solution, d = 1 only
-
-
-def probe_linear_quadratic_bound(
-    coeffs: LinearSDECoeffs,
-    bound: float,
-    seed: int = 0,
-):
-    """Statistically probe x^T B(t) x <= bound |x|^2 for the linear system:
-    the one-sided quotient of the drift B(t) x + b(t) is z^T B(t) z / |z|^2,
-    at 500 points uniform on [-3, 3]^d and times in [0, 1].
-
-    Returns (max_quotient, ok); a violated bound is reported, not raised.
-    """
-    report = probe_assumptions(
-        replace(_linear_field(coeffs), monotone_const=bound),
-        uniform_sampler(-3.0, 3.0, coeffs.d), 500, seed,
-    )
-    return report.max_onesided, report.monotone_ok
 
 
 def _linear_field(coeffs: LinearSDECoeffs) -> CoefficientField:

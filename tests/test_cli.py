@@ -304,7 +304,6 @@ def test_library_errors_exit_with_one_line(tmp_path, capsys, case):
         (errors.OutOfDomainError("x"), 1),
         (errors.NoClosedFormError("x"), 1),
         (errors.MissingGradientsError("x"), 1),
-        (errors.NonAdaptedIntegrandError("x"), 1),
         (errors.DivergenceError(3), 2),
         (errors.NewtonFailureError(3, 1.0, 1e-10), 2),
         (errors.SingularDiffusionError("x"), 2),
@@ -735,30 +734,39 @@ _NON_FINITE = re.compile(r"(?i)(?<![a-z])(nan|inf)(?![a-z])")
 
 
 @st.composite
-def _contract_configs(draw, model, scheme):
-    """A config body of a single-path subcommand on model under scheme, with
-    N <= 16 and extreme model.* values; (subcommand, body)."""
-    subcommand = draw(st.sampled_from(("simulate", "jacobian", "malliavin")))
+def _contract_configs(draw, model, scheme, subcommands, max_paths):
+    """A config body of one of subcommands on model under scheme, with
+    N <= 16, n_paths <= max_paths and extreme model.* values; (subcommand,
+    body)."""
+    subcommand = draw(st.sampled_from(subcommands))
     values = st.one_of(st.sampled_from(_EXTREME), st.floats(allow_nan=False, allow_infinity=False))
     params = draw(st.dictionaries(st.sampled_from(sorted(zoo_lookup(model).params)), values))
     lines = [
         f"model = {model}", f"scheme = {scheme}",
         f"grid.T = {draw(st.sampled_from((1e-6, 1.0, 2.0, 1e3)))!r}",
         f"grid.N = {draw(st.integers(1, 16))}", f"seed = {draw(st.integers(0, 99))}",
-        f"n_paths = {draw(st.integers(1, 4))}",
-        f"malliavin.s_stride = {draw(st.integers(1, 20))}",
+        f"n_paths = {draw(st.integers(1, max_paths))}",
     ] + [f"model.{k} = {v!r}" for k, v in params.items()]
+    if subcommand == "malliavin":
+        lines.append(f"malliavin.s_stride = {draw(st.integers(1, 20))}")
+    if subcommand in ("ladder", "cameron-martin"):
+        lines += [
+            f"ladder.hdot = {draw(st.sampled_from((-1e3, -1.0, 0.0, 0.5, 1.0, 1e3)))!r}",
+            f"ladder.epsilons = {draw(st.sampled_from(('0.5,0.25,0.125', '1e-8', '1e3,1')))}",
+            f"cm.functional = {draw(st.sampled_from(('clipped_sup', 'terminal')))}",
+        ]
+    if subcommand == "greeks":
+        lines += [
+            f"greeks.payoff = {draw(st.sampled_from(('identity', 'tanh', 'digital')))}",
+            f"greeks.weight = {draw(st.sampled_from(('constant', 'linear')))}",
+            f"greeks.fd_eps = {draw(st.sampled_from((1e-300, 1e-3, 1.0, 1e6)))!r}",
+        ]
     return subcommand, "".join(line + "\n" for line in lines)
 
 
-@pytest.mark.parametrize("scheme", sorted(cli.SCHEMES))
-@pytest.mark.parametrize("model", cli.ZOO_NAMES)
-@settings(max_examples=2, deadline=None, database=None)
-@given(data=st.data())
-def test_single_path_runs_keep_the_error_contract(model, scheme, data):
-    # exit 0, 1 or 2; at most one error line and never a traceback; no
-    # warning; no non-finite number in an artifact of a successful run
-    subcommand, body = data.draw(_contract_configs(model, scheme))
+def _check_the_error_contract(subcommand, body):
+    """Exit 0, 1 or 2; at most one error line and never a traceback; no
+    warning; no non-finite number in an artifact of a successful run."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -775,3 +783,58 @@ def test_single_path_runs_keep_the_error_contract(model, scheme, data):
             for name in os.listdir(out):
                 with open(os.path.join(out, name)) as fh:
                     assert not _NON_FINITE.search(fh.read()), name
+
+
+@pytest.mark.parametrize("scheme", sorted(cli.SCHEMES))
+@pytest.mark.parametrize("model", cli.ZOO_NAMES)
+@settings(max_examples=2, deadline=None, database=None)
+@given(data=st.data())
+def test_single_path_runs_keep_the_error_contract(model, scheme, data):
+    _check_the_error_contract(
+        *data.draw(_contract_configs(model, scheme, ("simulate", "jacobian", "malliavin"), 4))
+    )
+
+
+@pytest.mark.parametrize("scheme", sorted(cli.SCHEMES))
+@pytest.mark.parametrize("model", cli.ZOO_NAMES)
+@settings(max_examples=2, deadline=None, database=None)
+@given(data=st.data())
+def test_multi_path_runs_keep_the_error_contract(model, scheme, data):
+    _check_the_error_contract(
+        *data.draw(_contract_configs(model, scheme, ("ladder", "cameron-martin", "greeks"), 40))
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "subcommand, body, err",
+    [
+        # the squares of ~1e-300 paired differences underflowed: z_score = inf
+        ("cameron-martin",
+         "model = gbm\nmodel.mu = 1.0420914795612735\nmodel.x0 = 1e-300\ngrid.T = 1\n"
+         "grid.N = 11\nscheme = split_step_implicit\nseed = 62\nn_paths = 6\n"
+         "cm.functional = terminal\n",
+         "error: the z-score of the paired differences is out of floating-point range "
+         "(mean 3e-301, stderr 0)\n"),
+        # sigma ~ 0 and Doleans-Dade weights ~ 1e-200: the paired differences
+        # are all equal, so z_score was inf
+        ("cameron-martin",
+         "model = ou\nmodel.sigma = 7.673616252822721e-103\nmodel.x0 = -8.328756268906384\n"
+         "grid.T = 1000\ngrid.N = 4\nscheme = split_step_implicit\nseed = 86\n"
+         "n_paths = 20\ncm.functional = terminal\n",
+         "error: the z-score of the paired differences is out of floating-point range "
+         "(mean -2.1e-09, stderr 0)\n"),
+        # the BEL estimate of finite live samples overflowed in its squares,
+        # with a warning, before the FD estimate found too few live paths
+        ("greeks",
+         "model = quintic\ngrid.T = 1000\ngrid.N = 4\nscheme = euler_maruyama\nseed = 21\n"
+         "n_paths = 36\ngreeks.fd_eps = 1\n",
+         "error: the Monte Carlo estimate is out of floating-point range\n"),
+    ],
+    ids=["cm_tiny_differences", "cm_constant_differences", "greeks_huge_samples"],
+)
+def test_multi_path_runs_found_breaking_the_error_contract(tmp_path, capsys, subcommand, body, err):
+    # each now exits 1 with one error line and writes no artifact
+    code, out = _cli(tmp_path, subcommand, body)
+    assert (code, capsys.readouterr().err) == (1, err)
+    assert not list(out.glob("*.csv"))

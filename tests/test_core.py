@@ -7,25 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 from monosde import (
     CameronMartinPath,
-    DimensionMismatchError,
     History,
     InvalidParameterError,
     MCEstimate,
-    coarsen_noise,
     doleans_dade,
     make_grid,
     mc_estimate,
-    pareto_theta_sampler,
     sample_noise,
-    shift_noise,
-    uniform_sampler,
 )
 from monosde.core import (
     _philox_keys,
     chunk_ranges,
+    paired_z_score,
     run_chunks,
     sample_increments,
-    sample_theta,
 )
 
 
@@ -93,10 +88,6 @@ def test_noise_stream_bytes_are_pinned():
     assert _sha256(sample_increments(g, 3, 2**32 + 5, 0, 3)) == (
         "4f05943b546418732fc0bfd2ef983f476d2cd9aa6fab7998e7bbc15fd5e08bda"
     )
-    theta = sample_theta(uniform_sampler(0.5, 2.0), 1, 7, 1022, 5)
-    assert _sha256(theta) == (
-        "8111267877806bb7c969cade61b2eeb302a176e8a2ed4668a07f03152d178b61"
-    )
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64, 2**128])
@@ -120,24 +111,6 @@ def test_batch_rows_are_the_single_path_streams(count):
         assert np.array_equal(inc[k], sample_noise(g, 3, 11, 1022 + k).increments)
 
 
-def test_theta_rows_are_the_single_path_streams():
-    # a float32 draw leaves a spare half word in the generator after each path
-    def sampler(gen, n):
-        return gen.random((n, 1), dtype=np.float32)
-
-    theta = sample_theta(sampler, 1, 3, 1023, 4)
-    for k in range(4):
-        ss = np.random.SeedSequence(entropy=3, spawn_key=(1023 + k, 1))
-        assert theta[k, 0] == sampler(np.random.Generator(np.random.Philox(ss)), 1)[0, 0]
-
-
-def test_theta_sampler_of_the_wrong_width_raises_a_typed_error():
-    # the d = 1 Pareto sampler for d = 2 initial conditions raised a raw numpy
-    # ValueError ("cannot reshape array of size 1 into shape (2,)")
-    with pytest.raises(InvalidParameterError, match=r"shape \(n, d\) = \(1, 2\), got \(1, 1\)"):
-        sample_theta(pareto_theta_sampler(1.5), 2, 0, 0, 3)
-
-
 @pytest.mark.parametrize(
     "seed,start,count,m",
     [(-1, 0, 2, 1), (0, -1, 2, 1), (0, 0, -1, 1), (0, 0, 2, 0)],
@@ -146,9 +119,6 @@ def test_bad_noise_arguments_raise_typed_errors(seed, start, count, m):
     g = make_grid(1.0, 4)
     with pytest.raises(InvalidParameterError):
         sample_increments(g, m, seed, start, count)
-    if m >= 1:
-        with pytest.raises(InvalidParameterError):
-            sample_theta(uniform_sampler(0.0, 1.0), 1, seed, start, count)
     if count >= 1:
         with pytest.raises(InvalidParameterError):
             sample_noise(g, m, seed, start)
@@ -171,27 +141,6 @@ def _noise_and_direction(seed, N, m, T):
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(_NOISE_CASES)
-def test_coarsen_noise_keeps_brownian_nodes(case):
-    seed, factor, n_coarse, m, T = case
-    w, _ = _noise_and_direction(seed, factor * n_coarse, m, T)
-    same = coarsen_noise(w, 1)
-    assert same.grid == w.grid and np.array_equal(same.increments, w.increments)
-    coarse = coarsen_noise(w, factor)
-    assert coarse.grid.N == n_coarse
-    assert np.max(np.abs(coarse.brownian() - w.brownian()[::factor])) <= 1e-12
-
-
-@settings(max_examples=40, deadline=None, database=None)
-@given(_NOISE_CASES, st.floats(min_value=-4.0, max_value=4.0))
-def test_shift_noise_moves_brownian_by_eps_h(case, eps):
-    seed, factor, n_coarse, m, T = case
-    w, h = _noise_and_direction(seed, factor * n_coarse, m, T)
-    moved = shift_noise(w, h, eps).brownian() - w.brownian()
-    assert np.max(np.abs(moved - eps * h.path())) <= 1e-12
-
-
-@settings(max_examples=40, deadline=None, database=None)
 @given(_NOISE_CASES, st.data())
 def test_doleans_dade_is_the_exponential_of_its_log(case, data):
     seed, factor, n_coarse, m, T = case
@@ -207,45 +156,6 @@ def test_doleans_dade_is_the_exponential_of_its_log(case, data):
     assert abs(math.log(doleans_dade(w, h, t)) - log_dd) <= 1e-12 * max(1.0, abs(log_dd))
 
 
-def test_shift_noise_identity():
-    g = make_grid(1.0, 16)
-    w = sample_noise(g, 1, seed=1)
-    h = CameronMartinPath.constant(g, 1.5)
-    assert np.array_equal(shift_noise(w, h, 0.0).increments, w.increments)
-
-
-def test_shift_noise_inverse():
-    g = make_grid(1.0, 16)
-    w = sample_noise(g, 1, seed=1)
-    h = CameronMartinPath.constant(g, 1.5)
-    back = shift_noise(shift_noise(w, h, 0.7), h, -0.7)
-    assert np.max(np.abs(back.increments - w.increments)) < 1e-15
-
-
-def test_shift_noise_arithmetic():
-    g = make_grid(1.6, 16)  # dt = 0.1
-    w = sample_noise(g, 1, seed=2)
-    h = CameronMartinPath.constant(g, 1.0)
-    shifted = shift_noise(w, h, 2.0)
-    assert np.allclose(shifted.increments - w.increments, 0.2)
-
-
-def test_shift_noise_additive_in_eps():
-    g = make_grid(1.0, 16)
-    w = sample_noise(g, 1, seed=3)
-    h = CameronMartinPath.constant(g, 0.8)
-    once = shift_noise(w, h, 0.3 + 0.4)
-    twice = shift_noise(shift_noise(w, h, 0.3), h, 0.4)
-    assert np.max(np.abs(once.increments - twice.increments)) < 1e-15
-
-
-def test_shift_noise_dimension_mismatch():
-    w = sample_noise(make_grid(1.0, 16), 1, seed=1)
-    h = CameronMartinPath.constant(make_grid(1.0, 8), 1.0)
-    with pytest.raises(DimensionMismatchError):
-        shift_noise(w, h, 1.0)
-
-
 def test_cameron_martin_path_runs_from_zero():
     g = make_grid(1.0, 10)
     h = CameronMartinPath.constant(g, 2.0)
@@ -253,16 +163,6 @@ def test_cameron_martin_path_runs_from_zero():
     assert path[0, 0] == 0.0
     assert path[-1, 0] == pytest.approx(2.0)
     assert h.norm_sq() == pytest.approx(4.0)
-
-
-def test_coarsen_noise_sums_increments():
-    g = make_grid(1.0, 16)
-    w = sample_noise(g, 1, seed=5)
-    c = coarsen_noise(w, 4)
-    assert c.grid.N == 4
-    assert np.allclose(c.increments[0], w.increments[:4].sum(axis=0))
-    with pytest.raises(InvalidParameterError):
-        coarsen_noise(w, 5)
 
 
 def test_mc_estimate_basic():
@@ -273,6 +173,30 @@ def test_mc_estimate_basic():
         mc_estimate(np.array([1.0]))
     with pytest.raises(InvalidParameterError):
         MCEstimate(np.array([1.0]), np.array([-1.0]), 10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "samples",
+    [[1.0, np.inf], [1.0, np.nan], [1e300, -1e300, 3e300], [1e308, 1e308]],
+    ids=["inf_sample", "nan_sample", "squares_overflow", "sum_overflows"],
+)
+def test_mc_estimate_out_of_float_range_raises_quietly(samples):
+    # it returned an inf or NaN mean or stderr, with a warning
+    with pytest.raises(InvalidParameterError, match="out of floating-point range"):
+        mc_estimate(np.array(samples))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "diffs, stderr",
+    [([1e300, -1e300, 3e300], "inf"), ([1e-170, 3e-170], "0"), ([2.0, 2.0], "0")],
+    ids=["squares_overflow", "squares_underflow", "equal"],
+)
+def test_paired_z_score_that_is_not_finite_raises_quietly(diffs, stderr):
+    # it was 0 with an overflow warning, or inf
+    with pytest.raises(InvalidParameterError, match=f"stderr {stderr}\\)$"):
+        paired_z_score(np.array(diffs))
 
 
 def test_history_cum_ito():

@@ -7,7 +7,6 @@ import pytest
 from monosde import (
     BELConfig,
     InvalidParameterError,
-    NonAdaptedIntegrandError,
     SingularDiffusionError,
     bel_fd_gradients,
     bel_gradient,
@@ -17,8 +16,6 @@ from monosde import (
     identity_payoff,
     linear_weight,
     make_grid,
-    sample_noise,
-    skorokhod_adapted,
     tanh_payoff,
     zoo_lookup,
 )
@@ -32,19 +29,6 @@ from test_solver import STACK_CASES
 from test_variational import _twin_ginzburg_landau, stored_factors, stored_records
 
 
-def test_skorokhod_zero_integrand():
-    g = make_grid(1.0, 64)
-    w = sample_noise(g, 1, seed=1)
-    assert skorokhod_adapted(np.zeros((64, 1, 1)), w, 64)[0] == 0.0
-
-
-def test_skorokhod_unit_integrand_is_brownian():
-    g = make_grid(1.0, 64)
-    w = sample_noise(g, 1, seed=2)
-    val = skorokhod_adapted(np.ones((64, 1, 1)), w, 64)
-    assert val[0] == pytest.approx(w.brownian()[-1, 0], abs=1e-14)
-
-
 def test_skorokhod_ito_isometry():
     g = make_grid(1.0, 32)
     f = np.linspace(0.5, 1.5, 32)  # deterministic integrand
@@ -54,13 +38,6 @@ def test_skorokhod_ito_isometry():
     target = float(np.sum(f**2) * g.dt)
     z = abs(second.mean() - target) / (second.std(ddof=1) / math.sqrt(len(second)))
     assert z <= 3.0
-
-
-def test_skorokhod_rejects_nonadapted():
-    g = make_grid(1.0, 8)
-    w = sample_noise(g, 1, seed=4)
-    with pytest.raises(NonAdaptedIntegrandError):
-        skorokhod_adapted(np.ones((8, 1, 1)), w, 8, adapted=False)
 
 
 def test_bel_weights_normalized():

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +14,6 @@ from monosde import (
     clipped_sup_norm,
     doleans_dade,
     gateaux_ladder,
-    gronwall_shadow,
     make_grid,
     sample_noise,
     terminal_value,
@@ -176,35 +174,6 @@ def test_gateaux_ladder_rows_schema():
     )
     rows = lad.rows()
     assert len(rows) == 2 * 3  # one row per (epsilon, delta) pair
-
-
-def test_gronwall_shadow_exceedance_decays():
-    g = make_grid(1.0, 256)
-    shadow = gronwall_shadow(
-        [1.0, 0.3, 0.1, 0.03], [0.5, 0.1], g, n_paths=4096, seed=10
-    )
-    for j in range(2):
-        col = shadow.exceedance[:, j]
-        assert col[-1] < col[0] or (col[0] == 0.0 and col[-1] == 0.0)
-    assert shadow.exceedance[-1, 0] <= 0.01
-
-
-def test_gronwall_shadow_does_not_depend_on_the_worker_count():
-    # 1100 paths span two chunks
-    g = make_grid(1.0, 16)
-    one, two = (
-        gronwall_shadow([0.3, 0.1], [0.5, 0.1], g, 1100, 10, workers).exceedance
-        for workers in (1, 2)
-    )
-    assert one.tobytes() == two.tobytes()
-
-
-def test_gronwall_shadow_raises_on_divergence():
-    # amplitude 50 sends the paths to NaN; NaN > delta would read as no exceedance
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError, match="at step 6$"):
-            gronwall_shadow([0.1, 50.0], [0.5], make_grid(1.0, 8), 64, 3)
 
 
 def _stored_directional(out, vf, h):

@@ -19,15 +19,12 @@ from monosde import (
     NewtonFailureError,
     LinearSDECoeffs,
     directional_derivative,
-    eval_closed_form,
-    estimate_sup_moment,
     finite_difference_jacobian,
     gateaux_direction,
     jacobian,
     linear_sde_solve,
     make_grid,
     malliavin_field,
-    pareto_theta_sampler,
     sample_noise,
     simulate,
     stability_ratio,
@@ -37,7 +34,6 @@ from monosde.core import CHUNK, mc_estimate, sample_increments
 from monosde.greeks import BELConfig, _samples, identity_payoff
 from monosde.models import CoefficientField, ModelSpec
 from monosde.solver import (
-    DIVERGENCE_BOUND,
     EULER,
     IMPLICIT,
     SCHEMES,
@@ -46,7 +42,6 @@ from monosde.solver import (
     live_paths,
     run_paths,
     simulate_batch,
-    sup_norms,
 )
 from test_variational import _twin_ginzburg_landau
 
@@ -172,39 +167,6 @@ def test_simulate_raises_divergence_with_step():
     assert 1 <= exc.value.step <= 64
 
 
-def test_sup_moment_deterministic_path():
-    spec = zoo_lookup("gbm", {"mu": 0.0, "sigma": 0.0, "x0": 2.0})
-    g = make_grid(1.0, 16)
-    rep = estimate_sup_moment(spec, g, SchemeChoice(EULER), p=3.0, n_paths=64, seed=6)
-    assert rep.estimate.mean[0] == pytest.approx(8.0)
-    assert rep.estimate.stderr[0] == 0.0
-    assert rep.n_diverged == 0
-    assert not rep.nonconvergent
-
-
-def test_sup_moment_stable_under_refinement():
-    spec = zoo_lookup("ou", {"kappa": 1.0, "sigma": 1.0})
-    reps = [
-        estimate_sup_moment(
-            spec, make_grid(1.0, N), SchemeChoice(EULER), p=2.0, n_paths=4096, seed=7
-        )
-        for N in (256, 512)
-    ]
-    diff = abs(reps[0].estimate.mean[0] - reps[1].estimate.mean[0])
-    tol = 3.0 * math.hypot(reps[0].estimate.stderr[0], reps[1].estimate.stderr[0])
-    assert diff <= tol
-
-
-def test_sup_moment_with_every_path_diverged_names_the_earliest_step():
-    # paths 0..14 diverge at step 7 and path 15 at step 6
-    spec = zoo_lookup("ginzburg_landau", {"x0": 3.5})
-    with pytest.raises(DivergenceError) as exc:
-        estimate_sup_moment(spec, make_grid(2.0, 8), SchemeChoice(EULER), p=2.0,
-                            n_paths=16, seed=0)
-    assert exc.value.step == 6
-    assert exc.value.path_index == 15
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_stability_ratio_reports_the_earliest_divergence_of_the_run(workers):
     # 2048 paths in two chunks: the first chunk's earliest divergence is at
@@ -246,30 +208,6 @@ def test_live_paths_raises_at_the_earliest_step_below_two_paths(first_bad, step)
     with pytest.raises(DivergenceError) as exc:
         live_paths(np.array(first_bad), 8)
     assert exc.value.step == step
-
-
-def test_sup_moment_heavy_tail_flagged():
-    # Pareto(alpha = 1.5) initial conditions: E[ sup^6 ] is infinite
-    spec = zoo_lookup("quintic")
-    rep = estimate_sup_moment(
-        spec,
-        make_grid(1.0, 64),
-        SchemeChoice(TAMED),
-        p=6.0,
-        n_paths=8192,
-        seed=8,
-        theta_sampler=pareto_theta_sampler(1.5),
-    )
-    assert rep.nonconvergent
-    # the (gen, n) sampler draws what a scalar pareto() draw gives, so the
-    # estimate equals the one of the earlier (gen) -> (d,) sampler
-    draws = [
-        np.random.Generator(np.random.Philox(3)).pareto(1.5, **size)
-        for size in ({}, {"size": (1, 1)})
-    ]
-    assert draws[0] == draws[1][0, 0]
-    assert rep.estimate.mean[0] == float.fromhex("0x1.b4a82e12b9780p+54")
-    assert rep.estimate.stderr[0] == float.fromhex("0x1.b4a41cffd45dbp+54")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -415,21 +353,16 @@ def test_chunk_size_does_not_change_results(model, kind, x0, N, n_paths, seed):
 
 
 def test_estimators_do_not_depend_on_the_worker_count():
-    # 1100 paths span two chunks; the Pareto sampler draws each chunk's
-    # initial conditions from the streams of its own paths
+    # 1100 paths span two chunks
     spec = zoo_lookup("quintic")
     g = make_grid(1.0, 16)
     scheme = SchemeChoice(TAMED)
 
     def run(workers):
-        rep = estimate_sup_moment(
-            spec, g, scheme, 2.0, 1100, 8, pareto_theta_sampler(1.5), workers
-        )
         ratio = stability_ratio(
             spec, g, scheme, np.array([1.0]), np.array([1.1]), 2.0, 1100, 8, workers
         )
-        arrays = (rep.estimate.mean, rep.estimate.stderr, rep.prefix_means, ratio.mean, ratio.stderr)
-        return [a.tobytes() for a in arrays] + [rep.max_share, rep.n_diverged]
+        return [a.tobytes() for a in (ratio.mean, ratio.stderr)]
 
     assert run(1) == run(2)
 
@@ -467,6 +400,33 @@ def test_stability_ratio_rejects_equal_points():
             spec, make_grid(1.0, 8), SchemeChoice(EULER),
             np.array([1.0]), np.array([1.0]), p=2.0, n_paths=8, seed=0,
         )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "mu, xi, path, sup_p, gap_p",
+    [
+        (5.0, 2.0, 0, "inf", "1"),  # every path's sup^p overflows
+        (0.05, 1.001, 0, "0", "0"),  # sup^p and |xi - theta|^p underflow to 0
+        (3.75, 2.0, 1, "inf", "1"),  # path 1 is the first whose sup^p overflows
+    ],
+    ids=["sup_overflows", "gap_underflows", "some_sups_overflow"],
+)
+def test_stability_ratio_out_of_range_names_p_and_the_path(mu, xi, path, sup_p, gap_p):
+    # p = 200 on gbm: the estimate is refused, quietly, naming p and the
+    # first path whose ratio is not finite, where it was inf or NaN with a
+    # warning
+    spec = zoo_lookup("gbm", {"mu": mu})
+    with pytest.raises(InvalidParameterError) as exc:
+        stability_ratio(
+            spec, make_grid(1.0, 16), SchemeChoice(EULER), np.array([1.0]),
+            np.array([xi]), p=200.0, n_paths=64, seed=1,
+        )
+    assert str(exc.value) == (
+        "E[sup |X_xi - X_theta|^p] / |xi - theta|^p at p = 200 is out of "
+        f"floating-point range: path {path} has sup |X_xi - X_theta|^p = {sup_p} "
+        f"against |xi - theta|^p = {gap_p}"
+    )
 
 
 def test_scheme_consistency_on_lipschitz_model():
@@ -824,18 +784,6 @@ def test_theta_beyond_the_divergence_bound_is_rejected(theta):
         simulate_batch(spec.field, g, inc, np.array([theta]), SchemeChoice(TAMED))
 
 
-def test_sampled_start_beyond_the_divergence_bound_is_rejected():
-    # a start past the bound is not a path that diverged: the estimate stops
-    spec = zoo_lookup("ginzburg_landau")
-
-    def sampler(gen, n):
-        return np.full((n, 1), 1e200)
-
-    with pytest.raises(InvalidParameterError, match="theta must be finite"):
-        estimate_sup_moment(spec, make_grid(1.0, 4), SchemeChoice(TAMED), p=2.0,
-                            n_paths=4, seed=1, theta_sampler=sampler)
-
-
 def _shifts(spec, g, scales):
     """Shifts scale * hdot * dt of the direction hdot(t) = 1 + t per noise
     column, one per scale: the noise-shifted variants of the ladder."""
@@ -878,47 +826,6 @@ def test_shifts_take_one_start_or_one_per_row():
     rows = simulate_batch(spec.field, g, inc, np.ones((8, 1)), SchemeChoice(EULER), shifts)
     one = simulate_batch(spec.field, g, inc, np.ones(1), SchemeChoice(EULER), shifts)
     assert rows.values.tobytes() == one.values.tobytes()
-
-
-@pytest.mark.parametrize("case", ["gl_x0_3", "quintic", "twin_gl", "random_sigma"])
-def test_sup_moment_folds_the_stored_sup(case):
-    # the running sup gives the estimate of sup_norms over stored paths
-    make_spec, T, N = STACK_CASES[case]
-    spec = make_spec()
-    g = make_grid(T, N)
-    scheme = SchemeChoice(EULER)
-    out = simulate_batch(spec.field, g, sample_increments(g, spec.m, 21, 0, 300),
-                         spec.theta0, scheme)
-    live = live_paths(out.first_bad, N)
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = mc_estimate(np.max(np.linalg.norm(out.values, axis=2), axis=1)[live] ** 3.0)
-    if not np.all(np.isfinite([*want.mean, *want.stderr])):
-        # live Euler paths from x0 = 3 reach 3.6e149, whose cube overflows
-        with pytest.raises(InvalidParameterError, match="out of floating-point range"):
-            estimate_sup_moment(spec, g, scheme, p=3.0, n_paths=300, seed=21)
-        return
-    rep = estimate_sup_moment(spec, g, scheme, p=3.0, n_paths=300, seed=21)
-    assert rep.n_diverged == np.count_nonzero(~live)
-    assert rep.estimate.mean.tobytes() == want.mean.tobytes()
-    assert rep.estimate.stderr.tobytes() == want.stderr.tobytes()
-
-
-@pytest.mark.filterwarnings("error")
-def test_sup_moment_out_of_range_names_the_path_and_p():
-    # a live Euler path from x0 = 3 reaches a sup whose cube overflows: the
-    # estimate is refused, quietly, naming the path with the largest sup
-    spec = zoo_lookup("ginzburg_landau", {"x0": 3.0})
-    g = make_grid(2.0, 8)
-    scheme = SchemeChoice(EULER)
-    out = simulate_batch(spec.field, g, sample_increments(g, 1, 21, 0, 300), spec.theta0, scheme)
-    sups = np.where(out.diverged, -np.inf, sup_norms(out.values))
-    k = int(np.argmax(sups))
-    assert np.cbrt(np.finfo(float).max) < sups[k] <= DIVERGENCE_BOUND
-    with pytest.raises(InvalidParameterError) as exc:
-        estimate_sup_moment(spec, g, scheme, p=3.0, n_paths=300, seed=21)
-    assert str(exc.value) == (
-        f"E[sup |X|^p] at p = 3 is out of floating-point range: path {k} has sup |X|^p = inf"
-    )
 
 
 @pytest.mark.parametrize("kind", SCHEMES)

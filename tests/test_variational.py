@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from monosde import (
-    History,
     InvalidParameterError,
     LinearSDECoeffs,
     finite_difference_jacobian,
@@ -12,8 +11,10 @@ from monosde import (
     jacobian,
     linear_sde_solve,
     make_grid,
+    probe_assumptions,
     sample_noise,
     simulate,
+    uniform_sampler,
     zoo_lookup,
 )
 from monosde.core import sample_increments
@@ -22,7 +23,7 @@ from monosde.solver import (
     EULER, IMPLICIT, TAMED, SchemeChoice, StepRecord, Stepper, simulate_batch,
     tamed_denominator,
 )
-from monosde.variational import VariationalFactors
+from monosde.variational import VariationalFactors, _linear_field
 
 
 def stored_records(vf, out):
@@ -272,9 +273,17 @@ def test_finite_difference_rejects_zero_eps():
         finite_difference_jacobian(spec, w, SchemeChoice(EULER), 0.0)
 
 
-def test_probe_linear_quadratic_bound():
-    from monosde.variational import probe_linear_quadratic_bound
+def _probe_linear(coeffs, bound, seed=0):
+    """(max one-sided quotient, ok) of the linear system's drift against
+    bound, at 500 points uniform on [-3, 3]^d."""
+    report = probe_assumptions(
+        replace(_linear_field(coeffs), monotone_const=bound),
+        uniform_sampler(-3.0, 3.0, coeffs.d), 500, seed,
+    )
+    return report.max_onesided, report.monotone_ok
 
+
+def test_probe_linear_quadratic_bound():
     coeffs = LinearSDECoeffs(
         d=1,
         m=1,
@@ -283,17 +292,15 @@ def test_probe_linear_quadratic_bound():
         b=lambda t, h: np.zeros(1),
         sigma=lambda t, h: np.zeros((1, 1)),
     )
-    worst, ok = probe_linear_quadratic_bound(coeffs, bound=0.0, seed=1)
+    worst, ok = _probe_linear(coeffs, bound=0.0, seed=1)
     assert ok and worst <= -0.5
-    worst, ok = probe_linear_quadratic_bound(coeffs, bound=-0.9, seed=1)
+    worst, ok = _probe_linear(coeffs, bound=-0.9, seed=1)
     assert not ok
 
 
 def test_probe_linear_quadratic_bound_of_a_non_normal_matrix():
     # z^T B z / |z|^2 peaks at the top eigenvalue 1/2 of (B + B^T) / 2, not
     # at the eigenvalue -1 of B; the inhomogeneity b drops out of the quotient
-    from monosde.variational import probe_linear_quadratic_bound
-
     coeffs = LinearSDECoeffs(
         d=2,
         m=1,
@@ -302,9 +309,9 @@ def test_probe_linear_quadratic_bound_of_a_non_normal_matrix():
         b=lambda t, h: np.ones(2),
         sigma=lambda t, h: np.zeros((2, 1)),
     )
-    worst, ok = probe_linear_quadratic_bound(coeffs, bound=0.5)
+    worst, ok = _probe_linear(coeffs, bound=0.5)
     assert ok and 0.5 - 1e-4 < worst <= 0.5 + 1e-12
-    worst, ok = probe_linear_quadratic_bound(coeffs, bound=0.49)
+    worst, ok = _probe_linear(coeffs, bound=0.49)
     assert not ok
 
 
