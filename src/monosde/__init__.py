@@ -11,7 +11,6 @@ difference-quotient convergence, and Bismut-Elworthy-Li sensitivities.
 __version__ = "0.1.0"
 
 from .core import (
-    CHUNK,
     CameronMartinPath,
     History,
     MCEstimate,

@@ -1,8 +1,8 @@
 """The shipped verification suite: one callable per acceptance criterion,
 each returning a structured pass/fail result at its stated tolerance.
 
-Every check is deterministic (fixed seeds, fixed chunking) so repeated runs
-produce identical reports.
+Every check is deterministic (fixed seeds, and results that do not depend on
+the chunking or the worker count) so repeated runs produce identical reports.
 """
 
 from __future__ import annotations

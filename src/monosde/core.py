@@ -11,12 +11,16 @@ points of probe_assumptions use ``spawn_key=(0, 2)``.  A batch derives the
 Philox keys of all its paths in one vectorised pass over SeedSequence's hash
 and re-keys a single Philox per path, with the same bytes; tests/test_core.py
 pins them.
-Estimators process paths in fixed chunks of ``CHUNK`` paths.  With
+Estimators process paths in chunks sized by chunk_size: as many paths as
+fit their (N, m) increments and row state in ``CHUNK_BYTES``, at least
+``MIN_CHUNK``, and few enough that every worker gets a chunk.  With
 ``workers > 1`` the chunks run in up to that many worker processes forked
 from the caller, each holding one chunk's working set at a time, so peak
 memory is about ``workers`` times that.  Chunks fork only on Linux from a
 process running no other Python thread; elsewhere they run serially.  The
-worker count only schedules chunks and never changes any result.
+chunk boundaries move with the worker count and the path count, but no
+result or error does: every path has its own noise stream and its own
+arithmetic, and a failing run reports its first failing path.
 """
 
 from __future__ import annotations
@@ -32,9 +36,14 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
 
-#: Fixed reduction chunk size (paths per work unit).  Results are independent
-#: of the worker count because chunk boundaries never move.
-CHUNK = 1024
+#: The memory a chunk's increments and row state may take, in bytes.
+CHUNK_BYTES = 6 * 2**20
+#: The row state a stacked pass keeps per path beyond its increments, in bytes
+#: (about 0.5 KB for the greeks pass and 0.9 KB for the Gateaux ladder).
+PATH_STATE = 1024
+#: The fewest paths a chunk of a run with more paths holds, whatever N: below
+#: it each step's fixed interpreter cost is paid for too few rows.
+MIN_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +462,18 @@ class History:
 # ---------------------------------------------------------------------------
 
 
-def chunk_ranges(n_paths: int, chunk: int = CHUNK):
-    """Fixed chunk boundaries [(start, count), ...] independent of workers."""
+def chunk_size(N: int, m: int, n_paths: int, workers: int) -> int:
+    """Paths per chunk of a run of n_paths paths of N steps of m-dimensional
+    noise: as many as CHUNK_BYTES holds at 8 N m bytes of increments plus
+    PATH_STATE per path, at least MIN_CHUNK, and at most ceil(n_paths /
+    workers), so that every worker gets a chunk."""
+    fit = max(MIN_CHUNK, CHUNK_BYTES // (8 * N * m + PATH_STATE))
+    return min(fit, -(-n_paths // workers))
+
+
+def chunk_ranges(n_paths: int, chunk: int):
+    """Chunk boundaries [(start, count), ...] of chunk paths each, the last
+    one holding the rest."""
     return [(s, min(chunk, n_paths - s)) for s in range(0, n_paths, chunk)]
 
 
@@ -472,8 +491,9 @@ def _run_chunk(start, count):
     return _worker_fn(start, count)
 
 
-def run_chunks(fn, n_paths: int, workers: int = 1, chunk: int = CHUNK) -> list:
-    """Evaluate fn(start, count) over fixed chunks; results in chunk order.
+def run_chunks(fn, n_paths: int, workers: int, chunk: int) -> list:
+    """Evaluate fn(start, count) over the chunks of chunk_ranges(n_paths,
+    chunk); results in chunk order.
 
     fn must be pure.  With workers > 1 and more than one chunk, the chunks
     run in min(workers, chunks) worker processes forked from this one: fn
@@ -483,7 +503,7 @@ def run_chunks(fn, n_paths: int, workers: int = 1, chunk: int = CHUNK) -> list:
     process runs no other Python thread, is the pool used; otherwise the
     chunks run serially.  The returned list, and the exception raised (the
     first failing chunk's, in chunk order), are the same for any worker
-    count.
+    count at the same chunk size.
     """
     ranges = chunk_ranges(n_paths, chunk)
     # fork is known safe only on Linux (on macOS a child forked after system

@@ -4,11 +4,20 @@ Every error of the library is a MonosdeError.  The CLI exits 2 for one that
 is also a RuntimeError (a numerical failure at run time: DivergenceError,
 NewtonFailureError, SingularDiffusionError, DegenerateWronskianError) and 1
 for any other (a parameter or domain error).
+
+The errors a single path can raise (DivergenceError, NewtonFailureError,
+SingularDiffusionError) carry the index of that path when it is known, end
+their message with "(path k)", and return a copy naming another path from
+at_path.
 """
 
 
 class MonosdeError(Exception):
     """Base class for all library errors."""
+
+
+def _on_path(path_index):
+    return f" (path {path_index})" if path_index is not None else ""
 
 
 class InvalidParameterError(MonosdeError, ValueError):
@@ -50,30 +59,56 @@ class DivergenceError(MonosdeError, RuntimeError):
         self.step = int(step)
         self.path_index = path_index
         self.what = what
-        where = f" (path {path_index})" if path_index is not None else ""
-        super().__init__(f"{what} diverged at step {self.step}{where}")
+        super().__init__(f"{what} diverged at step {self.step}{_on_path(path_index)}")
 
     def __reduce__(self):
         return type(self), (self.step, self.path_index, self.what)
 
+    def at_path(self, path_index):
+        return type(self)(self.step, path_index, self.what)
+
 
 class NewtonFailureError(MonosdeError, RuntimeError):
-    """The implicit-step Newton iteration did not reach the tolerance."""
+    """The implicit-step Newton iteration did not reach the tolerance.
 
-    def __init__(self, step, residual, tol):
+    Attributes: step, the largest residual left and the tolerance, and the
+    global path index when known.
+    """
+
+    def __init__(self, step, residual, tol, path_index=None):
         self.step = int(step)
         self.residual = float(residual)
         self.tol = float(tol)
+        self.path_index = path_index
         super().__init__(
             f"Newton residual {residual:.3e} > tol {tol:.3e} at step {step}"
+            f"{_on_path(path_index)}"
         )
 
     def __reduce__(self):
-        return type(self), (self.step, self.residual, self.tol)
+        return type(self), (self.step, self.residual, self.tol, self.path_index)
+
+    def at_path(self, path_index):
+        return type(self)(self.step, self.residual, self.tol, path_index)
 
 
 class SingularDiffusionError(MonosdeError, RuntimeError):
-    """The diffusion matrix is (numerically) singular where an inverse is needed."""
+    """The diffusion matrix is (numerically) singular where an inverse is needed.
+
+    Attributes: reason (the message without the path) and the global path
+    index when known.
+    """
+
+    def __init__(self, reason, path_index=None):
+        self.reason = reason
+        self.path_index = path_index
+        super().__init__(f"{reason}{_on_path(path_index)}")
+
+    def __reduce__(self):
+        return type(self), (self.reason, self.path_index)
+
+    def at_path(self, path_index):
+        return type(self)(self.reason, path_index)
 
 
 class DegenerateWronskianError(MonosdeError, RuntimeError):

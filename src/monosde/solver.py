@@ -38,17 +38,17 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    CHUNK,
     History,
     MCEstimate,
     NoisePath,
     StatePath,
     TimeGrid,
+    chunk_size,
     mc_estimate,
     run_chunks,
     sample_increments,
 )
-from .errors import DivergenceError, InvalidParameterError, NewtonFailureError
+from .errors import DivergenceError, InvalidParameterError, MonosdeError, NewtonFailureError
 from .models import CoefficientField, ModelSpec
 
 DIVERGENCE_BOUND = 1e150
@@ -336,20 +336,56 @@ def simulate(
     return run.path
 
 
+def _first_failure(fn, inc, start, err):
+    """The error of the first path of a failing run fn(inc, start) (paths
+    start, start+1, ...; err its error) that fails alone, naming that path.
+
+    A run of paths fails when one of its paths fails alone, so bisection
+    finds the first: the half that fails is kept, the left one first, at
+    about twice the run's work.  When neither half fails alone the failure
+    is the run's own, and err is returned.
+    """
+    while len(inc) > 1:
+        half = len(inc) // 2
+        for lo, hi in ((0, half), (half, len(inc))):
+            try:
+                fn(inc[lo:hi], start + lo)
+            except MonosdeError as part_err:
+                err, inc, start = part_err, inc[lo:hi], start + lo
+                break
+        else:
+            return err
+    # a path's error that does not know its path is told it
+    if getattr(err, "path_index", 0) is None:
+        err = err.at_path(start)
+    return err
+
+
 def run_paths(fn, grid: TimeGrid, m: int, seed: int, n_paths: int,
-              workers: int = 1, size: int = CHUNK):
+              workers: int = 1, size: Optional[int] = None):
     """The chunked Monte Carlo driver: fn(inc, start) on the (seed, path)
-    increments (count, N, m) of paths start..start+count-1, for each fixed
-    chunk of size paths; the array fn returns, or each array of the tuple it
-    returns, concatenated in path order."""
+    increments (count, N, m) of paths start..start+count-1, for each chunk
+    of size paths (chunk_size by default); the array fn returns, or each
+    array of the tuple it returns, concatenated in path order.
+
+    fn must treat each path on its own.  A failing run raises the error of
+    its first failing path, as fn raises it for that path alone, whatever the
+    chunk size and worker count: a chunk that raises a MonosdeError is
+    bisected down to that path.
+    """
     if n_paths < 1:
         raise InvalidParameterError("n_paths must be >= 1")
     if workers < 1:
         raise InvalidParameterError("workers must be >= 1")
 
     def chunk(start, count):
-        return fn(sample_increments(grid, m, seed, start, count), start)
+        inc = sample_increments(grid, m, seed, start, count)
+        try:
+            return fn(inc, start)
+        except MonosdeError as err:
+            raise _first_failure(fn, inc, start, err) from None
 
+    size = size or chunk_size(grid.N, m, n_paths, workers)
     parts = run_chunks(chunk, n_paths, workers, size)
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(p) for p in zip(*parts))
@@ -365,19 +401,11 @@ def simulate_paths(
     workers: int = 1,
 ) -> np.ndarray:
     """Paths 0..n_paths-1 of the base SDE from spec.theta0 on their (seed,
-    path) noise, values (n_paths, N+1, d); raises the DivergenceError (with
-    its path index) or NewtonFailureError of the first failing path in path
-    order."""
+    path) noise, values (n_paths, N+1, d); raises the DivergenceError or
+    NewtonFailureError of the first failing path, with its path index."""
 
     def chunk(inc, start):
-        try:
-            out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
-        except NewtonFailureError:
-            if len(inc) == 1:
-                raise
-            # the batch raised for its earliest failing step; one path at a
-            # time raises for its first failing path instead
-            return np.concatenate([chunk(inc[k:k + 1], start + k) for k in range(len(inc))])
+        out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
         if np.any(out.diverged):
             k = int(np.argmax(out.diverged))
             raise DivergenceError(out.first_bad[k], start + k)

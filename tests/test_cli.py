@@ -542,7 +542,7 @@ _GL = "model = ginzburg_landau\ngrid.T = 1\n"
 _GBM = "model = gbm\ngrid.T = 1\n"
 
 #: sha256 of artifacts as the row-by-row writers wrote them: paths per
-#: scheme, 1025 tamed paths (past the 1024-path chunk boundary), the
+#: scheme, 1025 tamed paths (two chunks, 513 + 512, at workers 2), the
 #: Malliavin field at two strides, and the Jacobian per scheme; then the
 #: greeks (BEL weights and FD) and the Gateaux ladder (D^h X) per scheme;
 #: then the field under the other two schemes and on the random-sigma
@@ -663,7 +663,7 @@ _MULTI_PATH_FAILURES = {
     "newton_failure": (
         "grid.T = 1\ngrid.N = 8\nscheme = split_step_implicit\n"
         "scheme.newton_max_iter = 3\nseed = 0\nn_paths = 8\n",
-        "error: Newton residual 3.677e-10 > tol 1.000e-10 at step 6\n",
+        "error: Newton residual 3.677e-10 > tol 1.000e-10 at step 6 (path 2)\n",
     ),
 }
 

@@ -18,6 +18,7 @@ from monosde import (
 from monosde.core import (
     _philox_keys,
     chunk_ranges,
+    chunk_size,
     paired_z_score,
     run_chunks,
     sample_increments,
@@ -80,7 +81,7 @@ def _sha256(a: np.ndarray) -> str:
 
 
 def test_noise_stream_bytes_are_pinned():
-    # paths 1021..1027 cross a 1024-path chunk boundary
+    # paths 1021..1027 cross the end of a first chunk of MIN_CHUNK paths
     g = make_grid(1.0, 64)
     assert _sha256(sample_increments(g, 3, 7, 1021, 7)) == (
         "d4796f6a0eb20fa4ed5bc61994c9880f7b420e4ad0d068e96b9073ffe4278c7e"
@@ -231,6 +232,25 @@ def test_run_chunks_worker_independent():
     b = np.concatenate(run_chunks(work, 5000, workers=4, chunk=256))
     assert np.array_equal(a, b)
     assert chunk_ranges(5000, 256)[-1] == (4864, 136)
+
+
+@pytest.mark.parametrize(
+    "N, m, n_paths, workers, size",
+    [
+        (256, 1, 8192, 1, 2048),  # 6 MiB / (2 KiB of increments + 1 KiB)
+        (256, 1, 8192, 2, 2048),
+        (16, 1, 100_000, 1, 5461),
+        (639, 1, 100_000, 1, 1025),
+        (640, 1, 100_000, 1, 1024),  # the floor from here on
+        (1024, 1, 100_000, 1, 1024),
+        (128, 2, 100_000, 1, 2048),  # m multiplies the increments
+        (256, 1, 3000, 2, 1500),  # a chunk per worker
+        (16, 1, 100, 1, 100),
+        (256, 1, 5, 4, 2),
+    ],
+)
+def test_chunk_size_fits_the_budget_and_gives_every_worker_a_chunk(N, m, n_paths, workers, size):
+    assert chunk_size(N, m, n_paths, workers) == size
 
 
 def test_history_shifts_view_the_shifted_paths():

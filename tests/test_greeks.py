@@ -25,7 +25,7 @@ from monosde.models import CoefficientField, ModelSpec
 from monosde.solver import (
     EULER, IMPLICIT, SCHEMES, TAMED, SchemeChoice, live_paths, simulate_batch,
 )
-from test_solver import STACK_CASES
+from test_solver import STACK_CASES, _chunks
 from test_variational import _twin_ginzburg_landau, stored_factors, stored_records
 
 
@@ -120,7 +120,6 @@ def test_bel_vs_fd_on_ginzburg_landau():
 @pytest.mark.parametrize(
     "x0, T, N, kind, n_paths, workers",
     [
-        # 1500 paths = one full chunk plus a partial one
         (1.0, 1.0, 32, TAMED, 1500, 1),
         (1.0, 1.0, 32, TAMED, 1500, 2),
         # explicit Euler from x0 = 3 with dt = 1/4 blows up on some paths
@@ -130,6 +129,8 @@ def test_bel_vs_fd_on_ginzburg_landau():
     ],
 )
 def test_fused_pass_equals_separate_estimators(x0, T, N, kind, n_paths, workers):
+    # one chunk per worker: at workers 2 the two chunks run on the pool
+    assert len(_chunks(N, 1, n_paths, workers)) == workers
     spec = zoo_lookup("ginzburg_landau", {"eta": 1.0, "sigma": 1.0, "x0": x0})
     g = make_grid(T, N)
     scheme = SchemeChoice(kind)

@@ -322,22 +322,34 @@ def test_ladder_chunk_stores_no_path_values():
     assert peak / 1024 < 1024
 
 
-def test_ladder_newton_failure_raises_at_the_earliest_step_of_the_stack():
-    # run alone, the base paths fail Newton at step 5, the eps = 0.5 paths
-    # at step 3 and the eps = 0.25 paths at step 5; the stacked chunk raises
-    # at step 3, where the base-first separate runs raised at step 5
+def test_ladder_newton_failure_raises_at_the_first_failing_paths_earliest_step():
+    # run alone, the 16 base paths fail Newton at step 5, the eps = 0.5 paths
+    # at step 3 and the eps = 0.25 paths at step 5; the first failing path,
+    # path 1, fails at steps 6, 5 and 6, and the ladder raises its error at
+    # its earliest step, 5, whatever the chunking
     spec = zoo_lookup("ginzburg_landau")
     g = make_grid(1.0, 16)
     scheme = SchemeChoice(IMPLICIT, newton_max_iter=3)
     h = CameronMartinPath.constant(g, 1.0)
     eps = np.array([0.5, 0.25])
     inc = sample_increments(g, 1, 1, 0, 16)
-    steps = []
-    for e in (0.0, *eps):
-        with pytest.raises(NewtonFailureError) as exc:
-            simulate_batch(spec.field, g, inc + e * (h.density * g.dt), spec.theta0, scheme)
-        steps.append(exc.value.step)
-    assert steps == [5, 3, 5]
+
+    def steps(paths):
+        out = []
+        for e in (0.0, *eps):
+            try:
+                simulate_batch(spec.field, g, paths + e * (h.density * g.dt), spec.theta0, scheme)
+            except NewtonFailureError as err:
+                out.append(err.step)
+            else:
+                out.append(None)
+        return out
+
+    assert steps(inc) == [5, 3, 5]
+    assert steps(inc[:1]) == [None, None, None]
+    assert steps(inc[1:2]) == [6, 5, 6]
     with pytest.raises(NewtonFailureError) as exc:
         gateaux_ladder(spec, g, scheme, h, eps, [0.1], n_paths=16, seed=1)
-    assert exc.value.step == 3
+    assert exc.value.step == 5
+    assert exc.value.path_index == 1
+    assert str(exc.value) == "Newton residual 3.244e-10 > tol 1.000e-10 at step 5 (path 1)"

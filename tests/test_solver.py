@@ -18,6 +18,7 @@ from monosde import (
     InvalidParameterError,
     NewtonFailureError,
     LinearSDECoeffs,
+    SingularDiffusionError,
     directional_derivative,
     finite_difference_jacobian,
     gateaux_direction,
@@ -30,8 +31,11 @@ from monosde import (
     stability_ratio,
     zoo_lookup,
 )
-from monosde.core import CHUNK, mc_estimate, sample_increments
-from monosde.greeks import BELConfig, _samples, identity_payoff
+from monosde import shiftlab, solver
+from monosde.core import chunk_ranges, chunk_size, mc_estimate, sample_increments
+from monosde.errors import MonosdeError
+from monosde.greeks import BELConfig, _samples, bel_fd_gradients, identity_payoff
+from monosde.shiftlab import _ladder_samples, cameron_martin_check, clipped_sup_norm, gateaux_ladder
 from monosde.models import CoefficientField, ModelSpec
 from monosde.solver import (
     EULER,
@@ -42,6 +46,7 @@ from monosde.solver import (
     live_paths,
     run_paths,
     simulate_batch,
+    simulate_paths,
 )
 from test_variational import _twin_ginzburg_landau
 
@@ -167,22 +172,29 @@ def test_simulate_raises_divergence_with_step():
     assert 1 <= exc.value.step <= 64
 
 
+def _chunks(N, m, n_paths, workers):
+    """The chunks run_paths runs n_paths paths in at that worker count."""
+    return chunk_ranges(n_paths, chunk_size(N, m, n_paths, workers))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_stability_ratio_reports_the_earliest_divergence_of_the_run(workers):
-    # 2048 paths in two chunks: the first chunk's earliest divergence is at
-    # step 8, the run's is at step 7 on a path of the second chunk
+    # 8192 paths in two chunks or more: the first chunk's earliest divergence
+    # is at step 8, the run's is at step 7 on a path of a later chunk
     spec = zoo_lookup("ginzburg_landau")
     g = make_grid(2.0, 8)
     scheme = SchemeChoice(EULER)
-    theta, xi = np.array([2.2]), np.array([2.3])
-    inc = sample_increments(g, 1, 3, 0, 2048)
+    theta, xi = np.array([1.5]), np.array([1.6])
+    inc = sample_increments(g, 1, 9, 0, 8192)
     first_bad = np.minimum(
         simulate_batch(spec.field, g, inc, theta, scheme).first_bad,
         simulate_batch(spec.field, g, inc, xi, scheme).first_bad,
     )
-    assert first_bad[:CHUNK].min() > first_bad.min()
+    chunks = _chunks(g.N, 1, 8192, workers)
+    assert len(chunks) >= 2
+    assert first_bad[:chunks[0][1]].min() > first_bad.min()
     with pytest.raises(DivergenceError) as exc:
-        stability_ratio(spec, g, scheme, theta, xi, 2.0, 2048, 3, workers)
+        stability_ratio(spec, g, scheme, theta, xi, 2.0, 8192, 9, workers)
     assert exc.value.step == first_bad.min()
     assert exc.value.path_index == np.argmin(first_bad)
 
@@ -242,13 +254,16 @@ def test_run_paths_rejects_workers_below_one(workers):
         run_paths(lambda inc, start: inc, make_grid(1.0, 4), 1, 5, 8, workers)
 
 
-def _failing_chunks(inc, start):
-    """Chunk 2 (of 64 paths each) diverges late, chunk 3 fails at once."""
-    if start == 128:
-        time.sleep(0.3)  # so chunk 3's error is raised first in time
-        raise DivergenceError(7, start + 5)
-    if start == 192:
-        raise InvalidParameterError("chunk 3")
+def _failing_paths(inc, start):
+    """Path 133 diverges at step 7, late: its chunk of 64 paths (the third)
+    fails after the fourth, which holds path 200, failing at once."""
+    paths = range(start, start + len(inc))
+    if 133 in paths:
+        if len(inc) == 64:
+            time.sleep(0.3)  # so the fourth chunk's error is raised first in time
+        raise DivergenceError(7, 133)
+    if 200 in paths:
+        raise InvalidParameterError("path 200")
     return inc
 
 
@@ -257,13 +272,51 @@ def test_run_paths_raises_the_first_failing_chunk_in_path_order():
     raised = []
     for workers in (1, 2):
         with pytest.raises(DivergenceError) as info:
-            run_paths(_failing_chunks, g, 1, 5, 256, workers, size=64)
+            run_paths(_failing_paths, g, 1, 5, 256, workers, size=64)
         raised.append(info.value)
         assert multiprocessing.active_children() == []
     serial, pooled = raised
     assert type(pooled) is type(serial)
     assert str(pooled) == str(serial) == "state diverged at step 7 (path 133)"
     assert vars(pooled) == vars(serial)
+
+
+#: path -> step at which it fails Newton alone, with residual 1 + path / 1000
+_NEWTON_FAILS = {30: 6, 45: 2, 51: 4, 90: 1}
+
+
+def _newton_failing_paths(inc, start):
+    """Newton fails, as a batch does, at the earliest failing step of the
+    batch's paths with the largest residual among them, naming no path."""
+    steps = {p: s for p, s in _NEWTON_FAILS.items() if start <= p < start + len(inc)}
+    if steps:
+        step = min(steps.values())
+        raise NewtonFailureError(step, 1 + max(steps) / 1000, 1e-10)
+    return inc
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("size", [1, 7, 64, None])
+def test_run_paths_raises_the_first_failing_paths_own_error(workers, size):
+    # each chunk that fails is bisected to its first failing path, path 30,
+    # whose own error names it, whatever the chunking: a 64-path chunk alone
+    # raises at step 2 with path 51's residual
+    with pytest.raises(NewtonFailureError) as info:
+        run_paths(_newton_failing_paths, make_grid(1.0, 4), 1, 5, 100, workers, size)
+    assert vars(info.value) == {"step": 6, "residual": 1.03, "tol": 1e-10, "path_index": 30}
+    assert str(info.value) == "Newton residual 1.030e+00 > tol 1.000e-10 at step 6 (path 30)"
+
+
+def _batch_failing(inc, start):
+    """Fails on a run of more than 4 paths that holds path 14."""
+    if len(inc) > 4 and start <= 14 < start + len(inc):
+        raise InvalidParameterError(f"a run of {len(inc)} paths from {start}")
+    return inc
+
+
+def test_run_paths_raises_a_chunks_own_error_when_no_path_fails_alone():
+    with pytest.raises(InvalidParameterError, match="^a run of 6 paths from 12$"):
+        run_paths(_batch_failing, make_grid(1.0, 4), 1, 5, 24, size=6)
 
 
 @pytest.mark.parametrize("workers, n_chunks, forked", [
@@ -319,6 +372,33 @@ def test_run_paths_runs_serially_beside_another_thread(monkeypatch):
         other.join()
 
 
+class _Captured(Exception):
+    pass
+
+
+def _chunk_fn(module, call):
+    """The chunk function that call() hands to module.run_paths."""
+
+    def capture(fn, *args, **kwargs):
+        raise _Captured(fn)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "run_paths", capture)
+        with pytest.raises(_Captured) as info:
+            call()
+    return info.value.args[0]
+
+
+def _outcome(fn, g, m, seed, n_paths, size=None, workers=1):
+    """The bytes of each array run_paths returns, or the type, message and
+    attributes of the error it raises."""
+    try:
+        out = run_paths(fn, g, m, seed, n_paths, workers, size)
+    except MonosdeError as err:
+        return type(err), str(err), vars(err)
+    return [r.tobytes() for r in (out if isinstance(out, tuple) else (out,))]
+
+
 @settings(max_examples=30, deadline=None, database=None)
 @given(
     model=st.sampled_from(["gbm", "ginzburg_landau"]),
@@ -329,8 +409,11 @@ def test_run_paths_runs_serially_beside_another_thread(monkeypatch):
     seed=st.integers(0, 2**32),
 )
 def test_chunk_size_does_not_change_results(model, kind, x0, N, n_paths, seed):
-    # every chunk size gives the bytes of the fixed chunks; x0 = 6 makes Euler
-    # GL paths diverge, and N >= 2 keeps dt * L_mono < 1 for the implicit scheme
+    # every chunk size gives the bytes, or the error, of the rule's chunks,
+    # for every run_paths chunk function: the stored batch, the BEL and FD
+    # rows of the greeks pass, the ladder, the Cameron-Martin check, the
+    # stability ratio and simulate_paths; x0 = 6 makes Euler GL paths
+    # diverge, and N >= 2 keeps dt * L_mono < 1 for the implicit scheme
     spec = zoo_lookup(model, {"x0": x0})
     if kind == IMPLICIT:
         N = max(N, 2)
@@ -338,25 +421,114 @@ def test_chunk_size_does_not_change_results(model, kind, x0, N, n_paths, seed):
     scheme = SchemeChoice(kind)
     cfg = BELConfig(identity_payoff(), N)
     a = cfg.weights_on(g)
+    h = CameronMartinPath.constant(g, 1.0)
+    eps = np.array([0.5, 0.25])
 
     def fn(inc, start):
         out = simulate_batch(spec.field, g, inc, spec.theta0, scheme)
         return (out.values, out.diverged, out.first_bad,
-                *_samples(spec.field, g, scheme, spec.theta0, cfg.payoff, N, inc, a))
+                *_samples(spec.field, g, scheme, spec.theta0, cfg.payoff, N, inc, a, 1e-3),
+                *_ladder_samples(spec, g, scheme, h, eps, inc))
 
-    def run(size=CHUNK):
-        return [r.tobytes() for r in run_paths(fn, g, 1, seed, n_paths, size=size)]
+    fns = [
+        fn,
+        _chunk_fn(shiftlab, lambda: cameron_martin_check(
+            spec, g, scheme, h, clipped_sup_norm(10.0), n_paths, seed)),
+        _chunk_fn(solver, lambda: stability_ratio(
+            spec, g, scheme, spec.theta0, spec.theta0 + 0.1, 2.0, n_paths, seed)),
+        _chunk_fn(solver, lambda: simulate_paths(spec, g, scheme, seed, n_paths)),
+    ]
+    for f in fns:
+        fixed = _outcome(f, g, 1, seed, n_paths)
+        for k in range(1, n_paths + 1):
+            assert _outcome(f, g, 1, seed, n_paths, k) == fixed
 
-    fixed = run()
-    for k in range(1, n_paths + 1):
-        assert run(k) == fixed
+
+def _threshold_sigma_spec():
+    """d = m = 1, zero drift from 0, sigma = 1 up to x = 1 and 1e-13 beyond:
+    BEL finds sigma near singular on each path at its first step above 1."""
+
+    def zeros(shape):
+        return lambda t, h, x: np.zeros((x.shape[0],) + shape)
+
+    field = CoefficientField(
+        1, 1, zeros((1,)), lambda t, h, x: np.where(x[:, :, None] > 1.0, 1e-13, 1.0),
+        zeros((1, 1)), zeros((1, 1, 1)),
+    )
+    return ModelSpec("threshold_sigma", field, {}, np.zeros(1))
+
+
+def _newton_ladder(workers):
+    g = make_grid(1.0, 16)
+    return gateaux_ladder(
+        zoo_lookup("ginzburg_landau"), g, SchemeChoice(IMPLICIT, newton_max_iter=3),
+        CameronMartinPath.constant(g, 1.0), [0.5, 0.25], [0.1], n_paths=40, seed=1, workers=workers,
+    )
+
+
+def _newton_greeks(workers):
+    g = make_grid(1.0, 16)
+    return bel_fd_gradients(
+        zoo_lookup("ginzburg_landau"), g, SchemeChoice(IMPLICIT, newton_max_iter=3),
+        BELConfig(identity_payoff(), g.N), 1e-3, n_paths=40, seed=1, workers=workers,
+    )
+
+
+def _singular_greeks(workers):
+    g = make_grid(1.0, 16)
+    return bel_fd_gradients(
+        _threshold_sigma_spec(), g, SchemeChoice(EULER), BELConfig(identity_payoff(), g.N),
+        1e-3, n_paths=40, seed=2, workers=workers,
+    )
+
+
+def _diverging_paths(workers):
+    spec = zoo_lookup("ginzburg_landau", {"x0": 3.0})
+    return simulate_paths(spec, make_grid(2.0, 8), SchemeChoice(EULER), 3, 40, workers)
+
+
+#: run -> (type, message) of its first failing path's error; the earliest
+#: failing step of the 40 paths is on a later path (noted)
+_FAILING_RUNS = {
+    # path 7 at step 3
+    "ladder_newton": (_newton_ladder, NewtonFailureError,
+                      "Newton residual 3.244e-10 > tol 1.000e-10 at step 5 (path 1)"),
+    # path 14 at step 5
+    "greeks_newton": (_newton_greeks, NewtonFailureError,
+                      "Newton residual 1.197e-09 > tol 1.000e-10 at step 6 (path 1)"),
+    # path 23 at step 5
+    "greeks_singular": (_singular_greeks, SingularDiffusionError,
+                        "diffusion below 1/1e+12 at step 9 (path 2)"),
+    # path 9 at step 7
+    "simulate_divergence": (_diverging_paths, DivergenceError,
+                            "state diverged at step 8 (path 7)"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(_FAILING_RUNS))
+def test_a_failing_run_raises_its_first_failing_paths_error(monkeypatch, case, workers):
+    # the same error, naming the first failing path, at chunks of 1 and 7
+    # paths and at the rule's size (40 paths at workers 1, 20 at workers 2)
+    run, cls, message = _FAILING_RUNS[case]
+    raised = []
+    for size in (1, 7, None):
+        with monkeypatch.context() as mp:
+            if size is not None:
+                mp.setattr(solver, "chunk_size", lambda N, m, n_paths, workers: size)
+            with pytest.raises(MonosdeError) as info:
+                run(workers)
+        raised.append((type(info.value), str(info.value), vars(info.value)))
+    assert raised[0] == raised[1] == raised[2]
+    assert raised[0][:2] == (cls, message)
 
 
 def test_estimators_do_not_depend_on_the_worker_count():
-    # 1100 paths span two chunks
+    # 1100 paths are one chunk at workers 1 and span two at workers 2
     spec = zoo_lookup("quintic")
     g = make_grid(1.0, 16)
     scheme = SchemeChoice(TAMED)
+    assert [len(_chunks(g.N, 1, 1100, w)) for w in (1, 2)] == [1, 2]
 
     def run(workers):
         ratio = stability_ratio(
