@@ -82,13 +82,10 @@ from .shiftlab import (
     terminal_value,
 )
 from .greeks import (
-    BELConfig,
     GradientReport,
-    bel_fd_gradients,
-    bel_gradient,
     constant_weight,
     digital_payoff,
-    fd_gradient,
+    gradients,
     identity_payoff,
     linear_weight,
     tanh_payoff,

@@ -25,17 +25,17 @@ from .solver import (
     SchemeChoice,
     Stepper,
     run_paths,
-    simulate_batch,
     stability_ratio,
 )
 from .variational import _jacobian_arrays, gateaux_direction, jacobian
 from .malliavin import _field_batch, malliavin_field
 from .shiftlab import _log_dd, cameron_martin_check, clipped_sup_norm, gateaux_ladder
 from .greeks import (
-    BELConfig,
-    bel_fd_gradients,
-    bel_gradient,
+    _report,
+    _samples,
+    _weight_table,
     constant_weight,
+    gradients,
     identity_payoff,
     linear_weight,
     tanh_payoff,
@@ -330,37 +330,36 @@ def criterion_07(workers: int = 1) -> CriterionResult:
 
 
 def criterion_08(workers: int = 1) -> CriterionResult:
-    # GBM delta against e^{mu T}
+    # GBM delta against e^{mu T}, and weight invariance across two admissible
+    # weights on the same noise, from one pass over the gbm paths: weights
+    # (constant, linear) on 100 000 paths, of which the first 50 000 compare
+    # the weights
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     grid = make_grid(1.0, 2**8)
-    bel = bel_gradient(
-        spec, grid, SchemeChoice(EULER), BELConfig(identity_payoff(), grid.N),
-        n_paths=100_000, seed=108, workers=workers,
+    payoff = identity_payoff()
+    a = _weight_table((constant_weight(), linear_weight()), grid.N, grid)
+    vals, first_bad = run_paths(
+        lambda inc, start: _samples(
+            spec.field, grid, SchemeChoice(EULER), spec.theta0, payoff, grid.N, inc, a
+        ),
+        grid, spec.m, 108, 100_000, workers,
     )
+    bel = _report(vals[:, 0], first_bad, grid, "bel")
     target = math.exp(0.05)
     z_gbm = abs(bel.estimate.mean[0] - target) / bel.estimate.stderr[0]
+    wa, wb = (_report(vals[:50_000, l], first_bad[:50_000], grid, "bel") for l in (0, 1))
+    comb_w = math.hypot(wa.estimate.stderr[0], wb.estimate.stderr[0])
+    z_w = abs(wa.estimate.mean[0] - wb.estimate.mean[0]) / comb_w
 
     # BEL vs CRN finite difference on Ginzburg-Landau with tanh payoff
     spec_gl = zoo_lookup("ginzburg_landau", {"eta": 1.0, "sigma": 1.0})
     grid_gl = make_grid(1.0, 2**10)
-    rb, rf = bel_fd_gradients(
-        spec_gl, grid_gl, SchemeChoice(TAMED), BELConfig(tanh_payoff(), grid_gl.N),
-        eps=1e-3, n_paths=20_000, seed=1088, workers=workers,
+    rb, rf = gradients(
+        spec_gl, grid_gl, SchemeChoice(TAMED), tanh_payoff(), grid_gl.N, 20_000, 1088,
+        workers, weights=(constant_weight(),), eps=1e-3,
     )
     comb = math.hypot(rb.estimate.stderr[0], rf.estimate.stderr[0])
     z_gl = abs(rb.estimate.mean[0] - rf.estimate.mean[0]) / comb
-
-    # weight invariance across two admissible weights (same noise)
-    wa = bel_gradient(
-        spec, grid, SchemeChoice(EULER), BELConfig(identity_payoff(), grid.N, constant_weight()),
-        n_paths=50_000, seed=108, workers=workers,
-    )
-    wb = bel_gradient(
-        spec, grid, SchemeChoice(EULER), BELConfig(identity_payoff(), grid.N, linear_weight()),
-        n_paths=50_000, seed=108, workers=workers,
-    )
-    comb_w = math.hypot(wa.estimate.stderr[0], wb.estimate.stderr[0])
-    z_w = abs(wa.estimate.mean[0] - wb.estimate.mean[0]) / comb_w
 
     ok = z_gbm <= 3.0 and z_gl <= 3.0 and z_w <= 1.96
     return CriterionResult(
@@ -385,8 +384,10 @@ def criterion_09(workers: int = 1) -> CriterionResult:
     counts = {}
     for kind in (EULER, TAMED, IMPLICIT):
         def chunk(inc, start):
-            out = simulate_batch(spec.field, grid, inc, spec.theta0, SchemeChoice(kind))
-            return out.diverged
+            run = Stepper(spec.field, grid, inc, spec.theta0, SchemeChoice(kind))
+            for _ in run:
+                pass
+            return run.diverged
 
         counts[kind] = int(run_paths(chunk, grid, 1, 109, 1000, workers).sum())
     ok = counts[EULER] >= 10 and counts[TAMED] == 0 and counts[IMPLICIT] == 0
@@ -408,25 +409,20 @@ def criterion_10(workers: int = 1) -> CriterionResult:
     gaps = (1e-1, 1e-2, 1e-3)
     grid = make_grid(1.0, 2**9)
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
-    ratios = [
-        stability_ratio(
-            spec, grid, SchemeChoice(EULER), np.array([1.0]), np.array([1.0 + g]),
-            p=2.0, n_paths=4096, seed=110, workers=workers,
-        )
-        for g in gaps
-    ]
+    xi = 1.0 + np.array(gaps)[:, None]
+    ratios = stability_ratio(
+        spec, grid, SchemeChoice(EULER), np.array([1.0]), xi,
+        p=2.0, n_paths=4096, seed=110, workers=workers,
+    )
     means = np.array([r.mean[0] for r in ratios])
     spread = float(means.max() / means.min() - 1.0)
     gbm_ok = spread <= 0.01
 
     spec_gl = zoo_lookup("ginzburg_landau", {"eta": 1.0, "sigma": 1.0})
-    rg = [
-        stability_ratio(
-            spec_gl, grid, SchemeChoice(TAMED), np.array([1.0]), np.array([1.0 + g]),
-            p=2.0, n_paths=4096, seed=110, workers=workers,
-        )
-        for g in gaps
-    ]
+    rg = stability_ratio(
+        spec_gl, grid, SchemeChoice(TAMED), np.array([1.0]), xi,
+        p=2.0, n_paths=4096, seed=110, workers=workers,
+    )
     # bounded means the ratio converges as the gap shrinks: any growth must
     # have ceased (within noise) by the final rung of the ladder
     grow = rg[-1].mean[0] - rg[-2].mean[0]

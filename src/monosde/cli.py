@@ -43,10 +43,9 @@ from .shiftlab import (
     terminal_value,
 )
 from .greeks import (
-    BELConfig,
-    bel_fd_gradients,
     constant_weight,
     digital_payoff,
+    gradients,
     identity_payoff,
     linear_weight,
     tanh_payoff,
@@ -356,9 +355,9 @@ def _run_greeks(cfg, spec, grid, out_dir, workers):
         "digital": digital_payoff(cfg.strike),
     }[cfg.payoff]
     weight = constant_weight() if cfg.weight == "constant" else linear_weight()
-    bel, fd = bel_fd_gradients(
-        spec, grid, scheme, BELConfig(payoff, grid.N, weight), cfg.fd_eps,
-        cfg.n_paths, cfg.seed, workers=workers,
+    bel, fd = gradients(
+        spec, grid, scheme, payoff, grid.N, cfg.n_paths, cfg.seed, workers,
+        weights=(weight,), eps=cfg.fd_eps,
     )
     rows = [
         _row(rep.method, k, rep.estimate.mean[k], rep.estimate.stderr[k],

@@ -9,19 +9,22 @@ The BEL weight for a payoff at time t is
 with a(.) a weight on [0, t] whose discrete sum is renormalized to exactly 1.
 The gradient estimate is the Monte Carlo mean of Phi(X_t) w*.  Restricting to
 deterministic coefficients keeps the integrand adapted, so the Skorokhod
-integral coincides with the Ito sum.
+integral coincides with the Ito sum.  Any admissible weight gives the same
+gradient, which is what comparing two weights on one noise checks.
 
-Every estimator here steps each chunk once, as one stacked batch: the base
-rows (BEL) and the rows theta +- eps e_k (central difference) share the
-chunk's noise.  BEL builds J and w* forward from each StepRecord the kernel
-yields, reusing its sigma and tamed denominator, and FD keeps the bumped
-states at node t only, so no path values are stored.
+`gradients` is the one estimator: any number of BEL weights and the
+central difference at eps, from one stacked stepping pass per chunk.  The
+base rows (BEL) and the rows theta +- eps e_k (central difference) share
+the chunk's noise.  BEL builds J and one w* per weight forward from each
+StepRecord the kernel yields, reusing its sigma and tamed denominator, and
+FD keeps the bumped states at node t only, so no path values are stored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -70,32 +73,6 @@ def digital_payoff(strike: float) -> Callable:
     return f
 
 
-@dataclass
-class BELConfig:
-    """Configuration of the Bismut-Elworthy-Li estimator.
-
-    Requires a square diffusion (m = d) that is invertible along the paths and
-    a deterministic coefficient field (adapted integrand).
-    """
-
-    payoff: Callable  # (B, d) -> (B,)
-    t_index: int
-    weight: Callable = None  # a(s, t); defaults to the constant weight
-
-    def weights_on(self, grid: TimeGrid) -> np.ndarray:
-        """Discrete weights a_i with sum a_i dt = 1 exactly after renormalization."""
-        _check_t_index(self.t_index, grid)
-        a_fn = self.weight or constant_weight()
-        t = self.t_index * grid.dt
-        a = np.array([a_fn(i * grid.dt, t) for i in range(self.t_index)])
-        total = float(np.sum(a) * grid.dt)
-        if total <= 0:
-            raise InvalidParameterError("weight must have positive mass on [0, t]")
-        a = a / total
-        assert abs(float(np.sum(a) * grid.dt) - 1.0) <= 1e-12
-        return a
-
-
 # ---------------------------------------------------------------------------
 # BEL gradient
 # ---------------------------------------------------------------------------
@@ -127,16 +104,35 @@ def _check_t_index(t_index, grid):
         raise InvalidParameterError("t_index must be in 1..N")
 
 
+def _weight_table(weights, t_index, grid) -> np.ndarray:
+    """The discrete weights (L, t_index) of the L weight functions a(s, t):
+    row l holds a_l(t_i, t) for i < t_index, renormalized so that
+    sum_i a_l(t_i) dt = 1."""
+    t = t_index * grid.dt
+    rows = []
+    for a_fn in weights:
+        a = np.array([a_fn(i * grid.dt, t) for i in range(t_index)], dtype=float)
+        total = float(np.sum(a) * grid.dt)
+        # NaN fails the > as well
+        if not (np.all(np.isfinite(a)) and math.isfinite(total) and total > 0):
+            raise InvalidParameterError(
+                "a weight must be finite with positive finite mass on [0, t]"
+            )
+        rows.append(a / total)
+    return np.array(rows)
+
+
 def _samples(field, grid, scheme, theta, payoff, t_index, inc, a=None, eps=None):
     """Per-path samples of one chunk from one stacked stepping pass.
 
     theta: (d,) or (B, d), the starts of the chunk's B paths on inc (B, N, m).
-    With BEL weights a, the pass steps the base rows and returns
-    (Phi(X_t) w*, first_bad) for them; with eps, it also steps the rows
-    theta +- eps e_k and returns (central differences (B, d), first_bad of
-    either bump).  BEL runs its J and w* recursion on each step's record and
-    FD keeps node t_index, so no path values are stored.  Every row runs all
-    N steps, so first_bad does not depend on t_index.
+    With the weight table a (L, t_index), the pass steps the base rows and
+    returns (Phi(X_t) w*_l (B, L, d), first_bad) for them, one w* per weight;
+    with eps, it also steps the rows theta +- eps e_k and returns (central
+    differences (B, d), first_bad of either bump).  BEL runs its J and w*
+    recursion on each step's record and FD keeps node t_index, so no path
+    values are stored.  Every row runs all N steps, so first_bad does not
+    depend on t_index.
 
     A singular sigma raises SingularDiffusionError after the pass, at the
     first step where one shows: a near-singular sigma on a base path still
@@ -158,7 +154,7 @@ def _samples(field, grid, scheme, theta, payoff, t_index, inc, a=None, eps=None)
         # BEL fields are deterministic, so the callbacks read no history rows
         vf = VariationalFactors(run)
         J = np.broadcast_to(np.eye(d), (B, d, d)).copy()
-        wstar = np.zeros((B, d))
+        wstar = np.zeros((B, len(a), d))
         singular = np.full(B, N + 1)  # first near-singular step per path
         unsolvable = None  # first step whose sigma has no solve
 
@@ -189,9 +185,8 @@ def _samples(field, grid, scheme, theta, payoff, t_index, inc, a=None, eps=None)
                 near = ~(big <= _CONDITION_LIMIT * np.max(np.abs(J), axis=(1, 2)))
             if near.any():
                 np.minimum(singular, np.where(near, i, N + 1), out=singular)
-            wstar = wstar + a[i] * np.einsum(
-                "bdm,bm->bd", siginv_j.transpose(0, 2, 1), vf.dw
-            )
+            e = np.einsum("bdm,bm->bd", siginv_j.transpose(0, 2, 1), vf.dw)
+            wstar = wstar + a[:, i][None, :, None] * e[:, None, :]
             J = J + vf.amat @ J
 
         if a is not None:
@@ -204,7 +199,7 @@ def _samples(field, grid, scheme, theta, payoff, t_index, inc, a=None, eps=None)
                 )
             if unsolvable is not None:
                 raise SingularDiffusionError(f"singular diffusion at step {unsolvable}")
-            samples += [payoff(node[:B])[:, None] * wstar, first_bad]
+            samples += [payoff(node[:B])[:, None, None] * wstar, first_bad]
     if eps is not None:
         fd0 = 0 if a is None else B  # the first bumped row
         bumped = node[fd0:].reshape(d, 2, B, d)
@@ -221,76 +216,42 @@ def _report(vals, first_bad, grid, method) -> GradientReport:
     return GradientReport(mc_estimate(vals[live]), method, int(np.sum(~live)))
 
 
-def _reports(spec, grid, scheme, payoff, t_index, n_paths, seed, workers, a=None, eps=None):
-    """The BEL report (with weights a) and the FD report (with eps), in that
-    order, from one stacked pass per chunk that draws the chunk's noise once."""
-
-    def chunk(inc, start):
-        return _samples(spec.field, grid, scheme, spec.theta0, payoff, t_index, inc, a, eps)
-
-    parts = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
-    reports = []
-    if a is not None:
-        reports.append(_report(parts[0], parts[1], grid, "bel"))
-    if eps is not None:
-        reports.append(_report(parts[-2], parts[-1], grid, "fd"))
-    return reports
-
-
-def bel_gradient(
-    spec: ModelSpec,
-    grid: TimeGrid,
-    scheme: SchemeChoice,
-    cfg: BELConfig,
-    n_paths: int,
-    seed: int,
-    workers: int = 1,
-) -> GradientReport:
-    """grad_x E[Phi(X_x(t))] = E[Phi(X_x(t)) w*] by the BEL weight estimator."""
-    _check_bel_field(spec.field)
-    a = cfg.weights_on(grid)
-    (bel,) = _reports(
-        spec, grid, scheme, cfg.payoff, cfg.t_index, n_paths, seed, workers, a=a
-    )
-    return bel
-
-
-def fd_gradient(
+def gradients(
     spec: ModelSpec,
     grid: TimeGrid,
     scheme: SchemeChoice,
     payoff: Callable,
     t_index: int,
-    eps: float,
     n_paths: int,
     seed: int,
     workers: int = 1,
-) -> GradientReport:
-    """Central-difference gradient at node t_index (1..N) with common random
-    numbers, differenced per path before averaging."""
-    _check_eps(eps)
+    *,
+    weights: Sequence[Callable] = (),
+    eps: Optional[float] = None,
+) -> tuple[GradientReport, ...]:
+    """grad_x E[Phi(X_x(t))] at node t_index (1..N): one "bel" report per
+    weight function a(s, t) in weights, in order, then the "fd" report of
+    the central difference with common random numbers when eps is given.
+
+    BEL needs a square diffusion (m = d), invertible along the paths, and
+    deterministic coefficients (adapted integrand).  FD differences each
+    path before averaging.  Each chunk is stepped once, as one stacked batch
+    of the base rows and the bumped rows on one noise draw, so every report
+    equals the one a run with that weight (or eps) alone gives."""
+    if not weights and eps is None:
+        raise InvalidParameterError("gradients needs weights, eps or both")
+    if weights:
+        _check_bel_field(spec.field)
+    if eps is not None:
+        _check_eps(eps)
     _check_t_index(t_index, grid)
-    (fd,) = _reports(spec, grid, scheme, payoff, t_index, n_paths, seed, workers, eps=eps)
-    return fd
+    a = _weight_table(weights, t_index, grid) if weights else None
 
+    def chunk(inc, start):
+        return _samples(spec.field, grid, scheme, spec.theta0, payoff, t_index, inc, a, eps)
 
-def bel_fd_gradients(
-    spec: ModelSpec,
-    grid: TimeGrid,
-    scheme: SchemeChoice,
-    cfg: BELConfig,
-    eps: float,
-    n_paths: int,
-    seed: int,
-    workers: int = 1,
-) -> tuple[GradientReport, GradientReport]:
-    """(bel, fd) reports equal to bel_gradient(spec, grid, scheme, cfg, ...)
-    and fd_gradient(spec, grid, scheme, cfg.payoff, cfg.t_index, eps, ...),
-    from one stacked pass per chunk of the base and bumped rows."""
-    _check_bel_field(spec.field)
-    _check_eps(eps)
-    a = cfg.weights_on(grid)
-    bel, fd = _reports(
-        spec, grid, scheme, cfg.payoff, cfg.t_index, n_paths, seed, workers, a=a, eps=eps
-    )
-    return bel, fd
+    parts = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
+    reports = [_report(parts[0][:, l], parts[1], grid, "bel") for l in range(len(weights))]
+    if eps is not None:
+        reports.append(_report(parts[-2], parts[-1], grid, "fd"))
+    return tuple(reports)

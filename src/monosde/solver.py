@@ -451,50 +451,59 @@ def stability_ratio(
     n_paths: int,
     seed: int,
     workers: int = 1,
-) -> MCEstimate:
-    """E[ sup_t |X_xi - X_theta|^p ] / |xi - theta|^p with common random numbers.
+) -> list[MCEstimate]:
+    """E[ sup_t |X_xi - X_theta|^p ] / |xi - theta|^p with common random
+    numbers, one estimate per row of xi (L, d) (a point (d,) is one row).
 
-    Both solutions of a chunk's paths run as one stacked batch (rows theta,
-    then xi), and the sup is folded over the steps.  Raises DivergenceError
-    at the earliest step at which either solution of any path diverged, and
-    InvalidParameterError, naming p and the first path, when a path's ratio
-    leaves the floating-point range."""
-    theta = np.asarray(theta, dtype=float).reshape(spec.d)
-    xi = np.asarray(xi, dtype=float).reshape(spec.d)
-    gap = float(np.linalg.norm(xi - theta))
-    if gap == 0.0:
+    The solutions of a chunk's paths from theta and from every xi run as one
+    stacked batch (rows theta, then xi_1 .. xi_L), and each sup is folded over
+    the steps.  Raises DivergenceError at the earliest step at which any
+    solution of any path diverged, and InvalidParameterError, naming p and
+    the first path, when a path's ratio leaves the floating-point range."""
+    d = spec.d
+    theta = np.asarray(theta, dtype=float).reshape(d)
+    xi = np.asarray(xi, dtype=float).reshape(-1, d)
+    if len(xi) == 0:
+        raise InvalidParameterError("xi must hold at least one point")
+    gaps = [float(np.linalg.norm(v - theta)) for v in xi]
+    if 0.0 in gaps:
         raise InvalidParameterError("theta and xi must differ")
+    L = len(xi)
 
     def chunk(inc, start):
         P = len(inc)
-        starts = np.concatenate([np.broadcast_to(v, (P, spec.d)) for v in (theta, xi)])
+        starts = np.concatenate([np.broadcast_to(v, (P, d)) for v in (theta, *xi)])
         run = Stepper(spec.field, grid, inc, starts, scheme)
-        sup = np.linalg.norm(run.theta[P:] - run.theta[:P], axis=-1)
+        x = run.theta.reshape(L + 1, P, d)
+        sup = np.linalg.norm(x[1:] - x[0], axis=-1)
         # a diverged path's frozen values may overflow; the run raises below
         with np.errstate(over="ignore", invalid="ignore"):
             for rec in run:
-                x = rec.x_next
-                np.maximum(sup, np.linalg.norm(x[P:] - x[:P], axis=-1), out=sup)
+                x = rec.x_next.reshape(L + 1, P, d)
+                np.maximum(sup, np.linalg.norm(x[1:] - x[0], axis=-1), out=sup)
             vals = sup ** p
-        return vals, run.first_bad.reshape(2, P).min(axis=0)
+        return vals.T, run.first_bad.reshape(L + 1, P).min(axis=0)
 
     vals, first_bad = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
     # first_bad is N+1 on paths that never diverged
     if np.any(first_bad <= grid.N):
         raise _earliest_divergence(first_bad)
-    try:
-        scale = gap**p
-    except OverflowError:  # a Python float power raises where numpy gives inf
-        scale = math.inf
-    # a path's sup^p or |xi - theta|^p may overflow or underflow to 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ratios = vals / scale
-    finite = np.isfinite(ratios)
-    if not np.all(finite):
-        k = int(np.argmin(finite))
-        raise InvalidParameterError(
-            f"E[sup |X_xi - X_theta|^p] / |xi - theta|^p at p = {p:g} is out of "
-            f"floating-point range: path {k} has sup |X_xi - X_theta|^p = "
-            f"{vals[k]:.3g} against |xi - theta|^p = {scale:.3g}"
-        )
-    return mc_estimate(ratios)
+    estimates = []
+    for l, gap in enumerate(gaps):
+        try:
+            scale = gap**p
+        except OverflowError:  # a Python float power raises where numpy gives inf
+            scale = math.inf
+        # a path's sup^p or |xi - theta|^p may overflow or underflow to 0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ratios = vals[:, l] / scale
+        finite = np.isfinite(ratios)
+        if not np.all(finite):
+            k = int(np.argmin(finite))
+            raise InvalidParameterError(
+                f"E[sup |X_xi - X_theta|^p] / |xi - theta|^p at p = {p:g} is out of "
+                f"floating-point range: path {k} has sup |X_xi - X_theta|^p = "
+                f"{vals[k, l]:.3g} against |xi - theta|^p = {scale:.3g}"
+            )
+        estimates.append(mc_estimate(ratios))
+    return estimates

@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 
 from monosde import (
-    BELConfig,
     InvalidParameterError,
     SingularDiffusionError,
-    bel_fd_gradients,
-    bel_gradient,
     constant_weight,
     digital_payoff,
-    fd_gradient,
+    gradients,
     identity_payoff,
     linear_weight,
     make_grid,
@@ -20,7 +17,7 @@ from monosde import (
     zoo_lookup,
 )
 from monosde.core import mc_estimate, sample_increments
-from monosde.greeks import _samples
+from monosde.greeks import _samples, _weight_table
 from monosde.models import CoefficientField, ModelSpec
 from monosde.solver import (
     EULER, IMPLICIT, SCHEMES, TAMED, SchemeChoice, live_paths, simulate_batch,
@@ -42,20 +39,36 @@ def test_skorokhod_ito_isometry():
 
 def test_bel_weights_normalized():
     g = make_grid(1.0, 100)
-    for weight in (constant_weight(), linear_weight()):
-        cfg = BELConfig(identity_payoff(), 100, weight)
-        a = cfg.weights_on(g)
-        assert abs(float(a.sum()) * g.dt - 1.0) <= 1e-12
-    with pytest.raises(InvalidParameterError):
-        BELConfig(identity_payoff(), 0).weights_on(g)
+    a = _weight_table((constant_weight(), linear_weight()), 100, g)
+    assert a.shape == (2, 100)
+    for row in a:
+        assert abs(float(row.sum()) * g.dt - 1.0) <= 1e-12
+    spec = zoo_lookup("gbm")
+    with pytest.raises(InvalidParameterError, match="needs weights, eps or both"):
+        gradients(spec, g, SchemeChoice(EULER), identity_payoff(), g.N, 8, 0)
+    with pytest.raises(InvalidParameterError, match="t_index"):
+        gradients(spec, g, SchemeChoice(EULER), identity_payoff(), 0, 8, 0,
+                  weights=(constant_weight(),))
+    # weights with no mass, a non-finite value or one non-finite value at
+    # s = 0 are refused with a typed error, also under python -O
+    bad = (
+        lambda s, t: 0.0,
+        lambda s, t: math.nan,
+        lambda s, t: math.inf,
+        lambda s, t: math.inf if s == 0 else 1.0,
+    )
+    for weight in bad:
+        with pytest.raises(InvalidParameterError, match="weight"):
+            gradients(spec, g, SchemeChoice(EULER), identity_payoff(), g.N, 8, 0,
+                      weights=(constant_weight(), weight))
 
 
 def test_bel_gbm_delta_matches_closed_form():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 256)
-    rep = bel_gradient(
-        spec, g, SchemeChoice(EULER), BELConfig(identity_payoff(), g.N),
-        n_paths=50_000, seed=5,
+    (rep,) = gradients(
+        spec, g, SchemeChoice(EULER), identity_payoff(), g.N, 50_000, 5,
+        weights=(constant_weight(),),
     )
     z = abs(rep.estimate.mean[0] - math.exp(0.05)) / rep.estimate.stderr[0]
     assert z <= 3.0
@@ -64,10 +77,9 @@ def test_bel_gbm_delta_matches_closed_form():
 def test_bel_constant_payoff_mean_zero_weight():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 128)
-    rep = bel_gradient(
-        spec, g, SchemeChoice(EULER),
-        BELConfig(lambda x: np.full(x.shape[0], 2.5), g.N),
-        n_paths=20_000, seed=6,
+    (rep,) = gradients(
+        spec, g, SchemeChoice(EULER), lambda x: np.full(x.shape[0], 2.5), g.N,
+        20_000, 6, weights=(constant_weight(),),
     )
     z = abs(rep.estimate.mean[0]) / rep.estimate.stderr[0]
     assert z <= 3.0
@@ -78,9 +90,9 @@ def test_bel_digital_delta():
     mu, sig, x, K, T = 0.05, 0.2, 1.0, 1.0, 1.0
     spec = zoo_lookup("gbm", {"mu": mu, "sigma": sig, "x0": x})
     g = make_grid(T, 256)
-    rep = bel_gradient(
-        spec, g, SchemeChoice(EULER), BELConfig(digital_payoff(K), g.N),
-        n_paths=100_000, seed=7,
+    (rep,) = gradients(
+        spec, g, SchemeChoice(EULER), digital_payoff(K), g.N, 100_000, 7,
+        weights=(constant_weight(),),
     )
     d2 = (math.log(x / K) + (mu - 0.5 * sig**2) * T) / (sig * math.sqrt(T))
     closed = math.exp(-0.5 * d2**2) / math.sqrt(2 * math.pi) / (x * sig * math.sqrt(T))
@@ -91,13 +103,10 @@ def test_bel_digital_delta():
 def test_bel_weight_invariance():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 128)
-    reps = [
-        bel_gradient(
-            spec, g, SchemeChoice(EULER),
-            BELConfig(identity_payoff(), g.N, weight), n_paths=20_000, seed=8,
-        )
-        for weight in (constant_weight(), linear_weight())
-    ]
+    reps = gradients(
+        spec, g, SchemeChoice(EULER), identity_payoff(), g.N, 20_000, 8,
+        weights=(constant_weight(), linear_weight()),
+    )
     comb = math.hypot(reps[0].estimate.stderr[0], reps[1].estimate.stderr[0])
     assert abs(reps[0].estimate.mean[0] - reps[1].estimate.mean[0]) <= 1.96 * comb
 
@@ -105,13 +114,9 @@ def test_bel_weight_invariance():
 def test_bel_vs_fd_on_ginzburg_landau():
     spec = zoo_lookup("ginzburg_landau", {"eta": 1.0, "sigma": 1.0})
     g = make_grid(1.0, 512)
-    rb = bel_gradient(
-        spec, g, SchemeChoice(TAMED), BELConfig(tanh_payoff(), g.N),
-        n_paths=10_000, seed=9,
-    )
-    rf = fd_gradient(
-        spec, g, SchemeChoice(TAMED), tanh_payoff(), g.N, eps=1e-3,
-        n_paths=10_000, seed=9,
+    rb, rf = gradients(
+        spec, g, SchemeChoice(TAMED), tanh_payoff(), g.N, 10_000, 9,
+        weights=(constant_weight(),), eps=1e-3,
     )
     comb = math.hypot(rb.estimate.stderr[0], rf.estimate.stderr[0])
     assert abs(rb.estimate.mean[0] - rf.estimate.mean[0]) <= 3.0 * comb
@@ -134,13 +139,17 @@ def test_fused_pass_equals_separate_estimators(x0, T, N, kind, n_paths, workers)
     spec = zoo_lookup("ginzburg_landau", {"eta": 1.0, "sigma": 1.0, "x0": x0})
     g = make_grid(T, N)
     scheme = SchemeChoice(kind)
-    cfg = BELConfig(tanh_payoff(), g.N)
-    bel, fd = bel_fd_gradients(
-        spec, g, scheme, cfg, 1e-3, n_paths=n_paths, seed=21, workers=workers
-    )
-    rb = bel_gradient(spec, g, scheme, cfg, n_paths=n_paths, seed=21)
-    rf = fd_gradient(spec, g, scheme, tanh_payoff(), g.N, 1e-3, n_paths=n_paths, seed=21)
-    for fused, alone in ((bel, rb), (fd, rf)):
+    weights = (constant_weight(), linear_weight())
+
+    def run(**kw):
+        return gradients(spec, g, scheme, tanh_payoff(), g.N, n_paths, 21, **kw)
+
+    # one weight with FD, and two weights with FD, against each alone
+    bel, fd = run(weights=weights[:1], eps=1e-3, workers=workers)
+    bel_c, bel_l, fd2 = run(weights=weights, eps=1e-3, workers=workers)
+    (rc,), (rl,), (rf,) = run(weights=weights[:1]), run(weights=weights[1:]), run(eps=1e-3)
+    pairs = ((bel, rc), (fd, rf), (bel_c, rc), (bel_l, rl), (fd2, rf))
+    for fused, alone in pairs:
         assert fused.method == alone.method
         assert np.array_equal(fused.estimate.mean, alone.estimate.mean)
         assert np.array_equal(fused.estimate.stderr, alone.estimate.stderr)
@@ -157,9 +166,9 @@ def test_bel_on_diverged_paths_warns_nothing():
     # leave the estimate as recorded before the warnings were silenced
     spec = zoo_lookup("ginzburg_landau", {"eta": 1.0, "sigma": 1.0, "x0": 3.0})
     g = make_grid(2.0, 8)
-    bel, fd = bel_fd_gradients(
-        spec, g, SchemeChoice(EULER), BELConfig(tanh_payoff(), g.N), 1e-3,
-        n_paths=1100, seed=21, workers=2,
+    bel, fd = gradients(
+        spec, g, SchemeChoice(EULER), tanh_payoff(), g.N, 1100, 21, workers=2,
+        weights=(constant_weight(),), eps=1e-3,
     )
     assert bel.n_diverged == 538
     assert bel.estimate.mean[0] == -19.1317747450051
@@ -172,9 +181,9 @@ def test_bel_requires_deterministic_coefficients():
     spec = zoo_lookup("random_sigma_example")
     g = make_grid(1.0, 64)
     with pytest.raises(InvalidParameterError):
-        bel_gradient(
-            spec, g, SchemeChoice(EULER), BELConfig(identity_payoff(), g.N),
-            n_paths=64, seed=10,
+        gradients(
+            spec, g, SchemeChoice(EULER), identity_payoff(), g.N, 64, 10,
+            weights=(constant_weight(),),
         )
 
 
@@ -182,18 +191,18 @@ def test_bel_singular_diffusion_raises():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.0})
     g = make_grid(1.0, 32)
     with pytest.raises(SingularDiffusionError):
-        bel_gradient(
-            spec, g, SchemeChoice(EULER), BELConfig(identity_payoff(), g.N),
-            n_paths=64, seed=11,
+        gradients(
+            spec, g, SchemeChoice(EULER), identity_payoff(), g.N, 64, 11,
+            weights=(constant_weight(),),
         )
 
 
 def test_fd_constant_payoff_is_exactly_zero():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 64)
-    rep = fd_gradient(
-        spec, g, SchemeChoice(EULER), lambda x: np.ones(x.shape[0]), g.N,
-        eps=1e-3, n_paths=256, seed=12,
+    (rep,) = gradients(
+        spec, g, SchemeChoice(EULER), lambda x: np.ones(x.shape[0]), g.N, 256, 12,
+        eps=1e-3,
     )
     assert rep.estimate.mean[0] == 0.0
     assert rep.estimate.stderr[0] == 0.0
@@ -204,10 +213,7 @@ def test_fd_gbm_eps_independent():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 128)
     reps = [
-        fd_gradient(
-            spec, g, SchemeChoice(EULER), identity_payoff(), g.N, eps=eps,
-            n_paths=2048, seed=13,
-        )
+        gradients(spec, g, SchemeChoice(EULER), identity_payoff(), g.N, 2048, 13, eps=eps)[0]
         for eps in (1e-2, 1e-4)
     ]
     assert reps[0].estimate.mean[0] == pytest.approx(
@@ -220,10 +226,7 @@ def test_fd_eps_ladder_self_consistent():
     spec = zoo_lookup("ginzburg_landau")
     g = make_grid(1.0, 256)
     reps = [
-        fd_gradient(
-            spec, g, SchemeChoice(TAMED), tanh_payoff(), g.N, eps=eps,
-            n_paths=4096, seed=14,
-        )
+        gradients(spec, g, SchemeChoice(TAMED), tanh_payoff(), g.N, 4096, 14, eps=eps)[0]
         for eps in (1e-2, 5e-3)
     ]
     comb = math.hypot(reps[0].estimate.stderr[0], reps[1].estimate.stderr[0])
@@ -238,9 +241,9 @@ def test_bel_d2_keeps_the_estimate_when_paths_diverge():
     # diverge, and their overflowing weights must not refuse the estimate
     spec = ModelSpec("twin_gl", _twin_ginzburg_landau(1.0), {}, np.full(2, 3.0))
     g = make_grid(2.0, 8)
-    rep = bel_gradient(
-        spec, g, SchemeChoice(EULER), BELConfig(tanh_payoff(), g.N),
-        n_paths=1100, seed=21,
+    (rep,) = gradients(
+        spec, g, SchemeChoice(EULER), tanh_payoff(), g.N, 1100, 21,
+        weights=(constant_weight(),),
     )
     assert rep.n_diverged == 798
     assert rep.estimate.n_paths == 1100 - 798
@@ -262,9 +265,9 @@ def test_bel_d2_large_jacobian_is_not_singular():
         monotone_const=lam,
     )
     g = make_grid(1.0, 8)
-    rep = bel_gradient(
+    (rep,) = gradients(
         ModelSpec("linear_d2", field, {}, np.ones(2)), g, SchemeChoice(EULER),
-        BELConfig(identity_payoff(), g.N), n_paths=64, seed=3,
+        identity_payoff(), g.N, 64, 3, weights=(constant_weight(),),
     )
     assert rep.n_diverged == 0
     assert np.all(np.isfinite(rep.estimate.mean))
@@ -284,9 +287,9 @@ def test_bel_d2_singular_live_row_raises(small, message):
     inc = sample_increments(g, 2, 21, 0, 64)
     out = simulate_batch(field, g, inc, theta, scheme)
     assert np.any(out.diverged) and not out.diverged[-1]
-    cfg = BELConfig(tanh_payoff(), g.N)
+    a = _weight_table((constant_weight(),), g.N, g)
     with pytest.raises(SingularDiffusionError, match=message):
-        _samples(field, g, scheme, theta, cfg.payoff, cfg.t_index, inc, a=cfg.weights_on(g))
+        _samples(field, g, scheme, theta, tanh_payoff(), g.N, inc, a=a)
 
 
 def _time_singular_field(scales):
@@ -314,32 +317,35 @@ def _time_singular_field(scales):
 def test_bel_d2_reports_the_first_singular_step(scales, message):
     g = make_grid(1.0, len(scales))
     inc = sample_increments(g, 2, 4, 0, 8)
-    cfg = BELConfig(identity_payoff(), g.N)
+    a = _weight_table((constant_weight(),), g.N, g)
     with pytest.raises(SingularDiffusionError, match=message):
         _samples(_time_singular_field(scales), g, SchemeChoice(EULER), np.ones(2),
-                 cfg.payoff, g.N, inc, a=cfg.weights_on(g))
+                 identity_payoff(), g.N, inc, a=a)
 
 
 def _stored_samples(spec, g, scheme, payoff, a, eps, inc):
     """BEL and FD samples of one chunk from separate stored runs: the BEL
     weights by the recursion over the records rebuilt from the base values,
-    FD from one run per bumped start."""
+    one run per row of the weight table a, FD from one run per bumped start."""
     d, N = spec.d, g.N
     samples = []
     if a is not None:
-        out, vf = stored_factors(spec.field, g, inc, spec.theta0, scheme)
-        J = np.broadcast_to(np.eye(d), (len(inc), d, d)).copy()
-        wstar = np.zeros((len(inc), d))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for rec in stored_records(vf, out):
-                i = rec.i
-                vf.take(rec)
-                siginv_j = J / vf.sig if d == 1 else np.linalg.solve(vf.sig, J)
-                wstar = wstar + a[i] * np.einsum(
-                    "bdm,bm->bd", siginv_j.transpose(0, 2, 1), vf.dw
-                )
-                J = J + vf.amat @ J
-            samples += [payoff(out.values[:, N])[:, None] * wstar, out.first_bad]
+        cols = []
+        for a_l in a:
+            out, vf = stored_factors(spec.field, g, inc, spec.theta0, scheme)
+            J = np.broadcast_to(np.eye(d), (len(inc), d, d)).copy()
+            wstar = np.zeros((len(inc), d))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for rec in stored_records(vf, out):
+                    i = rec.i
+                    vf.take(rec)
+                    siginv_j = J / vf.sig if d == 1 else np.linalg.solve(vf.sig, J)
+                    wstar = wstar + a_l[i] * np.einsum(
+                        "bdm,bm->bd", siginv_j.transpose(0, 2, 1), vf.dw
+                    )
+                    J = J + vf.amat @ J
+                cols.append(payoff(out.values[:, N])[:, None] * wstar)
+        samples += [np.stack(cols, axis=1), out.first_bad]
     if eps is not None:
         grads = np.empty((len(inc), d))
         bad = []
@@ -358,23 +364,24 @@ def _stored_samples(spec, g, scheme, payoff, a, eps, inc):
 @pytest.mark.parametrize("case", sorted(STACK_CASES))
 def test_stacked_pass_equals_separate_stored_runs(case, kind):
     # one stacked pass per chunk gives the per-path samples of separate
-    # stored runs bit for bit; BEL needs deterministic coefficients, so the
-    # random-coefficient case runs FD alone
+    # stored runs bit for bit, one run per weight; BEL needs deterministic
+    # coefficients, so the random-coefficient case runs FD alone
     make_spec, T, N = STACK_CASES[case]
     spec = make_spec()
     g = make_grid(T, N)
     scheme = SchemeChoice(kind)
     inc = sample_increments(g, spec.m, 21, 0, 300)
     payoff = tanh_payoff()
-    a = BELConfig(payoff, N).weights_on(g) if spec.field.deterministic else None
+    weights = (constant_weight(), linear_weight())
+    a = _weight_table(weights, N, g) if spec.field.deterministic else None
     got = _samples(spec.field, g, scheme, spec.theta0, payoff, N, inc, a, 1e-3)
     want = _stored_samples(spec, g, scheme, payoff, a, 1e-3, inc)
     assert len(got) == len(want) == (4 if a is not None else 2)
     for x, y in zip(got, want):
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-    # the 300 paths are one chunk, so fd_gradient reduces the same samples
+        assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    # the 300 paths are one chunk, so gradients reduces the same samples
     grads, first_bad = want[-2:]
-    fd = fd_gradient(spec, g, scheme, payoff, N, 1e-3, n_paths=300, seed=21)
+    (fd,) = gradients(spec, g, scheme, payoff, N, 300, 21, eps=1e-3)
     live = live_paths(first_bad, N)
     assert fd.n_diverged == np.count_nonzero(~live)
     ref = mc_estimate(grads[live])
@@ -388,14 +395,13 @@ def test_greeks_chunk_stores_no_path_values():
     # (B, N+1, 1) value arrays alone would take 6 KB
     spec = zoo_lookup("ginzburg_landau")
     g = make_grid(1.0, 256)
-    cfg = BELConfig(tanh_payoff(), g.N)
-    a = cfg.weights_on(g)
+    a = _weight_table((constant_weight(),), g.N, g)
     inc = sample_increments(g, 1, 1, 0, 1024)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        _samples(spec.field, g, SchemeChoice(TAMED), spec.theta0, cfg.payoff, g.N, inc, a, 1e-3)
+        _samples(spec.field, g, SchemeChoice(TAMED), spec.theta0, tanh_payoff(), g.N, inc, a, 1e-3)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -411,10 +417,10 @@ def test_bel_near_singular_row_that_diverges_later_does_not_raise():
     theta[-1] = (50.0, 1e-13)
     scheme = SchemeChoice(EULER)
     inc = sample_increments(g, 2, 21, 0, 64)
-    cfg = BELConfig(tanh_payoff(), g.N)
-    _, first_bad = _samples(field, g, scheme, theta, cfg.payoff, g.N, inc, a=cfg.weights_on(g))
+    a = _weight_table((constant_weight(),), g.N, g)
+    _, first_bad = _samples(field, g, scheme, theta, tanh_payoff(), g.N, inc, a=a)
     assert first_bad[-1] == 5 and np.all(first_bad[:-1] == g.N + 1)
     # the same row started at 1 stays live, and raises at step 0
     theta[-1] = (1.0, 1e-13)
     with pytest.raises(SingularDiffusionError, match="at step 0"):
-        _samples(field, g, scheme, theta, cfg.payoff, g.N, inc, a=cfg.weights_on(g))
+        _samples(field, g, scheme, theta, tanh_payoff(), g.N, inc, a=a)

@@ -34,7 +34,7 @@ from monosde import (
 from monosde import shiftlab, solver
 from monosde.core import chunk_ranges, chunk_size, mc_estimate, sample_increments
 from monosde.errors import MonosdeError
-from monosde.greeks import BELConfig, _samples, bel_fd_gradients, identity_payoff
+from monosde.greeks import _samples, _weight_table, constant_weight, gradients, identity_payoff
 from monosde.shiftlab import _ladder_samples, cameron_martin_check, clipped_sup_norm, gateaux_ladder
 from monosde.models import CoefficientField, ModelSpec
 from monosde.solver import (
@@ -419,15 +419,15 @@ def test_chunk_size_does_not_change_results(model, kind, x0, N, n_paths, seed):
         N = max(N, 2)
     g = make_grid(1.0, N)
     scheme = SchemeChoice(kind)
-    cfg = BELConfig(identity_payoff(), N)
-    a = cfg.weights_on(g)
+    # the linear weight has no mass at N = 1
+    a = _weight_table((constant_weight(), lambda s, t: 1.0 + s), N, g)
     h = CameronMartinPath.constant(g, 1.0)
     eps = np.array([0.5, 0.25])
 
     def fn(inc, start):
         out = simulate_batch(spec.field, g, inc, spec.theta0, scheme)
         return (out.values, out.diverged, out.first_bad,
-                *_samples(spec.field, g, scheme, spec.theta0, cfg.payoff, N, inc, a, 1e-3),
+                *_samples(spec.field, g, scheme, spec.theta0, identity_payoff(), N, inc, a, 1e-3),
                 *_ladder_samples(spec, g, scheme, h, eps, inc))
 
     fns = [
@@ -435,7 +435,7 @@ def test_chunk_size_does_not_change_results(model, kind, x0, N, n_paths, seed):
         _chunk_fn(shiftlab, lambda: cameron_martin_check(
             spec, g, scheme, h, clipped_sup_norm(10.0), n_paths, seed)),
         _chunk_fn(solver, lambda: stability_ratio(
-            spec, g, scheme, spec.theta0, spec.theta0 + 0.1, 2.0, n_paths, seed)),
+            spec, g, scheme, spec.theta0, spec.theta0 + [[0.1], [0.2]], 2.0, n_paths, seed)),
         _chunk_fn(solver, lambda: simulate_paths(spec, g, scheme, seed, n_paths)),
     ]
     for f in fns:
@@ -468,17 +468,17 @@ def _newton_ladder(workers):
 
 def _newton_greeks(workers):
     g = make_grid(1.0, 16)
-    return bel_fd_gradients(
+    return gradients(
         zoo_lookup("ginzburg_landau"), g, SchemeChoice(IMPLICIT, newton_max_iter=3),
-        BELConfig(identity_payoff(), g.N), 1e-3, n_paths=40, seed=1, workers=workers,
+        identity_payoff(), g.N, 40, 1, workers, weights=(constant_weight(),), eps=1e-3,
     )
 
 
 def _singular_greeks(workers):
     g = make_grid(1.0, 16)
-    return bel_fd_gradients(
-        _threshold_sigma_spec(), g, SchemeChoice(EULER), BELConfig(identity_payoff(), g.N),
-        1e-3, n_paths=40, seed=2, workers=workers,
+    return gradients(
+        _threshold_sigma_spec(), g, SchemeChoice(EULER), identity_payoff(), g.N, 40, 2,
+        workers, weights=(constant_weight(),), eps=1e-3,
     )
 
 
@@ -531,7 +531,7 @@ def test_estimators_do_not_depend_on_the_worker_count():
     assert [len(_chunks(g.N, 1, 1100, w)) for w in (1, 2)] == [1, 2]
 
     def run(workers):
-        ratio = stability_ratio(
+        (ratio,) = stability_ratio(
             spec, g, scheme, np.array([1.0]), np.array([1.1]), 2.0, 1100, 8, workers
         )
         return [a.tobytes() for a in (ratio.mean, ratio.stderr)]
@@ -543,11 +543,11 @@ def test_stability_ratio_gbm_scale_invariant():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 256)
     ratios = [
-        stability_ratio(
-            spec, g, SchemeChoice(EULER), np.array([1.0]), np.array([1.0 + gap]),
+        r.mean[0]
+        for r in stability_ratio(
+            spec, g, SchemeChoice(EULER), np.array([1.0]), 1.0 + np.array([[1e-1], [1e-2], [1e-3]]),
             p=2.0, n_paths=1024, seed=9,
-        ).mean[0]
-        for gap in (1e-1, 1e-2, 1e-3)
+        )
     ]
     assert max(ratios) / min(ratios) - 1.0 < 1e-10
 
@@ -556,7 +556,7 @@ def test_stability_ratio_deterministic_linear():
     # sigma = 0, b = -x: the ratio is the squared Euler decay factor
     spec = zoo_lookup("ou", {"kappa": 1.0, "sigma": 0.0})
     g = make_grid(1.0, 512)
-    r = stability_ratio(
+    (r,) = stability_ratio(
         spec, g, SchemeChoice(EULER), np.array([1.0]), np.array([1.5]),
         p=2.0, n_paths=16, seed=10,
     )
@@ -567,11 +567,13 @@ def test_stability_ratio_deterministic_linear():
 
 def test_stability_ratio_rejects_equal_points():
     spec = zoo_lookup("gbm")
-    with pytest.raises(InvalidParameterError):
-        stability_ratio(
-            spec, make_grid(1.0, 8), SchemeChoice(EULER),
-            np.array([1.0]), np.array([1.0]), p=2.0, n_paths=8, seed=0,
-        )
+    for xi, message in ((np.array([1.0]), "must differ"), (np.array([[1.5], [1.0]]), "must differ"),
+                        (np.empty((0, 1)), "at least one point")):
+        with pytest.raises(InvalidParameterError, match=message):
+            stability_ratio(
+                spec, make_grid(1.0, 8), SchemeChoice(EULER),
+                np.array([1.0]), xi, p=2.0, n_paths=8, seed=0,
+            )
 
 
 @pytest.mark.filterwarnings("error")
@@ -1004,16 +1006,34 @@ def test_shifts_take_one_start_or_one_per_row():
 @pytest.mark.parametrize("case", sorted(STACK_CASES))
 def test_stability_ratio_equals_its_separate_runs(case, kind):
     # theta and xi stepped as one stacked batch give the estimate (or the
-    # earliest divergence) of two separate stored runs
+    # earliest divergence) of two separate stored runs, and theta with three
+    # xi rows give, row by row, the bytes of three single-xi runs
     make_spec, T, N = STACK_CASES[case]
     spec = make_spec()
     g = make_grid(T, N)
     scheme = SchemeChoice(kind)
     theta, xi = spec.theta0, spec.theta0 + 0.25
+    rows = spec.theta0 + np.array([[0.25], [-0.5], [1e-3]])
     inc = sample_increments(g, spec.m, 21, 0, 300)
     a = simulate_batch(spec.field, g, inc, theta, scheme)
     b = simulate_batch(spec.field, g, inc, xi, scheme)
     first_bad = np.minimum(a.first_bad, b.first_bad)
+    rows_bad = np.min([first_bad] + [
+        simulate_batch(spec.field, g, inc, v, scheme).first_bad for v in rows[1:]
+    ], axis=0)
+    if np.any(rows_bad <= N):
+        with pytest.raises(DivergenceError) as exc:
+            stability_ratio(spec, g, scheme, theta, rows, 2.0, 300, 21)
+        assert (exc.value.step, exc.value.path_index) == (
+            rows_bad.min(), np.argmin(rows_bad)
+        )
+    else:
+        got = stability_ratio(spec, g, scheme, theta, rows, 2.0, 300, 21)
+        assert len(got) == len(rows)
+        for r, v in zip(got, rows):
+            (alone,) = stability_ratio(spec, g, scheme, theta, v, 2.0, 300, 21)
+            assert r.mean.tobytes() == alone.mean.tobytes()
+            assert r.stderr.tobytes() == alone.stderr.tobytes()
     if np.any(first_bad <= N):
         with pytest.raises(DivergenceError) as exc:
             stability_ratio(spec, g, scheme, theta, xi, 2.0, 300, 21)
@@ -1024,6 +1044,6 @@ def test_stability_ratio_equals_its_separate_runs(case, kind):
     gap = float(np.linalg.norm(xi - theta))
     want = mc_estimate(np.max(np.linalg.norm(b.values - a.values, axis=2), axis=1) ** 2.0
                        / gap**2.0)
-    got = stability_ratio(spec, g, scheme, theta, xi, 2.0, 300, 21)
+    (got,) = stability_ratio(spec, g, scheme, theta, xi, 2.0, 300, 21)
     assert got.mean.tobytes() == want.mean.tobytes()
     assert got.stderr.tobytes() == want.stderr.tobytes()
