@@ -548,7 +548,8 @@ _GBM = "model = gbm\ngrid.T = 1\n"
 #: then the field under the other two schemes and on the random-sigma
 #: model (its U and V forcings, t_N off the s-lattice), and the gbm Jacobian per
 #: scheme (multiplicative noise: a non-zero S and the Wronskian's
-#: realized-QV term).
+#: realized-QV term); last, the three artifacts of the benchmark's
+#: `artifacts` workload at its sizes (N = 1024).
 _PINNED = {
     "paths_euler": (
         "simulate", _GL + "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 3\n",
@@ -635,6 +636,18 @@ _PINNED = {
     "jacobian_gbm_implicit": (
         "jacobian", _GBM + "grid.N = 64\nscheme = split_step_implicit\nseed = 9\n",
         "jacobian.csv", "4ea5a9fc98eeb7407d136111c80fcb400969a597aa14afd06cbae8dd0896c1cc",
+    ),
+    "paths_tamed_1024": (
+        "simulate", _GL + "grid.N = 1024\nscheme = tamed_euler\nseed = 5\nn_paths = 8\n",
+        "paths.csv", "ff99c9d9a6c76ad49fa7169f881a6e01e7c254a14b84dc9d612a4e7bcc7f6ee8",
+    ),
+    "field_tamed_1024": (
+        "malliavin", _GL + "grid.N = 1024\nscheme = tamed_euler\nseed = 5\nmalliavin.s_stride = 8\n",
+        "malliavin_field.csv", "0e232d48b20378b4fcc01326a56f654b1ca4d16be16b238e598f76fa3ec92851",
+    ),
+    "jacobian_implicit_1024": (
+        "jacobian", _GL + "grid.N = 1024\nscheme = split_step_implicit\nseed = 5\n",
+        "jacobian.csv", "0d34f5a762f8a5bbe42c162df422973a7556216f0c1edff927309d8a3d0a4521",
     ),
 }
 
