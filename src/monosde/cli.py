@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .core import (
     CameronMartinPath,
-    format_block,
+    format_lines,
     make_grid,
     sample_noise,
 )
@@ -270,11 +270,9 @@ def _write_sidecar(path, cfg: ExperimentConfig):
 def _run_simulate(cfg, spec, grid, out_dir, workers):
     values = simulate_paths(spec, grid, cfg.scheme_choice(), cfg.seed, cfg.n_paths, workers)
     header = ["path", "t"] + [f"x{k}" for k in range(spec.d)]
-    t = grid.nodes
-    row_fmt = _line(["%.17g"] * (spec.d + 1))
-    blocks = (
-        format_block(np.column_stack([t, x]), f"{p},{row_fmt}") for p, x in enumerate(values)
-    )
+    row = _line(["%.17g"] * spec.d)
+    templates = [f"{t:.17g},{row}" for t in grid.nodes.tolist()]
+    blocks = (format_lines(f"{p},", templates, x) for p, x in enumerate(values))
     _write_csv(os.path.join(out_dir, "paths.csv"), header, blocks)
 
 
@@ -284,16 +282,15 @@ def _run_jacobian(cfg, spec, grid, out_dir, workers):
     bun = jacobian(spec, w, scheme)
     n = grid.N + 1
     defect = np.linalg.norm(bun.K @ bun.J - np.eye(spec.d), axis=(1, 2))
-    block = np.column_stack(
-        [grid.nodes, bun.J.reshape(n, -1), bun.K.reshape(n, -1), bun.D, defect]
-    )
+    block = np.column_stack([bun.J.reshape(n, -1), bun.K.reshape(n, -1), bun.D, defect])
     header = (
         ["t"]
         + [f"J{a}{b}" for a in range(spec.d) for b in range(spec.d)]
         + [f"K{a}{b}" for a in range(spec.d) for b in range(spec.d)]
         + ["wronskian", "inverse_defect"]
     )
-    text = format_block(block, _line(["%.17g"] * len(header)))
+    row = _line(["%.17g"] * block.shape[1])
+    text = format_lines("", [f"{t:.17g},{row}" for t in grid.nodes.tolist()], block)
     _write_csv(os.path.join(out_dir, "jacobian.csv"), header, [text])
 
 

@@ -81,8 +81,8 @@ class TimeGrid:
 def make_grid(T: float, N: int) -> TimeGrid:
     if not (T > 0.0) or not math.isfinite(T):
         raise InvalidParameterError("grid.T must be > 0")
-    if int(N) < 1:
-        raise InvalidParameterError("grid.N must be >= 1")
+    if not (N >= 1 and N % 1 == 0):  # false for nan; inf % 1 is nan
+        raise InvalidParameterError(f"grid.N must be an integer >= 1, got {N!r}")
     return TimeGrid(float(T), int(N))
 
 
@@ -533,8 +533,8 @@ def run_chunks(fn, n_paths: int, workers: int, chunk: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def format_block(block: np.ndarray, row_fmt: str) -> str:
-    """The rows of a 2-d block as text, each row through the %-format row_fmt
-    (one field per column, line ending included), in one formatting call.
+def format_lines(lead: str, templates: list, values: np.ndarray) -> str:
+    """lead + template % fields for each template (built once per grid) in
+    turn, the fields read in order from values, in one join and one %-call.
     '%.17g' writes a double exactly as '{:.17g}'.format does."""
-    return (row_fmt * len(block)) % tuple(block.ravel().tolist())
+    return lead.join(["", *templates]) % tuple(values.ravel().tolist())

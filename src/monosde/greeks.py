@@ -53,6 +53,7 @@ def linear_weight() -> Callable[[float, float], float]:
 
 
 def identity_payoff() -> Callable:
+    """Phi(x) = x_0: reads component 0 of X(t) only."""
     def f(x: np.ndarray) -> np.ndarray:
         return x[:, 0]
 
@@ -60,6 +61,7 @@ def identity_payoff() -> Callable:
 
 
 def tanh_payoff() -> Callable:
+    """Phi(x) = tanh(x_0): reads component 0 of X(t) only."""
     def f(x: np.ndarray) -> np.ndarray:
         return np.tanh(x[:, 0])
 
@@ -67,6 +69,7 @@ def tanh_payoff() -> Callable:
 
 
 def digital_payoff(strike: float) -> Callable:
+    """Phi(x) = 1{x_0 > strike}: reads component 0 of X(t) only."""
     def f(x: np.ndarray) -> np.ndarray:
         return (x[:, 0] > strike).astype(float)
 

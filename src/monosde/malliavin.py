@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CameronMartinPath, NoisePath, StatePath, TimeGrid, format_block
+from .core import CameronMartinPath, NoisePath, StatePath, TimeGrid, format_lines
 from .errors import DivergenceError, InvalidParameterError
 from .models import ModelSpec
 from .solver import EULER, PathStepper, SchemeChoice, StepRecord, Stepper
@@ -70,17 +70,16 @@ class MalliavinField:
     def export_csv(self, path):
         """Rows (s, t, i, j, value) over the computed lattice, one s-row at a
         time.  Lines end in CRLF (the other CSV artifacts end theirs in LF)."""
-        dt, N, d, m = self.grid.dt, self.grid.N, self.d, self.m
+        dt, d, m = self.grid.dt, self.d, self.m
+        templates = [
+            f"{t:.17g},{i},{j},%.17g\r\n"
+            for t in self.grid.nodes.tolist() for i in range(d) for j in range(m)
+        ]
         with open(path, "w", newline="") as fh:
             fh.write("s,t,i,j,value\r\n")
             for pos, sj in enumerate(self.s_indices):
-                block = np.empty((N + 1 - sj, d, m, 4))
-                block[..., 0] = (np.arange(sj, N + 1) * dt)[:, None, None]
-                block[..., 1] = np.arange(d)[:, None]
-                block[..., 2] = np.arange(m)
-                block[..., 3] = self.entries[pos, sj:]
-                row_fmt = f"{sj * dt:.17g},%.17g,%d,%d,%.17g\r\n"
-                fh.write(format_block(block.reshape(-1, 4), row_fmt))
+                lead = f"{sj * dt:.17g},"
+                fh.write(format_lines(lead, templates[sj * d * m:], self.entries[pos, sj:]))
 
 
 def _field_batch(

@@ -56,6 +56,7 @@ from .variational import VariationalFactors
 
 
 def terminal_value() -> Callable:
+    """F = X_0(T): reads component 0 of the terminal state only."""
     def f(values: np.ndarray) -> np.ndarray:
         return values[:, -1, 0]
 
@@ -63,6 +64,7 @@ def terminal_value() -> Callable:
 
 
 def clipped_sup_norm(cap: float = 10.0) -> Callable:
+    """F = min(sup_t |X(t)|, cap), |.| the Euclidean norm of all d components."""
     def f(values: np.ndarray) -> np.ndarray:
         return np.minimum(sup_norms(values), cap)
 

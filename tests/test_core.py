@@ -19,6 +19,7 @@ from monosde.core import (
     _philox_keys,
     chunk_ranges,
     chunk_size,
+    format_lines,
     paired_z_score,
     run_chunks,
     sample_increments,
@@ -43,7 +44,9 @@ def test_make_grid_fine():
     assert abs(g.nodes[-1] - g.T) < 1e-12
 
 
-@pytest.mark.parametrize("T,N", [(0.0, 4), (-1.0, 4), (1.0, 0)])
+@pytest.mark.parametrize(
+    "T,N", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, 2.5), (1.0, math.nan), (1.0, math.inf)]
+)
 def test_make_grid_invalid(T, N):
     with pytest.raises(InvalidParameterError):
         make_grid(T, N)
@@ -266,3 +269,20 @@ def test_history_shifts_view_the_shifted_paths():
     for view in (lambda h: h.increments, lambda h: h.brownian,
                  lambda h: h.cum_ito("k", gvals)):
         assert view(stacked).tobytes() == view(separate).tobytes()
+
+
+@pytest.mark.parametrize("lead", ["", "7,"])
+def test_format_lines_matches_a_row_by_row_writer(lead):
+    # a two-column block (as paths.csv at d = 2 and jacobian.csv write it)
+    # with values of every magnitude, against f"{v:.17g}" lines row by row
+    g = make_grid(0.7, 9)
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((g.N + 1, 2)) * 10.0 ** rng.integers(-300, 300, (g.N + 1, 2))
+    values[2, 1], values[3, 0], values[4, 1] = -0.0, 1e300, -1e-300
+    templates = [f"{t:.17g},%.17g,%.17g\n" for t in g.nodes.tolist()]
+    want = "".join(
+        f"{lead}{i * g.dt:.17g},{a:.17g},{b:.17g}\n" for i, (a, b) in enumerate(values)
+    )
+    assert format_lines(lead, templates, values) == want
+    assert format_lines(lead, templates[4:], values[4:]) == "".join(want.splitlines(True)[4:])
+    assert format_lines(lead, [], values[:0]) == ""
