@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CameronMartinPath, make_grid, sample_increments, sample_noise
+from .errors import InvalidParameterError
 from .models import random_sigma_malliavin_lattice, random_sigma_parts, zoo_lookup
 from .solver import (
     EULER,
@@ -532,6 +533,13 @@ _CRITERIA = {
 
 
 def run_criteria(numbers=None, workers: int = 1):
-    """Run the selected (default: all) acceptance criteria in order."""
+    """Run the selected (default: all) acceptance criteria in order; raises
+    InvalidParameterError, before any runs, when a number names none."""
     selected = sorted(numbers) if numbers else sorted(_CRITERIA)
+    unknown = [n for n in selected if n not in _CRITERIA]
+    if unknown:
+        raise InvalidParameterError(
+            f"unknown acceptance criteria {', '.join(map(str, unknown))}; "
+            f"choose from 1..{len(_CRITERIA)}"
+        )
     return [_CRITERIA[n](workers=workers) for n in selected]

@@ -399,16 +399,20 @@ _RUNNERS = {
 def run(cfg: ExperimentConfig, out_dir: str = ".", workers: int = 1) -> int:
     """Execute one experiment; writes artifacts plus a metadata sidecar.
     Returns the exit code: 0; 3 when verify fails a criterion; 1 or 2 for a
-    MonosdeError, by its class (see monosde.errors)."""
-    os.makedirs(out_dir, exist_ok=True)
+    MonosdeError, by its class (see monosde.errors); 1 when out_dir or an
+    artifact in it cannot be written."""
     try:
+        os.makedirs(out_dir, exist_ok=True)
         spec = zoo_lookup(cfg.model, cfg.model_params)
         grid = make_grid(cfg.grid_T, cfg.grid_N)
         code = _RUNNERS[cfg.experiment](cfg, spec, grid, out_dir, workers)
+        _write_sidecar(os.path.join(out_dir, f"{cfg.experiment}.meta"), cfg)
     except MonosdeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, RuntimeError) else 1
-    _write_sidecar(os.path.join(out_dir, f"{cfg.experiment}.meta"), cfg)
+    except OSError as exc:
+        print(f"error: cannot write artifacts to {out_dir}: {exc}", file=sys.stderr)
+        return 1
     return code or 0
 
 

@@ -10,24 +10,12 @@ the Brownian increments of a path are ``Generator(Philox(ss)).standard_normal
 points of probe_assumptions use ``spawn_key=(0, 2)``.  A batch derives the
 Philox keys of all its paths in one vectorised pass over SeedSequence's hash
 and re-keys a single Philox per path, with the same bytes; tests/test_core.py
-pins them.
-Estimators process paths in chunks sized by chunk_size: as many paths as
-fit their (N, m) increments and row state in ``CHUNK_BYTES``, at least
-``MIN_CHUNK``, and few enough that every worker gets a chunk.  With
-``workers > 1`` the chunks run in up to that many worker processes forked
-from the caller, each holding one chunk's working set at a time, so peak
-memory is about ``workers`` times that.  Chunks fork only on Linux from a
-process running no other Python thread; elsewhere they run serially.  The
-chunk boundaries move with the worker count and the path count, but no
-result or error does: every path has its own noise stream and its own
-arithmetic, and a failing run reports its first failing path.
+pins them.  chunk_size sizes the chunks of solver.run_paths.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -279,25 +267,6 @@ def _seed_sequence(seed: int, path_index: int, branch: int = 0) -> np.random.See
     return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
 
 
-def _path_generator(seed: int, path_index: int) -> np.random.Generator:
-    """Philox generator for one (seed, path_index) Brownian substream."""
-    _check_streams(seed, path_index)
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path_index)))
-
-
-def _path_increments(grid: TimeGrid, m: int, seed: int, path_index: int) -> np.ndarray:
-    """The (seed, path_index) Brownian stream: N x m Normal(0, dt) draws."""
-    gen = _path_generator(seed, path_index)
-    return gen.standard_normal((grid.N, m)) * math.sqrt(grid.dt)
-
-
-def sample_noise(grid: TimeGrid, m: int, seed: int, path_index: int = 0) -> NoisePath:
-    """Draw N independent Normal(0, dt I_m) increments for one path."""
-    if m < 1:
-        raise InvalidParameterError("m must be >= 1")
-    return NoisePath(grid, m, _path_increments(grid, m, seed, path_index), path_index)
-
-
 def _hash_multipliers(init: int, mult: int, n: int) -> np.ndarray:
     """init * mult**k mod 2**32 for k < n: the running multiplier of
     SeedSequence's hash, which does not depend on the data hashed."""
@@ -360,7 +329,7 @@ def sample_increments(
     grid: TimeGrid, m: int, seed: int, start: int, count: int
 ) -> np.ndarray:
     """Increments for paths start..start+count-1, shape (count, N, m); row k
-    is the stream _path_increments(grid, m, seed, start + k)."""
+    is the (seed, start + k) Brownian stream of the module docstring."""
     _check_streams(seed, start, count)
     if m < 1:
         raise InvalidParameterError("m must be >= 1")
@@ -369,6 +338,11 @@ def sample_increments(
         gen.standard_normal(out=row)
     out *= math.sqrt(grid.dt)
     return out
+
+
+def sample_noise(grid: TimeGrid, m: int, seed: int, path_index: int = 0) -> NoisePath:
+    """Draw N independent Normal(0, dt I_m) increments for one path."""
+    return NoisePath(grid, m, sample_increments(grid, m, seed, path_index, 1)[0], path_index)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +432,7 @@ class History:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic chunked execution
+# Chunk sizing
 # ---------------------------------------------------------------------------
 
 
@@ -469,63 +443,6 @@ def chunk_size(N: int, m: int, n_paths: int, workers: int) -> int:
     workers), so that every worker gets a chunk."""
     fit = max(MIN_CHUNK, CHUNK_BYTES // (8 * N * m + PATH_STATE))
     return min(fit, -(-n_paths // workers))
-
-
-def chunk_ranges(n_paths: int, chunk: int):
-    """Chunk boundaries [(start, count), ...] of chunk paths each, the last
-    one holding the rest."""
-    return [(s, min(chunk, n_paths - s)) for s in range(0, n_paths, chunk)]
-
-
-#: The chunk function of the pool this worker process was forked for; set only
-#: in the worker, by the pool's initializer.
-_worker_fn = None
-
-
-def _set_worker_fn(fn):
-    global _worker_fn
-    _worker_fn = fn
-
-
-def _run_chunk(start, count):
-    return _worker_fn(start, count)
-
-
-def run_chunks(fn, n_paths: int, workers: int, chunk: int) -> list:
-    """Evaluate fn(start, count) over the chunks of chunk_ranges(n_paths,
-    chunk); results in chunk order.
-
-    fn must be pure.  With workers > 1 and more than one chunk, the chunks
-    run in min(workers, chunks) worker processes forked from this one: fn
-    reaches them by inheritance, so it may be a closure, and only (start,
-    count) and the returned arrays are pickled.  Peak memory is about workers
-    times one chunk's working set.  Only on Linux, and only when the calling
-    process runs no other Python thread, is the pool used; otherwise the
-    chunks run serially.  The returned list, and the exception raised (the
-    first failing chunk's, in chunk order), are the same for any worker
-    count at the same chunk size.
-    """
-    ranges = chunk_ranges(n_paths, chunk)
-    # fork is known safe only on Linux (on macOS a child forked after system
-    # frameworks such as numpy's BLAS are in use can crash or hang), and only
-    # from a process running no other Python thread, whose held locks the
-    # child would inherit locked
-    forks_safely = sys.platform.startswith("linux") and threading.active_count() == 1
-    if workers <= 1 or len(ranges) <= 1 or not forks_safely:
-        return [fn(s, c) for s, c in ranges]
-    # imported here: a serial run pays neither their import time nor memory
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(
-        min(workers, len(ranges)), multiprocessing.get_context("fork"),
-        initializer=_set_worker_fn, initargs=(fn,),
-    )
-    try:
-        futures = [pool.submit(_run_chunk, s, c) for s, c in ranges]
-        return [f.result() for f in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,25 @@ variational pass reads the records through VariationalFactors.take: J, K, D,
 the Malliavin field, F[h] and D^h X along one PathStepper, the greeks pass and
 the Gateaux ladder along stacked batches.  stability_ratio and the ladder
 fold a running sup over the records instead of storing paths to take it.
+
+run_paths is the chunked Monte Carlo driver every estimator runs its paths
+through.  It processes paths in chunks sized by core.chunk_size: as many
+paths as fit their (N, m) increments and row state in ``CHUNK_BYTES``, at
+least ``MIN_CHUNK``, and few enough that every worker gets a chunk.  With
+``workers > 1`` the chunks run in up to that many worker processes forked
+from the caller, each holding one chunk's working set at a time, so peak
+memory is about ``workers`` times that.  Chunks fork only on Linux from a
+process running no other Python thread; elsewhere they run serially.  The
+chunk boundaries move with the worker count and the path count, but no
+result or error does: every path has its own noise stream and its own
+arithmetic, and a failing run reports its first failing path.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,7 +59,6 @@ from .core import (
     TimeGrid,
     chunk_size,
     mc_estimate,
-    run_chunks,
     sample_increments,
 )
 from .errors import DivergenceError, InvalidParameterError, MonosdeError, NewtonFailureError
@@ -361,17 +374,33 @@ def _first_failure(fn, inc, start, err):
     return err
 
 
-def run_paths(fn, grid: TimeGrid, m: int, seed: int, n_paths: int,
-              workers: int = 1, size: Optional[int] = None):
+#: The chunk function of the pool this worker process was forked for; set only
+#: in the worker, by the pool's initializer.
+_worker_fn = None
+
+
+def _set_worker_fn(fn):
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _run_chunk(start, count):
+    return _worker_fn(start, count)
+
+
+def run_paths(fn, grid: TimeGrid, m: int, seed: int, n_paths: int, workers: int = 1):
     """The chunked Monte Carlo driver: fn(inc, start) on the (seed, path)
     increments (count, N, m) of paths start..start+count-1, for each chunk
-    of size paths (chunk_size by default); the array fn returns, or each
-    array of the tuple it returns, concatenated in path order.
+    of chunk_size paths; the array fn returns, or each array of the tuple it
+    returns, concatenated in path order.
 
     fn must treat each path on its own.  A failing run raises the error of
     its first failing path, as fn raises it for that path alone, whatever the
     chunk size and worker count: a chunk that raises a MonosdeError is
-    bisected down to that path.
+    bisected down to that path.  With workers > 1 and more than one chunk,
+    the chunks run in min(workers, chunks) worker processes forked from this
+    one: fn reaches them by inheritance, so it may be a closure, and only
+    (start, count) and the returned arrays are pickled.
     """
     if n_paths < 1:
         raise InvalidParameterError("n_paths must be >= 1")
@@ -385,8 +414,30 @@ def run_paths(fn, grid: TimeGrid, m: int, seed: int, n_paths: int,
         except MonosdeError as err:
             raise _first_failure(fn, inc, start, err) from None
 
-    size = size or chunk_size(grid.N, m, n_paths, workers)
-    parts = run_chunks(chunk, n_paths, workers, size)
+    size = chunk_size(grid.N, m, n_paths, workers)
+    ranges = [(s, min(size, n_paths - s)) for s in range(0, n_paths, size)]
+    # fork is known safe only on Linux (on macOS a child forked after system
+    # frameworks such as numpy's BLAS are in use can crash or hang), and only
+    # from a process running no other Python thread, whose held locks the
+    # child would inherit locked
+    forks_safely = sys.platform.startswith("linux") and threading.active_count() == 1
+    if workers <= 1 or len(ranges) <= 1 or not forks_safely:
+        parts = [chunk(s, c) for s, c in ranges]
+    else:
+        # imported here: a serial run pays neither their import time nor memory
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(
+            min(workers, len(ranges)), multiprocessing.get_context("fork"),
+            initializer=_set_worker_fn, initargs=(chunk,),
+        )
+        try:
+            # results, and the error raised, in chunk order
+            futures = [pool.submit(_run_chunk, s, c) for s, c in ranges]
+            parts = [f.result() for f in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(p) for p in zip(*parts))
     return np.concatenate(parts)
@@ -407,8 +458,8 @@ def simulate_paths(
     def chunk(inc, start):
         out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
         if np.any(out.diverged):
-            k = int(np.argmax(out.diverged))
-            raise DivergenceError(out.first_bad[k], start + k)
+            # run_paths bisects to the first diverged path and names it
+            raise DivergenceError(out.first_bad[int(np.argmax(out.diverged))])
         return out.values
 
     return run_paths(chunk, grid, spec.m, seed, n_paths, workers)

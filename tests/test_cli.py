@@ -343,6 +343,39 @@ verify.criteria = 2
     assert lines[1].startswith("2,gbm_exact_recursions,PASS")
 
 
+@pytest.mark.parametrize("criteria, unknown", [("12", "12"), ("0,2", "0"), ("2,13,12", "12, 13")])
+def test_unknown_criterion_is_one_error_line(tmp_path, monkeypatch, capsys, criteria, unknown):
+    import monosde.acceptance as acceptance
+
+    monkeypatch.setitem(acceptance._CRITERIA, 2, lambda workers: pytest.fail("criterion 2 ran"))
+    conf = tmp_path / "verify.conf"
+    conf.write_text(
+        "schema_version = 1\nexperiment = verify\nmodel = ou\n"
+        f"grid.T = 1\ngrid.N = 64\nverify.criteria = {criteria}\n"
+    )
+    out = tmp_path / "v"
+    assert main(["verify", "--config", str(conf), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: unknown acceptance criteria {unknown}; choose from 1..11\n"
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("blocked", ["out", "paths.csv", "simulate.meta"])
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, blocked):
+    # a file where --out should be, or a directory where an artifact should be
+    conf = tmp_path / "sim.conf"
+    conf.write_text(GOOD)
+    out = tmp_path / "o"
+    if blocked == "out":
+        out.write_text("")
+    else:
+        (out / blocked).mkdir(parents=True)
+    assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write artifacts to {out}: [Errno ")
+    assert err.count("\n") == 1
+
+
 def test_workers_flag_is_the_only_worker_knob(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "run", lambda cfg, out, workers: seen.append(workers) or 0)

@@ -17,11 +17,9 @@ from monosde import (
 )
 from monosde.core import (
     _philox_keys,
-    chunk_ranges,
     chunk_size,
     format_lines,
     paired_z_score,
-    run_chunks,
     sample_increments,
 )
 
@@ -108,11 +106,14 @@ def test_vectorised_philox_keys_equal_seed_sequence(seed, start, count, branch):
 
 @pytest.mark.parametrize("count", [1, 5])
 def test_batch_rows_are_the_single_path_streams(count):
-    # odd N * m = 21 leaves Philox's 4-word buffer partly used after each path
+    # row k is numpy's own construction of the stream (11, 1022 + k); odd
+    # N * m = 21 leaves Philox's 4-word buffer partly used after each path
     g = make_grid(1.0, 7)
     inc = sample_increments(g, 3, 11, 1022, count)
     for k in range(count):
-        assert np.array_equal(inc[k], sample_noise(g, 3, 11, 1022 + k).increments)
+        ss = np.random.SeedSequence(entropy=11, spawn_key=(1022 + k,))
+        gen = np.random.Generator(np.random.Philox(ss))
+        assert np.array_equal(inc[k], gen.standard_normal((7, 3)) * math.sqrt(g.dt))
 
 
 @pytest.mark.parametrize(
@@ -225,16 +226,6 @@ def test_history_variants_view_the_tiled_paths():
     for view in (lambda h: h.increments, lambda h: h.brownian,
                  lambda h: h.cum_ito("k", gvals)):
         assert view(stacked).tobytes() == view(tiled).tobytes()
-
-
-def test_run_chunks_worker_independent():
-    def work(start, count):
-        return np.arange(start, start + count, dtype=float) ** 2
-
-    a = np.concatenate(run_chunks(work, 5000, workers=1, chunk=256))
-    b = np.concatenate(run_chunks(work, 5000, workers=4, chunk=256))
-    assert np.array_equal(a, b)
-    assert chunk_ranges(5000, 256)[-1] == (4864, 136)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import hashlib
 import math
 import multiprocessing
@@ -32,7 +33,7 @@ from monosde import (
     zoo_lookup,
 )
 from monosde import shiftlab, solver
-from monosde.core import chunk_ranges, chunk_size, mc_estimate, sample_increments
+from monosde.core import chunk_size, mc_estimate, sample_increments
 from monosde.errors import MonosdeError
 from monosde.greeks import _samples, _weight_table, constant_weight, gradients, identity_payoff
 from monosde.shiftlab import _ladder_samples, cameron_martin_check, clipped_sup_norm, gateaux_ladder
@@ -173,8 +174,19 @@ def test_simulate_raises_divergence_with_step():
 
 
 def _chunks(N, m, n_paths, workers):
-    """The chunks run_paths runs n_paths paths in at that worker count."""
-    return chunk_ranges(n_paths, chunk_size(N, m, n_paths, workers))
+    """The path counts of the chunks run_paths runs n_paths paths in at that
+    worker count."""
+    size = chunk_size(N, m, n_paths, workers)
+    return [min(size, n_paths - s) for s in range(0, n_paths, size)]
+
+
+@contextlib.contextmanager
+def _chunks_of(size):
+    """run_paths runs chunks of size paths (those of chunk_size when None)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if size is not None:
+            mp.setattr(solver, "chunk_size", lambda N, m, n_paths, workers: size)
+        yield
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -192,7 +204,7 @@ def test_stability_ratio_reports_the_earliest_divergence_of_the_run(workers):
     )
     chunks = _chunks(g.N, 1, 8192, workers)
     assert len(chunks) >= 2
-    assert first_bad[:chunks[0][1]].min() > first_bad.min()
+    assert first_bad[:chunks[0]].min() > first_bad.min()
     with pytest.raises(DivergenceError) as exc:
         stability_ratio(spec, g, scheme, theta, xi, 2.0, 8192, 9, workers)
     assert exc.value.step == first_bad.min()
@@ -222,7 +234,7 @@ def test_live_paths_raises_at_the_earliest_step_below_two_paths(first_bad, step)
     assert exc.value.step == step
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 4])
 def test_run_paths_concatenates_each_array_in_path_order(workers):
     g = make_grid(1.0, 4)
 
@@ -232,14 +244,15 @@ def test_run_paths_concatenates_each_array_in_path_order(workers):
         # it through a side effect
         return np.full(len(inc), start), idx, inc[:, :, 0], np.stack([idx, -idx], axis=1)
 
-    starts, idx, inc, pairs = run_paths(fn, g, 1, 5, 600, workers, size=256)
+    with _chunks_of(256):
+        starts, idx, inc, pairs = run_paths(fn, g, 1, 5, 600, workers)
+        # a single array is concatenated as well
+        single = run_paths(lambda inc, start: inc, g, 2, 5, 300, workers)
     # each chunk start seen exactly once, by its own rows
     assert np.array_equal(starts, np.repeat([0, 256, 512], [256, 256, 88]))
     assert np.array_equal(idx, np.arange(600))
     assert np.array_equal(inc, sample_increments(g, 1, 5, 0, 600)[:, :, 0])
     assert np.array_equal(pairs[:, 1], -np.arange(600))
-    # a single array is concatenated as well
-    single = run_paths(lambda inc, start: inc, g, 2, 5, 300, workers, size=256)
     assert np.array_equal(single, sample_increments(g, 2, 5, 0, 300))
 
 
@@ -271,8 +284,8 @@ def test_run_paths_raises_the_first_failing_chunk_in_path_order():
     g = make_grid(1.0, 4)
     raised = []
     for workers in (1, 2):
-        with pytest.raises(DivergenceError) as info:
-            run_paths(_failing_paths, g, 1, 5, 256, workers, size=64)
+        with _chunks_of(64), pytest.raises(DivergenceError) as info:
+            run_paths(_failing_paths, g, 1, 5, 256, workers)
         raised.append(info.value)
         assert multiprocessing.active_children() == []
     serial, pooled = raised
@@ -301,8 +314,8 @@ def test_run_paths_raises_the_first_failing_paths_own_error(workers, size):
     # each chunk that fails is bisected to its first failing path, path 30,
     # whose own error names it, whatever the chunking: a 64-path chunk alone
     # raises at step 2 with path 51's residual
-    with pytest.raises(NewtonFailureError) as info:
-        run_paths(_newton_failing_paths, make_grid(1.0, 4), 1, 5, 100, workers, size)
+    with _chunks_of(size), pytest.raises(NewtonFailureError) as info:
+        run_paths(_newton_failing_paths, make_grid(1.0, 4), 1, 5, 100, workers)
     assert vars(info.value) == {"step": 6, "residual": 1.03, "tol": 1e-10, "path_index": 30}
     assert str(info.value) == "Newton residual 1.030e+00 > tol 1.000e-10 at step 6 (path 30)"
 
@@ -315,8 +328,8 @@ def _batch_failing(inc, start):
 
 
 def test_run_paths_raises_a_chunks_own_error_when_no_path_fails_alone():
-    with pytest.raises(InvalidParameterError, match="^a run of 6 paths from 12$"):
-        run_paths(_batch_failing, make_grid(1.0, 4), 1, 5, 24, size=6)
+    with _chunks_of(6), pytest.raises(InvalidParameterError, match="^a run of 6 paths from 12$"):
+        run_paths(_batch_failing, make_grid(1.0, 4), 1, 5, 24)
 
 
 @pytest.mark.parametrize("workers, n_chunks, forked", [
@@ -334,10 +347,11 @@ def test_run_paths_forks_one_process_per_chunk_at_most(monkeypatch, workers, n_c
 
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counted)
     g = make_grid(1.0, 4)
-    pids, inc = run_paths(
-        lambda inc, start: (np.full(len(inc), os.getpid()), inc), g, 1, 5, 64 * n_chunks,
-        workers, size=64,
-    )
+    with _chunks_of(64):
+        pids, inc = run_paths(
+            lambda inc, start: (np.full(len(inc), os.getpid()), inc), g, 1, 5, 64 * n_chunks,
+            workers,
+        )
     assert len(started) == forked
     # with a pool, the chunks ran in the workers, not here
     foreign = set(pids.tolist()) - {os.getpid()}
@@ -352,8 +366,9 @@ def _serial_pids(monkeypatch):
         raise AssertionError("a pool was created")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    return run_paths(lambda inc, start: np.full(len(inc), os.getpid()), make_grid(1.0, 4), 1,
-                     5, 256, 4, size=64)
+    with _chunks_of(64):
+        return run_paths(lambda inc, start: np.full(len(inc), os.getpid()), make_grid(1.0, 4),
+                         1, 5, 256, 4)
 
 
 def test_run_paths_runs_serially_off_linux(monkeypatch):
@@ -393,7 +408,8 @@ def _outcome(fn, g, m, seed, n_paths, size=None, workers=1):
     """The bytes of each array run_paths returns, or the type, message and
     attributes of the error it raises."""
     try:
-        out = run_paths(fn, g, m, seed, n_paths, workers, size)
+        with _chunks_of(size):
+            out = run_paths(fn, g, m, seed, n_paths, workers)
     except MonosdeError as err:
         return type(err), str(err), vars(err)
     return [r.tobytes() for r in (out if isinstance(out, tuple) else (out,))]
