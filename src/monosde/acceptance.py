@@ -18,7 +18,9 @@ import numpy as np
 
 from .core import CameronMartinPath, make_grid, sample_increments, sample_noise
 from .errors import InvalidParameterError
-from .models import random_sigma_malliavin_lattice, random_sigma_parts, zoo_lookup
+from .models import (
+    random_sigma_malliavin_lattice, random_sigma_parts, step_function_values, zoo_lookup,
+)
 from .solver import (
     EULER,
     IMPLICIT,
@@ -201,6 +203,7 @@ def criterion_04(workers: int = 1) -> CriterionResult:
 
 def criterion_05(workers: int = 1) -> CriterionResult:
     spec = zoo_lookup("random_sigma_example")
+    g_low, g_high, g_break_frac = (spec.params[k] for k in ("g_low", "g_high", "g_break_frac"))
     scheme = SchemeChoice(EULER)
     n_paths = 1000
     T = 1.0
@@ -217,7 +220,7 @@ def criterion_05(workers: int = 1) -> CriterionResult:
         fixed = np.arange(0, N + 1, stride)
         jump_rows = np.array([N // 2 - 1])  # s = T/2 - dt, left of the g-step
         s_idx = np.unique(np.concatenate([fixed, jump_rows]))
-        g_vals = spec.g_func(grid)
+        g_vals = step_function_values(grid, g_low, g_high, g_break_frac * grid.T)
 
         def chunk(inc, start):
             inc = inc.reshape(len(inc), N, factor, 1).sum(axis=2)
@@ -534,7 +537,8 @@ _CRITERIA = {
 
 def run_criteria(numbers=None, workers: int = 1):
     """Run the selected (default: all) acceptance criteria in order; raises
-    InvalidParameterError, before any runs, when a number names none."""
+    InvalidParameterError, before any runs, when a number names none or is
+    repeated."""
     selected = sorted(numbers) if numbers else sorted(_CRITERIA)
     unknown = [n for n in selected if n not in _CRITERIA]
     if unknown:
@@ -542,4 +546,7 @@ def run_criteria(numbers=None, workers: int = 1):
             f"unknown acceptance criteria {', '.join(map(str, unknown))}; "
             f"choose from 1..{len(_CRITERIA)}"
         )
+    repeated = sorted({n for n in selected if selected.count(n) > 1})
+    if repeated:
+        raise InvalidParameterError(f"repeated acceptance criteria {', '.join(map(str, repeated))}")
     return [_CRITERIA[n](workers=workers) for n in selected]

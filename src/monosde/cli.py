@@ -19,6 +19,7 @@ import argparse
 import math
 import os
 import sys
+import tempfile
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, NamedTuple
 
@@ -400,13 +401,25 @@ def run(cfg: ExperimentConfig, out_dir: str = ".", workers: int = 1) -> int:
     """Execute one experiment; writes artifacts plus a metadata sidecar.
     Returns the exit code: 0; 3 when verify fails a criterion; 1 or 2 for a
     MonosdeError, by its class (see monosde.errors); 1 when out_dir or an
-    artifact in it cannot be written."""
+    artifact in it cannot be written.  The files are written into a
+    temporary directory inside out_dir and moved in once all are written, so
+    a failed run leaves none of them."""
     try:
         os.makedirs(out_dir, exist_ok=True)
         spec = zoo_lookup(cfg.model, cfg.model_params)
         grid = make_grid(cfg.grid_T, cfg.grid_N)
-        code = _RUNNERS[cfg.experiment](cfg, spec, grid, out_dir, workers)
-        _write_sidecar(os.path.join(out_dir, f"{cfg.experiment}.meta"), cfg)
+        with tempfile.TemporaryDirectory(prefix=".monosde-", dir=out_dir) as tmp:
+            code = _RUNNERS[cfg.experiment](cfg, spec, grid, tmp, workers)
+            _write_sidecar(os.path.join(tmp, f"{cfg.experiment}.meta"), cfg)
+            moved = []
+            try:
+                for name in sorted(os.listdir(tmp)):
+                    os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
+                    moved.append(os.path.join(out_dir, name))
+            except OSError:
+                for path in moved:
+                    os.remove(path)
+                raise
     except MonosdeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, RuntimeError) else 1

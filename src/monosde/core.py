@@ -120,8 +120,6 @@ class CameronMartinPath:
 
     def __post_init__(self):
         dens = np.asarray(self.density, dtype=float)
-        if dens.ndim == 1:
-            dens = dens[:, None]
         if dens.shape != (self.grid.N, self.m):
             raise DimensionMismatchError(
                 f"density shape {dens.shape} != {(self.grid.N, self.m)}"
@@ -133,12 +131,6 @@ class CameronMartinPath:
     @classmethod
     def constant(cls, grid: TimeGrid, value: float, m: int = 1) -> "CameronMartinPath":
         return cls(grid, m, np.full((grid.N, m), float(value)))
-
-    def path(self) -> np.ndarray:
-        """h(t_i) = sum_{k<i} hdot_k dt, shape (N + 1, m)."""
-        h = np.zeros((self.grid.N + 1, self.m))
-        np.cumsum(self.density * self.grid.dt, axis=0, out=h[1:])
-        return h
 
     def check_on(self, grid: TimeGrid, m: int):
         """Reject use on another grid than grid, or with another noise
@@ -178,7 +170,7 @@ class StatePath:
 
 @dataclass(frozen=True, eq=False)
 class MCEstimate:
-    """Monte Carlo mean with standard error and 95% CI half-width."""
+    """Monte Carlo mean with standard error."""
 
     mean: np.ndarray
     stderr: np.ndarray
@@ -195,10 +187,6 @@ class MCEstimate:
             raise InvalidParameterError("n_paths >= 2 required to report a stderr")
         object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "stderr", _readonly(se))
-
-    @property
-    def ci95_halfwidth(self) -> np.ndarray:
-        return 1.96 * self.stderr
 
 
 def mc_estimate(samples: np.ndarray) -> MCEstimate:
@@ -369,8 +357,6 @@ class History:
     def __init__(self, grid: TimeGrid, increments: np.ndarray, variants: int = 1,
                  shifts: Optional[np.ndarray] = None):
         inc = np.asarray(increments, dtype=float)
-        if inc.ndim == 2:
-            inc = inc[None]
         self.grid = grid
         self._paths = inc  # (P, N, m)
         self._shifts = shifts

@@ -144,14 +144,11 @@ def _samples(field, grid, scheme, theta, payoff, t_index, inc, a=None, eps=None)
     stops.
     """
     B, d = inc.shape[0], field.d
-    theta = np.broadcast_to(np.asarray(theta, dtype=float).reshape(-1, d), (B, d))
-    starts = [theta] if a is not None else []
+    # variant 0 is the base when BEL runs; the bumped ones start at theta +- eps e_k
+    bumps = [np.zeros(d)] if a is not None else []
     if eps is not None:
-        for k in range(d):
-            bump = np.zeros(d)
-            bump[k] = eps
-            starts += [theta + bump, theta - bump]
-    run = Stepper(field, grid, inc, np.concatenate(starts), scheme)
+        bumps += [sign * eps * e for e in np.eye(d) for sign in (1.0, -1.0)]
+    run = Stepper(field, grid, inc, theta + np.array(bumps)[:, None], scheme)
     N = run.N
     if a is not None:
         # BEL fields are deterministic, so the callbacks read no history rows
@@ -171,7 +168,7 @@ def _samples(field, grid, scheme, theta, payoff, t_index, inc, a=None, eps=None)
                 node = rec.x_next
             if a is None or i >= t_index or unsolvable is not None:
                 continue
-            vf.take(rec.head(B))
+            vf.take(rec)
             if d == 1:
                 s = vf.sig[:, 0, 0]
                 near = np.abs(s) < 1.0 / _CONDITION_LIMIT

@@ -262,10 +262,10 @@ def representation_parts(
 
 def directional_step(vf: VariationalFactors, rec: StepRecord,
                      h: CameronMartinPath, y: np.ndarray) -> np.ndarray:
-    """D^h X at node i+1 from y = D^h X at node i (B, d), along the rows of
-    rec, the kernel's record of step i: the linearized step I + A_i, forced by
-    sigma hdot_i dt and the U and V terms.  vf reads rec through take(), so
-    its hist must be the noise of rec's rows."""
+    """D^h X at node i+1 from y = D^h X at node i (B, d), along the B rows of
+    variant 0 of rec, the kernel's record of step i: the linearized step
+    I + A_i, forced by sigma hdot_i dt and the U and V terms.  vf takes
+    those rows of rec and holds their noise."""
     field, hist, dt = vf.field, vf.hist, vf.dt
     i = rec.i
     B, d, m = len(y), field.d, field.m

@@ -421,12 +421,10 @@ def _build_random_sigma_example(p):
         U=U,
         V=V,
     )
-    spec = ModelSpec(
+    return ModelSpec(
         "random_sigma_example", f, p, np.array([1.0]),
         closed_form=_random_sigma_closed_form(g_func),
     )
-    spec.g_func = g_func
-    return spec
 
 
 #: name -> (builder, {parameter: default}); the defaults declare the names.

@@ -34,7 +34,6 @@ import numpy as np
 
 from .core import (
     CameronMartinPath,
-    History,
     MCEstimate,
     NoisePath,
     TimeGrid,
@@ -213,14 +212,13 @@ def _ladder_samples(spec, grid, scheme, h, eps, inc):
     # variant 0 is the base path; variant 1 + a runs on the noise w + eps_a h
     shifts = np.concatenate([np.zeros_like(shift)[None], eps[:, None, None] * shift])
     run = Stepper(spec.field, grid, inc, spec.theta0, scheme, shifts)
-    # the base rows read the unshifted noise of the P paths
-    vf = VariationalFactors(run, History(grid, inc))
+    vf = VariationalFactors(run)
     dh = np.zeros((P, d))
     errs = np.zeros((len(eps), P))  # node 0 contributes 0
     # a diverged path's quotient may overflow; it is left out of the statistics
     with np.errstate(over="ignore", invalid="ignore"):
         for rec in run:
-            dh = directional_step(vf, rec.head(P), h, dh)
+            dh = directional_step(vf, rec, h, dh)
             x = rec.x_next.reshape(1 + len(eps), P, d)
             quot = (x[1:] - x[0]) / eps[:, None, None]
             np.maximum(errs, np.linalg.norm(quot - dh, axis=-1), out=errs)

@@ -16,17 +16,20 @@ is rejected.
 
 The kernel is a Stepper: iterating it yields one StepRecord per step, holding
 what the step evaluated (X_i, sigma, the tamed denominator, dW_i)
-and X_{i+1}.  A Stepper may run K variants of its P paths as one batch: K
-starts on one noise (theta of K*P rows), or K noise-shifted variants (shifts
-(K, N, m), row k*P + p driven by inc[p] + shifts[k], formed step by step, so
-no shifted copy of the noise is built).
+and X_{i+1}.  A Stepper may run K variants of its P paths as one batch, row
+k*P + p being path p of variant k: theta broadcasts to (K, P, d), and with
+shifts (K, N, m) variant k runs on inc[p] + shifts[k], formed step by step,
+so no shifted copy of the noise is built.  Variant 0 is the base, which a
+noise-shifted batch runs on the zero shift, and the one the variational
+pass differentiates.
 
 Each caller keeps only what it reads.  simulate_batch stores every state,
 which a path functional such as a Cameron-Martin functional needs.  Every
 variational pass reads the records through VariationalFactors.take: J, K, D,
 the Malliavin field, F[h] and D^h X along one PathStepper, the greeks pass and
-the Gateaux ladder along stacked batches.  stability_ratio and the ladder
-fold a running sup over the records instead of storing paths to take it.
+the Gateaux ladder along variant 0 of stacked batches.  stability_ratio and
+the ladder fold a running sup over the records instead of storing paths to
+take it.
 
 run_paths is the chunked Monte Carlo driver every estimator runs its paths
 through.  It processes paths in chunks sized by core.chunk_size: as many
@@ -87,19 +90,6 @@ class SchemeChoice:
             raise InvalidParameterError("newton_tol must be > 0")
         if self.newton_max_iter < 1:
             raise InvalidParameterError("newton_max_iter must be >= 1")
-
-
-@dataclass
-class SimBatch:
-    """Batched simulation output: values (B, N+1, d) with diverged paths frozen
-    at their last finite state from first_bad onward, and the noise (hist)
-    they were solved on."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    diverged: np.ndarray  # (B,) bool
-    first_bad: np.ndarray  # (B,) int, N+1 when the path never diverged
-    hist: History
 
 
 def _check_implicit_dt(field: CoefficientField, grid: TimeGrid):
@@ -183,15 +173,18 @@ class StepRecord:
 class Stepper:
     """The stepping kernel over a batch of paths.
 
-    increments: (P, N, m); theta: (d,), (P, d), or (K*P, d) for K variants of
-    the P paths (row k*P + p runs path p from theta[k*P + p]).  The variants
-    share the noise, or with shifts (K, N, m) variant k runs on the noise
-    shifted by shifts[k]: its step i reads inc[:, i] + shifts[k, i]; theta is
-    then (d,) or (K*P, d).  Iterating runs the N steps in order and yields
-    each step's StepRecord after the divergence tagging; `diverged` and
-    `first_bad` (N+1 for a row that never diverged) are final after the last
-    step.  `hist` is the noise as the coefficient callbacks read it, one row
-    per state.  Iterate once.
+    increments: (P, N, m); theta broadcasts to (K, P, d) for K variants of
+    the P paths, row k*P + p running path p from theta[k, p]: (d,), (P, d),
+    (K, 1, d) or (K, P, d).  K is len(shifts), else theta's first axis when
+    it has three, else 1.  The variants share the noise, or with shifts
+    (K, N, m) variant k runs on the noise shifted by shifts[k]: its step i
+    reads inc[:, i] + shifts[k, i].  Variant 0 is the base, which a
+    noise-shifted batch runs on the zero shift.  Iterating runs the N steps
+    in order and yields each step's StepRecord after the divergence tagging;
+    `theta` holds the K*P row starts, and `diverged` and `first_bad` (N+1
+    for a row that never diverged) are final after the last step.  `hist`
+    is the noise as the coefficient callbacks read it, one row per state.
+    Iterate once.
     """
 
     def __init__(
@@ -203,9 +196,10 @@ class Stepper:
         scheme: SchemeChoice,
         shifts: Optional[np.ndarray] = None,
     ):
-        inc = np.asarray(increments, dtype=float)
-        P, self.N, m = inc.shape
-        K = 1
+        self.inc = np.asarray(increments, dtype=float)
+        P, self.N, m = self.inc.shape
+        theta = np.asarray(theta, dtype=float)
+        K = len(theta) if theta.ndim == 3 else 1
         if shifts is not None:
             shifts = np.asarray(shifts, dtype=float)
             K = len(shifts)
@@ -213,14 +207,12 @@ class Stepper:
                 raise InvalidParameterError(
                     f"shifts must have shape (K, {self.N}, {m}), got {shifts.shape}"
                 )
-        theta = np.asarray(theta, dtype=float).reshape(-1, field.d)
-        if len(theta) == 1:
-            theta = np.broadcast_to(theta, (K * P, field.d))
-        elif P == 0 or len(theta) % P or (shifts is not None and len(theta) != K * P):
-            want = "a multiple" if shifts is None else f"{K * P} for {K} shifts"
+        try:
+            theta = np.broadcast_to(theta, (K, P, field.d)).reshape(K * P, field.d)
+        except ValueError:
             raise InvalidParameterError(
-                f"theta has {len(theta)} rows for {P} paths; want 1 or {want}"
-            )
+                f"theta of shape {theta.shape} does not broadcast to {(K, P, field.d)}"
+            ) from None
         # NaN fails the <= as well
         if not np.all(np.abs(theta) <= DIVERGENCE_BOUND):
             raise InvalidParameterError(
@@ -229,9 +221,8 @@ class Stepper:
         if scheme.kind == IMPLICIT:
             _check_implicit_dt(field, grid)
         self.field, self.grid, self.scheme, self.theta = field, grid, scheme, theta
-        self.variants = len(theta) // P if P else K
-        self.hist = History(grid, inc, self.variants, shifts)
-        self._inc = inc
+        self.variants = K
+        self.hist = History(grid, self.inc, K, shifts)
         self._shifts = shifts
         self.diverged = np.zeros(len(theta), dtype=bool)
         self.first_bad = np.full(len(theta), self.N + 1, dtype=np.int64)
@@ -244,7 +235,7 @@ class Stepper:
         x = self.theta.copy()
         for i in range(self.N):
             t = i * dt
-            dw = self._inc[:, i]
+            dw = self.inc[:, i]
             if shifts is not None:
                 # (K, 1, m) + (P, m): row k*P + p is inc[p, i] + shifts[k, i]
                 dw = (shifts[:, i, None] + dw).reshape(-1, dw.shape[1])
@@ -291,17 +282,18 @@ def simulate_batch(
     theta: np.ndarray,
     scheme: SchemeChoice,
     shifts: Optional[np.ndarray] = None,
-) -> SimBatch:
-    """The Stepper's batch with every state stored.
+) -> Stepper:
+    """The solved Stepper with every state stored in its `values` (K*P, N+1,
+    d), diverged rows frozen at their last finite state from first_bad on.
 
     increments: (P, N, m); theta and shifts as for Stepper.
     """
     run = Stepper(field, grid, increments, theta, scheme, shifts)
-    values = np.empty((len(run.theta), run.N + 1, field.d))
-    values[:, 0] = run.theta
+    run.values = np.empty((len(run.theta), run.N + 1, field.d))
+    run.values[:, 0] = run.theta
     for rec in run:
-        values[:, rec.i + 1] = rec.x_next
-    return SimBatch(grid, values, run.diverged, run.first_bad, run.hist)
+        run.values[:, rec.i + 1] = rec.x_next
+    return run
 
 
 def check_noise(w: NoisePath, m: int):
@@ -523,8 +515,7 @@ def stability_ratio(
 
     def chunk(inc, start):
         P = len(inc)
-        starts = np.concatenate([np.broadcast_to(v, (P, d)) for v in (theta, *xi)])
-        run = Stepper(spec.field, grid, inc, starts, scheme)
+        run = Stepper(spec.field, grid, inc, np.vstack([theta, xi])[:, None], scheme)
         x = run.theta.reshape(L + 1, P, d)
         sup = np.linalg.norm(x[1:] - x[0], axis=-1)
         # a diverged path's frozen values may overflow; the run raises below

@@ -39,6 +39,7 @@ from .errors import (
 from .models import CoefficientField, ModelSpec
 from .solver import (
     EULER, TAMED, PathStepper, SchemeChoice, StepRecord, Stepper, check_noise, simulate,
+    simulate_batch,
 )
 
 
@@ -48,32 +49,37 @@ from .solver import (
 
 
 class VariationalFactors:
-    """Builds the per-step matrices of the linearized flow along the rows of a
-    running Stepper, from the StepRecords a pass hands to take().
+    """Builds the per-step matrices of the linearized flow along variant 0 of
+    a running Stepper, from the StepRecords a pass hands to take().
 
     For step i (state X_i, increment dW_i) it provides
         dmat: treated drift matrix (B, d, d)
         smat: sum_j grad_sigma^j(X_i) dW_i^j as a (B, d, d) matrix
         amat: dmat + smat (the one-step flow is I + amat)
     plus the raw gradients for forcing terms, under the field and scheme of
-    run.  hist is the noise of the rows handed to take(), when they are not
-    all the rows of run (the base rows of a noise-shifted Stepper).
+    run, for the B = len(run.theta) / K rows of variant 0, the base.  Their
+    noise is run's own when it has one variant, else its unshifted
+    increments: a noise-shifted batch runs its base on the zero shift.
     """
 
-    def __init__(self, run: Stepper, hist: Optional[History] = None):
+    def __init__(self, run: Stepper):
         field = run.field
         if field.grad_drift is None or field.grad_diffusion is None:
             raise MissingGradientsError("model does not supply coefficient gradients")
         self.field = field
         self.scheme = run.scheme
-        self.hist = run.hist if hist is None else hist
+        self.rows = len(run.theta) // run.variants
+        self.hist = run.hist if run.variants == 1 else History(run.grid, run.inc)
         self.dt = run.grid.dt
         self._eye = np.eye(field.d)
 
     def take(self, rec: StepRecord):
-        """The factors of the step the record holds, reading its sigma and
-        tamed denominator instead of evaluating them again."""
+        """The factors of the step the record holds, on its variant 0 rows,
+        reading their sigma and tamed denominator instead of evaluating them
+        again."""
         field, dt = self.field, self.dt
+        if len(rec.x) > self.rows:
+            rec = rec.head(self.rows)
         t = rec.i * dt
         x, dw = rec.x, rec.dw
         self.gs = field.grad_diffusion(t, self.hist, x)  # (B, d, m, d)
@@ -242,16 +248,13 @@ def finite_difference_jacobian(
         raise InvalidParameterError("eps must be > 0")
     check_noise(w, spec.m)
     d = spec.d
-    # rows k and d + k start from x + eps e_k and x - eps e_k
-    bumps = np.concatenate([np.eye(d), -np.eye(d)]) * eps
-    run = Stepper(spec.field, w.grid, w.increments[None], spec.theta0 + bumps, scheme)
-    x = np.empty((run.N + 1, 2 * d, d))
-    x[0] = run.theta
-    for rec in run:
-        if run.diverged.any():
-            raise DivergenceError(run.first_bad.min(), w.path_index)
-        x[rec.i + 1] = rec.x_next
-    return ((x[:, :d] - x[:, d:]) / (2.0 * eps)).transpose(0, 2, 1)
+    # variants k and d + k start from x + eps e_k and x - eps e_k
+    bumps = np.concatenate([np.eye(d), -np.eye(d)])[:, None] * eps
+    run = simulate_batch(spec.field, w.grid, w.increments[None], spec.theta0 + bumps, scheme)
+    if run.diverged.any():
+        raise DivergenceError(run.first_bad.min(), w.path_index)
+    x = run.values
+    return ((x[:d] - x[d:]) / (2.0 * eps)).transpose(1, 2, 0)
 
 
 # ---------------------------------------------------------------------------

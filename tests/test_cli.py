@@ -343,8 +343,9 @@ verify.criteria = 2
     assert lines[1].startswith("2,gbm_exact_recursions,PASS")
 
 
-@pytest.mark.parametrize("criteria, unknown", [("12", "12"), ("0,2", "0"), ("2,13,12", "12, 13")])
-def test_unknown_criterion_is_one_error_line(tmp_path, monkeypatch, capsys, criteria, unknown):
+def _refused_criteria(tmp_path, monkeypatch, capsys, criteria):
+    """stderr of `monosde verify` with verify.criteria = criteria, which must
+    exit 1 before criterion 2 runs and leave --out empty."""
     import monosde.acceptance as acceptance
 
     monkeypatch.setitem(acceptance._CRITERIA, 2, lambda workers: pytest.fail("criterion 2 ran"))
@@ -355,9 +356,19 @@ def test_unknown_criterion_is_one_error_line(tmp_path, monkeypatch, capsys, crit
     )
     out = tmp_path / "v"
     assert main(["verify", "--config", str(conf), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: unknown acceptance criteria {unknown}; choose from 1..11\n"
     assert os.listdir(out) == []
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("criteria, unknown", [("12", "12"), ("0,2", "0"), ("2,13,12", "12, 13")])
+def test_unknown_criterion_is_one_error_line(tmp_path, monkeypatch, capsys, criteria, unknown):
+    err = _refused_criteria(tmp_path, monkeypatch, capsys, criteria)
+    assert err == f"error: unknown acceptance criteria {unknown}; choose from 1..11\n"
+
+
+def test_repeated_criterion_is_one_error_line(tmp_path, monkeypatch, capsys):
+    err = _refused_criteria(tmp_path, monkeypatch, capsys, "2,2")
+    assert err == "error: repeated acceptance criteria 2\n"
 
 
 @pytest.mark.parametrize("blocked", ["out", "paths.csv", "simulate.meta"])
@@ -374,6 +385,12 @@ def test_unwritable_out_is_one_error_line(tmp_path, capsys, blocked):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write artifacts to {out}: [Errno ")
     assert err.count("\n") == 1
+    # nothing of the run is left in --out, complete or not
+    if blocked == "out":
+        assert out.read_text() == ""
+    else:
+        assert os.listdir(out) == [blocked]
+        assert os.listdir(out / blocked) == []
 
 
 def test_workers_flag_is_the_only_worker_knob(tmp_path, monkeypatch):

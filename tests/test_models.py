@@ -5,6 +5,7 @@ from monosde import (
     History,
     InvalidParameterError,
     NoClosedFormError,
+    NoisePath,
     OutOfDomainError,
     UnknownModelError,
     eval_closed_form,
@@ -299,3 +300,38 @@ def test_wright_fisher_stays_near_unit_interval():
         w = sample_noise(g, 1, seed=20, path_index=p)
         x = simulate(spec, w, scheme=SchemeChoice(EULER))
         assert np.max(np.abs(x.values)) <= 1.0 + 0.05
+
+
+def _euler_counterpart(kind, spec, w):
+    """What the Euler scheme computes on w for the closed form kind at t = 1
+    (and s = 1/2 for the Malliavin derivative)."""
+    from monosde import jacobian, malliavin_field
+
+    scheme = SchemeChoice(EULER)
+    if kind == "state":
+        return simulate(spec, w, scheme).terminal
+    if kind == "jacobian":
+        return jacobian(spec, w, scheme).J[-1]
+    # the s-lattice 0, 1/2, 1
+    return malliavin_field(spec, w, scheme, s_stride=w.grid.N // 2).entries[1, -1]
+
+
+@pytest.mark.parametrize("model, kind", [
+    ("ou", "state"),
+    ("ou", "jacobian"),
+    ("gbm", "jacobian"),
+    ("gbm", "malliavin"),
+    ("random_sigma_example", "jacobian"),
+])
+def test_closed_form_is_the_euler_limit(model, kind):
+    # one Brownian path at N = 2^12, and at N = 2^10 its increments summed in
+    # fours: the Euler error against the closed form falls as N grows
+    spec = zoo_lookup(model)
+    fine = sample_noise(make_grid(1.0, 2**12), 1, seed=31)
+    coarse = NoisePath(make_grid(1.0, 2**10), 1, fine.increments.reshape(-1, 4, 1).sum(axis=1))
+    s = 0.5 if kind == "malliavin" else None
+    errs = [
+        np.max(np.abs(_euler_counterpart(kind, spec, w) - eval_closed_form(spec, kind, w, s, 1.0)))
+        for w in (coarse, fine)
+    ]
+    assert errs[1] < errs[0]

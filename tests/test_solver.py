@@ -946,7 +946,7 @@ def test_stacked_variants_equal_separate_runs(case, kind):
         np.broadcast_to(spec.theta0, (64, spec.d)),
         spec.theta0 + np.linspace(-0.5, 0.5, 64)[:, None],
     ]
-    stacked = simulate_batch(spec.field, g, inc, np.concatenate(starts), scheme)
+    stacked = simulate_batch(spec.field, g, inc, np.stack(starts), scheme)
     assert stacked.hist.B == 3 * 64
     for k, theta in enumerate(starts):
         alone = simulate_batch(spec.field, g, inc, theta, scheme)
@@ -957,11 +957,11 @@ def test_stacked_variants_equal_separate_runs(case, kind):
         assert stacked.diverged.any()
 
 
-def test_theta_rows_must_be_one_or_a_multiple_of_the_paths():
+def test_theta_must_broadcast_to_the_variants_and_paths():
     spec = zoo_lookup("ginzburg_landau")
     g = make_grid(1.0, 4)
     inc = sample_increments(g, 1, 1, 0, 4)
-    with pytest.raises(InvalidParameterError, match="6 rows for 4 paths"):
+    with pytest.raises(InvalidParameterError, match=r"\(6, 1\) does not broadcast to \(1, 4, 1\)"):
         simulate_batch(spec.field, g, inc, np.ones((6, 1)), SchemeChoice(EULER))
 
 
@@ -1009,11 +1009,11 @@ def test_shifts_take_one_start_or_one_per_row():
     g = make_grid(1.0, 4)
     inc = sample_increments(g, 1, 1, 0, 4)
     shifts = _shifts(spec, g, [0.0, 1.0])
-    with pytest.raises(InvalidParameterError, match="4 rows for 4 paths; want 1 or 8"):
-        simulate_batch(spec.field, g, inc, np.ones((4, 1)), SchemeChoice(EULER), shifts)
+    with pytest.raises(InvalidParameterError, match=r"\(3, 4, 1\) does not broadcast to \(2, "):
+        simulate_batch(spec.field, g, inc, np.ones((3, 4, 1)), SchemeChoice(EULER), shifts)
     with pytest.raises(InvalidParameterError, match="shifts must have shape"):
         simulate_batch(spec.field, g, inc, spec.theta0, SchemeChoice(EULER), shifts[:, :3])
-    rows = simulate_batch(spec.field, g, inc, np.ones((8, 1)), SchemeChoice(EULER), shifts)
+    rows = simulate_batch(spec.field, g, inc, np.ones((2, 4, 1)), SchemeChoice(EULER), shifts)
     one = simulate_batch(spec.field, g, inc, np.ones(1), SchemeChoice(EULER), shifts)
     assert rows.values.tobytes() == one.values.tobytes()
 
