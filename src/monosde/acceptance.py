@@ -233,7 +233,7 @@ def criterion_05(workers: int = 1) -> CriterionResult:
             pos_left = int(np.searchsorted(s_idx, N // 2 - 1))
             pos_right = int(np.searchsorted(s_idx, N // 2))
             njump = fld[:, pos_right, -1, 0, 0] - fld[:, pos_left, -1, 0, 0]
-            w, e, _, gw, s_cum = random_sigma_parts(inc, grid, g_vals)
+            w, e, _, s_cum = random_sigma_parts(inc, grid, g_vals)
             sj = N // 2
             js = np.exp((w[:, -1] - w[:, sj]) - 0.5 * (T - sj * grid.dt))
             ojump = (g_vals[sj] - g_vals[sj - 1]) * js * (
@@ -341,10 +341,10 @@ def criterion_08(workers: int = 1) -> CriterionResult:
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     grid = make_grid(1.0, 2**8)
     payoff = identity_payoff()
-    a = _weight_table((constant_weight(), linear_weight()), grid.N, grid)
+    a = _weight_table((constant_weight(), linear_weight()), grid)
     vals, first_bad = run_paths(
         lambda inc, start: _samples(
-            spec.field, grid, SchemeChoice(EULER), spec.theta0, payoff, grid.N, inc, a
+            spec.field, grid, SchemeChoice(EULER), spec.theta0, payoff, inc, a
         ),
         grid, spec.m, 108, 100_000, workers,
     )
@@ -359,8 +359,8 @@ def criterion_08(workers: int = 1) -> CriterionResult:
     spec_gl = zoo_lookup("ginzburg_landau", {"eta": 1.0, "sigma": 1.0})
     grid_gl = make_grid(1.0, 2**10)
     rb, rf = gradients(
-        spec_gl, grid_gl, SchemeChoice(TAMED), tanh_payoff(), grid_gl.N, 20_000, 1088,
-        workers, weights=(constant_weight(),), eps=1e-3,
+        spec_gl, grid_gl, SchemeChoice(TAMED), tanh_payoff(), 20_000, 1088, workers,
+        weights=(constant_weight(),), eps=1e-3,
     )
     comb = math.hypot(rb.estimate.stderr[0], rf.estimate.stderr[0])
     z_gl = abs(rb.estimate.mean[0] - rf.estimate.mean[0]) / comb

@@ -354,7 +354,7 @@ def _run_greeks(cfg, spec, grid, out_dir, workers):
     }[cfg.payoff]
     weight = constant_weight() if cfg.weight == "constant" else linear_weight()
     bel, fd = gradients(
-        spec, grid, scheme, payoff, grid.N, cfg.n_paths, cfg.seed, workers,
+        spec, grid, scheme, payoff, cfg.n_paths, cfg.seed, workers,
         weights=(weight,), eps=cfg.fd_eps,
     )
     rows = [

@@ -244,15 +244,9 @@ def _check_streams(seed: int, start: int, count: int = 1) -> None:
         raise InvalidParameterError(f"path count must be >= 0, got {count}")
 
 
-def _seed_sequence(seed: int, path_index: int, branch: int = 0) -> np.random.SeedSequence:
-    """The SeedSequence of one (seed, path_index) substream.
-
-    branch separates independent per-path streams (0 = Brownian increments,
-    2 = the probe points of probe_assumptions, on path 0 only; branch 1, once
-    random initial conditions, is retired and 2 keeps its number).
-    """
-    key = (path_index,) if branch == 0 else (path_index, branch)
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
+def _seed_sequence(seed: int, path_index: int) -> np.random.SeedSequence:
+    """The SeedSequence of the (seed, path_index) Brownian stream."""
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=(path_index,))
 
 
 def _hash_multipliers(init: int, mult: int, n: int) -> np.ndarray:
@@ -266,35 +260,33 @@ def _hash_multipliers(init: int, mult: int, n: int) -> np.ndarray:
 
 # SeedSequence's hash with its pool of 4 words.  Hash call k of mix_entropy
 # xors with _HASH_A[k] and multiplies by _HASH_A[k + 1]; the seed's words take
-# calls 0..15 and spawn-key word j calls 16 + 4j .. 19 + 4j, one per pool word.
-# Output word i of generate_state does the same with _HASH_B[i], _HASH_B[i + 1].
-_HASH_A = _hash_multipliers(0x43B0D7E5, 0x931E8875, 25)
+# calls 0..15 and the spawn-key word, the path index, calls 16..19, one per
+# pool word.  Output word i of generate_state does the same with _HASH_B[i],
+# _HASH_B[i + 1].
+_HASH_A = _hash_multipliers(0x43B0D7E5, 0x931E8875, 21)
 _HASH_B = _hash_multipliers(0x8B51F9DD, 0x58F38DED, 5)
 
 
-def _philox_keys(seed: int, start: int, count: int, branch: int = 0) -> np.ndarray:
+def _philox_keys(seed: int, start: int, count: int) -> np.ndarray:
     """Philox keys (count, 2) of the streams (seed, start + k), k < count.
 
-    Row k equals _seed_sequence(seed, start + k, branch).generate_state(2,
-    np.uint64).  The spawn-key words are hashed into the seed's pool for all
+    Row k equals _seed_sequence(seed, start + k).generate_state(2,
+    np.uint64).  The path indices are hashed into the seed's pool for all
     rows and all pool words in one vectorised uint32 pass.
     """
     if seed >= 1 << 128 or start + count > 1 << 32:
         # more than 4 seed words or a 2-word path index: another entropy layout
-        keys = [_seed_sequence(seed, start + k, branch).generate_state(2, np.uint64)
+        keys = [_seed_sequence(seed, start + k).generate_state(2, np.uint64)
                 for k in range(count)]
         return np.array(keys, dtype=np.uint64).reshape(count, 2)
     # the seed hashed into the pool: numpy pads a spawned seed's words with
     # zeros to the pool size, which hashes as an unspawned seed's missing words
     pool = np.random.SeedSequence(int(seed)).pool
-    words = [np.arange(start, start + count, dtype=np.uint32)[:, None]]
-    if branch:
-        words.append(np.uint32(branch))
-    for j, word in enumerate(words):
-        h = (word ^ _HASH_A[16 + 4 * j:20 + 4 * j]) * _HASH_A[17 + 4 * j:21 + 4 * j]
-        h ^= h >> 16
-        pool = 0xCA01F9DD * pool - 0x4973F715 * h  # SeedSequence's mix(pool, h)
-        pool ^= pool >> 16
+    word = np.arange(start, start + count, dtype=np.uint32)[:, None]
+    h = (word ^ _HASH_A[16:20]) * _HASH_A[17:21]
+    h ^= h >> 16
+    pool = 0xCA01F9DD * pool - 0x4973F715 * h  # SeedSequence's mix(pool, h)
+    pool ^= pool >> 16
     state = (pool ^ _HASH_B[:4]) * _HASH_B[1:]
     state ^= state >> 16
     return state.astype("<u4").view("<u8").astype(np.uint64)

@@ -2,9 +2,9 @@
 deterministic-coefficient models and a common-random-numbers bump-and-revalue
 baseline.
 
-The BEL weight for a payoff at time t is
+The BEL weight for a payoff at the grid's horizon t = t_N is
 
-    w* = sum_{i < t} a(t_i) [sigma(t_i, X_i)^{-1} J_i]^T dW_i,
+    w* = sum_{i < N} a(t_i) [sigma(t_i, X_i)^{-1} J_i]^T dW_i,
 
 with a(.) a weight on [0, t] whose discrete sum is renormalized to exactly 1.
 The gradient estimate is the Monte Carlo mean of Phi(X_t) w*.  Restricting to
@@ -17,7 +17,8 @@ central difference at eps, from one stacked stepping pass per chunk.  The
 base rows (BEL) and the rows theta +- eps e_k (central difference) share
 the chunk's noise.  BEL builds J and one w* per weight forward from each
 StepRecord the kernel yields, reusing its sigma and tamed denominator, and
-FD keeps the bumped states at node t only, so no path values are stored.
+FD reads the bumped states of the last step only, so no path values are
+stored.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .core import MCEstimate, TimeGrid, mc_estimate
 from .errors import InvalidParameterError, SingularDiffusionError
 from .models import ModelSpec
-from .solver import SchemeChoice, Stepper, live_paths, run_paths
+from .solver import SchemeChoice, Stepper, live_paths, run_paths, solve_small
 from .variational import VariationalFactors
 
 _CONDITION_LIMIT = 1e12
@@ -88,33 +89,14 @@ class GradientReport:
     n_diverged: int
 
 
-def _check_bel_field(field):
-    if field.d != field.m:
-        raise InvalidParameterError("BEL requires a square diffusion (m = d)")
-    if not field.deterministic:
-        raise InvalidParameterError(
-            "BEL is restricted to deterministic coefficients (adapted integrand)"
-        )
-
-
-def _check_eps(eps):
-    if not (eps > 0):
-        raise InvalidParameterError("eps must be > 0")
-
-
-def _check_t_index(t_index, grid):
-    if t_index < 1 or t_index > grid.N:
-        raise InvalidParameterError("t_index must be in 1..N")
-
-
-def _weight_table(weights, t_index, grid) -> np.ndarray:
-    """The discrete weights (L, t_index) of the L weight functions a(s, t):
-    row l holds a_l(t_i, t) for i < t_index, renormalized so that
-    sum_i a_l(t_i) dt = 1."""
-    t = t_index * grid.dt
+def _weight_table(weights, grid) -> np.ndarray:
+    """The discrete weights (L, N) of the L weight functions a(s, t) at the
+    horizon t = N dt: row l holds a_l(t_i, t) for i < N, renormalized so
+    that sum_i a_l(t_i) dt = 1."""
+    t = grid.N * grid.dt  # not grid.T: (T / N) N need not equal T
     rows = []
     for a_fn in weights:
-        a = np.array([a_fn(i * grid.dt, t) for i in range(t_index)], dtype=float)
+        a = np.array([a_fn(i * grid.dt, t) for i in range(grid.N)], dtype=float)
         total = float(np.sum(a) * grid.dt)
         # NaN fails the > as well
         if not (np.all(np.isfinite(a)) and math.isfinite(total) and total > 0):
@@ -125,17 +107,17 @@ def _weight_table(weights, t_index, grid) -> np.ndarray:
     return np.array(rows)
 
 
-def _samples(field, grid, scheme, theta, payoff, t_index, inc, a=None, eps=None):
-    """Per-path samples of one chunk from one stacked stepping pass.
+def _samples(field, grid, scheme, theta, payoff, inc, a=None, eps=None):
+    """Per-path samples of one chunk from one stacked stepping pass, for the
+    payoff at the last node t = t_N.
 
     theta: (d,) or (B, d), the starts of the chunk's B paths on inc (B, N, m).
-    With the weight table a (L, t_index), the pass steps the base rows and
+    With the weight table a (L, N), the pass steps the base rows and
     returns (Phi(X_t) w*_l (B, L, d), first_bad) for them, one w* per weight;
     with eps, it also steps the rows theta +- eps e_k and returns (central
     differences (B, d), first_bad of either bump).  BEL runs its J and w*
-    recursion on each step's record and FD keeps node t_index, so no path
-    values are stored.  Every row runs all N steps, so first_bad does not
-    depend on t_index.
+    recursion on each step's record and FD reads the last step's states, so
+    no path values are stored.
 
     A singular sigma raises SingularDiffusionError after the pass, at the
     first step where one shows: a near-singular sigma on a base path still
@@ -163,22 +145,18 @@ def _samples(field, grid, scheme, theta, payoff, t_index, inc, a=None, eps=None)
     # J and weight, and a zero sigma divides; those paths are masked out
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for rec in run:
-            i = rec.i
-            if i + 1 == t_index:
-                node = rec.x_next
-            if a is None or i >= t_index or unsolvable is not None:
+            if a is None or unsolvable is not None:
                 continue
+            i = rec.i
             vf.take(rec)
+            try:
+                siginv_j = solve_small(vf.sig, J)
+            except np.linalg.LinAlgError:
+                unsolvable = i
+                continue
             if d == 1:
-                s = vf.sig[:, 0, 0]
-                near = np.abs(s) < 1.0 / _CONDITION_LIMIT
-                siginv_j = (J[:, 0, 0] / s)[:, None, None]
+                near = np.abs(vf.sig[:, 0, 0]) < 1.0 / _CONDITION_LIMIT
             else:
-                try:
-                    siginv_j = np.linalg.solve(vf.sig, J)
-                except np.linalg.LinAlgError:
-                    unsolvable = i
-                    continue
                 # |sigma^{-1} J| > LIMIT |J| bounds |sigma^{-1}| from below,
                 # as |sigma| < 1/LIMIT does for d = 1; NaN fails the <= as well
                 big = np.max(np.abs(siginv_j), axis=(1, 2))
@@ -188,6 +166,7 @@ def _samples(field, grid, scheme, theta, payoff, t_index, inc, a=None, eps=None)
             e = np.einsum("bdm,bm->bd", siginv_j.transpose(0, 2, 1), vf.dw)
             wstar = wstar + a[:, i][None, :, None] * e[:, None, :]
             J = J + vf.amat @ J
+        node = rec.x_next  # X_N, diverged rows frozen
 
         if a is not None:
             first_bad = run.first_bad[:B]
@@ -221,7 +200,6 @@ def gradients(
     grid: TimeGrid,
     scheme: SchemeChoice,
     payoff: Callable,
-    t_index: int,
     n_paths: int,
     seed: int,
     workers: int = 1,
@@ -229,7 +207,7 @@ def gradients(
     weights: Sequence[Callable] = (),
     eps: Optional[float] = None,
 ) -> tuple[GradientReport, ...]:
-    """grad_x E[Phi(X_x(t))] at node t_index (1..N): one "bel" report per
+    """grad_x E[Phi(X_x(t))] at the horizon t = t_N: one "bel" report per
     weight function a(s, t) in weights, in order, then the "fd" report of
     the central difference with common random numbers when eps is given.
 
@@ -240,15 +218,19 @@ def gradients(
     equals the one a run with that weight (or eps) alone gives."""
     if not weights and eps is None:
         raise InvalidParameterError("gradients needs weights, eps or both")
-    if weights:
-        _check_bel_field(spec.field)
-    if eps is not None:
-        _check_eps(eps)
-    _check_t_index(t_index, grid)
-    a = _weight_table(weights, t_index, grid) if weights else None
+    field = spec.field
+    if weights and field.d != field.m:
+        raise InvalidParameterError("BEL requires a square diffusion (m = d)")
+    if weights and not field.deterministic:
+        raise InvalidParameterError(
+            "BEL is restricted to deterministic coefficients (adapted integrand)"
+        )
+    if eps is not None and not (eps > 0):
+        raise InvalidParameterError("eps must be > 0")
+    a = _weight_table(weights, grid) if weights else None
 
     def chunk(inc, start):
-        return _samples(spec.field, grid, scheme, spec.theta0, payoff, t_index, inc, a, eps)
+        return _samples(field, grid, scheme, spec.theta0, payoff, inc, a, eps)
 
     parts = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
     reports = [_report(parts[0][:, l], parts[1], grid, "bel") for l in range(len(weights))]

@@ -24,10 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    History, NoisePath, TimeGrid, _check_streams, _keyed_generators, _philox_keys, make_grid,
-    sample_noise,
-)
+from .core import History, NoisePath, TimeGrid, make_grid, sample_noise
 from .errors import (
     InvalidParameterError,
     NoClosedFormError,
@@ -197,20 +194,18 @@ def step_function_values(grid: TimeGrid, low: float, high: float, t_break: float
 def random_sigma_parts(inc: np.ndarray, grid: TimeGrid, g_vals: np.ndarray):
     """Shared cumulatives for the explicit-solution example, all (B, N+1).
 
-    Returns (W, E, Gd, Gw, S) where E_r = exp(t_r/2 - W_r),
-    Gd_r = sum_{u<r} g_u dt, Gw_r = sum_{u<r} g_u dW_u and
-    S_i = sum_{r<i} E_r (dW_r - dt).
+    Returns (W, E, Gw, S) where E_r = exp(t_r/2 - W_r),
+    Gw_r = sum_{u<r} g_u dW_u and S_i = sum_{r<i} E_r (dW_r - dt).
     """
     dt = grid.dt
     w = _brownian(inc)
     t = grid.nodes
     e = np.exp(0.5 * t[None, :] - w)
-    gd = np.concatenate([[0.0], np.cumsum(g_vals * dt)])
     gw = np.zeros_like(w)
     np.cumsum(inc[..., 0] * g_vals[None, :], axis=1, out=gw[:, 1:])
     s = np.zeros_like(w)
     np.cumsum(e[:, :-1] * (inc[..., 0] - dt), axis=1, out=s[:, 1:])
-    return w, e, gd[None, :], gw, s
+    return w, e, gw, s
 
 
 def random_sigma_state_values(inc: np.ndarray, grid: TimeGrid, g_vals: np.ndarray):
@@ -222,7 +217,7 @@ def random_sigma_state_values(inc: np.ndarray, grid: TimeGrid, g_vals: np.ndarra
     the explicit Malliavin display below.
     """
     dt = grid.dt
-    w, e, _, gw, _ = random_sigma_parts(inc, grid, g_vals)
+    w, e, gw, _ = random_sigma_parts(inc, grid, g_vals)
     integ = np.zeros(w.shape)
     np.cumsum(e[:, :-1] * gw[:, :-1] * (inc[..., 0] - dt), axis=1, out=integ[:, 1:])
     return np.exp(w - 0.5 * grid.nodes[None, :]) * (1.0 + integ)
@@ -242,7 +237,7 @@ def random_sigma_malliavin_lattice(
     """
     s_idx = np.asarray(s_indices, dtype=np.int64)
     t_idx = np.asarray(t_indices, dtype=np.int64)
-    w, e, _, gw, s_cum = random_sigma_parts(inc, grid, g_vals)
+    w, e, gw, s_cum = random_sigma_parts(inc, grid, g_vals)
     x = random_sigma_state_values(inc, grid, g_vals)
     t_s = s_idx * grid.dt
     t_t = t_idx * grid.dt
@@ -509,16 +504,18 @@ def probe_assumptions(
     """
     if n_probes < 1:
         raise InvalidParameterError("n_probes must be >= 1")
-    _check_streams(seed, 0)
-    gen = next(_keyed_generators(_philox_keys(seed, 0, 1, 2)))  # stream (seed, (0, 2))
+    # a short noise history so random fields have something to look at; its
+    # draw checks the seed
+    grid = make_grid(1.0, 64)
+    hist = History.from_path(sample_noise(grid, field.m, seed, 0))
+    # the probe points' own stream, apart from path 0's Brownian stream (0,)
+    seq = np.random.SeedSequence(seed, spawn_key=(0, 2))
+    gen = np.random.Generator(np.random.Philox(seq))
     x = sampler(gen, n_probes)
     y = sampler(gen, n_probes)
     same = np.all(x == y, axis=1)
     y[same] += 1e-6  # probes need x != y
     times = gen.uniform(0.0, 1.0, size=n_probes)
-    # a short noise history so random fields have something to look at
-    grid = make_grid(1.0, 64)
-    hist = History.from_path(sample_noise(grid, field.m, seed, 0))
     times = grid.left_times[
         np.clip((times / grid.dt).astype(int), 0, grid.N - 1)
     ]

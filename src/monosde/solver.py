@@ -100,6 +100,16 @@ def _check_implicit_dt(field: CoefficientField, grid: TimeGrid):
         )
 
 
+def solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a @ x = b for a stack of small systems, a (B, d, d) and b (B, d, k).
+
+    d = 1 divides, bit-identical to LAPACK's 1x1 solve without its per-call
+    cost; d > 1 raises np.linalg.LinAlgError on an exactly singular a."""
+    if a.shape[-1] == 1:
+        return b / a
+    return np.linalg.solve(a, b)
+
+
 def _newton_solve(field, t_next, hist, x, dt, scheme, step_index):
     """Solve Y = x + dt b(t_next, Y) with damped Newton, batched over paths.
 
@@ -120,11 +130,7 @@ def _newton_solve(field, t_next, hist, x, dt, scheme, step_index):
         if it == scheme.newton_max_iter:
             raise NewtonFailureError(step_index, np.max(norm[active]), tol)
         jac = eye - dt * field.grad_drift(t_next, hist, y)
-        if d == 1:
-            # bit-identical to LAPACK's 1x1 solve, without its per-call cost
-            step = -res / jac[:, :, 0]
-        else:
-            step = np.linalg.solve(jac, -res[..., None])[..., 0]
+        step = solve_small(jac, -res[..., None])[..., 0]
         lam = np.ones((B, 1))
         for halvings in range(31):
             y_try = y + lam * step

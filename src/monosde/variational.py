@@ -39,7 +39,7 @@ from .errors import (
 from .models import CoefficientField, ModelSpec
 from .solver import (
     EULER, TAMED, PathStepper, SchemeChoice, StepRecord, Stepper, check_noise, simulate,
-    simulate_batch,
+    simulate_batch, solve_small,
 )
 
 
@@ -72,6 +72,8 @@ class VariationalFactors:
         self.hist = run.hist if run.variants == 1 else History(run.grid, run.inc)
         self.dt = run.grid.dt
         self._eye = np.eye(field.d)
+        # the implicit factor's right-hand side, one identity per row
+        self._eyes = np.broadcast_to(self._eye, (self.rows, field.d, field.d)).copy()
 
     def take(self, rec: StepRecord):
         """The factors of the step the record holds, on its variant 0 rows,
@@ -95,13 +97,7 @@ class VariationalFactors:
         else:  # IMPLICIT: (I - dt grad_b(t_{i+1}, Y))^{-1} - I, Y rebuilt from the step
             y = rec.x_next - np.einsum("bdm,bm->bd", rec.sig, dw)
             jac = self._eye - dt * field.grad_drift(t + dt, self.hist, y)
-            if field.d == 1:
-                inv = 1.0 / jac  # bit-identical to LAPACK's 1x1 solve
-            else:
-                inv = np.linalg.solve(
-                    jac, np.broadcast_to(self._eye, jac.shape).copy()
-                )
-            self.dmat = inv - self._eye
+            self.dmat = solve_small(jac, self._eyes) - self._eye
         self.amat = self.dmat + self.smat
 
     def inverse_factor(self) -> np.ndarray:

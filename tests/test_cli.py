@@ -489,6 +489,31 @@ def test_negative_seed_is_one_error_line(tmp_path, capsys, where):
     assert err == expected and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "conf_text, config_arg, expected",
+    [
+        (GOOD + "n_paths 3\n", "file", r"config error: line 12: expected 'key = value'"),
+        (GOOD + "seed = 1\n", "file", r"config error: line 12: duplicate key 'seed'"),
+        (GOOD.replace("schema_version = 1", "schema_version = 2"), "file",
+         r"config error: schema_version must be 1"),
+        (GOOD, None, r"error: --config is required"),
+        # a directory cannot be read as a file
+        (GOOD, "directory", r"error: cannot read config: \[Errno \d+\] .+"),
+    ],
+    ids=["no_equals", "duplicate_key", "schema_version", "no_config", "unreadable"],
+)
+def test_config_and_argument_errors_are_one_line(tmp_path, capsys, conf_text, config_arg, expected):
+    conf = tmp_path / "sim.conf"
+    conf.write_text(conf_text)
+    paths = {"file": conf, "directory": tmp_path}
+    argv = ["simulate", "--out", str(tmp_path / "o")]
+    if config_arg is not None:
+        argv += ["--config", str(paths[config_arg])]
+    assert main(argv) == 1
+    assert re.fullmatch(expected + "\n", capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 def test_duplicate_epsilons_are_rejected():
     _, errors = parse_config(
         GOOD.replace("experiment = simulate", "experiment = ladder")

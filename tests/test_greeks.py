@@ -39,16 +39,13 @@ def test_skorokhod_ito_isometry():
 
 def test_bel_weights_normalized():
     g = make_grid(1.0, 100)
-    a = _weight_table((constant_weight(), linear_weight()), 100, g)
+    a = _weight_table((constant_weight(), linear_weight()), g)
     assert a.shape == (2, 100)
     for row in a:
         assert abs(float(row.sum()) * g.dt - 1.0) <= 1e-12
     spec = zoo_lookup("gbm")
     with pytest.raises(InvalidParameterError, match="needs weights, eps or both"):
-        gradients(spec, g, SchemeChoice(EULER), identity_payoff(), g.N, 8, 0)
-    with pytest.raises(InvalidParameterError, match="t_index"):
-        gradients(spec, g, SchemeChoice(EULER), identity_payoff(), 0, 8, 0,
-                  weights=(constant_weight(),))
+        gradients(spec, g, SchemeChoice(EULER), identity_payoff(), 8, 0)
     # weights with no mass, a non-finite value or one non-finite value at
     # s = 0 are refused with a typed error, also under python -O
     bad = (
@@ -59,7 +56,7 @@ def test_bel_weights_normalized():
     )
     for weight in bad:
         with pytest.raises(InvalidParameterError, match="weight"):
-            gradients(spec, g, SchemeChoice(EULER), identity_payoff(), g.N, 8, 0,
+            gradients(spec, g, SchemeChoice(EULER), identity_payoff(), 8, 0,
                       weights=(constant_weight(), weight))
 
 
@@ -67,7 +64,7 @@ def test_bel_gbm_delta_matches_closed_form():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 256)
     (rep,) = gradients(
-        spec, g, SchemeChoice(EULER), identity_payoff(), g.N, 50_000, 5,
+        spec, g, SchemeChoice(EULER), identity_payoff(), 50_000, 5,
         weights=(constant_weight(),),
     )
     z = abs(rep.estimate.mean[0] - math.exp(0.05)) / rep.estimate.stderr[0]
@@ -78,7 +75,7 @@ def test_bel_constant_payoff_mean_zero_weight():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 128)
     (rep,) = gradients(
-        spec, g, SchemeChoice(EULER), lambda x: np.full(x.shape[0], 2.5), g.N,
+        spec, g, SchemeChoice(EULER), lambda x: np.full(x.shape[0], 2.5),
         20_000, 6, weights=(constant_weight(),),
     )
     z = abs(rep.estimate.mean[0]) / rep.estimate.stderr[0]
@@ -91,7 +88,7 @@ def test_bel_digital_delta():
     spec = zoo_lookup("gbm", {"mu": mu, "sigma": sig, "x0": x})
     g = make_grid(T, 256)
     (rep,) = gradients(
-        spec, g, SchemeChoice(EULER), digital_payoff(K), g.N, 100_000, 7,
+        spec, g, SchemeChoice(EULER), digital_payoff(K), 100_000, 7,
         weights=(constant_weight(),),
     )
     d2 = (math.log(x / K) + (mu - 0.5 * sig**2) * T) / (sig * math.sqrt(T))
@@ -104,7 +101,7 @@ def test_bel_weight_invariance():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 128)
     reps = gradients(
-        spec, g, SchemeChoice(EULER), identity_payoff(), g.N, 20_000, 8,
+        spec, g, SchemeChoice(EULER), identity_payoff(), 20_000, 8,
         weights=(constant_weight(), linear_weight()),
     )
     comb = math.hypot(reps[0].estimate.stderr[0], reps[1].estimate.stderr[0])
@@ -115,7 +112,7 @@ def test_bel_vs_fd_on_ginzburg_landau():
     spec = zoo_lookup("ginzburg_landau", {"eta": 1.0, "sigma": 1.0})
     g = make_grid(1.0, 512)
     rb, rf = gradients(
-        spec, g, SchemeChoice(TAMED), tanh_payoff(), g.N, 10_000, 9,
+        spec, g, SchemeChoice(TAMED), tanh_payoff(), 10_000, 9,
         weights=(constant_weight(),), eps=1e-3,
     )
     comb = math.hypot(rb.estimate.stderr[0], rf.estimate.stderr[0])
@@ -142,7 +139,7 @@ def test_fused_pass_equals_separate_estimators(x0, T, N, kind, n_paths, workers)
     weights = (constant_weight(), linear_weight())
 
     def run(**kw):
-        return gradients(spec, g, scheme, tanh_payoff(), g.N, n_paths, 21, **kw)
+        return gradients(spec, g, scheme, tanh_payoff(), n_paths, 21, **kw)
 
     # one weight with FD, and two weights with FD, against each alone
     bel, fd = run(weights=weights[:1], eps=1e-3, workers=workers)
@@ -167,7 +164,7 @@ def test_bel_on_diverged_paths_warns_nothing():
     spec = zoo_lookup("ginzburg_landau", {"eta": 1.0, "sigma": 1.0, "x0": 3.0})
     g = make_grid(2.0, 8)
     bel, fd = gradients(
-        spec, g, SchemeChoice(EULER), tanh_payoff(), g.N, 1100, 21, workers=2,
+        spec, g, SchemeChoice(EULER), tanh_payoff(), 1100, 21, workers=2,
         weights=(constant_weight(),), eps=1e-3,
     )
     assert bel.n_diverged == 538
@@ -182,9 +179,28 @@ def test_bel_requires_deterministic_coefficients():
     g = make_grid(1.0, 64)
     with pytest.raises(InvalidParameterError):
         gradients(
-            spec, g, SchemeChoice(EULER), identity_payoff(), g.N, 64, 10,
+            spec, g, SchemeChoice(EULER), identity_payoff(), 64, 10,
             weights=(constant_weight(),),
         )
+
+
+def test_bel_requires_a_square_diffusion():
+    # d = 1, m = 2: sigma has no inverse to weight the two noise components
+    field = CoefficientField(
+        1, 2,
+        lambda t, h, x: -x,
+        lambda t, h, x: np.ones((x.shape[0], 1, 2)),
+        lambda t, h, x: -np.ones((x.shape[0], 1, 1)),
+        lambda t, h, x: np.zeros((x.shape[0], 1, 2, 1)),
+    )
+    spec = ModelSpec("ou_two_noises", field, {}, np.ones(1))
+    g = make_grid(1.0, 8)
+    with pytest.raises(InvalidParameterError, match=r"^BEL requires a square diffusion \(m = d\)$"):
+        gradients(spec, g, SchemeChoice(EULER), identity_payoff(), 64, 10,
+                  weights=(constant_weight(),))
+    # the central difference needs no inverse
+    (fd,) = gradients(spec, g, SchemeChoice(EULER), identity_payoff(), 64, 10, eps=1e-3)
+    assert np.all(np.isfinite(fd.estimate.mean))
 
 
 def test_bel_singular_diffusion_raises():
@@ -192,7 +208,7 @@ def test_bel_singular_diffusion_raises():
     g = make_grid(1.0, 32)
     with pytest.raises(SingularDiffusionError):
         gradients(
-            spec, g, SchemeChoice(EULER), identity_payoff(), g.N, 64, 11,
+            spec, g, SchemeChoice(EULER), identity_payoff(), 64, 11,
             weights=(constant_weight(),),
         )
 
@@ -201,7 +217,7 @@ def test_fd_constant_payoff_is_exactly_zero():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 64)
     (rep,) = gradients(
-        spec, g, SchemeChoice(EULER), lambda x: np.ones(x.shape[0]), g.N, 256, 12,
+        spec, g, SchemeChoice(EULER), lambda x: np.ones(x.shape[0]), 256, 12,
         eps=1e-3,
     )
     assert rep.estimate.mean[0] == 0.0
@@ -213,7 +229,7 @@ def test_fd_gbm_eps_independent():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 128)
     reps = [
-        gradients(spec, g, SchemeChoice(EULER), identity_payoff(), g.N, 2048, 13, eps=eps)[0]
+        gradients(spec, g, SchemeChoice(EULER), identity_payoff(), 2048, 13, eps=eps)[0]
         for eps in (1e-2, 1e-4)
     ]
     assert reps[0].estimate.mean[0] == pytest.approx(
@@ -226,7 +242,7 @@ def test_fd_eps_ladder_self_consistent():
     spec = zoo_lookup("ginzburg_landau")
     g = make_grid(1.0, 256)
     reps = [
-        gradients(spec, g, SchemeChoice(TAMED), tanh_payoff(), g.N, 4096, 14, eps=eps)[0]
+        gradients(spec, g, SchemeChoice(TAMED), tanh_payoff(), 4096, 14, eps=eps)[0]
         for eps in (1e-2, 5e-3)
     ]
     comb = math.hypot(reps[0].estimate.stderr[0], reps[1].estimate.stderr[0])
@@ -242,7 +258,7 @@ def test_bel_d2_keeps_the_estimate_when_paths_diverge():
     spec = ModelSpec("twin_gl", _twin_ginzburg_landau(1.0), {}, np.full(2, 3.0))
     g = make_grid(2.0, 8)
     (rep,) = gradients(
-        spec, g, SchemeChoice(EULER), tanh_payoff(), g.N, 1100, 21,
+        spec, g, SchemeChoice(EULER), tanh_payoff(), 1100, 21,
         weights=(constant_weight(),),
     )
     assert rep.n_diverged == 798
@@ -267,7 +283,7 @@ def test_bel_d2_large_jacobian_is_not_singular():
     g = make_grid(1.0, 8)
     (rep,) = gradients(
         ModelSpec("linear_d2", field, {}, np.ones(2)), g, SchemeChoice(EULER),
-        identity_payoff(), g.N, 64, 3, weights=(constant_weight(),),
+        identity_payoff(), 64, 3, weights=(constant_weight(),),
     )
     assert rep.n_diverged == 0
     assert np.all(np.isfinite(rep.estimate.mean))
@@ -287,9 +303,9 @@ def test_bel_d2_singular_live_row_raises(small, message):
     inc = sample_increments(g, 2, 21, 0, 64)
     out = simulate_batch(field, g, inc, theta, scheme)
     assert np.any(out.diverged) and not out.diverged[-1]
-    a = _weight_table((constant_weight(),), g.N, g)
+    a = _weight_table((constant_weight(),), g)
     with pytest.raises(SingularDiffusionError, match=message):
-        _samples(field, g, scheme, theta, tanh_payoff(), g.N, inc, a=a)
+        _samples(field, g, scheme, theta, tanh_payoff(), inc, a=a)
 
 
 def _time_singular_field(scales):
@@ -317,10 +333,10 @@ def _time_singular_field(scales):
 def test_bel_d2_reports_the_first_singular_step(scales, message):
     g = make_grid(1.0, len(scales))
     inc = sample_increments(g, 2, 4, 0, 8)
-    a = _weight_table((constant_weight(),), g.N, g)
+    a = _weight_table((constant_weight(),), g)
     with pytest.raises(SingularDiffusionError, match=message):
         _samples(_time_singular_field(scales), g, SchemeChoice(EULER), np.ones(2),
-                 identity_payoff(), g.N, inc, a=a)
+                 identity_payoff(), inc, a=a)
 
 
 def _stored_samples(spec, g, scheme, payoff, a, eps, inc):
@@ -373,15 +389,15 @@ def test_stacked_pass_equals_separate_stored_runs(case, kind):
     inc = sample_increments(g, spec.m, 21, 0, 300)
     payoff = tanh_payoff()
     weights = (constant_weight(), linear_weight())
-    a = _weight_table(weights, N, g) if spec.field.deterministic else None
-    got = _samples(spec.field, g, scheme, spec.theta0, payoff, N, inc, a, 1e-3)
+    a = _weight_table(weights, g) if spec.field.deterministic else None
+    got = _samples(spec.field, g, scheme, spec.theta0, payoff, inc, a, 1e-3)
     want = _stored_samples(spec, g, scheme, payoff, a, 1e-3, inc)
     assert len(got) == len(want) == (4 if a is not None else 2)
     for x, y in zip(got, want):
         assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
     # the 300 paths are one chunk, so gradients reduces the same samples
     grads, first_bad = want[-2:]
-    (fd,) = gradients(spec, g, scheme, payoff, N, 300, 21, eps=1e-3)
+    (fd,) = gradients(spec, g, scheme, payoff, 300, 21, eps=1e-3)
     live = live_paths(first_bad, N)
     assert fd.n_diverged == np.count_nonzero(~live)
     ref = mc_estimate(grads[live])
@@ -395,13 +411,13 @@ def test_greeks_chunk_stores_no_path_values():
     # (B, N+1, 1) value arrays alone would take 6 KB
     spec = zoo_lookup("ginzburg_landau")
     g = make_grid(1.0, 256)
-    a = _weight_table((constant_weight(),), g.N, g)
+    a = _weight_table((constant_weight(),), g)
     inc = sample_increments(g, 1, 1, 0, 1024)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        _samples(spec.field, g, SchemeChoice(TAMED), spec.theta0, tanh_payoff(), g.N, inc, a, 1e-3)
+        _samples(spec.field, g, SchemeChoice(TAMED), spec.theta0, tanh_payoff(), inc, a, 1e-3)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -417,10 +433,10 @@ def test_bel_near_singular_row_that_diverges_later_does_not_raise():
     theta[-1] = (50.0, 1e-13)
     scheme = SchemeChoice(EULER)
     inc = sample_increments(g, 2, 21, 0, 64)
-    a = _weight_table((constant_weight(),), g.N, g)
-    _, first_bad = _samples(field, g, scheme, theta, tanh_payoff(), g.N, inc, a=a)
+    a = _weight_table((constant_weight(),), g)
+    _, first_bad = _samples(field, g, scheme, theta, tanh_payoff(), inc, a=a)
     assert first_bad[-1] == 5 and np.all(first_bad[:-1] == g.N + 1)
     # the same row started at 1 stays live, and raises at step 0
     theta[-1] = (1.0, 1e-13)
     with pytest.raises(SingularDiffusionError, match="at step 0"):
-        _samples(field, g, scheme, theta, tanh_payoff(), g.N, inc, a=a)
+        _samples(field, g, scheme, theta, tanh_payoff(), inc, a=a)

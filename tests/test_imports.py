@@ -31,3 +31,35 @@ def test_the_guard_finds_an_unused_import():
 )
 def test_every_imported_name_is_used(module):
     assert _unused_imports((_SRC / module).read_text()) == []
+
+
+def _private_imports(source: str) -> list:
+    """The single-underscore names a module imports from a module of the
+    package, in import order; dunders such as __version__ are public."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "monosde"
+        ):
+            names += [
+                alias.name for alias in node.names
+                if alias.name.startswith("_") and not alias.name.startswith("__")
+            ]
+    return names
+
+
+def test_the_guard_finds_a_private_import():
+    source = (
+        "from . import __version__\nfrom .core import _a, b\n"
+        "from monosde.solver import _c\nfrom numpy import _d\n"
+    )
+    assert _private_imports(source) == ["_a", "_c"]
+
+
+# acceptance.py checks the estimators' per-path samples, so it reads their
+# private chunk functions; every other module uses the public names only
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in _SRC.glob("*.py") if p.name != "acceptance.py")
+)
+def test_no_module_imports_a_private_name(module):
+    assert _private_imports((_SRC / module).read_text()) == []

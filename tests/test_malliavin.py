@@ -86,6 +86,14 @@ def test_lattice_accessors_reject_nodes_off_the_lattice(s_idx, t_idx):
             accessor(s_idx, t_idx)
 
 
+@pytest.mark.parametrize("s_stride", [0, -2])
+def test_field_rejects_a_stride_below_one(s_stride):
+    spec = zoo_lookup("ou")
+    w = sample_noise(make_grid(1.0, 16), 1, seed=1)
+    with pytest.raises(InvalidParameterError, match="^s_stride must be >= 1$"):
+        malliavin_field(spec, w, SchemeChoice(EULER), s_stride=s_stride)
+
+
 def test_lattice_accessors_keep_zeros_above_the_diagonal():
     for accessor in _ou_lattice_accessors():
         assert np.all(accessor(8, 4) == 0.0)

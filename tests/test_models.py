@@ -149,8 +149,18 @@ def test_probe_ou_quotient():
     assert rep.passed
 
 
+@pytest.mark.parametrize(
+    "n_probes, seed, message",
+    [(0, 1, "^n_probes must be >= 1$"), (10, -1, "^seed must be >= 0, got -1$")],
+)
+def test_probe_rejects_invalid_arguments(n_probes, seed, message):
+    field = zoo_lookup("ou").field
+    with pytest.raises(InvalidParameterError, match=message):
+        probe_assumptions(field, uniform_sampler(-3, 3), n_probes, seed=seed)
+
+
 def test_probe_points_have_their_own_stream():
-    # branch 2 of path 0, not path 0's Brownian stream
+    # spawn key (0, 2), not path 0's Brownian stream (0,)
     draws = []
     uniform = uniform_sampler(-3, 3)
 

@@ -267,6 +267,21 @@ def test_run_paths_rejects_workers_below_one(workers):
         run_paths(lambda inc, start: inc, make_grid(1.0, 4), 1, 5, 8, workers)
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"kind": "milstein"}, "^unknown scheme 'milstein'; choose from "),
+        ({"newton_tol": 0.0}, "^newton_tol must be > 0$"),
+        ({"newton_tol": math.nan}, "^newton_tol must be > 0$"),
+        ({"newton_max_iter": 0}, "^newton_max_iter must be >= 1$"),
+    ],
+    ids=["kind", "tol_zero", "tol_nan", "max_iter"],
+)
+def test_scheme_choice_rejects_invalid_settings(kw, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        SchemeChoice(**kw)
+
+
 def _failing_paths(inc, start):
     """Path 133 diverges at step 7, late: its chunk of 64 paths (the third)
     fails after the fourth, which holds path 200, failing at once."""
@@ -436,14 +451,14 @@ def test_chunk_size_does_not_change_results(model, kind, x0, N, n_paths, seed):
     g = make_grid(1.0, N)
     scheme = SchemeChoice(kind)
     # the linear weight has no mass at N = 1
-    a = _weight_table((constant_weight(), lambda s, t: 1.0 + s), N, g)
+    a = _weight_table((constant_weight(), lambda s, t: 1.0 + s), g)
     h = CameronMartinPath.constant(g, 1.0)
     eps = np.array([0.5, 0.25])
 
     def fn(inc, start):
         out = simulate_batch(spec.field, g, inc, spec.theta0, scheme)
         return (out.values, out.diverged, out.first_bad,
-                *_samples(spec.field, g, scheme, spec.theta0, identity_payoff(), N, inc, a, 1e-3),
+                *_samples(spec.field, g, scheme, spec.theta0, identity_payoff(), inc, a, 1e-3),
                 *_ladder_samples(spec, g, scheme, h, eps, inc))
 
     fns = [
@@ -486,15 +501,15 @@ def _newton_greeks(workers):
     g = make_grid(1.0, 16)
     return gradients(
         zoo_lookup("ginzburg_landau"), g, SchemeChoice(IMPLICIT, newton_max_iter=3),
-        identity_payoff(), g.N, 40, 1, workers, weights=(constant_weight(),), eps=1e-3,
+        identity_payoff(), 40, 1, workers, weights=(constant_weight(),), eps=1e-3,
     )
 
 
 def _singular_greeks(workers):
     g = make_grid(1.0, 16)
     return gradients(
-        _threshold_sigma_spec(), g, SchemeChoice(EULER), identity_payoff(), g.N, 40, 2,
-        workers, weights=(constant_weight(),), eps=1e-3,
+        _threshold_sigma_spec(), g, SchemeChoice(EULER), identity_payoff(), 40, 2, workers,
+        weights=(constant_weight(),), eps=1e-3,
     )
 
 
