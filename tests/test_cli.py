@@ -623,8 +623,9 @@ _GBM = "model = gbm\ngrid.T = 1\n"
 #: then the field under the other two schemes and on the random-sigma
 #: model (its U and V forcings, t_N off the s-lattice), and the gbm Jacobian per
 #: scheme (multiplicative noise: a non-zero S and the Wronskian's
-#: realized-QV term); last, the three artifacts of the benchmark's
-#: `artifacts` workload at its sizes (N = 1024).
+#: realized-QV term); then the three artifacts of the benchmark's
+#: `artifacts` workload at its sizes (N = 1024); last, the Cameron-Martin
+#: check (base and shifted variants of one stacked batch) per scheme.
 _PINNED = {
     "paths_euler": (
         "simulate", _GL + "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 3\n",
@@ -723,6 +724,19 @@ _PINNED = {
     "jacobian_implicit_1024": (
         "jacobian", _GL + "grid.N = 1024\nscheme = split_step_implicit\nseed = 5\n",
         "jacobian.csv", "0d34f5a762f8a5bbe42c162df422973a7556216f0c1edff927309d8a3d0a4521",
+    ),
+    "cameron_martin_euler": (
+        "cameron-martin", _GL + "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 64\n",
+        "cameron_martin.csv", "df5dd5132a89ef3348ad74b5dbe4b69828df7c8904e2d59258201eed40376af3",
+    ),
+    "cameron_martin_tamed": (
+        "cameron-martin", _GL + "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 64\n",
+        "cameron_martin.csv", "2d841efe2c4c9a0114f9dfce5cabd410ea54f022fc80934fa336fc0f964b1e2c",
+    ),
+    "cameron_martin_implicit": (
+        "cameron-martin", _GL + "grid.N = 64\nscheme = split_step_implicit\nseed = 5\n"
+        "n_paths = 64\n",
+        "cameron_martin.csv", "a2ec75739bd509aad319c0c969e0a7d67743b9194e175487fe1f4e7961837ac7",
     ),
 }
 

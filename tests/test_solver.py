@@ -49,7 +49,7 @@ from monosde.solver import (
     simulate_batch,
     simulate_paths,
 )
-from test_variational import _twin_ginzburg_landau
+from test_variational import _diag, _twin_ginzburg_landau
 
 
 ALL_SCHEMES = [SchemeChoice(EULER), SchemeChoice(TAMED), SchemeChoice(IMPLICIT)]
@@ -570,6 +570,33 @@ def test_estimators_do_not_depend_on_the_worker_count():
     assert run(1) == run(2)
 
 
+#: sha256 of the means and stderrs of stability_ratio from theta0 against two
+#: xi rows (GL, twin GL; N = 16, 64 paths, seed 5), per scheme
+_STABILITY_PINS = {
+    (EULER, "gl"): "c568371489e20bba265fbb7b0b041a7f6cd028025bfc4a977702afed185f47cb",
+    (EULER, "twin_gl"): "8791bfeb64b581ab2209f9563ea7a09b8d8e01f20e5edbf81f6a335e5c736025",
+    (TAMED, "gl"): "0f24c541292962fb0b0a6e56dc18fc24caa233e8df8998428a36a76924956f7c",
+    (TAMED, "twin_gl"): "e0fa63c445f4ff087fe0dd4cbd4c79148b9d90d22e2514a1d1930be629fa9190",
+    (IMPLICIT, "gl"): "a5b751f753e558f43e3fe2380b4bec996fab77ac3a7c79e9ed784589cd1647a9",
+    (IMPLICIT, "twin_gl"): "e58e0f357ad33976a4de4111a588701b8d2f02255c49410e7893658c52389670",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind, model", sorted(_STABILITY_PINS))
+def test_stability_ratio_bytes_are_pinned(kind, model, workers):
+    if model == "gl":
+        spec = zoo_lookup("ginzburg_landau")
+    else:
+        spec = ModelSpec("twin_gl", _twin_ginzburg_landau(1.0), {}, np.array([1.0, -0.5]))
+    xi = spec.theta0 + np.array([[0.25], [-0.5]])
+    got = stability_ratio(
+        spec, make_grid(1.0, 16), SchemeChoice(kind), spec.theta0, xi, 2.0, 64, 5, workers
+    )
+    data = b"".join(a.tobytes() for r in got for a in (r.mean, r.stderr))
+    assert hashlib.sha256(data).hexdigest() == _STABILITY_PINS[kind, model]
+
+
 def test_stability_ratio_gbm_scale_invariant():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 256)
@@ -946,12 +973,41 @@ STACK_CASES = {
 }
 
 
+def _cubic_d2_m3():
+    """b(x) = -x - x^3 per component with sigma_ij(x) = c_ij (1 + x_i / 4)
+    on d = 2, m = 3: each sigma dW sums three terms."""
+    c = np.array([[0.3, -0.7, 1.1], [0.9, 0.2, -0.4]])
+
+    def grad_diffusion(t, h, x):
+        g = np.zeros((x.shape[0], 2, 3, 2))
+        for i in range(2):
+            g[:, i, :, i] = c[i] / 4.0
+        return g
+
+    return CoefficientField(
+        2, 3,
+        lambda t, h, x: -x - x * x * x,
+        lambda t, h, x: c * (1.0 + x[:, :, None] / 4.0),
+        lambda t, h, x: _diag(-1.0 - 3.0 * x * x),
+        grad_diffusion,
+    )
+
+
+#: the stacked-variant cases, and a field whose noise term sums m = 3 terms
+NOISE_CASES = {
+    **STACK_CASES,
+    "cubic_d2_m3": (
+        lambda: ModelSpec("cubic_d2_m3", _cubic_d2_m3(), {}, np.array([0.5, -1.0])), 1.0, 16,
+    ),
+}
+
+
 @pytest.mark.parametrize("kind", SCHEMES)
-@pytest.mark.parametrize("case", sorted(STACK_CASES))
+@pytest.mark.parametrize("case", sorted(NOISE_CASES))
 def test_stacked_variants_equal_separate_runs(case, kind):
     # three variants of 64 paths on one noise, one of them with a start per
     # row: each variant's rows are its own run, bit for bit
-    make_spec, T, N = STACK_CASES[case]
+    make_spec, T, N = NOISE_CASES[case]
     spec = make_spec()
     g = make_grid(T, N)
     scheme = SchemeChoice(kind)
@@ -997,12 +1053,12 @@ def _shifts(spec, g, scales):
 
 
 @pytest.mark.parametrize("kind", SCHEMES)
-@pytest.mark.parametrize("case", sorted(STACK_CASES))
+@pytest.mark.parametrize("case", sorted(NOISE_CASES))
 def test_noise_shifted_variants_equal_separate_runs(case, kind):
     # three noise-shifted variants of 64 paths, the zero shift among them:
     # each variant's rows are the run on its shifted noise, bit for bit, and
     # a random-coefficient sigma reads its own row's shifted history
-    make_spec, T, N = STACK_CASES[case]
+    make_spec, T, N = NOISE_CASES[case]
     spec = make_spec()
     g = make_grid(T, N)
     scheme = SchemeChoice(kind)
