@@ -56,12 +56,9 @@ from .solver import (
 )
 from .variational import (
     JacobianBundle,
-    LinearSDECoeffs,
-    LinearSolveResult,
     finite_difference_jacobian,
     gateaux_direction,
     jacobian,
-    linear_sde_solve,
 )
 from .malliavin import (
     MalliavinField,

@@ -276,7 +276,7 @@ def criterion_06(workers: int = 1) -> CriterionResult:
     )
 
     dd = run_paths(
-        lambda inc, start: np.exp(_log_dd(inc, h, grid.N)), grid, 1, 1066, 10_000, workers
+        lambda inc, start: np.exp(_log_dd(inc, h)), grid, 1, 1066, 10_000, workers
     )
     dd_z = abs(dd.mean() - 1.0) / (dd.std(ddof=1) / math.sqrt(len(dd)))
     ok = rep.z_score <= 3.0 and dd_z <= 3.0
@@ -391,7 +391,7 @@ def criterion_09(workers: int = 1) -> CriterionResult:
             run = Stepper(spec.field, grid, inc, spec.theta0, SchemeChoice(kind))
             for _ in run:
                 pass
-            return run.diverged
+            return run.diverged[0]
 
         counts[kind] = int(run_paths(chunk, grid, 1, 109, 1000, workers).sum())
     ok = counts[EULER] >= 10 and counts[TAMED] == 0 and counts[IMPLICIT] == 0

@@ -338,12 +338,14 @@ class History:
     contract, asserted statistically by model tests).  Cached cumulatives make
     running Ito integrals O(1) per step.
 
-    With variants = K, the batch is K runs of the same P paths: row k * P + p
-    is path p of variant k.  Without shifts every variant reads the noise of
-    the P paths; with shifts (K, N, m), variant k reads the noise shifted by
-    shifts[k], increments inc[p] + shifts[k].  Each view is built on first
-    use, so none is built that no callback reads: on the P paths and tiled,
-    or on each variant's shifted noise, as a history of that noise builds it.
+    With variants = K, the batch is K runs of the same P paths, flattened to
+    the rows the callbacks see: row k*P + p is path p of variant k, as a
+    solver.Stepper flattens its (K, P) states.  Without shifts every variant
+    reads the noise of the P paths; with shifts (K, N, m), variant k reads
+    the noise shifted by shifts[k], increments inc[p] + shifts[k].  Each view
+    is built on first use, so none is built that no callback reads: on the P
+    paths and tiled, or on each variant's shifted noise, as a history of that
+    noise builds it.
     """
 
     def __init__(self, grid: TimeGrid, increments: np.ndarray, variants: int = 1,

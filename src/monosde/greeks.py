@@ -14,10 +14,10 @@ gradient, which is what comparing two weights on one noise checks.
 
 `gradients` is the one estimator: any number of BEL weights and the
 central difference at eps, from one stacked stepping pass per chunk.  The
-base rows (BEL) and the rows theta +- eps e_k (central difference) share
-the chunk's noise.  BEL builds J and one w* per weight forward from each
-StepRecord the kernel yields, reusing its sigma and tamed denominator, and
-FD reads the bumped states of the last step only, so no path values are
+base variant (BEL) and the variants theta +- eps e_k (central difference)
+share the chunk's noise.  BEL builds J and one w* per weight forward from
+each StepRecord the kernel yields, reusing its sigma and tamed denominator,
+and FD reads the bumped states of the last step only, so no path values are
 stored.
 """
 
@@ -112,12 +112,12 @@ def _samples(field, grid, scheme, theta, payoff, inc, a=None, eps=None):
     payoff at the last node t = t_N.
 
     theta: (d,) or (B, d), the starts of the chunk's B paths on inc (B, N, m).
-    With the weight table a (L, N), the pass steps the base rows and
-    returns (Phi(X_t) w*_l (B, L, d), first_bad) for them, one w* per weight;
-    with eps, it also steps the rows theta +- eps e_k and returns (central
-    differences (B, d), first_bad of either bump).  BEL runs its J and w*
-    recursion on each step's record and FD reads the last step's states, so
-    no path values are stored.
+    With the weight table a (L, N), the pass steps the base variant and
+    returns (Phi(X_t) w*_l (B, L, d), first_bad) for it, one w* per weight;
+    with eps, it also steps the variants theta +- eps e_k and returns
+    (central differences (B, d), first_bad of either bump).  BEL runs its J
+    and w* recursion on each step's record and FD reads the last step's
+    states, so no path values are stored.
 
     A singular sigma raises SingularDiffusionError after the pass, at the
     first step where one shows: a near-singular sigma on a base path still
@@ -166,10 +166,10 @@ def _samples(field, grid, scheme, theta, payoff, inc, a=None, eps=None):
             e = np.einsum("bdm,bm->bd", siginv_j.transpose(0, 2, 1), vf.dw)
             wstar = wstar + a[:, i][None, :, None] * e[:, None, :]
             J = J + vf.amat @ J
-        node = rec.x_next  # X_N, diverged rows frozen
+        node = rec.x_next  # X_N (K, B, d), diverged paths frozen
 
         if a is not None:
-            first_bad = run.first_bad[:B]
+            first_bad = run.first_bad[0]
             # recorded steps all precede an unsolvable one
             step = np.min(singular, where=first_bad > N, initial=N + 1)
             if step <= N:
@@ -178,14 +178,13 @@ def _samples(field, grid, scheme, theta, payoff, inc, a=None, eps=None):
                 )
             if unsolvable is not None:
                 raise SingularDiffusionError(f"singular diffusion at step {unsolvable}")
-            samples += [payoff(node[:B])[:, None, None] * wstar, first_bad]
+            samples += [payoff(node[0])[:, None, None] * wstar, first_bad]
     if eps is not None:
-        fd0 = 0 if a is None else B  # the first bumped row
-        bumped = node[fd0:].reshape(d, 2, B, d)
+        bumped = node[-2 * d:]  # the last 2d variants
         grads = np.empty((B, d))
         for k in range(d):
-            grads[:, k] = (payoff(bumped[k, 0]) - payoff(bumped[k, 1])) / (2.0 * eps)
-        samples += [grads, np.min(run.first_bad[fd0:].reshape(2 * d, B), axis=0)]
+            grads[:, k] = (payoff(bumped[2 * k]) - payoff(bumped[2 * k + 1])) / (2.0 * eps)
+        samples += [grads, np.min(run.first_bad[-2 * d:], axis=0)]
     return tuple(samples)
 
 
@@ -214,8 +213,8 @@ def gradients(
     BEL needs a square diffusion (m = d), invertible along the paths, and
     deterministic coefficients (adapted integrand).  FD differences each
     path before averaging.  Each chunk is stepped once, as one stacked batch
-    of the base rows and the bumped rows on one noise draw, so every report
-    equals the one a run with that weight (or eps) alone gives."""
+    of the base variant and the bumped ones on one noise draw, so every
+    report equals the one a run with that weight (or eps) alone gives."""
     if not weights and eps is None:
         raise InvalidParameterError("gradients needs weights, eps or both")
     field = spec.field

@@ -87,7 +87,8 @@ def _field_batch(
     s_idx: np.ndarray,
     t_keep: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Batched Malliavin field along the rows of the Stepper out, stepping it.
+    """Batched Malliavin field along the B paths of the one-variant Stepper
+    out, stepping it.
 
     Returns (B, k, N+1, d, m), or (B, k, len(t_keep), d, m) when t_keep (a
     sorted array of node indices) restricts which t-columns are stored.  A
@@ -95,7 +96,8 @@ def _field_batch(
     s = t_N evaluates sigma outside the kernel.
     """
     field, hist = out.field, out.hist
-    B, d, m = len(out.theta), field.d, field.m
+    _, B, d = out.theta.shape
+    m = field.m
     k = len(s_idx)
     N, dt = out.N, out.grid.dt
     use_uv = field.mall_drift is not None or field.mall_diffusion is not None
@@ -127,8 +129,8 @@ def _field_batch(
     for rec in out:
         i = rec.i
         t = i * dt
-        activate(i, rec.sig)
         vf.take(rec)
+        activate(i, vf.sig)
         upd = cur[:, :active] + vf.amat[:, None] @ cur[:, :active]
         if use_uv:
             sv = s_times[:active]
@@ -143,7 +145,7 @@ def _field_batch(
                 )
                 upd = upd + np.einsum("bsijk,bj->bsik", v, vf.dw)
         cur[:, :active] = upd
-    activate(N, field.diffusion(N * dt, hist, rec.x_next) if active < k else None)
+    activate(N, field.diffusion(N * dt, hist, rec.x_next[0]) if active < k else None)
     return entries
 
 
@@ -262,10 +264,10 @@ def representation_parts(
 
 def directional_step(vf: VariationalFactors, rec: StepRecord,
                      h: CameronMartinPath, y: np.ndarray) -> np.ndarray:
-    """D^h X at node i+1 from y = D^h X at node i (B, d), along the B rows of
-    variant 0 of rec, the kernel's record of step i: the linearized step
+    """D^h X at node i+1 from y = D^h X at node i (B, d), along the B paths
+    of variant 0 of rec, the kernel's record of step i: the linearized step
     I + A_i, forced by sigma hdot_i dt and the U and V terms.  vf takes
-    those rows of rec and holds their noise."""
+    that variant of rec and holds its noise."""
     field, hist, dt = vf.field, vf.hist, vf.dt
     i = rec.i
     B, d, m = len(y), field.d, field.m

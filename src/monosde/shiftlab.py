@@ -13,11 +13,11 @@ path on which one of the solutions compared diverged.
 
 Every solution an estimator compares is a noise-shifted variant of the base
 path, X(w + eps h), so each chunk is stepped once as one stacked batch of the
-solver's Stepper: the base rows run on the zero shift and each other variant
-on its shift eps h, all on the chunk's one noise draw (common random
+solver's Stepper: the base variant runs on the zero shift and each other
+variant on its shift eps h, all on the chunk's one noise draw (common random
 numbers).  The Cameron-Martin check stores the stacked values, because its
 path functional reads whole paths.  The ladder stores no path: it steps
-D^h X along the base rows of each step record and folds each rung's sup
+D^h X along the base variant of each step record and folds each rung's sup
 error into a running max.
 
 Path functionals are batched: a functional maps solved path values of shape
@@ -75,20 +75,19 @@ def clipped_sup_norm(cap: float = 10.0) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-def _log_dd(increments: np.ndarray, h: CameronMartinPath, t_index: int) -> np.ndarray:
-    """log E(hdot)(t) per path: sum hdot dW - 1/2 sum |hdot|^2 dt."""
-    dens = h.density[:t_index]
-    dt = h.grid.dt
-    lin = np.einsum("bnm,nm->b", increments[:, :t_index], dens)
-    return lin - 0.5 * float(np.sum(dens**2)) * dt
+def _log_dd(increments: np.ndarray, h: CameronMartinPath) -> np.ndarray:
+    """log E(hdot)(T) per path of increments (B, N, m) at the grid's horizon:
+    sum hdot dW - 1/2 sum |hdot|^2 dt."""
+    dens = h.density
+    lin = np.einsum("bnm,nm->b", increments, dens)
+    return lin - 0.5 * float(np.sum(dens**2)) * h.grid.dt
 
 
-def doleans_dade(w: NoisePath, h: CameronMartinPath, t_index: int) -> float:
-    """E(hdot)(t_index) = exp(sum_{i<t} hdot_i dW_i - 1/2 sum |hdot_i|^2 dt)."""
+def doleans_dade(w: NoisePath, h: CameronMartinPath) -> float:
+    """E(hdot)(T) = exp(sum_{i<N} hdot_i dW_i - 1/2 sum |hdot_i|^2 dt) at the
+    grid's horizon T = t_N."""
     h.check_on(w.grid, w.m)
-    if not (0 <= t_index <= w.grid.N):
-        raise InvalidParameterError("t_index out of range")
-    return float(np.exp(_log_dd(w.increments[None], h, t_index)[0]))
+    return float(np.exp(_log_dd(w.increments[None], h)[0]))
 
 
 def _effective_sample_size(weights: np.ndarray) -> float:
@@ -142,12 +141,11 @@ def cameron_martin_check(
     shifts = np.stack([np.zeros_like(shift), shift])
 
     def chunk(inc, start):
-        P = len(inc)
         out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme, shifts)
-        dd = np.exp(_log_dd(inc, h, grid.N))
-        lhs = functional(out.values[P:])
-        rhs = functional(out.values[:P]) * dd
-        return lhs, rhs, dd, out.first_bad.reshape(2, P).min(axis=0)
+        dd = np.exp(_log_dd(inc, h))
+        lhs = functional(out.values[1])
+        rhs = functional(out.values[0]) * dd
+        return lhs, rhs, dd, out.first_bad.min(axis=0)
 
     lhs, rhs, dd, first_bad = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
     live = live_paths(first_bad, grid.N)
@@ -219,12 +217,11 @@ def _ladder_samples(spec, grid, scheme, h, eps, inc):
     with np.errstate(over="ignore", invalid="ignore"):
         for rec in run:
             dh = directional_step(vf, rec, h, dh)
-            x = rec.x_next.reshape(1 + len(eps), P, d)
+            x = rec.x_next
             quot = (x[1:] - x[0]) / eps[:, None, None]
             np.maximum(errs, np.linalg.norm(quot - dh, axis=-1), out=errs)
             del quot  # freed before the next step's Newton temporaries
-    first_bad = run.first_bad.reshape(1 + len(eps), P)
-    return errs.T, np.minimum(first_bad[0], first_bad[1:]).T
+    return errs.T, np.minimum(run.first_bad[0], run.first_bad[1:]).T
 
 
 def gateaux_ladder(
@@ -242,9 +239,9 @@ def gateaux_ladder(
 
     For each path the base solution X, the direct directional derivative
     D^h X, and every shifted solution X(w + eps h) share one noise draw: a
-    chunk is one stacked batch of the base rows (zero shift) and a variant
-    per eps, D^h X steps along the base rows of each step record, and
-    Delta_eps is folded into a running max, so no path is stored.
+    chunk is one stacked batch of the base variant (zero shift) and a
+    variant per eps, D^h X steps along the base variant of each step record,
+    and Delta_eps is folded into a running max, so no path is stored.
     For each eps, a path whose base or shifted solution diverged is left out
     of the statistics and counted; DivergenceError is raised when fewer than
     2 paths are left.

@@ -16,12 +16,14 @@ is rejected.
 
 The kernel is a Stepper: iterating it yields one StepRecord per step, holding
 what the step evaluated (X_i, sigma, the tamed denominator, dW_i)
-and X_{i+1}.  A Stepper may run K variants of its P paths as one batch, row
-k*P + p being path p of variant k: theta broadcasts to (K, P, d), and with
-shifts (K, N, m) variant k runs on inc[p] + shifts[k], formed step by step,
-so no shifted copy of the noise is built.  Variant 0 is the base, which a
-noise-shifted batch runs on the zero shift, and the one the variational
-pass differentiates.
+and X_{i+1}.  A Stepper may run K variants of its P paths as one batch, on
+an axis of their own: theta broadcasts to (K, P, d) and every state, record
+field and divergence flag has the leading axes (K, P).  With shifts (K, N,
+m) variant k runs on inc[p] + shifts[k], formed step by step, so no shifted
+copy of the noise is built; without, the variants broadcast one step's
+increments.  Variant 0 is the base, which a noise-shifted batch runs on the
+zero shift, and the one the variational pass differentiates.  Only the
+kernel flattens the variants, to the rows the coefficient callbacks see.
 
 Each caller keeps only what it reads.  simulate_batch stores every state,
 which a path functional such as a Cameron-Martin functional needs.  Every
@@ -110,13 +112,13 @@ def solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def _newton_solve(field, t_next, hist, x, dt, scheme, step_index):
-    """Solve Y = x + dt b(t_next, Y) with damped Newton, batched over paths.
+def _newton_solve(field, t_next, hist, x, dt, scheme, step_index, eye):
+    """Solve Y = x + dt b(t_next, Y) with damped Newton, batched over paths
+    x (B, d); eye is the (d, d) identity.
 
     Each path stops at its own first iterate within tol, so its root does not
     depend on the other paths of the batch."""
-    B, d = x.shape
-    eye = np.eye(d)
+    B = len(x)
     y = x.copy()
     tol = scheme.newton_tol
     res = y - x - dt * field.drift(t_next, hist, y)
@@ -148,18 +150,19 @@ def _newton_solve(field, t_next, hist, x, dt, scheme, step_index):
 
 
 def tamed_denominator(b: np.ndarray, dt: float) -> np.ndarray:
-    """1 + dt |b| per row of the drift b (B, d), shape (B, 1)."""
-    # what np.linalg.norm(b, axis=1, keepdims=True) computes, bit for bit
-    return 1.0 + dt * np.sqrt(np.add.reduce(b * b, axis=1, keepdims=True))
+    """1 + dt |b| over the last axis of the drift b (..., d), shape (..., 1)."""
+    # what np.linalg.norm(b, axis=-1, keepdims=True) computes, bit for bit
+    return 1.0 + dt * np.sqrt(np.add.reduce(b * b, axis=-1, keepdims=True))
 
 
 @dataclass
 class StepRecord:
-    """What the kernel evaluated on step i, per row of its batch: the state
-    x = X_i, the diffusion sig = sigma(t_i, x) (B, d, m), the tamed
-    denominator 1 + dt |b(t_i, x)| (B, 1) (None for the other schemes), the
-    row increments dw (B, m), and x_next = X_{i+1} with the diverged rows
-    frozen at their last finite state."""
+    """What the kernel evaluated on step i, per variant k and path p of its
+    batch: the state x = X_i (K, P, d), the diffusion sig = sigma(t_i, x)
+    (K, P, d, m), the tamed denominator 1 + dt |b(t_i, x)| (K, P, 1) (None
+    for the other schemes), the increments dw (K, P, m), or (1, P, m) when
+    the variants share them, and x_next = X_{i+1} (K, P, d) with the
+    diverged paths frozen at their last finite state."""
 
     i: int
     x: np.ndarray
@@ -168,28 +171,22 @@ class StepRecord:
     dw: np.ndarray
     x_next: np.ndarray
 
-    def head(self, rows: int) -> "StepRecord":
-        """The record of the first rows rows."""
-        return StepRecord(self.i, *(
-            None if a is None else a[:rows]
-            for a in (self.x, self.sig, self.denom, self.dw, self.x_next)
-        ))
-
 
 class Stepper:
     """The stepping kernel over a batch of paths.
 
     increments: (P, N, m); theta broadcasts to (K, P, d) for K variants of
-    the P paths, row k*P + p running path p from theta[k, p]: (d,), (P, d),
-    (K, 1, d) or (K, P, d).  K is len(shifts), else theta's first axis when
-    it has three, else 1.  The variants share the noise, or with shifts
-    (K, N, m) variant k runs on the noise shifted by shifts[k]: its step i
-    reads inc[:, i] + shifts[k, i].  Variant 0 is the base, which a
+    the P paths, variant k of path p starting from theta[k, p]: (d,), (P,
+    d), (K, 1, d) or (K, P, d).  K is len(shifts), else theta's first axis
+    when it has three, else 1.  The variants share the noise, or with
+    shifts (K, N, m) variant k runs on the noise shifted by shifts[k]: its
+    step i reads inc[:, i] + shifts[k, i].  Variant 0 is the base, which a
     noise-shifted batch runs on the zero shift.  Iterating runs the N steps
     in order and yields each step's StepRecord after the divergence tagging;
-    `theta` holds the K*P row starts, and `diverged` and `first_bad` (N+1
-    for a row that never diverged) are final after the last step.  `hist`
-    is the noise as the coefficient callbacks read it, one row per state.
+    `theta` holds the (K, P, d) starts, and `diverged` and `first_bad` (K,
+    P) (N+1 for a path that never diverged) are final after the last step.
+    `hist` is the noise as the coefficient callbacks read it: they see the
+    states flattened to (K*P, d), row k*P + p being path p of variant k.
     Iterate once.
     """
 
@@ -214,7 +211,7 @@ class Stepper:
                     f"shifts must have shape (K, {self.N}, {m}), got {shifts.shape}"
                 )
         try:
-            theta = np.broadcast_to(theta, (K, P, field.d)).reshape(K * P, field.d)
+            theta = np.broadcast_to(theta, (K, P, field.d))
         except ValueError:
             raise InvalidParameterError(
                 f"theta of shape {theta.shape} does not broadcast to {(K, P, field.d)}"
@@ -227,11 +224,10 @@ class Stepper:
         if scheme.kind == IMPLICIT:
             _check_implicit_dt(field, grid)
         self.field, self.grid, self.scheme, self.theta = field, grid, scheme, theta
-        self.variants = K
         self.hist = History(grid, self.inc, K, shifts)
         self._shifts = shifts
-        self.diverged = np.zeros(len(theta), dtype=bool)
-        self.first_bad = np.full(len(theta), self.N + 1, dtype=np.int64)
+        self.diverged = np.zeros((K, P), dtype=bool)
+        self.first_bad = np.full((K, P), self.N + 1, dtype=np.int64)
 
     def __iter__(self):
         field, scheme, hist = self.field, self.scheme, self.hist
@@ -239,24 +235,28 @@ class Stepper:
         diverged, first_bad, shifts = self.diverged, self.first_bad, self._shifts
         any_diverged = False
         x = self.theta.copy()
+        shape = K, P, d = x.shape
+        sig_shape, rows = shape + self.inc.shape[2:], (K * P, d)
+        eye = np.eye(d)
         for i in range(self.N):
             t = i * dt
-            dw = self.inc[:, i]
-            if shifts is not None:
-                # (K, 1, m) + (P, m): row k*P + p is inc[p, i] + shifts[k, i]
-                dw = (shifts[:, i, None] + dw).reshape(-1, dw.shape[1])
-            elif self.variants > 1:
-                dw = np.tile(dw, (self.variants, 1))
+            xr = x.reshape(rows)  # the rows k*P + p the callbacks see
+            if shifts is None:
+                # a contiguous copy: inc[:, i] strides by N m entries
+                dw = self.inc[None, :, i].copy()
+            else:
+                dw = shifts[:, i, None] + self.inc[None, :, i]
             denom = None
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 if scheme.kind == IMPLICIT:
-                    sig = field.diffusion(t, hist, x)
+                    sig = field.diffusion(t, hist, xr).reshape(sig_shape)
                     # the root Y becomes X_{i+1} = Y + sigma dW in place
-                    x_next = _newton_solve(field, t + dt, hist, x, dt, scheme, i)
-                    x_next += np.einsum("bdm,bm->bd", sig, dw)
+                    y = _newton_solve(field, t + dt, hist, xr, dt, scheme, i, eye)
+                    x_next = y.reshape(shape)
+                    x_next += np.einsum("...dm,...m->...d", sig, dw)
                 else:
-                    b = field.drift(t, hist, x)
-                    sig = field.diffusion(t, hist, x)
+                    b = field.drift(t, hist, xr).reshape(shape)
+                    sig = field.diffusion(t, hist, xr).reshape(sig_shape)
                     if scheme.kind == TAMED:
                         # |b| dt / (1 + dt |b|) < 1 for every drift value, and
                         # a NaN drift reaches the divergence tagging below
@@ -264,13 +264,12 @@ class Stepper:
                         drift_step = b * (dt / denom)
                     else:
                         drift_step = b * dt
-                    x_next = x + drift_step + np.einsum("bdm,bm->bd", sig, dw)
+                    x_next = x + drift_step + np.einsum("...dm,...m->...d", sig, dw)
 
                 # NaN fails the <=, so non-finite states are tagged as well
-                bad = ~(np.abs(x_next).max(axis=1) <= DIVERGENCE_BOUND)
-            if any_diverged:
-                bad &= ~diverged
-            if bad.any():
+                ok = np.abs(x_next).max(axis=2) <= DIVERGENCE_BOUND
+            if not ok.all():
+                bad = ~(ok | diverged)
                 first_bad[bad] = i + 1
                 diverged |= bad
                 any_diverged = True
@@ -289,16 +288,17 @@ def simulate_batch(
     scheme: SchemeChoice,
     shifts: Optional[np.ndarray] = None,
 ) -> Stepper:
-    """The solved Stepper with every state stored in its `values` (K*P, N+1,
-    d), diverged rows frozen at their last finite state from first_bad on.
+    """The solved Stepper with every state stored in its `values` (K, P,
+    N+1, d), diverged paths frozen at their last finite state from
+    first_bad on.
 
     increments: (P, N, m); theta and shifts as for Stepper.
     """
     run = Stepper(field, grid, increments, theta, scheme, shifts)
-    run.values = np.empty((len(run.theta), run.N + 1, field.d))
-    run.values[:, 0] = run.theta
+    run.values = np.empty(run.theta.shape[:2] + (run.N + 1, field.d))
+    run.values[:, :, 0] = run.theta
     for rec in run:
-        run.values[:, rec.i + 1] = rec.x_next
+        run.values[:, :, rec.i + 1] = rec.x_next
     return run
 
 
@@ -320,13 +320,13 @@ class PathStepper(Stepper):
         super().__init__(spec.field, w.grid, w.increments[None], spec.theta0, scheme)
         self.path_index = w.path_index
         self.values = np.empty((self.N + 1, spec.d))
-        self.values[0] = self.theta[0]
+        self.values[0] = self.theta[0, 0]
 
     def __iter__(self):
         for rec in super().__iter__():
-            if self.diverged[0]:
-                raise DivergenceError(self.first_bad[0], self.path_index)
-            self.values[rec.i + 1] = rec.x_next[0]
+            if self.diverged[0, 0]:
+                raise DivergenceError(self.first_bad[0, 0], self.path_index)
+            self.values[rec.i + 1] = rec.x_next[0, 0]
             yield rec
 
     @property
@@ -455,10 +455,11 @@ def simulate_paths(
 
     def chunk(inc, start):
         out = simulate_batch(spec.field, grid, inc, spec.theta0, scheme)
-        if np.any(out.diverged):
+        diverged = out.diverged[0]
+        if np.any(diverged):
             # run_paths bisects to the first diverged path and names it
-            raise DivergenceError(out.first_bad[int(np.argmax(out.diverged))])
-        return out.values
+            raise DivergenceError(out.first_bad[0, int(np.argmax(diverged))])
+        return out.values[0]
 
     return run_paths(chunk, grid, spec.m, seed, n_paths, workers)
 
@@ -505,8 +506,8 @@ def stability_ratio(
     numbers, one estimate per row of xi (L, d) (a point (d,) is one row).
 
     The solutions of a chunk's paths from theta and from every xi run as one
-    stacked batch (rows theta, then xi_1 .. xi_L), and each sup is folded over
-    the steps.  Raises DivergenceError at the earliest step at which any
+    stacked batch (variants theta, then xi_1 .. xi_L), and each sup is folded
+    over the steps.  Raises DivergenceError at the earliest step at which any
     solution of any path diverged, and InvalidParameterError, naming p and
     the first path, when a path's ratio leaves the floating-point range."""
     d = spec.d
@@ -517,20 +518,18 @@ def stability_ratio(
     gaps = [float(np.linalg.norm(v - theta)) for v in xi]
     if 0.0 in gaps:
         raise InvalidParameterError("theta and xi must differ")
-    L = len(xi)
 
     def chunk(inc, start):
-        P = len(inc)
         run = Stepper(spec.field, grid, inc, np.vstack([theta, xi])[:, None], scheme)
-        x = run.theta.reshape(L + 1, P, d)
+        x = run.theta
         sup = np.linalg.norm(x[1:] - x[0], axis=-1)
         # a diverged path's frozen values may overflow; the run raises below
         with np.errstate(over="ignore", invalid="ignore"):
             for rec in run:
-                x = rec.x_next.reshape(L + 1, P, d)
+                x = rec.x_next
                 np.maximum(sup, np.linalg.norm(x[1:] - x[0], axis=-1), out=sup)
             vals = sup ** p
-        return vals.T, run.first_bad.reshape(L + 1, P).min(axis=0)
+        return vals.T, run.first_bad.min(axis=0)
 
     vals, first_bad = run_paths(chunk, grid, spec.m, seed, n_paths, workers)
     # first_bad is N+1 on paths that never diverged

@@ -1,5 +1,6 @@
 """First-variation machinery: the Jacobian SDE, its inverse process, the
-stochastic Wronskian, Gateaux directions F[h], and general linear SDEs.
+stochastic Wronskian, Gateaux directions F[h], and the central-difference
+flow derivative.
 
 All variational equations share the base scheme's drift treatment: the
 grad_drift * (state) term is tamed with the same 1 + dt |b(X_i)| denominator,
@@ -25,7 +26,6 @@ dW^j dW^k instead of dt, so log det J - log D stays O(dt) pathwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,10 +36,10 @@ from .errors import (
     InvalidParameterError,
     MissingGradientsError,
 )
-from .models import CoefficientField, ModelSpec
+from .models import ModelSpec
 from .solver import (
-    EULER, TAMED, PathStepper, SchemeChoice, StepRecord, Stepper, check_noise, simulate,
-    simulate_batch, solve_small,
+    EULER, TAMED, PathStepper, SchemeChoice, StepRecord, Stepper, check_noise, simulate_batch,
+    solve_small,
 )
 
 
@@ -57,9 +57,9 @@ class VariationalFactors:
         smat: sum_j grad_sigma^j(X_i) dW_i^j as a (B, d, d) matrix
         amat: dmat + smat (the one-step flow is I + amat)
     plus the raw gradients for forcing terms, under the field and scheme of
-    run, for the B = len(run.theta) / K rows of variant 0, the base.  Their
-    noise is run's own when it has one variant, else its unshifted
-    increments: a noise-shifted batch runs its base on the zero shift.
+    run, for the B paths of variant 0, the base.  Their noise is run's own
+    when it has one variant, else its unshifted increments: a noise-shifted
+    batch runs its base on the zero shift.
     """
 
     def __init__(self, run: Stepper):
@@ -68,34 +68,32 @@ class VariationalFactors:
             raise MissingGradientsError("model does not supply coefficient gradients")
         self.field = field
         self.scheme = run.scheme
-        self.rows = len(run.theta) // run.variants
-        self.hist = run.hist if run.variants == 1 else History(run.grid, run.inc)
+        K, B, d = run.theta.shape
+        self.hist = run.hist if K == 1 else History(run.grid, run.inc)
         self.dt = run.grid.dt
-        self._eye = np.eye(field.d)
-        # the implicit factor's right-hand side, one identity per row
-        self._eyes = np.broadcast_to(self._eye, (self.rows, field.d, field.d)).copy()
+        self._eye = np.eye(d)
+        # the implicit factor's right-hand side, one identity per path
+        self._eyes = np.broadcast_to(self._eye, (B, d, d)).copy()
 
     def take(self, rec: StepRecord):
-        """The factors of the step the record holds, on its variant 0 rows,
-        reading their sigma and tamed denominator instead of evaluating them
+        """The factors of the step the record holds, on its variant 0,
+        reading its sigma and tamed denominator instead of evaluating them
         again."""
         field, dt = self.field, self.dt
-        if len(rec.x) > self.rows:
-            rec = rec.head(self.rows)
         t = rec.i * dt
-        x, dw = rec.x, rec.dw
+        x, dw = rec.x[0], rec.dw[0]
         self.gs = field.grad_diffusion(t, self.hist, x)  # (B, d, m, d)
-        self.sig = rec.sig  # (B, d, m)
+        self.sig = sig = rec.sig[0]  # (B, d, m)
         self.dw = dw
         # S = sum_j grad_sigma^{(.,j)} dW^j
         self.smat = np.einsum("bimj,bm->bij", self.gs, dw)
         if self.scheme.kind == EULER:
             self.dmat = field.grad_drift(t, self.hist, x) * dt
         elif self.scheme.kind == TAMED:
-            tame = 1.0 / rec.denom  # (B, 1)
+            tame = 1.0 / rec.denom[0]  # (B, 1)
             self.dmat = field.grad_drift(t, self.hist, x) * (dt * tame[:, :, None])
         else:  # IMPLICIT: (I - dt grad_b(t_{i+1}, Y))^{-1} - I, Y rebuilt from the step
-            y = rec.x_next - np.einsum("bdm,bm->bd", rec.sig, dw)
+            y = rec.x_next[0] - np.einsum("bdm,bm->bd", sig, dw)
             jac = self._eye - dt * field.grad_drift(t + dt, self.hist, y)
             self.dmat = solve_small(jac, self._eyes) - self._eye
         self.amat = self.dmat + self.smat
@@ -161,9 +159,9 @@ class JacobianBundle:
 
 
 def _jacobian_arrays(run: Stepper):
-    """Batched J, K (B, N+1, d, d) and D (B, N+1) along the rows of run,
-    stepping it."""
-    B, d = run.theta.shape
+    """Batched J, K (B, N+1, d, d) and D (B, N+1) along the B paths of run's
+    one variant, stepping it."""
+    _, B, d = run.theta.shape
     N = run.N
     eye = np.eye(d)
     J = np.empty((B, N + 1, d, d))
@@ -249,103 +247,5 @@ def finite_difference_jacobian(
     run = simulate_batch(spec.field, w.grid, w.increments[None], spec.theta0 + bumps, scheme)
     if run.diverged.any():
         raise DivergenceError(run.first_bad.min(), w.path_index)
-    x = run.values
+    x = run.values[:, 0]
     return ((x[:d] - x[d:]) / (2.0 * eps)).transpose(1, 2, 0)
-
-
-# ---------------------------------------------------------------------------
-# General linear SDE with explicit d = 1 cross-check
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LinearSDECoeffs:
-    """Coefficients of dX = (B X + b) dt + sum_j (Sigma^j X + sigma^j) dW^j.
-
-    Callbacks take (t, hist) and return, per path batch:
-        B -> (B?, d, d); Sigma -> (B?, d, m, d); b -> (B?, d); sigma -> (B?, d, m)
-    Leading batch axes optional (deterministic coefficients may return
-    unbatched arrays, which broadcast).
-    """
-
-    d: int
-    m: int
-    B: callable
-    Sigma: callable
-    b: callable
-    sigma: callable
-
-
-@dataclass
-class LinearSolveResult:
-    numeric: StatePath
-    explicit: Optional[StatePath]  # fundamental-matrix solution, d = 1 only
-
-
-def _linear_field(coeffs: LinearSDECoeffs) -> CoefficientField:
-    """The linear SDE as a coefficient field: drift B x + b, diffusion
-    Sigma x + sigma, gradients B and Sigma."""
-    d, m = coeffs.d, coeffs.m
-
-    def bmat(t, hist):
-        return np.asarray(coeffs.B(t, hist), dtype=float).reshape(-1, d, d)
-
-    def smat(t, hist):
-        return np.asarray(coeffs.Sigma(t, hist), dtype=float).reshape(-1, d, m, d)
-
-    def drift(t, hist, x):
-        bv = np.asarray(coeffs.b(t, hist), dtype=float).reshape(-1, d)
-        return (bmat(t, hist) @ x[..., None])[..., 0] + bv
-
-    def diffusion(t, hist, x):
-        sv = np.asarray(coeffs.sigma(t, hist), dtype=float).reshape(-1, d, m)
-        return np.einsum("...imj,...j->...im", smat(t, hist), x) + sv
-
-    return CoefficientField(
-        d, m, drift, diffusion,
-        grad_drift=lambda t, hist, x: np.broadcast_to(bmat(t, hist), (len(x), d, d)),
-        grad_diffusion=lambda t, hist, x: np.broadcast_to(
-            smat(t, hist), (len(x), d, m, d)
-        ),
-        deterministic=False,
-    )
-
-
-def linear_sde_solve(
-    coeffs: LinearSDECoeffs,
-    w: NoisePath,
-    theta: np.ndarray,
-    scheme: SchemeChoice = SchemeChoice(EULER),
-) -> LinearSolveResult:
-    """Integrate the inhomogeneous linear SDE on the noise w and its grid with
-    the scheme's stepping kernel; for d = 1 also evaluate the
-    fundamental-matrix (exponential) solution as a cross-check.
-
-    The exponential formula solves the matrix equation only when the
-    coefficient matrices commute, so it is evaluated for d = 1 alone.
-    """
-    theta = np.asarray(theta, dtype=float).reshape(coeffs.d)
-    spec = ModelSpec("linear", _linear_field(coeffs), {}, theta)
-    numeric = simulate(spec, w, scheme=scheme)
-    hist = History.from_path(w)
-    grid = w.grid
-    dt, N = grid.dt, grid.N
-
-    explicit = None
-    if coeffs.d == 1:
-        t_axis = np.arange(N)
-        Bs = np.array([float(np.asarray(coeffs.B(i * dt, hist)).reshape(-1)[0]) for i in t_axis])
-        Ss = np.array([float(np.asarray(coeffs.Sigma(i * dt, hist)).reshape(-1)[0]) for i in t_axis])
-        bs = np.array([float(np.asarray(coeffs.b(i * dt, hist)).reshape(-1)[0]) for i in t_axis])
-        ss = np.array([float(np.asarray(coeffs.sigma(i * dt, hist)).reshape(-1)[0]) for i in t_axis])
-        dwf = w.increments[:, 0]
-        log_psi = np.zeros(N + 1)
-        np.cumsum((Bs - 0.5 * Ss**2) * dt + Ss * dwf, out=log_psi[1:])
-        psi = np.exp(log_psi)
-        integ = np.zeros(N + 1)
-        np.cumsum(
-            (bs - Ss * ss) / psi[:-1] * dt + ss / psi[:-1] * dwf, out=integ[1:]
-        )
-        explicit = StatePath(grid, 1, (psi * (theta[0] + integ))[:, None])
-
-    return LinearSolveResult(numeric, explicit)

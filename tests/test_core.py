@@ -144,19 +144,18 @@ def _noise_and_direction(seed, N, m, T):
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(_NOISE_CASES, st.data())
-def test_doleans_dade_is_the_exponential_of_its_log(case, data):
+@given(_NOISE_CASES)
+def test_doleans_dade_is_the_exponential_of_its_log(case):
+    # at the grid's horizon, the only time it is taken at
     seed, factor, n_coarse, m, T = case
     w, h = _noise_and_direction(seed, factor * n_coarse, m, T)
     N = w.grid.N
-    t = data.draw(st.integers(min_value=0, max_value=N))
-    assert doleans_dade(w, h, 0) == 1.0
-    assert doleans_dade(w, CameronMartinPath(w.grid, m, np.zeros((N, m))), t) == 1.0
+    assert doleans_dade(w, CameronMartinPath(w.grid, m, np.zeros((N, m)))) == 1.0
     log_dd = 0.0
-    for i in range(t):
+    for i in range(N):
         hdot = h.density[i]
         log_dd += float(hdot @ w.increments[i]) - 0.5 * float(hdot @ hdot) * w.grid.dt
-    assert abs(math.log(doleans_dade(w, h, t)) - log_dd) <= 1e-12 * max(1.0, abs(log_dd))
+    assert abs(math.log(doleans_dade(w, h)) - log_dd) <= 1e-12 * max(1.0, abs(log_dd))
 
 
 def test_cameron_martin_path_runs_from_zero():

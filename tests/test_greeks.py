@@ -302,7 +302,7 @@ def test_bel_d2_singular_live_row_raises(small, message):
     scheme = SchemeChoice(EULER)
     inc = sample_increments(g, 2, 21, 0, 64)
     out = simulate_batch(field, g, inc, theta, scheme)
-    assert np.any(out.diverged) and not out.diverged[-1]
+    assert np.any(out.diverged) and not out.diverged[0, -1]
     a = _weight_table((constant_weight(),), g)
     with pytest.raises(SingularDiffusionError, match=message):
         _samples(field, g, scheme, theta, tanh_payoff(), inc, a=a)
@@ -360,8 +360,8 @@ def _stored_samples(spec, g, scheme, payoff, a, eps, inc):
                         "bdm,bm->bd", siginv_j.transpose(0, 2, 1), vf.dw
                     )
                     J = J + vf.amat @ J
-                cols.append(payoff(out.values[:, N])[:, None] * wstar)
-        samples += [np.stack(cols, axis=1), out.first_bad]
+                cols.append(payoff(out.values[0, :, N])[:, None] * wstar)
+        samples += [np.stack(cols, axis=1), out.first_bad[0]]
     if eps is not None:
         grads = np.empty((len(inc), d))
         bad = []
@@ -370,8 +370,8 @@ def _stored_samples(spec, g, scheme, payoff, a, eps, inc):
             bump[k] = eps
             up = simulate_batch(spec.field, g, inc, spec.theta0 + bump, scheme)
             dn = simulate_batch(spec.field, g, inc, spec.theta0 - bump, scheme)
-            grads[:, k] = (payoff(up.values[:, N]) - payoff(dn.values[:, N])) / (2.0 * eps)
-            bad += [up.first_bad, dn.first_bad]
+            grads[:, k] = (payoff(up.values[0, :, N]) - payoff(dn.values[0, :, N])) / (2.0 * eps)
+            bad += [up.first_bad[0], dn.first_bad[0]]
         samples += [grads, np.min(bad, axis=0)]
     return samples
 

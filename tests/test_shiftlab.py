@@ -32,7 +32,7 @@ def test_doleans_dade_zero_direction():
     g = make_grid(1.0, 64)
     w = sample_noise(g, 1, seed=1)
     h = CameronMartinPath.constant(g, 0.0)
-    assert doleans_dade(w, h, g.N) == 1.0
+    assert doleans_dade(w, h) == 1.0
 
 
 def test_doleans_dade_constant_direction():
@@ -41,7 +41,7 @@ def test_doleans_dade_constant_direction():
     c = 0.8
     h = CameronMartinPath.constant(g, c)
     w_T = w.brownian()[-1, 0]
-    assert math.log(doleans_dade(w, h, g.N)) == pytest.approx(
+    assert math.log(doleans_dade(w, h)) == pytest.approx(
         c * w_T - 0.5 * c**2, abs=1e-12
     )
 
@@ -50,7 +50,7 @@ def test_doleans_dade_positive_and_martingale():
     g = make_grid(1.0, 128)
     h = CameronMartinPath.constant(g, 0.5)
     inc = sample_increments(g, 1, seed=3, start=0, count=10_000)
-    dd = np.exp(_log_dd(inc, h, g.N))
+    dd = np.exp(_log_dd(inc, h))
     assert np.all(dd > 0)
     z = abs(dd.mean() - 1.0) / (dd.std(ddof=1) / math.sqrt(len(dd)))
     assert z <= 3.0
@@ -181,7 +181,7 @@ def _stored_directional(out, vf, h):
     rebuilt from its values (vf from stored_factors) and the unshifted
     increments: the ladder's D^h X before it read the kernel's step records."""
     field, grid = vf.field, out.grid
-    B, d, m = out.values.shape[0], field.d, field.m
+    B, d, m = out.values.shape[1], field.d, field.m
     N, dt = grid.N, grid.dt
     hist, hd = out.hist, h.density
     vals = np.zeros((B, N + 1, d))
@@ -219,8 +219,8 @@ def _stored_ladder(spec, g, scheme, h, eps, inc):
             bumped = simulate_batch(
                 spec.field, g, inc + e * (h.density * g.dt), spec.theta0, scheme
             )
-            errs[:, a] = sup_norms((bumped.values - base.values) / e - dh)
-            first_bad[:, a] = np.minimum(base.first_bad, bumped.first_bad)
+            errs[:, a] = sup_norms((bumped.values[0] - base.values[0]) / e - dh)
+            first_bad[:, a] = np.minimum(base.first_bad[0], bumped.first_bad[0])
     return errs, first_bad
 
 
@@ -280,9 +280,9 @@ def test_stacked_cameron_martin_equals_separate_runs(case, kind):
     inc = sample_increments(g, spec.m, 21, 0, 300)
     base = simulate_batch(spec.field, g, inc, spec.theta0, scheme)
     shifted = simulate_batch(spec.field, g, inc + h.density * g.dt, spec.theta0, scheme)
-    live = live_paths(np.minimum(base.first_bad, shifted.first_bad), N)
-    lhs = functional(shifted.values)[live]
-    rhs = (functional(base.values) * np.exp(_log_dd(inc, h, N)))[live]
+    live = live_paths(np.minimum(base.first_bad[0], shifted.first_bad[0]), N)
+    lhs = functional(shifted.values[0])[live]
+    rhs = (functional(base.values[0]) * np.exp(_log_dd(inc, h)))[live]
     rep = cameron_martin_check(spec, g, scheme, h, functional, n_paths=300, seed=21)
     for got, want in ((rep.lhs, mc_estimate(lhs)), (rep.rhs, mc_estimate(rhs))):
         assert got.mean.tobytes() == want.mean.tobytes()

@@ -18,13 +18,11 @@ from monosde import (
     DivergenceError,
     InvalidParameterError,
     NewtonFailureError,
-    LinearSDECoeffs,
     SingularDiffusionError,
     directional_derivative,
     finite_difference_jacobian,
     gateaux_direction,
     jacobian,
-    linear_sde_solve,
     make_grid,
     malliavin_field,
     sample_noise,
@@ -84,7 +82,7 @@ def test_gbm_strong_convergence_order():
         inc = inc_fine.reshape(n_paths, N, 2**14 // N, 1).sum(axis=2)
         out = simulate_batch(spec.field, g, inc, spec.theta0, SchemeChoice(EULER))
         closed = spec.closed_form.state(inc, g, N)[:, 0]
-        errs.append(np.mean(np.abs(out.values[:, -1, 0] - closed)))
+        errs.append(np.mean(np.abs(out.values[0, :, -1, 0] - closed)))
         dts.append(g.dt)
     order = np.polyfit(np.log2(dts), np.log2(errs), 1)[0]
     assert 0.4 <= order <= 0.6
@@ -112,8 +110,8 @@ def test_divergence_bookkeeping_is_pinned():
     inc = sample_increments(g, 1, seed=4, start=0, count=6)
     theta = np.array([[10.0], [1.0], [8.0], [10.0], [9.0], [8.5]])
     out = simulate_batch(spec.field, g, inc, theta, SchemeChoice(EULER))
-    assert out.diverged.tolist() == [True, False, False, True, True, True]
-    assert out.first_bad.tolist() == [7, 65, 65, 7, 7, 7]
+    assert out.diverged[0].tolist() == [True, False, False, True, True, True]
+    assert out.first_bad[0].tolist() == [7, 65, 65, 7, 7, 7]
     frozen = {
         0: 4.040528731136235e132,
         3: 4.72830046995121e136,
@@ -121,10 +119,10 @@ def test_divergence_bookkeeping_is_pinned():
         5: 3.915725302670769e59,
     }
     for b, value in frozen.items():
-        assert np.all(out.values[b, 6:, 0] == value)
-        assert out.values[b, 5, 0] != value
-    assert out.values[1, -1, 0] == 0.6769377719352049
-    assert out.values[2, -1, 0] == 0.909961052445855
+        assert np.all(out.values[0, b, 6:, 0] == value)
+        assert out.values[0, b, 5, 0] != value
+    assert out.values[0, 1, -1, 0] == 0.6769377719352049
+    assert out.values[0, 2, -1, 0] == 0.909961052445855
 
 
 @pytest.mark.parametrize(
@@ -157,11 +155,11 @@ def test_non_finite_drift_is_tagged_at_its_step(kind, frozen):
     )
     inc = sample_increments(g, 1, seed=11, start=0, count=4)
     out = simulate_batch(field, g, inc, np.array([0.5]), SchemeChoice(kind))
-    assert out.diverged.tolist() == [False, True, False, True]
-    assert out.first_bad.tolist() == [17, 6, 17, 10]
+    assert out.diverged[0].tolist() == [False, True, False, True]
+    assert out.first_bad[0].tolist() == [17, 6, 17, 10]
     assert np.all(np.isfinite(out.values))
-    assert np.all(out.values[1, 5:, 0] == frozen[0])
-    assert np.all(out.values[3, 9:, 0] == frozen[1])
+    assert np.all(out.values[0, 1, 5:, 0] == frozen[0])
+    assert np.all(out.values[0, 3, 9:, 0] == frozen[1])
 
 
 def test_simulate_raises_divergence_with_step():
@@ -199,8 +197,8 @@ def test_stability_ratio_reports_the_earliest_divergence_of_the_run(workers):
     theta, xi = np.array([1.5]), np.array([1.6])
     inc = sample_increments(g, 1, 9, 0, 8192)
     first_bad = np.minimum(
-        simulate_batch(spec.field, g, inc, theta, scheme).first_bad,
-        simulate_batch(spec.field, g, inc, xi, scheme).first_bad,
+        simulate_batch(spec.field, g, inc, theta, scheme).first_bad[0],
+        simulate_batch(spec.field, g, inc, xi, scheme).first_bad[0],
     )
     chunks = _chunks(g.N, 1, 8192, workers)
     assert len(chunks) >= 2
@@ -457,7 +455,7 @@ def test_chunk_size_does_not_change_results(model, kind, x0, N, n_paths, seed):
 
     def fn(inc, start):
         out = simulate_batch(spec.field, g, inc, spec.theta0, scheme)
-        return (out.values, out.diverged, out.first_bad,
+        return (out.values[0], out.diverged[0], out.first_bad[0],
                 *_samples(spec.field, g, scheme, spec.theta0, identity_payoff(), inc, a, 1e-3),
                 *_ladder_samples(spec, g, scheme, h, eps, inc))
 
@@ -787,7 +785,7 @@ def test_implicit_batch_with_a_nan_path_equals_its_single_path_stack():
     inc = sample_increments(g, 1, seed=5, start=0, count=8)
     out = _assert_batch_is_stack(_nan_on_path_0(f), [_nan_on_path_0(f)] + [f] * 7,
                                  g, np.array([10.0]), inc)
-    assert out.diverged.tolist() == [True] + [False] * 7
+    assert out.diverged[0].tolist() == [True] + [False] * 7
 
 
 def test_implicit_d2_batch_equals_its_single_path_stack():
@@ -859,9 +857,9 @@ def test_nan_path_is_tagged_while_the_rest_converge():
     spec = zoo_lookup("ginzburg_landau", {"x0": 10.0})
     out = _gl_implicit(1.0, 10.0, 4, count=8, field=_nan_on_path_0(spec.field))
     clean = _gl_implicit(1.0, 10.0, 4, count=8)
-    assert out.diverged.tolist() == [True] + [False] * 7
-    assert out.first_bad[0] == 1
-    assert out.values[1:].tobytes() == clean.values[1:].tobytes()
+    assert out.diverged[0].tolist() == [True] + [False] * 7
+    assert out.first_bad[0, 0] == 1
+    assert out.values[0, 1:].tobytes() == clean.values[0, 1:].tobytes()
 
 
 def test_nan_path_does_not_keep_newton_iterating():
@@ -882,17 +880,8 @@ def test_nan_path_does_not_keep_newton_iterating():
 def _single_path_calls(spec, w):
     scheme = SchemeChoice(EULER)
     h = CameronMartinPath.constant(w.grid, 1.0, spec.m)
-    d, m = spec.d, spec.m
-    ou = LinearSDECoeffs(
-        d, m,
-        B=lambda t, hist: -np.eye(d),
-        Sigma=lambda t, hist: np.zeros((d, m, d)),
-        b=lambda t, hist: np.zeros(d),
-        sigma=lambda t, hist: np.ones((d, m)),
-    )
     return {
         "finite_difference_jacobian": lambda: finite_difference_jacobian(spec, w, scheme, 1e-4),
-        "linear_sde_solve": lambda: linear_sde_solve(ou, w, spec.theta0),
         "simulate": lambda: simulate(spec, w),
         "jacobian": lambda: jacobian(spec, w, scheme),
         "gateaux_direction": lambda: gateaux_direction(spec, w, scheme, np.ones(spec.d)),
@@ -903,7 +892,7 @@ def _single_path_calls(spec, w):
 
 _SINGLE_PATH = (
     "simulate", "jacobian", "gateaux_direction", "malliavin_field", "directional_derivative",
-    "finite_difference_jacobian", "linear_sde_solve",
+    "finite_difference_jacobian",
 )
 
 
@@ -947,7 +936,7 @@ def test_single_path_derivative_reports_its_first_bad_node(fn):
     assert str(exc.value) == f"{what} diverged at step 6"
 
 
-@pytest.mark.parametrize("fn", _SINGLE_PATH[:-1])
+@pytest.mark.parametrize("fn", _SINGLE_PATH)
 def test_single_path_divergence_names_the_noise_path(fn):
     # GL from x0 = 50 diverges at step 5 on path 3 of the seed under Euler
     spec = zoo_lookup("ginzburg_landau", {"x0": 50.0})
@@ -1022,7 +1011,7 @@ def test_stacked_variants_equal_separate_runs(case, kind):
     for k, theta in enumerate(starts):
         alone = simulate_batch(spec.field, g, inc, theta, scheme)
         for name in ("values", "diverged", "first_bad"):
-            part = getattr(stacked, name)[64 * k:64 * (k + 1)]
+            part = getattr(stacked, name)[k]
             assert part.tobytes() == getattr(alone, name).tobytes()
     if kind == EULER and case in ("gl_x0_3", "twin_gl"):
         assert stacked.diverged.any()
@@ -1069,7 +1058,7 @@ def test_noise_shifted_variants_equal_separate_runs(case, kind):
     for k, shift in enumerate(shifts):
         alone = simulate_batch(spec.field, g, inc + shift, spec.theta0, scheme)
         for name in ("values", "diverged", "first_bad"):
-            part = getattr(stacked, name)[64 * k:64 * (k + 1)]
+            part = getattr(stacked, name)[k]
             assert part.tobytes() == getattr(alone, name).tobytes()
     if kind == EULER and case in ("gl_x0_3", "twin_gl"):
         assert stacked.diverged.any()
@@ -1104,9 +1093,9 @@ def test_stability_ratio_equals_its_separate_runs(case, kind):
     inc = sample_increments(g, spec.m, 21, 0, 300)
     a = simulate_batch(spec.field, g, inc, theta, scheme)
     b = simulate_batch(spec.field, g, inc, xi, scheme)
-    first_bad = np.minimum(a.first_bad, b.first_bad)
+    first_bad = np.minimum(a.first_bad[0], b.first_bad[0])
     rows_bad = np.min([first_bad] + [
-        simulate_batch(spec.field, g, inc, v, scheme).first_bad for v in rows[1:]
+        simulate_batch(spec.field, g, inc, v, scheme).first_bad[0] for v in rows[1:]
     ], axis=0)
     if np.any(rows_bad <= N):
         with pytest.raises(DivergenceError) as exc:
@@ -1129,7 +1118,7 @@ def test_stability_ratio_equals_its_separate_runs(case, kind):
         )
         return
     gap = float(np.linalg.norm(xi - theta))
-    want = mc_estimate(np.max(np.linalg.norm(b.values - a.values, axis=2), axis=1) ** 2.0
+    want = mc_estimate(np.max(np.linalg.norm(b.values[0] - a.values[0], axis=2), axis=1) ** 2.0
                        / gap**2.0)
     (got,) = stability_ratio(spec, g, scheme, theta, xi, 2.0, 300, 21)
     assert got.mean.tobytes() == want.mean.tobytes()

@@ -5,11 +5,9 @@ import pytest
 
 from monosde import (
     InvalidParameterError,
-    LinearSDECoeffs,
     finite_difference_jacobian,
     gateaux_direction,
     jacobian,
-    linear_sde_solve,
     make_grid,
     probe_assumptions,
     sample_noise,
@@ -23,22 +21,23 @@ from monosde.solver import (
     EULER, IMPLICIT, TAMED, SchemeChoice, StepRecord, Stepper, simulate_batch,
     tamed_denominator,
 )
-from monosde.variational import VariationalFactors, _linear_field
+from monosde.variational import VariationalFactors
 
 
 def stored_records(vf, out):
-    """The StepRecords of the stored batch out, rebuilt from its values with
-    sigma (and for tamed_euler the drift's denominator) evaluated again at
-    them under the field and scheme of vf: the stored-batch reference for
-    the kernel's records."""
-    field, g, hist, values = vf.field, out.grid, out.hist, out.values
+    """The StepRecords of the stored one-variant batch out, rebuilt from its
+    values with sigma (and for tamed_euler the drift's denominator) evaluated
+    again at them under the field and scheme of vf: the stored-batch
+    reference for the kernel's records."""
+    field, g, hist, values = vf.field, out.grid, out.hist, out.values[0]
     for i in range(g.N):
         t, x = i * g.dt, values[:, i]
         denom = None
         if vf.scheme.kind == TAMED:
-            denom = tamed_denominator(field.drift(t, hist, x), g.dt)
+            denom = tamed_denominator(field.drift(t, hist, x), g.dt)[None]
         yield StepRecord(
-            i, x, field.diffusion(t, hist, x), denom, hist.increments[:, i], values[:, i + 1]
+            i, x[None], field.diffusion(t, hist, x)[None], denom,
+            hist.increments[None, :, i], values[None, :, i + 1],
         )
 
 
@@ -133,79 +132,34 @@ def test_gateaux_linearity():
     assert np.max(np.abs(f12.values - combo)) / scale < 1e-12
 
 
-def test_linear_sde_deterministic_forcing():
-    coeffs = LinearSDECoeffs(
-        d=1,
-        m=1,
-        B=lambda t, h: np.zeros((1, 1)),
-        Sigma=lambda t, h: np.zeros((1, 1, 1)),
-        b=lambda t, h: np.array([2.0]),
-        sigma=lambda t, h: np.zeros((1, 1)),
+def _linear_field(B, b, sigma):
+    """dX = (B(t) X + b) dt + sigma dW as a coefficient field, with B(t)
+    (d, d), b (d,) and sigma (d, m) constant in the state."""
+    d, m = np.shape(sigma)
+    return CoefficientField(
+        d, m,
+        lambda t, h, x: (B(t) @ x[:, :, None])[:, :, 0] + b,
+        lambda t, h, x: np.broadcast_to(sigma, (len(x), d, m)),
+        lambda t, h, x: np.broadcast_to(B(t), (len(x), d, d)),
+        lambda t, h, x: np.zeros((len(x), d, m, d)),
     )
+
+
+def test_linear_sde_deterministic_forcing():
+    field = _linear_field(lambda t: np.zeros((1, 1)), np.array([2.0]), np.zeros((1, 1)))
     g = make_grid(1.0, 64)
     w = sample_noise(g, 1, seed=8)
-    res = linear_sde_solve(coeffs, w, np.array([1.0]))
-    assert np.allclose(res.numeric.values[:, 0], 1.0 + 2.0 * g.nodes, atol=1e-12)
-    assert np.allclose(res.explicit.values[:, 0], 1.0 + 2.0 * g.nodes, atol=1e-12)
+    x = simulate(ModelSpec("linear", field, {}, np.array([1.0])), w)
+    assert np.allclose(x.values[:, 0], 1.0 + 2.0 * g.nodes, atol=1e-12)
 
 
 def test_linear_sde_pure_brownian():
-    coeffs = LinearSDECoeffs(
-        d=1,
-        m=1,
-        B=lambda t, h: np.zeros((1, 1)),
-        Sigma=lambda t, h: np.zeros((1, 1, 1)),
-        b=lambda t, h: np.zeros(1),
-        sigma=lambda t, h: np.ones((1, 1)),
-    )
+    field = _linear_field(lambda t: np.zeros((1, 1)), np.zeros(1), np.ones((1, 1)))
     g = make_grid(1.0, 64)
     w = sample_noise(g, 1, seed=9)
-    res = linear_sde_solve(coeffs, w, np.array([0.5]))
+    x = simulate(ModelSpec("linear", field, {}, np.array([0.5])), w)
     ref = 0.5 + w.brownian()[:, 0]
-    assert np.allclose(res.numeric.values[:, 0], ref, atol=1e-12)
-    assert np.allclose(res.explicit.values[:, 0], ref, atol=1e-12)
-
-
-@pytest.mark.parametrize("kind", [EULER, TAMED, IMPLICIT])
-def test_linear_sde_numeric_is_the_scheme_kernel(kind):
-    # dX = -kappa X dt + sigma dW is zoo ou; every scheme gives its bits
-    kappa, sig = 5.0, 0.5
-    coeffs = LinearSDECoeffs(
-        d=1,
-        m=1,
-        B=lambda t, h: np.array([[-kappa]]),
-        Sigma=lambda t, h: np.zeros((1, 1, 1)),
-        b=lambda t, h: np.zeros(1),
-        sigma=lambda t, h: np.array([[sig]]),
-    )
-    spec = zoo_lookup("ou", {"kappa": kappa, "sigma": sig})
-    g = make_grid(1.0, 16)
-    w = sample_noise(g, 1, seed=3)
-    res = linear_sde_solve(coeffs, w, spec.theta0, SchemeChoice(kind))
-    ref = simulate(spec, w, scheme=SchemeChoice(kind))
-    assert np.array_equal(res.numeric.values, ref.values)
-
-
-def test_linear_sde_gbm_numeric_vs_fundamental_matrix():
-    mu, sig = 0.1, 0.3
-    coeffs = LinearSDECoeffs(
-        d=1,
-        m=1,
-        B=lambda t, h: np.array([[mu]]),
-        Sigma=lambda t, h: np.array([[[sig]]]),
-        b=lambda t, h: np.zeros(1),
-        sigma=lambda t, h: np.zeros((1, 1)),
-    )
-    errs = []
-    for N in (256, 1024):
-        g = make_grid(1.0, N)
-        w = sample_noise(g, 1, seed=10)
-        res = linear_sde_solve(coeffs, w, np.array([1.0]))
-        errs.append(
-            float(np.max(np.abs(res.numeric.values - res.explicit.values)))
-        )
-    assert errs[1] < errs[0]  # strong error shrinks under refinement
-    assert errs[1] < 5.0 * np.sqrt(1.0 / 1024)
+    assert np.allclose(x.values[:, 0], ref, atol=1e-12)
 
 
 def test_finite_difference_gbm_exact_for_any_eps():
@@ -273,45 +227,32 @@ def test_finite_difference_rejects_zero_eps():
         finite_difference_jacobian(spec, w, SchemeChoice(EULER), 0.0)
 
 
-def _probe_linear(coeffs, bound, seed=0):
-    """(max one-sided quotient, ok) of the linear system's drift against
+def _probe_linear(field, bound, seed=0):
+    """(max one-sided quotient, ok) of the linear field's drift against
     bound, at 500 points uniform on [-3, 3]^d."""
     report = probe_assumptions(
-        replace(_linear_field(coeffs), monotone_const=bound),
-        uniform_sampler(-3.0, 3.0, coeffs.d), 500, seed,
+        replace(field, monotone_const=bound), uniform_sampler(-3.0, 3.0, field.d), 500, seed,
     )
     return report.max_onesided, report.monotone_ok
 
 
 def test_probe_linear_quadratic_bound():
-    coeffs = LinearSDECoeffs(
-        d=1,
-        m=1,
-        B=lambda t, h: np.array([[-1.0 + 0.5 * t]]),
-        Sigma=lambda t, h: np.zeros((1, 1, 1)),
-        b=lambda t, h: np.zeros(1),
-        sigma=lambda t, h: np.zeros((1, 1)),
-    )
-    worst, ok = _probe_linear(coeffs, bound=0.0, seed=1)
+    field = _linear_field(lambda t: np.array([[-1.0 + 0.5 * t]]), np.zeros(1), np.zeros((1, 1)))
+    worst, ok = _probe_linear(field, bound=0.0, seed=1)
     assert ok and worst <= -0.5
-    worst, ok = _probe_linear(coeffs, bound=-0.9, seed=1)
+    worst, ok = _probe_linear(field, bound=-0.9, seed=1)
     assert not ok
 
 
 def test_probe_linear_quadratic_bound_of_a_non_normal_matrix():
     # z^T B z / |z|^2 peaks at the top eigenvalue 1/2 of (B + B^T) / 2, not
     # at the eigenvalue -1 of B; the inhomogeneity b drops out of the quotient
-    coeffs = LinearSDECoeffs(
-        d=2,
-        m=1,
-        B=lambda t, h: np.array([[-1.0, 3.0], [0.0, -1.0]]),
-        Sigma=lambda t, h: np.zeros((2, 1, 2)),
-        b=lambda t, h: np.ones(2),
-        sigma=lambda t, h: np.zeros((2, 1)),
+    field = _linear_field(
+        lambda t: np.array([[-1.0, 3.0], [0.0, -1.0]]), np.ones(2), np.zeros((2, 1))
     )
-    worst, ok = _probe_linear(coeffs, bound=0.5)
+    worst, ok = _probe_linear(field, bound=0.5)
     assert ok and 0.5 - 1e-4 < worst <= 0.5 + 1e-12
-    worst, ok = _probe_linear(coeffs, bound=0.49)
+    worst, ok = _probe_linear(field, bound=0.49)
     assert not ok
 
 
