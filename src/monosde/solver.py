@@ -112,41 +112,83 @@ def solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
+def _newton_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """The Newton step s (B, d) with jac s = -res, jac (B, d, d).
+
+    When the stacked solve finds a singular matrix, each path's system is
+    solved alone, to the same bits, and a path whose own matrix is singular
+    gets a NaN step."""
+    rhs = -res[..., None]
+    try:
+        return solve_small(jac, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.full(res.shape, np.nan)
+        for k in range(len(res)):
+            try:
+                step[k] = solve_small(jac[k:k + 1], rhs[k:k + 1])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return step
+
+
 def _newton_solve(field, t_next, hist, x, dt, scheme, step_index, eye):
     """Solve Y = x + dt b(t_next, Y) with damped Newton, batched over paths
     x (B, d); eye is the (d, d) identity.
 
     Each path stops at its own first iterate within tol, so its root does not
-    depend on the other paths of the batch."""
-    B = len(x)
-    y = x.copy()
+    depend on the other paths of the batch.  A path whose Newton matrix is
+    singular takes a NaN step, so simulate_batch tags it diverged.
+
+    An iteration allocates only what its iterate needs: the Newton matrix and
+    step, and per line-search trial the trial point, its residual, its norm
+    and the (B,) masks.  The first trial is the full step y + s; the damping
+    factors lambda (B, 1) are allocated only once some path's residual grew.
+    While every path is active the accepted trial becomes the iterate as it
+    is, without a masked copy.  Each element sees the same float operations
+    in the same order as in the plain scheme y + lambda s, (y - x) - dt b."""
     tol = scheme.newton_tol
-    res = y - x - dt * field.drift(t_next, hist, y)
+
+    def residual(y):
+        r = y - x
+        r -= dt * field.drift(t_next, hist, y)
+        return r
+
+    y = x.copy()
+    res = residual(y)
     norm = np.abs(res).max(axis=1)
     for it in range(scheme.newton_max_iter + 1):
         # A path iterates while its iterate is finite and its residual is not
         # within tol (NaN is not); simulate_batch tags a non-finite iterate.
-        active = ~(norm <= tol) & np.isfinite(y).all(axis=1)
+        active = norm <= tol
+        np.logical_not(active, out=active)
+        active &= np.isfinite(y).all(axis=1)
         if not active.any():
             return y
         if it == scheme.newton_max_iter:
             raise NewtonFailureError(step_index, np.max(norm[active]), tol)
-        jac = eye - dt * field.grad_drift(t_next, hist, y)
-        step = solve_small(jac, -res[..., None])[..., 0]
-        lam = np.ones((B, 1))
+        jac = dt * field.grad_drift(t_next, hist, y)
+        np.subtract(eye, jac, out=jac)
+        step = _newton_step(jac, res)
+        y_try, lam = y + step, None
         for halvings in range(31):
-            y_try = y + lam * step
-            res_try = y_try - x - dt * field.drift(t_next, hist, y_try)
+            res_try = residual(y_try)
             norm_try = np.abs(res_try).max(axis=1)
-            worse = (norm_try > norm) & active
+            worse = norm_try > norm
+            worse &= active
             # once the 30 halvings have run out, the last trial is taken
             if halvings == 30 or not worse.any():
                 break
+            if lam is None:
+                lam = np.ones((len(x), 1))
             lam[worse] *= 0.5
+            y_try = y + lam * step
         # only active paths take the step
-        np.copyto(y, y_try, where=active[:, None])
-        np.copyto(res, res_try, where=active[:, None])
-        np.copyto(norm, norm_try, where=active)
+        if active.all():
+            y, res, norm = y_try, res_try, norm_try
+        else:
+            np.copyto(y, y_try, where=active[:, None])
+            np.copyto(res, res_try, where=active[:, None])
+            np.copyto(norm, norm_try, where=active)
 
 
 def tamed_denominator(b: np.ndarray, dt: float) -> np.ndarray:

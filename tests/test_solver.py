@@ -42,6 +42,7 @@ from monosde.solver import (
     SCHEMES,
     TAMED,
     SchemeChoice,
+    Stepper,
     live_paths,
     run_paths,
     simulate_batch,
@@ -86,6 +87,41 @@ def test_gbm_strong_convergence_order():
         dts.append(g.dt)
     order = np.polyfit(np.log2(dts), np.log2(errs), 1)[0]
     assert 0.4 <= order <= 0.6
+
+
+def _terminal_states(spec, inc, N, kind):
+    """X_N(T) (B,) at T = 1 of d = 1 paths on their increments inc (B, M, 1)
+    summed to N steps; no path may diverge."""
+    inc = inc.reshape(len(inc), N, -1, 1).sum(axis=2)
+    run = Stepper(spec.field, make_grid(1.0, N), inc, spec.theta0, SchemeChoice(kind))
+    for rec in run:
+        pass
+    assert not run.diverged.any()
+    return rec.x_next[0, :, 0]
+
+
+@pytest.mark.parametrize(
+    "name, params, lo, hi",
+    [
+        # multiplicative noise: order 1/2 for tamed Euler (Hutzenthaler,
+        # Jentzen & Kloeden 2012) and split-step backward Euler (Higham, Mao
+        # & Stuart 2002); the fitted orders were 0.57-0.58
+        ("ginzburg_landau", {"x0": 1.0}, 0.4, math.inf),
+        # additive noise: order 1; the fitted orders were 0.99-1.02
+        ("quintic", {}, 0.85, 1.15),
+    ],
+)
+def test_superlinear_strong_convergence_order(name, params, lo, hi):
+    # mean |X_N(T) - X_ref(T)| over 512 paths against split-step implicit at
+    # N = 2^14, whose increments summed are the coarse increments
+    spec = zoo_lookup(name, params)
+    inc = sample_increments(make_grid(1.0, 2**14), 1, seed=3, start=0, count=512)
+    ref = _terminal_states(spec, inc, 2**14, IMPLICIT)
+    Ns = (2**6, 2**8, 2**10)
+    for kind in SCHEMES:
+        errs = [np.mean(np.abs(_terminal_states(spec, inc, N, kind) - ref)) for N in Ns]
+        order = np.polyfit(np.log2([1.0 / N for N in Ns]), np.log2(errs), 1)[0]
+        assert lo <= order <= hi, kind
 
 
 def test_taming_necessity_divergence_counts():
@@ -722,6 +758,11 @@ _KERNEL_PINS = [
 ]
 _KERNEL_IDS = [f"{eta}-{x0}-{N}" for eta, x0, N, _ in _KERNEL_PINS]
 
+#: sha256 of the values of the 16-path _cubic_d2 batch (N = 64, seed 5, start
+#: (2, -1)), the d = 2 Newton branch, recorded before the Newton iteration
+#: stopped allocating its damping factors and masked copies on every trial
+_CUBIC_D2_PIN = "38c6fb68fdc0e11bc0d139d86d8f6d2e5acbd490073eaa7de9965ec90aaa178d"
+
 
 @pytest.mark.parametrize("eta, x0, N, digest", _KERNEL_PINS, ids=_KERNEL_IDS)
 def test_implicit_kernel_bytes_are_pinned(eta, x0, N, digest):
@@ -746,6 +787,63 @@ def _cubic_d2():
         grad_drift,
         lambda t, h, x: np.zeros((x.shape[0], 2, 2, 2)),
     )
+
+
+def _cubic_d2_implicit(field=None):
+    g = make_grid(1.0, 64)
+    inc = sample_increments(g, 2, seed=5, start=0, count=16)
+    return simulate_batch(field or _cubic_d2(), g, inc, np.array([2.0, -1.0]),
+                          SchemeChoice(IMPLICIT))
+
+
+def test_implicit_d2_kernel_bytes_are_pinned():
+    out = _cubic_d2_implicit()
+    assert not out.diverged.any()
+    assert hashlib.sha256(out.values.tobytes()).hexdigest() == _CUBIC_D2_PIN
+
+
+def _linear_d2(c):
+    """b(x) = c x on d = m = 2 with sigma = I/2 and no declared monotone
+    constant: at dt = 1/c the Newton matrix I - dt grad b is exactly 0."""
+    return CoefficientField(
+        2, 2,
+        lambda t, h, x: c * x,
+        lambda t, h, x: np.broadcast_to(0.5 * np.eye(2), (x.shape[0], 2, 2)),
+        lambda t, h, x: np.broadcast_to(c * np.eye(2), (x.shape[0], 2, 2)),
+        lambda t, h, x: np.zeros((x.shape[0], 2, 2, 2)),
+    )
+
+
+def test_singular_newton_matrix_tags_every_path_diverged():
+    # every path's Newton matrix is singular, so each takes a NaN step and is
+    # tagged at step 1, not raised out of np.linalg.solve
+    field, g = _linear_d2(4.0), make_grid(1.0, 4)
+    inc = sample_increments(g, 2, seed=5, start=0, count=8)
+    out = simulate_batch(field, g, inc, np.array([2.0, -1.0]), SchemeChoice(IMPLICIT))
+    assert out.diverged.all()
+    assert (out.first_bad == 1).all()
+    spec = ModelSpec("linear_d2", field, {}, np.array([2.0, -1.0]))
+    with pytest.raises(DivergenceError) as exc:
+        simulate(spec, sample_noise(g, 2, seed=5), SchemeChoice(IMPLICIT))
+    assert exc.value.step == 1
+
+
+def test_singular_newton_matrix_on_path_0_leaves_the_other_paths():
+    # only path 0's Newton matrix is singular: it alone diverges, and the
+    # other paths keep the bytes of the clean run
+    f, g = _cubic_d2(), make_grid(1.0, 64)
+
+    def grad_drift(t, hist, x):
+        jac = f.grad_drift(t, hist, x)
+        jac[0] = np.eye(2) / g.dt  # I - dt jac[0] = 0
+        return jac
+
+    singular = replace(f, grad_drift=grad_drift)
+    inc = sample_increments(g, 2, seed=5, start=0, count=16)
+    out = _assert_batch_is_stack(singular, [singular] + [f] * 15, g, np.array([2.0, -1.0]), inc)
+    assert out.diverged[0].tolist() == [True] + [False] * 15
+    assert out.first_bad[0, 0] == 1
+    assert out.values[0, 1:].tobytes() == _cubic_d2_implicit().values[0, 1:].tobytes()
 
 
 def _nan_on_path_0(field):
