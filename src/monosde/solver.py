@@ -115,20 +115,19 @@ def solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _newton_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
     """The Newton step s (B, d) with jac s = -res, jac (B, d, d).
 
-    When the stacked solve finds a singular matrix, each path's system is
-    solved alone, to the same bits, and a path whose own matrix is singular
-    gets a NaN step."""
-    rhs = -res[..., None]
+    When the stacked solve finds a singular matrix, each half of the batch
+    is solved again on its own, down to the single path whose matrix is
+    singular, which gets a NaN step.  Every system is solved alone whatever
+    its stack, so the other paths' steps keep their bits."""
     try:
-        return solve_small(jac, rhs)[..., 0]
+        return solve_small(jac, -res[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        step = np.full(res.shape, np.nan)
-        for k in range(len(res)):
-            try:
-                step[k] = solve_small(jac[k:k + 1], rhs[k:k + 1])[0, :, 0]
-            except np.linalg.LinAlgError:
-                pass
-        return step
+        if len(res) == 1:
+            return np.full(res.shape, np.nan)
+        half = len(res) // 2
+        return np.concatenate(
+            [_newton_step(jac[:half], res[:half]), _newton_step(jac[half:], res[half:])]
+        )
 
 
 def _newton_solve(field, t_next, hist, x, dt, scheme, step_index, eye):
