@@ -80,6 +80,28 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _freeze_field(obj, name: str, shape: tuple, nonfinite: str):
+    """Replace the array field name of the frozen dataclass obj by a
+    read-only float copy, after checking its shape and that it is finite
+    (nonfinite is the message of the InvalidParameterError otherwise)."""
+    a = np.asarray(getattr(obj, name), dtype=float)
+    if a.shape != shape:
+        raise DimensionMismatchError(f"{name} shape {a.shape} != {shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidParameterError(nonfinite)
+    object.__setattr__(obj, name, _readonly(a))
+
+
+def partial_sums(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The running sums of a along axis from 0: entry i along that axis,
+    which is one longer than a's, is the sum of a's first i entries."""
+    shape = list(a.shape)
+    shape[axis] += 1
+    out = np.zeros(shape)
+    np.cumsum(a, axis=axis, out=out[(slice(None),) * axis + (slice(1, None),)])
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class NoisePath:
     """One realization of m-dimensional Brownian increments on a grid, with
@@ -91,20 +113,11 @@ class NoisePath:
     path_index: Optional[int] = None
 
     def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=float)
-        if inc.shape != (self.grid.N, self.m):
-            raise DimensionMismatchError(
-                f"increments shape {inc.shape} != {(self.grid.N, self.m)}"
-            )
-        if not np.all(np.isfinite(inc)):
-            raise InvalidParameterError("noise increments must be finite")
-        object.__setattr__(self, "increments", _readonly(inc))
+        _freeze_field(self, "increments", (self.grid.N, self.m), "noise increments must be finite")
 
     def brownian(self) -> np.ndarray:
         """Cumulative path W(t_i), shape (N + 1, m), W(0) = 0."""
-        w = np.zeros((self.grid.N + 1, self.m))
-        np.cumsum(self.increments, axis=0, out=w[1:])
-        return w
+        return partial_sums(self.increments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,14 +132,7 @@ class CameronMartinPath:
     density: np.ndarray  # (N, m)
 
     def __post_init__(self):
-        dens = np.asarray(self.density, dtype=float)
-        if dens.shape != (self.grid.N, self.m):
-            raise DimensionMismatchError(
-                f"density shape {dens.shape} != {(self.grid.N, self.m)}"
-            )
-        if not np.all(np.isfinite(dens)):
-            raise InvalidParameterError("hdot must be finite")
-        object.__setattr__(self, "density", _readonly(dens))
+        _freeze_field(self, "density", (self.grid.N, self.m), "hdot must be finite")
 
     @classmethod
     def constant(cls, grid: TimeGrid, value: float, m: int = 1) -> "CameronMartinPath":
@@ -152,16 +158,10 @@ class StatePath:
     values: np.ndarray  # (N + 1, d)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.N + 1, self.d):
-            raise DimensionMismatchError(
-                f"values shape {vals.shape} != {(self.grid.N + 1, self.d)}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise InvalidParameterError(
-                "StatePath values must be finite; diverged paths raise DivergenceError"
-            )
-        object.__setattr__(self, "values", _readonly(vals))
+        _freeze_field(
+            self, "values", (self.grid.N + 1, self.d),
+            "StatePath values must be finite; diverged paths raise DivergenceError",
+        )
 
     @property
     def terminal(self) -> np.ndarray:
@@ -380,13 +380,7 @@ class History:
     @cached_property
     def brownian(self) -> np.ndarray:
         """W(t_i) per row, shape (B, N + 1, m)."""
-
-        def cumulate(inc):
-            wb = np.zeros((inc.shape[0], self.grid.N + 1, self.m))
-            np.cumsum(inc, axis=1, out=wb[:, 1:])
-            return wb
-
-        return self._rows(cumulate)
+        return self._rows(lambda inc: partial_sums(inc, axis=1))
 
     def idx(self, t: float) -> int:
         return self.grid.index_of(t)
@@ -401,13 +395,9 @@ class History:
             g = np.asarray(integrand, dtype=float)
             if g.ndim == 1:
                 g = g[:, None]
-
-            def cumulate(inc):
-                s = np.zeros((inc.shape[0], self.grid.N + 1))
-                np.cumsum(np.einsum("bnm,nm->bn", inc, g), axis=1, out=s[:, 1:])
-                return s
-
-            self._ito[key] = self._rows(cumulate)
+            self._ito[key] = self._rows(
+                lambda inc: partial_sums(np.einsum("bnm,nm->bn", inc, g), axis=1)
+            )
         return self._ito[key]
 
 

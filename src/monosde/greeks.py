@@ -33,7 +33,7 @@ from .core import MCEstimate, TimeGrid, mc_estimate
 from .errors import InvalidParameterError, SingularDiffusionError
 from .models import ModelSpec
 from .solver import SchemeChoice, Stepper, live_paths, run_paths, solve_small
-from .variational import VariationalFactors
+from .variational import VariationalFactors, central_bumps
 
 _CONDITION_LIMIT = 1e12
 
@@ -126,11 +126,11 @@ def _samples(field, grid, scheme, theta, payoff, inc, a=None, eps=None):
     stops.
     """
     B, d = inc.shape[0], field.d
-    # variant 0 is the base when BEL runs; the bumped ones start at theta +- eps e_k
-    bumps = [np.zeros(d)] if a is not None else []
+    # variant 0 is the base when BEL runs; the last 2d are the central difference's
+    bumps = [np.zeros((1, d))] if a is not None else []
     if eps is not None:
-        bumps += [sign * eps * e for e in np.eye(d) for sign in (1.0, -1.0)]
-    run = Stepper(field, grid, inc, theta + np.array(bumps)[:, None], scheme)
+        bumps.append(central_bumps(d, eps))
+    run = Stepper(field, grid, inc, theta + np.concatenate(bumps)[:, None], scheme)
     N = run.N
     if a is not None:
         # BEL fields are deterministic, so the callbacks read no history rows
@@ -183,7 +183,7 @@ def _samples(field, grid, scheme, theta, payoff, inc, a=None, eps=None):
         bumped = node[-2 * d:]  # the last 2d variants
         grads = np.empty((B, d))
         for k in range(d):
-            grads[:, k] = (payoff(bumped[2 * k]) - payoff(bumped[2 * k + 1])) / (2.0 * eps)
+            grads[:, k] = (payoff(bumped[k]) - payoff(bumped[d + k])) / (2.0 * eps)
         samples += [grads, np.min(run.first_bad[-2 * d:], axis=0)]
     return tuple(samples)
 

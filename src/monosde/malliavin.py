@@ -82,6 +82,20 @@ class MalliavinField:
                 fh.write(format_lines(lead, templates[sj * d * m:], self.entries[pos, sj:]))
 
 
+def _noise_derivatives(field, s_vals: np.ndarray, t: float, hist, B: int):
+    """The noise-derivative processes U(s, t) (B, k, d, m) and V(s, t) (B, k,
+    d, m, m) of field at the k times s_vals, broadcast to B paths; each is
+    None when the field has no such process."""
+    shape = (B, len(s_vals), field.d, field.m)
+    u = v = None
+    if field.mall_drift is not None:
+        u = np.broadcast_to(np.asarray(field.mall_drift(s_vals, t, hist), dtype=float), shape)
+    if field.mall_diffusion is not None:
+        v = np.asarray(field.mall_diffusion(s_vals, t, hist), dtype=float)
+        v = np.broadcast_to(v, shape + (field.m,))
+    return u, v
+
+
 def _field_batch(
     out: Stepper,
     s_idx: np.ndarray,
@@ -100,7 +114,6 @@ def _field_batch(
     m = field.m
     k = len(s_idx)
     N, dt = out.N, out.grid.dt
-    use_uv = field.mall_drift is not None or field.mall_diffusion is not None
     s_times = s_idx * dt
 
     col_of = np.full(N + 1, -1, dtype=np.int64)
@@ -128,22 +141,15 @@ def _field_batch(
 
     for rec in out:
         i = rec.i
-        t = i * dt
         vf.take(rec)
         activate(i, vf.sig)
         upd = cur[:, :active] + vf.amat[:, None] @ cur[:, :active]
-        if use_uv:
-            sv = s_times[:active]
-            if field.mall_drift is not None:
-                u = np.asarray(field.mall_drift(sv, t, hist), dtype=float)
-                upd = upd + np.broadcast_to(u, (B, active, d, m)) * dt
-            if field.mall_diffusion is not None:
-                # V^{(i,j,k)} dW^j: contract the middle (Brownian) index
-                v = np.broadcast_to(
-                    np.asarray(field.mall_diffusion(sv, t, hist), dtype=float),
-                    (B, active, d, m, m),
-                )
-                upd = upd + np.einsum("bsijk,bj->bsik", v, vf.dw)
+        u, v = _noise_derivatives(field, s_times[:active], i * dt, hist, B)
+        if u is not None:
+            upd = upd + u * dt
+        if v is not None:
+            # V^{(i,j,k)} dW^j: contract the middle (Brownian) index
+            upd = upd + np.einsum("bsijk,bj->bsik", v, vf.dw)
         cur[:, :active] = upd
     activate(N, field.diffusion(N * dt, hist, rec.x_next[0]) if active < k else None)
     return entries
@@ -205,43 +211,23 @@ def representation_parts(
     N = grid.N
     dt = grid.dt
     values = bundle.base.values[None]
+    use_uv = field.mall_drift is not None or field.mall_diffusion is not None
 
     A = np.zeros((k, N + 1, d, m))
-    use_uv = field.mall_drift is not None or field.mall_diffusion is not None
-    s_times = s_idx * dt
-
-    sig_at = {}
-    for pos, sj in enumerate(s_idx):
-        sig_at[pos] = field.diffusion(sj * dt, hist, values[:, sj])[0]
-        A[pos, sj] = sig_at[pos]
-
-    if not use_uv:
-        for pos, sj in enumerate(s_idx):
-            A[pos, sj:] = sig_at[pos]
-        return RepresentationParts(bundle, s_idx, A)
-
     cur = np.zeros((k, d, m))
     active = 0
     for i in range(N + 1):
         while active < k and s_idx[active] == i:
-            cur[active] = sig_at[active]
+            cur[active] = field.diffusion(i * dt, hist, values[:, i])[0]
             active += 1
-        if i == N:
-            break
+        # J_s(t) A(s, t) uses A propagated to each t; rows keep their running value
+        A[:active, i] = cur[:active]
+        if i == N or not use_uv:
+            continue
         t = i * dt
-        sv = s_times[:active]
-        u = np.zeros((active, d, m))
-        if field.mall_drift is not None:
-            u = np.broadcast_to(
-                np.asarray(field.mall_drift(sv, t, hist), dtype=float),
-                (1, active, d, m),
-            )[0]
-        vmat = np.zeros((active, d, m, m))
-        if field.mall_diffusion is not None:
-            vmat = np.broadcast_to(
-                np.asarray(field.mall_diffusion(sv, t, hist), dtype=float),
-                (1, active, d, m, m),
-            )[0]
+        u, vmat = _noise_derivatives(field, s_idx[:active] * dt, t, hist, 1)
+        u = np.zeros((active, d, m)) if u is None else u[0]
+        vmat = np.zeros((active, d, m, m)) if vmat is None else vmat[0]
         # <grad_sigma(r), V(s, r)>^{(i,k)} = sum_{j,l} gs[i,j,l] V[l,j,k]
         gsr = field.grad_diffusion(t, hist, values[:, i])[0]  # (d, m, d)
         contr = np.einsum("ijl,sljk->sik", gsr, vmat)
@@ -252,8 +238,6 @@ def representation_parts(
             np.broadcast_to(bundle.K[i], (active, d, d)),
         )
         cur[:active] = cur[:active] + jinv @ ((u - contr) * dt + v_dw)
-        A[:active, i + 1] = cur[:active]
-    # J_s(t) A(s, t) uses A propagated to each t; rows keep their running value
     return RepresentationParts(bundle, s_idx, A)
 
 
@@ -270,22 +254,19 @@ def directional_step(vf: VariationalFactors, rec: StepRecord,
     that variant of rec and holds its noise."""
     field, hist, dt = vf.field, vf.hist, vf.dt
     i = rec.i
-    B, d, m = len(y), field.d, field.m
+    B, d = len(y), field.d
     t = i * dt
     hd = h.density  # (N, m)
     vf.take(rec)
     force_dt = np.einsum("bdm,m->bd", vf.sig, hd[i]) * dt
     force_dw = np.zeros((B, d))
-    if i > 0 and (field.mall_drift is not None or field.mall_diffusion is not None):
-        left = np.arange(i) * dt  # the left nodes s < t_i
-        if field.mall_drift is not None:
+    if i > 0:
+        # U and V at the left nodes s < t_i
+        u, v = _noise_derivatives(field, np.arange(i) * dt, t, hist, B)
+        if u is not None:
             # int_0^{t_i} U(s, t_i) hdot(s) ds, left-point in s
-            u = np.asarray(field.mall_drift(left, t, hist), dtype=float)
-            u = np.broadcast_to(u, (B, i, d, m))
             force_dt = force_dt + np.einsum("bsdm,sm->bd", u, hd[:i]) * dt * dt
-        if field.mall_diffusion is not None:
-            v = np.asarray(field.mall_diffusion(left, t, hist), dtype=float)
-            v = np.broadcast_to(v, (B, i, d, m, m))
+        if v is not None:
             # (int_0^{t_i} V(s, t_i) hdot(s) ds)^{(d, j)} then contract with dW^j
             iv = np.einsum("bsdjk,sk->bdj", v, hd[:i]) * dt
             force_dw = np.einsum("bdj,bj->bd", iv, vf.dw)

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import History, NoisePath, TimeGrid, make_grid, sample_noise
+from .core import History, NoisePath, TimeGrid, make_grid, partial_sums, sample_noise
 from .errors import (
     InvalidParameterError,
     NoClosedFormError,
@@ -140,15 +140,9 @@ def _const(value):
 # ---------------------------------------------------------------------------
 
 
-def _brownian(inc):
-    b = np.zeros((inc.shape[0], inc.shape[1] + 1))
-    np.cumsum(inc[..., 0], axis=1, out=b[:, 1:])
-    return b
-
-
 def _gbm_closed_form(x0, mu, sig):
     def state(inc, grid, t_idx):
-        w = _brownian(inc)[:, t_idx]
+        w = partial_sums(inc[..., 0], axis=1)[:, t_idx]
         t = t_idx * grid.dt
         return (x0 * np.exp((mu - 0.5 * sig**2) * t + sig * w))[:, None]
 
@@ -198,13 +192,11 @@ def random_sigma_parts(inc: np.ndarray, grid: TimeGrid, g_vals: np.ndarray):
     Gw_r = sum_{u<r} g_u dW_u and S_i = sum_{r<i} E_r (dW_r - dt).
     """
     dt = grid.dt
-    w = _brownian(inc)
+    w = partial_sums(inc[..., 0], axis=1)
     t = grid.nodes
     e = np.exp(0.5 * t[None, :] - w)
-    gw = np.zeros_like(w)
-    np.cumsum(inc[..., 0] * g_vals[None, :], axis=1, out=gw[:, 1:])
-    s = np.zeros_like(w)
-    np.cumsum(e[:, :-1] * (inc[..., 0] - dt), axis=1, out=s[:, 1:])
+    gw = partial_sums(inc[..., 0] * g_vals[None, :], axis=1)
+    s = partial_sums(e[:, :-1] * (inc[..., 0] - dt), axis=1)
     return w, e, gw, s
 
 
@@ -218,8 +210,7 @@ def random_sigma_state_values(inc: np.ndarray, grid: TimeGrid, g_vals: np.ndarra
     """
     dt = grid.dt
     w, e, gw, _ = random_sigma_parts(inc, grid, g_vals)
-    integ = np.zeros(w.shape)
-    np.cumsum(e[:, :-1] * gw[:, :-1] * (inc[..., 0] - dt), axis=1, out=integ[:, 1:])
+    integ = partial_sums(e[:, :-1] * gw[:, :-1] * (inc[..., 0] - dt), axis=1)
     return np.exp(w - 0.5 * grid.nodes[None, :]) * (1.0 + integ)
 
 
@@ -263,7 +254,7 @@ def _random_sigma_closed_form(g_func):
         return random_sigma_state_values(inc, grid, g_func(grid))[:, t_idx][:, None]
 
     def jacobian(inc, grid, t_idx):
-        w = _brownian(inc)[:, t_idx]
+        w = partial_sums(inc[..., 0], axis=1)[:, t_idx]
         t = t_idx * grid.dt
         return np.exp(w - 0.5 * t)[:, None, None]
 

@@ -112,22 +112,21 @@ def solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def _newton_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """The Newton step s (B, d) with jac s = -res, jac (B, d, d).
+def solve_paths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """solve_small(a, b) for the systems of B paths, a (B, d, d) and b (B,
+    d, k), where a path whose a is exactly singular gets NaN.
 
     When the stacked solve finds a singular matrix, each half of the batch
     is solved again on its own, down to the single path whose matrix is
-    singular, which gets a NaN step.  Every system is solved alone whatever
-    its stack, so the other paths' steps keep their bits."""
+    singular.  Every system is solved alone whatever its stack, so the other
+    paths' solutions keep their bits."""
     try:
-        return solve_small(jac, -res[..., None])[..., 0]
+        return solve_small(a, b)
     except np.linalg.LinAlgError:
-        if len(res) == 1:
-            return np.full(res.shape, np.nan)
-        half = len(res) // 2
-        return np.concatenate(
-            [_newton_step(jac[:half], res[:half]), _newton_step(jac[half:], res[half:])]
-        )
+        if len(a) == 1:
+            return np.full(b.shape, np.nan)
+        half = len(a) // 2
+        return np.concatenate([solve_paths(a[:half], b[:half]), solve_paths(a[half:], b[half:])])
 
 
 def _newton_solve(field, t_next, hist, x, dt, scheme, step_index, eye):
@@ -136,7 +135,7 @@ def _newton_solve(field, t_next, hist, x, dt, scheme, step_index, eye):
 
     Each path stops at its own first iterate within tol, so its root does not
     depend on the other paths of the batch.  A path whose Newton matrix is
-    singular takes a NaN step, so simulate_batch tags it diverged.
+    singular takes a NaN step, so the kernel's divergence check tags it.
 
     An iteration allocates only what its iterate needs: the Newton matrix and
     step, and per line-search trial the trial point, its residual, its norm
@@ -157,7 +156,7 @@ def _newton_solve(field, t_next, hist, x, dt, scheme, step_index, eye):
     norm = np.abs(res).max(axis=1)
     for it in range(scheme.newton_max_iter + 1):
         # A path iterates while its iterate is finite and its residual is not
-        # within tol (NaN is not); simulate_batch tags a non-finite iterate.
+        # within tol (NaN is not); the kernel tags a non-finite iterate.
         active = norm <= tol
         np.logical_not(active, out=active)
         active &= np.isfinite(y).all(axis=1)
@@ -167,7 +166,7 @@ def _newton_solve(field, t_next, hist, x, dt, scheme, step_index, eye):
             raise NewtonFailureError(step_index, np.max(norm[active]), tol)
         jac = dt * field.grad_drift(t_next, hist, y)
         np.subtract(eye, jac, out=jac)
-        step = _newton_step(jac, res)
+        step = solve_paths(jac, -res[..., None])[..., 0]
         y_try, lam = y + step, None
         for halvings in range(31):
             res_try = residual(y_try)
@@ -353,8 +352,9 @@ class PathStepper(Stepper):
     """The Stepper of every single-path function: one path from spec.theta0
     on the noise w and its grid.  Iterating keeps its states (`path` once the
     last step ran) and raises DivergenceError (with w.path_index) in place of
-    the record of the step at which the path diverges.  Another initial
-    condition is another spec: dataclasses.replace(spec, theta0=...)."""
+    the record of the step at which the path diverges; a NewtonFailureError
+    names w.path_index as well.  Another initial condition is another spec:
+    dataclasses.replace(spec, theta0=...)."""
 
     def __init__(self, spec: ModelSpec, w: NoisePath, scheme: SchemeChoice):
         check_noise(w, spec.m)
@@ -364,11 +364,14 @@ class PathStepper(Stepper):
         self.values[0] = self.theta[0, 0]
 
     def __iter__(self):
-        for rec in super().__iter__():
-            if self.diverged[0, 0]:
-                raise DivergenceError(self.first_bad[0, 0], self.path_index)
-            self.values[rec.i + 1] = rec.x_next[0, 0]
-            yield rec
+        try:
+            for rec in super().__iter__():
+                if self.diverged[0, 0]:
+                    raise DivergenceError(self.first_bad[0, 0], self.path_index)
+                self.values[rec.i + 1] = rec.x_next[0, 0]
+                yield rec
+        except NewtonFailureError as err:
+            raise err.at_path(self.path_index) from None
 
     @property
     def path(self) -> StatePath:

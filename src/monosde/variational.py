@@ -35,11 +35,12 @@ from .errors import (
     DivergenceError,
     InvalidParameterError,
     MissingGradientsError,
+    NewtonFailureError,
 )
 from .models import ModelSpec
 from .solver import (
     EULER, TAMED, PathStepper, SchemeChoice, StepRecord, Stepper, check_noise, simulate_batch,
-    solve_small,
+    solve_paths,
 )
 
 
@@ -93,9 +94,10 @@ class VariationalFactors:
             tame = 1.0 / rec.denom[0]  # (B, 1)
             self.dmat = field.grad_drift(t, self.hist, x) * (dt * tame[:, :, None])
         else:  # IMPLICIT: (I - dt grad_b(t_{i+1}, Y))^{-1} - I, Y rebuilt from the step
+            # NaN where the matrix is singular, as in the kernel's Newton step
             y = rec.x_next[0] - np.einsum("bdm,bm->bd", sig, dw)
             jac = self._eye - dt * field.grad_drift(t + dt, self.hist, y)
-            self.dmat = solve_small(jac, self._eyes) - self._eye
+            self.dmat = solve_paths(jac, self._eyes) - self._eye
         self.amat = self.dmat + self.smat
 
     def inverse_factor(self) -> np.ndarray:
@@ -229,6 +231,12 @@ def check_finite_nodes(values: np.ndarray, what: str, axis: int = 0):
         raise DivergenceError(int(np.argmax(bad)), what=what)
 
 
+def central_bumps(d: int, eps: float) -> np.ndarray:
+    """The offsets (2d, d) of the central difference's starts from x: row k
+    is eps e_k and row d + k is -eps e_k."""
+    return np.concatenate([np.eye(d), -np.eye(d)]) * eps
+
+
 def finite_difference_jacobian(
     spec: ModelSpec,
     w: NoisePath,
@@ -242,9 +250,11 @@ def finite_difference_jacobian(
         raise InvalidParameterError("eps must be > 0")
     check_noise(w, spec.m)
     d = spec.d
-    # variants k and d + k start from x + eps e_k and x - eps e_k
-    bumps = np.concatenate([np.eye(d), -np.eye(d)])[:, None] * eps
-    run = simulate_batch(spec.field, w.grid, w.increments[None], spec.theta0 + bumps, scheme)
+    starts = spec.theta0 + central_bumps(d, eps)[:, None]
+    try:
+        run = simulate_batch(spec.field, w.grid, w.increments[None], starts, scheme)
+    except NewtonFailureError as err:
+        raise err.at_path(w.path_index) from None
     if run.diverged.any():
         raise DivergenceError(run.first_bad.min(), w.path_index)
     x = run.values[:, 0]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -159,6 +160,73 @@ def test_representation_with_random_coefficients():
         errs.append(worst)
         assert worst <= 5.0 * np.sqrt(g.dt)
     assert errs[1] < errs[0]
+
+
+_U = 0.7
+
+
+def _ou_with_drift_derivative():
+    """OU (kappa 1, sigma 0.5) declared random, with U(s, t) = 0.7 1{s < t}:
+    M_s(t) = sigma e^{-kappa tau} + (U / kappa) (1 - e^{-kappa tau}), tau = t - s."""
+    spec = zoo_lookup("ou", {"kappa": 1.0, "sigma": 0.5})
+
+    def mall_drift(s_vals, t, hist):
+        s = np.atleast_1d(np.asarray(s_vals, dtype=float))
+        return np.where(s < t, _U, 0.0)[:, None, None]
+
+    return replace(spec, field=replace(spec.field, mall_drift=mall_drift, deterministic=False))
+
+
+@pytest.mark.parametrize("N", [256, 1024, 4096])
+def test_field_and_representation_match_a_nonzero_u(N):
+    # the zoo's only U is identically 0; this one forces M_s with U dt
+    spec = _ou_with_drift_derivative()
+    g = make_grid(1.0, N)
+    w = sample_noise(g, 1, seed=7)
+    scheme = SchemeChoice(EULER)
+    fld = malliavin_field(spec, w, scheme, s_stride=N // 8)
+    rep = representation_parts(jacobian(spec, w, scheme), s_stride=N // 8)
+    for pos, sj in enumerate(fld.s_indices):
+        tau = (np.arange(sj, N + 1) - sj) * g.dt
+        exact = 0.5 * np.exp(-tau) + _U * (1.0 - np.exp(-tau))
+        pred = np.array([rep.predicted(sj, ti)[0, 0] for ti in range(sj, N + 1)])
+        # Euler is first order here: both errors are 0.70 dt at each N
+        assert np.max(np.abs(fld.entries[pos, sj:, 0, 0] - exact)) <= g.dt
+        assert np.max(np.abs(pred - exact)) <= g.dt
+
+
+#: sha256 of the Malliavin field entries, the representation's A and D^h X
+#: (h = 1) on Euler, N = 256, seed 7, s_stride 32: with a non-zero U (the OU
+#: above) and with a non-zero V (the random-sigma model)
+_NOISE_DERIVATIVE_PINS = {
+    "ou_u": (
+        _ou_with_drift_derivative,
+        "debec98195b45580f1dad78fb6b34a8baeade4e3cbe8b85261fb3b620bbf28fb",
+        "95471edfe5d1799ac3cdb3f648f439e271990257683836d2f1a0e83984f155c7",
+        "0a4ed99e0249a07de5ace8f448f7ee26f9226ea59a6f2c085c82b58cfde94a05",
+    ),
+    "random_sigma": (
+        lambda: zoo_lookup("random_sigma_example"),
+        "e43859d41447df41cf6f2f5f68f5acfbbadf8f013ffa21f6ca8b92fe2f5845ce",
+        "218349cd2598eeb553ea7ac9b53d3e00f9d9955cdd6b28995021f1414bea4c7f",
+        "064caec1eca8c71e56ddc616bef20d668e3908a5d46c2b5a0b0aa7ad4a30284b",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_NOISE_DERIVATIVE_PINS))
+def test_noise_derivative_passes_are_pinned(model):
+    build, *digests = _NOISE_DERIVATIVE_PINS[model]
+    spec = build()
+    g = make_grid(1.0, 256)
+    w = sample_noise(g, 1, seed=7)
+    scheme = SchemeChoice(EULER)
+    outputs = (
+        malliavin_field(spec, w, scheme, s_stride=32).entries,
+        representation_parts(jacobian(spec, w, scheme), s_stride=32).A,
+        directional_derivative(spec, w, scheme, CameronMartinPath.constant(g, 1.0)).values,
+    )
+    assert [hashlib.sha256(a.tobytes()).hexdigest() for a in outputs] == digests
 
 
 def test_directional_zero_direction():

@@ -33,7 +33,9 @@ from monosde import (
 from monosde import shiftlab, solver
 from monosde.core import chunk_size, mc_estimate, sample_increments
 from monosde.errors import MonosdeError
-from monosde.greeks import _samples, _weight_table, constant_weight, gradients, identity_payoff
+from monosde.greeks import (
+    _samples, _weight_table, constant_weight, gradients, identity_payoff, tanh_payoff,
+)
 from monosde.shiftlab import _ladder_samples, cameron_martin_check, clipped_sup_norm, gateaux_ladder
 from monosde.models import CoefficientField, ModelSpec
 from monosde.solver import (
@@ -828,6 +830,18 @@ def test_singular_newton_matrix_tags_every_path_diverged():
     assert exc.value.step == 1
 
 
+@pytest.mark.parametrize("kw", [{"eps": 1e-3}, {"weights": (constant_weight(),)}],
+                         ids=["fd", "bel"])
+def test_singular_newton_matrix_in_greeks_raises_the_divergence(kw):
+    # every path diverges at step 1 on a singular Newton matrix; BEL's
+    # variational pass meets the same matrix on those rows and leaves them to
+    # the divergence mask instead of raising out of the solve
+    spec = ModelSpec("linear_d2", _linear_d2(4.0), {}, np.array([2.0, -1.0]))
+    with pytest.raises(DivergenceError) as exc:
+        gradients(spec, make_grid(1.0, 4), SchemeChoice(IMPLICIT), tanh_payoff(), 8, 1, **kw)
+    assert str(exc.value) == "state diverged at step 1 (path 0)"
+
+
 def test_singular_newton_matrix_on_path_0_leaves_the_other_paths():
     # only path 0's Newton matrix is singular: it alone diverges, and the
     # other paths keep the bytes of the clean run
@@ -975,12 +989,11 @@ def test_nan_path_does_not_keep_newton_iterating():
     assert all(nan[i] <= clean[i] for i in range(64))
 
 
-def _single_path_calls(spec, w):
-    scheme = SchemeChoice(EULER)
+def _single_path_calls(spec, w, scheme=SchemeChoice(EULER)):
     h = CameronMartinPath.constant(w.grid, 1.0, spec.m)
     return {
         "finite_difference_jacobian": lambda: finite_difference_jacobian(spec, w, scheme, 1e-4),
-        "simulate": lambda: simulate(spec, w),
+        "simulate": lambda: simulate(spec, w, scheme),
         "jacobian": lambda: jacobian(spec, w, scheme),
         "gateaux_direction": lambda: gateaux_direction(spec, w, scheme, np.ones(spec.d)),
         "malliavin_field": lambda: malliavin_field(spec, w, scheme, s_stride=8),
@@ -1043,6 +1056,19 @@ def test_single_path_divergence_names_the_noise_path(fn):
     with pytest.raises(DivergenceError) as exc:
         _single_path_calls(spec, w)[fn]()
     assert (exc.value.step, exc.value.path_index) == (5, 3)
+
+
+@pytest.mark.parametrize("fn", _SINGLE_PATH)
+def test_single_path_newton_failure_names_the_noise_path(fn):
+    # one Newton iteration leaves GL's step-1 residual above the tolerance
+    spec = zoo_lookup("ginzburg_landau")
+    w = sample_noise(make_grid(1.0, 16), 1, seed=1, path_index=5)
+    with pytest.raises(NewtonFailureError) as exc:
+        _single_path_calls(spec, w, SchemeChoice(IMPLICIT, newton_max_iter=1))[fn]()
+    # the bumped starts of the central difference leave 6.066e-05
+    assert str(exc.value) in [
+        f"Newton residual {r} > tol 1.000e-10 at step 1 (path 5)" for r in ("6.065e-05", "6.066e-05")
+    ]
 
 
 #: name -> (spec, T, N) of the stacked-variant checks
