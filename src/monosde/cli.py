@@ -123,8 +123,10 @@ class ExperimentConfig:
     grid_T: float = _key("grid.T", _NUMBER, positive=True)
     grid_N: int = _key("grid.N", _INT, minimum=1)
     scheme: str = _key("scheme", default="tamed_euler", choices=SCHEMES)
-    newton_tol: float = _key("scheme.newton_tol", _NUMBER, 1e-10, positive=True)
-    newton_max_iter: int = _key("scheme.newton_max_iter", _INT, 50, minimum=1)
+    newton_tol: float = _key("scheme.newton_tol", _NUMBER, SchemeChoice.newton_tol, positive=True)
+    newton_max_iter: int = _key(
+        "scheme.newton_max_iter", _INT, SchemeChoice.newton_max_iter, minimum=1
+    )
     seed: int = _key("seed", _INT, 0, minimum=0)
     n_paths: int = _key("n_paths", _INT, 1, minimum=1)
     s_stride: int = _key("malliavin.s_stride", _INT, 8, minimum=1)

@@ -93,7 +93,9 @@ class NewtonFailureError(MonosdeError, RuntimeError):
 
 
 class SingularDiffusionError(MonosdeError, RuntimeError):
-    """The diffusion matrix is (numerically) singular where an inverse is needed.
+    """The diffusion matrix is (numerically) singular where an inverse is needed:
+    in BEL, |sigma^{-1}| > 1e12, an exactly singular sigma included, on a path
+    live at the horizon (a path that diverged is masked out instead).
 
     Attributes: reason (the message without the path) and the global path
     index when known.

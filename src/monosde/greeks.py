@@ -32,7 +32,7 @@ import numpy as np
 from .core import MCEstimate, TimeGrid, mc_estimate
 from .errors import InvalidParameterError, SingularDiffusionError
 from .models import ModelSpec
-from .solver import SchemeChoice, Stepper, live_paths, run_paths, solve_small
+from .solver import SchemeChoice, Stepper, live_paths, run_paths, solve_paths
 from .variational import VariationalFactors, central_bumps
 
 _CONDITION_LIMIT = 1e12
@@ -119,11 +119,9 @@ def _samples(field, grid, scheme, theta, payoff, inc, a=None, eps=None):
     and w* recursion on each step's record and FD reads the last step's
     states, so no path values are stored.
 
-    A singular sigma raises SingularDiffusionError after the pass, at the
-    first step where one shows: a near-singular sigma on a base path still
-    live at the end (diverged paths are masked out of the estimate), or an
-    exactly singular d > 1 sigma (no solve) on any path, where the recursion
-    stops.
+    One rule covers a (near) singular sigma: SingularDiffusionError at its
+    first step on a base path live at the end, or masked out with a path
+    that diverged.
     """
     B, d = inc.shape[0], field.d
     # variant 0 is the base when BEL runs; the last 2d are the central difference's
@@ -138,22 +136,17 @@ def _samples(field, grid, scheme, theta, payoff, inc, a=None, eps=None):
         J = np.broadcast_to(np.eye(d), (B, d, d)).copy()
         wstar = np.zeros((B, len(a), d))
         singular = np.full(B, N + 1)  # first near-singular step per path
-        unsolvable = None  # first step whose sigma has no solve
 
     samples = []
-    # a diverged path's frozen state (up to DIVERGENCE_BOUND) overflows its
-    # J and weight, and a zero sigma divides; those paths are masked out
+    # a diverged path's frozen state overflows its J and weight, and a
+    # singular sigma gives NaN or inf; those paths are masked out
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for rec in run:
-            if a is None or unsolvable is not None:
+            if a is None:
                 continue
             i = rec.i
             vf.take(rec)
-            try:
-                siginv_j = solve_small(vf.sig, J)
-            except np.linalg.LinAlgError:
-                unsolvable = i
-                continue
+            siginv_j = solve_paths(vf.sig, J)
             if d == 1:
                 near = np.abs(vf.sig[:, 0, 0]) < 1.0 / _CONDITION_LIMIT
             else:
@@ -170,14 +163,11 @@ def _samples(field, grid, scheme, theta, payoff, inc, a=None, eps=None):
 
         if a is not None:
             first_bad = run.first_bad[0]
-            # recorded steps all precede an unsolvable one
             step = np.min(singular, where=first_bad > N, initial=N + 1)
             if step <= N:
                 raise SingularDiffusionError(
                     f"diffusion below 1/{_CONDITION_LIMIT:.0e} at step {step}"
                 )
-            if unsolvable is not None:
-                raise SingularDiffusionError(f"singular diffusion at step {unsolvable}")
             samples += [payoff(node[0])[:, None, None] * wstar, first_bad]
     if eps is not None:
         bumped = node[-2 * d:]  # the last 2d variants

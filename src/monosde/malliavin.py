@@ -23,7 +23,7 @@ import numpy as np
 from .core import CameronMartinPath, NoisePath, StatePath, TimeGrid, format_lines
 from .errors import DivergenceError, InvalidParameterError
 from .models import ModelSpec
-from .solver import EULER, PathStepper, SchemeChoice, StepRecord, Stepper
+from .solver import PathStepper, SchemeChoice, StepRecord, Stepper
 from .variational import JacobianBundle, VariationalFactors, check_finite_nodes
 
 
@@ -158,7 +158,7 @@ def _field_batch(
 def malliavin_field(
     spec: ModelSpec,
     w: NoisePath,
-    scheme: SchemeChoice = SchemeChoice(EULER),
+    scheme: SchemeChoice,
     s_stride: int = 1,
 ) -> MalliavinField:
     """Compute D_s X(t) on the (s_lattice x grid) lattice for one noise path,

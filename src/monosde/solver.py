@@ -79,7 +79,7 @@ SCHEMES = (EULER, TAMED, IMPLICIT)
 
 @dataclass(frozen=True)
 class SchemeChoice:
-    kind: str = TAMED
+    kind: str
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
 
@@ -102,26 +102,17 @@ def _check_implicit_dt(field: CoefficientField, grid: TimeGrid):
         )
 
 
-def solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with a @ x = b for a stack of small systems, a (B, d, d) and b (B, d, k).
+def solve_paths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a @ x = b for the small systems of B paths, a (B, d, d) and b
+    (B, d, k), where a path whose a is exactly singular gets NaN (or inf).
 
     d = 1 divides, bit-identical to LAPACK's 1x1 solve without its per-call
-    cost; d > 1 raises np.linalg.LinAlgError on an exactly singular a."""
+    cost.  For d > 1 a singular stack is bisected down to its singular paths;
+    each system is solved alone, so the others keep their bits."""
     if a.shape[-1] == 1:
         return b / a
-    return np.linalg.solve(a, b)
-
-
-def solve_paths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """solve_small(a, b) for the systems of B paths, a (B, d, d) and b (B,
-    d, k), where a path whose a is exactly singular gets NaN.
-
-    When the stacked solve finds a singular matrix, each half of the batch
-    is solved again on its own, down to the single path whose matrix is
-    singular.  Every system is solved alone whatever its stack, so the other
-    paths' solutions keep their bits."""
     try:
-        return solve_small(a, b)
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         if len(a) == 1:
             return np.full(b.shape, np.nan)
@@ -215,19 +206,19 @@ class StepRecord:
 class Stepper:
     """The stepping kernel over a batch of paths.
 
-    increments: (P, N, m); theta broadcasts to (K, P, d) for K variants of
-    the P paths, variant k of path p starting from theta[k, p]: (d,), (P,
-    d), (K, 1, d) or (K, P, d).  K is len(shifts), else theta's first axis
-    when it has three, else 1.  The variants share the noise, or with
-    shifts (K, N, m) variant k runs on the noise shifted by shifts[k]: its
-    step i reads inc[:, i] + shifts[k, i].  Variant 0 is the base, which a
-    noise-shifted batch runs on the zero shift.  Iterating runs the N steps
-    in order and yields each step's StepRecord after the divergence tagging;
-    `theta` holds the (K, P, d) starts, and `diverged` and `first_bad` (K,
-    P) (N+1 for a path that never diverged) are final after the last step.
-    `hist` is the noise as the coefficient callbacks read it: they see the
-    states flattened to (K*P, d), row k*P + p being path p of variant k.
-    Iterate once.
+    increments: (P, N, m) with N = grid.N and m = field.m; theta broadcasts
+    to (K, P, d) for K variants of the P paths, variant k of path p starting
+    from theta[k, p]: (d,), (P, d), (K, 1, d) or (K, P, d).  K is
+    len(shifts), else theta's first axis when it has three, else 1.  The
+    variants share the noise, or with shifts (K, N, m) variant k runs on the
+    noise shifted by shifts[k]: its step i reads inc[:, i] + shifts[k, i].
+    Variant 0 is the base, which a noise-shifted batch runs on the zero
+    shift.  Iterating runs the N steps in order and yields each step's
+    StepRecord after the divergence tagging; `theta` holds the (K, P, d)
+    starts, and `diverged` and `first_bad` (K, P) (N+1 for a path that never
+    diverged) are final after the last step.  `hist` is the noise as the
+    coefficient callbacks read it: they see the states flattened to (K*P,
+    d), row k*P + p being path p of variant k.  Iterate once.
     """
 
     def __init__(
@@ -241,6 +232,10 @@ class Stepper:
     ):
         self.inc = np.asarray(increments, dtype=float)
         P, self.N, m = self.inc.shape
+        if self.N != grid.N:
+            raise InvalidParameterError(f"increments have {self.N} steps, the grid {grid.N}")
+        if m != field.m:
+            raise InvalidParameterError("noise dimension does not match the model")
         theta = np.asarray(theta, dtype=float)
         K = len(theta) if theta.ndim == 3 else 1
         if shifts is not None:
@@ -342,12 +337,6 @@ def simulate_batch(
     return run
 
 
-def check_noise(w: NoisePath, m: int):
-    """Reject a noise path of another dimension than m."""
-    if w.m != m:
-        raise InvalidParameterError("noise dimension does not match the model")
-
-
 class PathStepper(Stepper):
     """The Stepper of every single-path function: one path from spec.theta0
     on the noise w and its grid.  Iterating keeps its states (`path` once the
@@ -357,7 +346,6 @@ class PathStepper(Stepper):
     dataclasses.replace(spec, theta0=...)."""
 
     def __init__(self, spec: ModelSpec, w: NoisePath, scheme: SchemeChoice):
-        check_noise(w, spec.m)
         super().__init__(spec.field, w.grid, w.increments[None], spec.theta0, scheme)
         self.path_index = w.path_index
         self.values = np.empty((self.N + 1, spec.d))
@@ -381,7 +369,7 @@ class PathStepper(Stepper):
 def simulate(
     spec: ModelSpec,
     w: NoisePath,
-    scheme: SchemeChoice = SchemeChoice(EULER),
+    scheme: SchemeChoice,
 ) -> StatePath:
     """Simulate one path of the base SDE on the noise w and its grid; raises
     DivergenceError on blow-up."""

@@ -39,8 +39,7 @@ from .errors import (
 )
 from .models import ModelSpec
 from .solver import (
-    EULER, TAMED, PathStepper, SchemeChoice, StepRecord, Stepper, check_noise, simulate_batch,
-    solve_paths,
+    EULER, TAMED, PathStepper, SchemeChoice, StepRecord, Stepper, simulate_batch, solve_paths,
 )
 
 
@@ -184,7 +183,7 @@ def _jacobian_arrays(run: Stepper):
 def jacobian(
     spec: ModelSpec,
     w: NoisePath,
-    scheme: SchemeChoice = SchemeChoice(EULER),
+    scheme: SchemeChoice,
 ) -> JacobianBundle:
     """Solve the base SDE and its first-variation system on one noise path
     and its grid."""
@@ -248,7 +247,6 @@ def finite_difference_jacobian(
     (N+1, d, d).  The 2d starts x +- eps e_k run as one stacked Stepper."""
     if not (eps > 0):
         raise InvalidParameterError("eps must be > 0")
-    check_noise(w, spec.m)
     d = spec.d
     starts = spec.theta0 + central_bumps(d, eps)[:, None]
     try:

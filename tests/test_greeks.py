@@ -97,6 +97,24 @@ def test_bel_digital_delta():
     assert z <= 3.0
 
 
+def test_bel_and_fd_digital_delta():
+    # the lognormal digital delta phi(d2) / (x sigma sqrt(T)) = 1.97240, from
+    # both BEL weights and the central difference on one noise draw; BEL
+    # needs no smoothness of the payoff, so its stderr is below FD's
+    mu, sig, x, K, T = 0.05, 0.2, 1.0, 1.0, 1.0
+    spec = zoo_lookup("gbm", {"mu": mu, "sigma": sig, "x0": x})
+    reps = gradients(
+        spec, make_grid(T, 256), SchemeChoice(EULER), digital_payoff(K), 100_000, 5, 2,
+        weights=(constant_weight(), linear_weight()), eps=1e-2,
+    )
+    d2 = (math.log(x / K) + (mu - 0.5 * sig**2) * T) / (sig * math.sqrt(T))
+    closed = math.exp(-0.5 * d2**2) / math.sqrt(2 * math.pi) / (x * sig * math.sqrt(T))
+    assert [rep.method for rep in reps] == ["bel", "bel", "fd"]
+    for rep in reps:
+        assert abs(rep.estimate.mean[0] - closed) <= 3.0 * rep.estimate.stderr[0]
+    assert max(rep.estimate.stderr[0] for rep in reps[:2]) < reps[2].estimate.stderr[0]
+
+
 def test_bel_weight_invariance():
     spec = zoo_lookup("gbm", {"mu": 0.05, "sigma": 0.2})
     g = make_grid(1.0, 128)
@@ -290,7 +308,7 @@ def test_bel_d2_large_jacobian_is_not_singular():
 
 
 @pytest.mark.parametrize(
-    "small, message", [(1e-13, "diffusion below"), (0.0, "singular diffusion")]
+    "small, message", [(1e-13, "diffusion below"), (0.0, "diffusion below")]
 )
 def test_bel_d2_singular_live_row_raises(small, message):
     # diverged rows share the batch with one live row whose sigma = diag(x)
@@ -306,6 +324,21 @@ def test_bel_d2_singular_live_row_raises(small, message):
     a = _weight_table((constant_weight(),), g)
     with pytest.raises(SingularDiffusionError, match=message):
         _samples(field, g, scheme, theta, tanh_payoff(), inc, a=a)
+
+
+def test_bel_d2_singular_sigma_on_a_diverged_row_is_masked():
+    # row 0 starts on sigma = diag(50, 0), exactly singular, and diverges at
+    # step 5; its NaN sigma^{-1} J is masked out like a near-singular one
+    field = _twin_ginzburg_landau(1.0)
+    g = make_grid(2.0, 8)
+    theta = np.ones((64, 2))
+    theta[0] = (50.0, 0.0)
+    inc = sample_increments(g, 2, 21, 0, 64)
+    a = _weight_table((constant_weight(),), g)
+    vals, first_bad = _samples(field, g, SchemeChoice(EULER), theta, tanh_payoff(), inc, a=a)
+    assert first_bad[0] == 5
+    assert np.all(first_bad[1:] == g.N + 1)
+    assert np.all(np.isfinite(vals[1:]))
 
 
 def _time_singular_field(scales):
@@ -325,9 +358,10 @@ def _time_singular_field(scales):
 @pytest.mark.parametrize(
     "scales, message",
     [
-        # near singular at step 1, no solve at step 3: the earlier step wins
+        # near singular at step 1, exactly singular at step 3: the earlier
+        # step wins
         ([1.0, 1e-13, 1.0, 0.0], "diffusion below 1/1e\\+12 at step 1$"),
-        ([1.0, 1.0, 1.0, 0.0], "singular diffusion at step 3$"),
+        ([1.0, 1.0, 1.0, 0.0], "diffusion below 1/1e\\+12 at step 3$"),
     ],
 )
 def test_bel_d2_reports_the_first_singular_step(scales, message):

@@ -63,3 +63,39 @@ def test_the_guard_finds_a_private_import():
 )
 def test_no_module_imports_a_private_name(module):
     assert _private_imports((_SRC / module).read_text()) == []
+
+
+def _linalg_solve_names(source: str) -> list:
+    """The references a module makes to numpy.linalg's solve and its
+    LinAlgError, as linalg.<name>, in walk order."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+            if node.value.attr == "linalg" and node.attr in ("solve", "LinAlgError"):
+                names.append(f"linalg.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            names += [
+                f"linalg.{alias.name}" for alias in node.names
+                if alias.name in ("solve", "LinAlgError")
+            ]
+    return names
+
+
+def test_the_guard_finds_a_linalg_solve():
+    source = (
+        "from numpy.linalg import solve, norm\n"
+        "try:\n    x = np.linalg.solve(a, b)\nexcept np.linalg.LinAlgError:\n    x = None\n"
+        "y = np.linalg.norm(x)\n"
+    )
+    assert sorted(_linalg_solve_names(source)) == [
+        "linalg.LinAlgError", "linalg.solve", "linalg.solve"
+    ]
+
+
+# solver.solve_paths is the one small solve: a singular row becomes NaN, and
+# every other module leaves that to the checks its caller already has
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in _SRC.glob("*.py") if p.name != "solver.py")
+)
+def test_no_module_but_solver_names_linalg_solve(module):
+    assert _linalg_solve_names((_SRC / module).read_text()) == []

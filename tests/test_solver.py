@@ -111,6 +111,9 @@ def _terminal_states(spec, inc, N, kind):
         ("ginzburg_landau", {"x0": 1.0}, 0.4, math.inf),
         # additive noise: order 1; the fitted orders were 0.99-1.02
         ("quintic", {}, 0.85, 1.15),
+        # GL from x0 = 3, where the cubic drift dominates the first steps;
+        # the fitted orders were 0.59-0.61
+        ("ginzburg_landau", {"x0": 3.0}, 0.4, math.inf),
     ],
 )
 def test_superlinear_strong_convergence_order(name, params, lo, hi):
@@ -315,7 +318,7 @@ def test_run_paths_rejects_workers_below_one(workers):
 )
 def test_scheme_choice_rejects_invalid_settings(kw, message):
     with pytest.raises(InvalidParameterError, match=message):
-        SchemeChoice(**kw)
+        SchemeChoice(**{"kind": TAMED, **kw})
 
 
 def _failing_paths(inc, start):
@@ -1015,6 +1018,19 @@ def test_single_path_noise_of_another_dimension_is_rejected(fn):
     w = sample_noise(g, 2, seed=1)
     with pytest.raises(InvalidParameterError, match="noise dimension"):
         _single_path_calls(spec, w)[fn]()
+
+
+def test_kernel_rejects_noise_off_its_grid():
+    # increments for N = 16 on a grid of N = 8 would step 16 times with
+    # dt = 1/8; two noise columns for the m = 1 ou would not reshape
+    spec = zoo_lookup("ou")
+    g = make_grid(1.0, 8)
+    inc = sample_increments(make_grid(1.0, 16), 1, seed=2, start=0, count=4)
+    with pytest.raises(InvalidParameterError, match="^increments have 16 steps, the grid 8$"):
+        simulate_batch(spec.field, g, inc, spec.theta0, SchemeChoice(EULER))
+    inc = sample_increments(g, 2, seed=2, start=0, count=4)
+    with pytest.raises(InvalidParameterError, match="^noise dimension does not match the model$"):
+        simulate_batch(spec.field, g, inc, spec.theta0, SchemeChoice(EULER))
 
 
 @pytest.mark.filterwarnings("error")

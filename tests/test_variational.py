@@ -149,7 +149,7 @@ def test_linear_sde_deterministic_forcing():
     field = _linear_field(lambda t: np.zeros((1, 1)), np.array([2.0]), np.zeros((1, 1)))
     g = make_grid(1.0, 64)
     w = sample_noise(g, 1, seed=8)
-    x = simulate(ModelSpec("linear", field, {}, np.array([1.0])), w)
+    x = simulate(ModelSpec("linear", field, {}, np.array([1.0])), w, SchemeChoice(EULER))
     assert np.allclose(x.values[:, 0], 1.0 + 2.0 * g.nodes, atol=1e-12)
 
 
@@ -157,7 +157,7 @@ def test_linear_sde_pure_brownian():
     field = _linear_field(lambda t: np.zeros((1, 1)), np.zeros(1), np.ones((1, 1)))
     g = make_grid(1.0, 64)
     w = sample_noise(g, 1, seed=9)
-    x = simulate(ModelSpec("linear", field, {}, np.array([0.5])), w)
+    x = simulate(ModelSpec("linear", field, {}, np.array([0.5])), w, SchemeChoice(EULER))
     ref = 0.5 + w.brownian()[:, 0]
     assert np.allclose(x.values[:, 0], ref, atol=1e-12)
 
