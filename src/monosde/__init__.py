@@ -33,6 +33,7 @@ from .errors import (
     OutOfDomainError,
     SingularDiffusionError,
     UnknownModelError,
+    WorkerLostError,
 )
 from .models import (
     ClosedForm,

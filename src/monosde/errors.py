@@ -1,9 +1,9 @@
 """Exception types shared across the library.
 
 Every error of the library is a MonosdeError.  The CLI exits 2 for one that
-is also a RuntimeError (a numerical failure at run time: DivergenceError,
-NewtonFailureError, SingularDiffusionError, DegenerateWronskianError) and 1
-for any other (a parameter or domain error).
+is also a RuntimeError (a failure at run time: the numerical DivergenceError,
+NewtonFailureError, SingularDiffusionError and DegenerateWronskianError, and
+WorkerLostError) and 1 for any other (a parameter or domain error).
 
 The errors a single path can raise (DivergenceError, NewtonFailureError,
 SingularDiffusionError) carry the index of that path when it is known, end
@@ -115,3 +115,34 @@ class SingularDiffusionError(MonosdeError, RuntimeError):
 
 class DegenerateWronskianError(MonosdeError, RuntimeError):
     """The stochastic Wronskian collapsed to zero or a non-finite value."""
+
+
+class WorkerLostError(MonosdeError, RuntimeError):
+    """A worker process forked by solver.run_paths ended without reporting
+    its chunks, say killed by a signal (the OOM killer, kill -9).  A worker
+    reports all its chunks at once, when it is done, so the message names
+    the first path of the first chunk it ran.  Fewer workers need less
+    memory.
+
+    Attributes: first_path, the first path of the first chunk that no worker
+    reported, and exitcode, the worker's exit status, -k for signal k.
+    """
+
+    def __init__(self, first_path, exitcode):
+        self.first_path = int(first_path)
+        self.exitcode = int(exitcode)
+        if exitcode < 0:
+            import signal  # here: importing errors should not pay for it
+
+            try:
+                how = f"was killed by signal {signal.Signals(-exitcode).name}"
+            except ValueError:
+                how = f"was killed by signal {-exitcode}"
+        else:
+            how = f"exited with status {exitcode}"
+        super().__init__(
+            f"a worker process {how} before it reported the chunk from path {first_path}"
+        )
+
+    def __reduce__(self):
+        return type(self), (self.first_path, self.exitcode)

@@ -37,18 +37,24 @@ run_paths is the chunked Monte Carlo driver every estimator runs its paths
 through.  It processes paths in chunks sized by core.chunk_size: as many
 paths as fit their (N, m) increments and row state in ``CHUNK_BYTES``, at
 least ``MIN_CHUNK``, and few enough that every worker gets a chunk.  With
-``workers > 1`` the chunks run in up to that many worker processes forked
-from the caller, each holding one chunk's working set at a time, so peak
-memory is about ``workers`` times that.  Chunks fork only on Linux from a
-process running no other Python thread; elsewhere they run serially.  The
-chunk boundaries move with the worker count and the path count, but no
-result or error does: every path has its own noise stream and its own
-arithmetic, and a failing run reports its first failing path.
+``workers > 1`` the chunks run in n = min(workers, chunks) plain child
+processes forked from the caller, worker w running chunks w, w+n, ... and
+sending their results back pickled over a pipe; the caller runs no chunk and
+draws no noise.  Each worker holds one chunk's working set at a time, so
+peak memory is about ``workers`` times that.  A worker killed by a signal
+(the OOM killer, kill -9) ends the run with WorkerLostError, and no worker
+outlives the call.  Chunks fork only on Linux from a process running no
+other Python thread; elsewhere they run serially.  The chunk boundaries move
+with the worker count and the path count, but no result or error does: every
+path has its own noise stream and its own arithmetic, and a failing run
+reports its first failing path.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import sys
 import threading
 from dataclasses import dataclass
@@ -66,7 +72,9 @@ from .core import (
     mc_estimate,
     sample_increments,
 )
-from .errors import DivergenceError, InvalidParameterError, MonosdeError, NewtonFailureError
+from .errors import (
+    DivergenceError, InvalidParameterError, MonosdeError, NewtonFailureError, WorkerLostError,
+)
 from .models import CoefficientField, ModelSpec
 
 DIVERGENCE_BOUND = 1e150
@@ -231,6 +239,10 @@ class Stepper:
         shifts: Optional[np.ndarray] = None,
     ):
         self.inc = np.asarray(increments, dtype=float)
+        if self.inc.ndim != 3:
+            raise InvalidParameterError(
+                f"increments must have shape (P, {grid.N}, {field.m}), got {self.inc.shape}"
+            )
         P, self.N, m = self.inc.shape
         if self.N != grid.N:
             raise InvalidParameterError(f"increments have {self.N} steps, the grid {grid.N}")
@@ -404,18 +416,87 @@ def _first_failure(fn, inc, start, err):
     return err
 
 
-#: The chunk function of the pool this worker process was forked for; set only
-#: in the worker, by the pool's initializer.
-_worker_fn = None
+def _flush_stdio():
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError, OSError):  # None, closed or unwritable
+            pass
 
 
-def _set_worker_fn(fn):
-    global _worker_fn
-    _worker_fn = fn
+def _run_worker(chunk, ranges, fd, inherited):
+    """The body of a forked worker: close the inherited readers, run
+    chunk(start, count) for each of its ranges in order up to its first
+    failure, and pickle the list of results (a failing chunk's error last)
+    into the pipe fd.  Never returns: a worker that reported exits 0, any
+    other 1."""
+    code = 1
+    try:
+        for fh in inherited:
+            fh.close()
+        out = []
+        for start, count in ranges:
+            try:
+                out.append(chunk(start, count))
+            except Exception as err:
+                out.append(err)
+                break
+        with open(fd, "wb") as fh:
+            pickle.dump(out, fh, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    except Exception:
+        import traceback  # here: only a worker that cannot report pays for it
+
+        traceback.print_exc()
+    finally:
+        try:
+            _flush_stdio()
+        finally:
+            os._exit(code)
 
 
-def _run_chunk(start, count):
-    return _worker_fn(start, count)
+def _fork_chunks(chunk, ranges, n):
+    """chunk(start, count) for each range, in n worker processes forked from
+    this one, worker w running ranges w, w+n, ...; the results in range
+    order.  Raises the first failure in range order: a chunk's own error, or
+    WorkerLostError for the first range of a worker that ended without
+    reporting.  Every worker is reaped before this returns or raises; one
+    still running when it leaves early is killed first."""
+    # a buffer that the workers inherit unflushed would be written again by each
+    _flush_stdio()
+    readers, running, reports = [], [], []
+    try:
+        for w in range(n):
+            r, fd = os.pipe()
+            readers.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_worker(chunk, ranges[w::n], fd, readers)
+            finally:
+                os.close(fd)
+            running.append(pid)
+        # a list of results, or the exit code of a worker that did not report
+        for fh, pid in zip(readers, list(running)):
+            data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.remove(pid)
+            reports.append(pickle.loads(data) if code == 0 else code)
+    finally:
+        for fh in readers:
+            fh.close()
+        for pid in running:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    parts = []
+    for i, (start, _) in enumerate(ranges):
+        report = reports[i % n]
+        if not isinstance(report, list):
+            raise WorkerLostError(start, report)
+        if isinstance(report[i // n], Exception):
+            raise report[i // n]
+        parts.append(report[i // n])
+    return parts
 
 
 def run_paths(fn, grid: TimeGrid, m: int, seed: int, n_paths: int, workers: int = 1):
@@ -428,9 +509,11 @@ def run_paths(fn, grid: TimeGrid, m: int, seed: int, n_paths: int, workers: int 
     its first failing path, as fn raises it for that path alone, whatever the
     chunk size and worker count: a chunk that raises a MonosdeError is
     bisected down to that path.  With workers > 1 and more than one chunk,
-    the chunks run in min(workers, chunks) worker processes forked from this
-    one: fn reaches them by inheritance, so it may be a closure, and only
-    (start, count) and the returned arrays are pickled.
+    the chunks run in min(workers, chunks) child processes forked from this
+    one: fn reaches them by inheritance, so it may be a closure, and only the
+    returned arrays and errors are pickled.  A worker that ends without
+    reporting, say killed by a signal, raises WorkerLostError where its first
+    chunk falls in chunk order.  Every worker is reaped before this returns.
     """
     if n_paths < 1:
         raise InvalidParameterError("n_paths must be >= 1")
@@ -454,20 +537,7 @@ def run_paths(fn, grid: TimeGrid, m: int, seed: int, n_paths: int, workers: int 
     if workers <= 1 or len(ranges) <= 1 or not forks_safely:
         parts = [chunk(s, c) for s, c in ranges]
     else:
-        # imported here: a serial run pays neither their import time nor memory
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(
-            min(workers, len(ranges)), multiprocessing.get_context("fork"),
-            initializer=_set_worker_fn, initargs=(chunk,),
-        )
-        try:
-            # results, and the error raised, in chunk order
-            futures = [pool.submit(_run_chunk, s, c) for s, c in ranges]
-            parts = [f.result() for f in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
+        parts = _fork_chunks(chunk, ranges, min(workers, len(ranges)))
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(p) for p in zip(*parts))
     return np.concatenate(parts)

@@ -12,6 +12,7 @@ _ARGS = {
     errors.DivergenceError: [(3, 5), (4,), (2, None, "first variation (J, K)")],
     errors.NewtonFailureError: [(7, 71.35, 1e-10, 12), (7, 71.35, 1e-10)],
     errors.SingularDiffusionError: [("singular diffusion at step 3", 4), ("a message",)],
+    errors.WorkerLostError: [(2048, -9), (0, 3)],
 }
 
 _CASES = [
@@ -51,3 +52,14 @@ def test_path_errors_name_the_path_they_are_moved_to(exc, message):
     assert str(moved) == message
     assert moved.path_index == 9
     assert vars(moved) == {**vars(exc), "path_index": 9}
+
+
+@pytest.mark.parametrize("exitcode, how", [
+    (-9, "was killed by signal SIGKILL"),
+    (-40, "was killed by signal 40"),  # a real-time signal has no name
+    (3, "exited with status 3"),
+])
+def test_worker_lost_error_says_how_the_worker_ended(exitcode, how):
+    exc = errors.WorkerLostError(2048, exitcode)
+    assert str(exc) == f"a worker process {how} before it reported the chunk from path 2048"
+    assert isinstance(exc, RuntimeError)

@@ -99,3 +99,30 @@ def test_the_guard_finds_a_linalg_solve():
 )
 def test_no_module_but_solver_names_linalg_solve(module):
     assert _linalg_solve_names((_SRC / module).read_text()) == []
+
+
+def _pool_imports(source: str) -> list:
+    """The modules of the multiprocessing and concurrent packages a module
+    imports, as written, in walk order."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] in ("multiprocessing", "concurrent")]
+
+
+def test_the_guard_finds_a_process_pool_import():
+    source = (
+        "import os, multiprocessing.context\n"
+        "def f():\n    from concurrent.futures import ProcessPoolExecutor\n"
+    )
+    assert _pool_imports(source) == ["multiprocessing.context", "concurrent.futures"]
+
+
+# run_paths forks its workers itself: a pool's imports would cost the main
+# process and every worker their time and memory
+@pytest.mark.parametrize("module", sorted(p.name for p in _SRC.glob("*.py")))
+def test_no_module_imports_a_process_pool(module):
+    assert _pool_imports((_SRC / module).read_text()) == []

@@ -1,10 +1,12 @@
-import concurrent.futures
 import contextlib
 import hashlib
 import math
-import multiprocessing
 import os
+import re
+import signal
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 from dataclasses import replace
@@ -32,7 +34,7 @@ from monosde import (
 )
 from monosde import shiftlab, solver
 from monosde.core import chunk_size, mc_estimate, sample_increments
-from monosde.errors import MonosdeError
+from monosde.errors import MonosdeError, WorkerLostError
 from monosde.greeks import (
     _samples, _weight_table, constant_weight, gradients, identity_payoff, tanh_payoff,
 )
@@ -341,7 +343,7 @@ def test_run_paths_raises_the_first_failing_chunk_in_path_order():
         with _chunks_of(64), pytest.raises(DivergenceError) as info:
             run_paths(_failing_paths, g, 1, 5, 256, workers)
         raised.append(info.value)
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
     serial, pooled = raised
     assert type(pooled) is type(serial)
     assert str(pooled) == str(serial) == "state diverged at step 7 (path 133)"
@@ -386,40 +388,101 @@ def test_run_paths_raises_a_chunks_own_error_when_no_path_fails_alone():
         run_paths(_batch_failing, make_grid(1.0, 4), 1, 5, 24)
 
 
+def _assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_LINUX_ONLY = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                 reason="run_paths forks only on Linux")
+
+
 @pytest.mark.parametrize("workers, n_chunks, forked", [
-    pytest.param(8, 3, 3, marks=pytest.mark.skipif(not sys.platform.startswith("linux"),
-                                                   reason="the pool forks only on Linux")),
-    (1, 3, 0), (8, 1, 0),
+    pytest.param(8, 3, 3, marks=_LINUX_ONLY), (1, 3, 0), (8, 1, 0),
 ])
 def test_run_paths_forks_one_process_per_chunk_at_most(monkeypatch, workers, n_chunks, forked):
-    started = []
-    start = multiprocessing.context.ForkProcess.start
+    forks = []
+    fork = os.fork
 
-    def counted(proc):
-        started.append(proc)
-        start(proc)
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counted)
+    monkeypatch.setattr(os, "fork", counted)
     g = make_grid(1.0, 4)
     with _chunks_of(64):
         pids, inc = run_paths(
             lambda inc, start: (np.full(len(inc), os.getpid()), inc), g, 1, 5, 64 * n_chunks,
             workers,
         )
-    assert len(started) == forked
-    # with a pool, the chunks ran in the workers, not here
-    foreign = set(pids.tolist()) - {os.getpid()}
-    assert (1 <= len(foreign) <= forked) if forked else not foreign
+    assert len(forks) == forked
+    # with workers, the chunks ran in them, not here
+    assert set(pids.tolist()) == (set(forks) if forked else {os.getpid()})
     assert np.array_equal(inc, sample_increments(g, 1, 5, 0, 64 * n_chunks))
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
+
+
+@_LINUX_ONLY
+@pytest.mark.parametrize("end, how", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal SIGKILL"),
+    (lambda: os._exit(3), "exited with status 3"),
+], ids=["sigkill", "exit"])
+@pytest.mark.parametrize("fails_at", [None, 0, 128])
+def test_run_paths_reports_a_lost_worker(end, how, fails_at):
+    # worker 0 runs the chunks from 0 and 128, worker 1 those from 64 and 192
+    # and ends in the second, so the chunk from 64 is the first it never
+    # reported; the first failure in chunk order is raised
+    parent = os.getpid()
+
+    def fn(inc, start):
+        if os.getpid() != parent:  # never end the test process itself
+            if start == 192:
+                end()
+            if start == fails_at:
+                raise DivergenceError(3, start)
+        return inc
+
+    with _chunks_of(64), pytest.raises(MonosdeError) as info:
+        run_paths(fn, make_grid(1.0, 4), 1, 5, 256, 2)
+    if fails_at == 0:
+        assert str(info.value) == "state diverged at step 3 (path 0)"
+    else:
+        assert type(info.value) is WorkerLostError and isinstance(info.value, RuntimeError)
+        assert str(info.value) == f"a worker process {how} before it reported the chunk from path 64"
+    _assert_no_child()
+
+
+@_LINUX_ONLY
+def test_run_paths_writes_a_pending_partial_line_once():
+    # the workers must not inherit, and write again, what is still buffered
+    script = textwrap.dedent("""
+        import os, sys
+        import numpy as np
+        from monosde import make_grid
+        from monosde.solver import run_paths
+        sys.stdout.write("partial")
+        pids = run_paths(lambda inc, start: np.full(len(inc), os.getpid()), make_grid(1.0, 4),
+                         1, 5, 4, 2)
+        print("", len(set(pids.tolist()) - {os.getpid()}))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solver.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # a piped stdout is then block-buffered
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "partial 2\n"
 
 
 def _serial_pids(monkeypatch):
-    """The pids that run 4 chunks at workers = 4, where making a pool fails."""
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was created")
+    """The pids that run 4 chunks at workers = 4, where forking fails."""
+    def no_fork():
+        raise AssertionError("a worker was forked")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     with _chunks_of(64):
         return run_paths(lambda inc, start: np.full(len(inc), os.getpid()), make_grid(1.0, 4),
                          1, 5, 256, 4)
@@ -1031,6 +1094,18 @@ def test_kernel_rejects_noise_off_its_grid():
     inc = sample_increments(g, 2, seed=2, start=0, count=4)
     with pytest.raises(InvalidParameterError, match="^noise dimension does not match the model$"):
         simulate_batch(spec.field, g, inc, spec.theta0, SchemeChoice(EULER))
+
+
+@pytest.mark.parametrize("shape", [(8, 1), (2, 4, 8, 1), ()], ids=["one_path", "4d", "scalar"])
+def test_kernel_rejects_increments_of_another_rank(shape):
+    # one path's (N, m) increments would not unpack into (P, N, m)
+    spec = zoo_lookup("ou")
+    with pytest.raises(
+        InvalidParameterError,
+        match=rf"^increments must have shape \(P, 8, 1\), got {re.escape(str(shape))}$",
+    ):
+        simulate_batch(spec.field, make_grid(1.0, 8), np.zeros(shape), spec.theta0,
+                       SchemeChoice(EULER))
 
 
 @pytest.mark.filterwarnings("error")
