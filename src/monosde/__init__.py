@@ -34,6 +34,7 @@ from .errors import (
     SingularDiffusionError,
     UnknownModelError,
     WorkerLostError,
+    WorkerStartError,
 )
 from .models import (
     ClosedForm,

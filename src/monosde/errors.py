@@ -3,7 +3,8 @@
 Every error of the library is a MonosdeError.  The CLI exits 2 for one that
 is also a RuntimeError (a failure at run time: the numerical DivergenceError,
 NewtonFailureError, SingularDiffusionError and DegenerateWronskianError, and
-WorkerLostError) and 1 for any other (a parameter or domain error).
+the worker errors WorkerLostError and WorkerStartError) and 1 for any other
+(a parameter or domain error).
 
 The errors a single path can raise (DivergenceError, NewtonFailureError,
 SingularDiffusionError) carry the index of that path when it is known, end
@@ -119,13 +120,13 @@ class DegenerateWronskianError(MonosdeError, RuntimeError):
 
 class WorkerLostError(MonosdeError, RuntimeError):
     """A worker process forked by solver.run_paths ended without reporting
-    its chunks, say killed by a signal (the OOM killer, kill -9).  A worker
-    reports all its chunks at once, when it is done, so the message names
-    the first path of the first chunk it ran.  Fewer workers need less
-    memory.
+    one of its chunks, say killed by a signal (the OOM killer, kill -9).  A
+    worker reports each chunk as it ends, so the message names the first
+    path of the chunk it lost.  Fewer workers need less memory.
 
-    Attributes: first_path, the first path of the first chunk that no worker
-    reported, and exitcode, the worker's exit status, -k for signal k.
+    Attributes: first_path, the first path of the first chunk, in chunk
+    order, that no worker reported, and exitcode, that worker's exit status,
+    -k for signal k.
     """
 
     def __init__(self, first_path, exitcode):
@@ -146,3 +147,10 @@ class WorkerLostError(MonosdeError, RuntimeError):
 
     def __reduce__(self):
         return type(self), (self.first_path, self.exitcode)
+
+
+class WorkerStartError(MonosdeError, RuntimeError):
+    """solver.run_paths could not start a worker process: os.fork() or
+    os.pipe() failed, say at a limit on processes (EAGAIN) or open files
+    (EMFILE).  The workers already started are killed first.  Fewer workers
+    need fewer of both."""

@@ -39,15 +39,18 @@ paths as fit their (N, m) increments and row state in ``CHUNK_BYTES``, at
 least ``MIN_CHUNK``, and few enough that every worker gets a chunk.  With
 ``workers > 1`` the chunks run in n = min(workers, chunks) plain child
 processes forked from the caller, worker w running chunks w, w+n, ... and
-sending their results back pickled over a pipe; the caller runs no chunk and
-draws no noise.  Each worker holds one chunk's working set at a time, so
-peak memory is about ``workers`` times that.  A worker killed by a signal
-(the OOM killer, kill -9) ends the run with WorkerLostError, and no worker
-outlives the call.  Chunks fork only on Linux from a process running no
-other Python thread; elsewhere they run serially.  The chunk boundaries move
-with the worker count and the path count, but no result or error does: every
-path has its own noise stream and its own arithmetic, and a failing run
-reports its first failing path.
+writing each chunk's result, pickled, to its pipe as the chunk ends.  The
+caller runs no chunk and draws no noise; it reads the results in chunk
+order, so a failure is raised as soon as the chunks before it are read.
+Each worker holds one chunk's working set at a time, so peak memory is
+about ``workers`` times that.  A worker killed by a signal (the OOM killer,
+kill -9) ends the run with WorkerLostError naming the chunk it lost, a
+failed fork with WorkerStartError, and no worker outlives the call.  Chunks
+fork only on Linux from a process running no other Python thread; elsewhere
+they run serially.  The chunk boundaries move with the worker count and the
+path count, but no result or error does: every path has its own noise
+stream and its own arithmetic, and a failing run reports its first failing
+path.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ from .core import (
 )
 from .errors import (
     DivergenceError, InvalidParameterError, MonosdeError, NewtonFailureError, WorkerLostError,
+    WorkerStartError,
 )
 from .models import CoefficientField, ModelSpec
 
@@ -425,24 +429,24 @@ def _flush_stdio():
 
 
 def _run_worker(chunk, ranges, fd, inherited):
-    """The body of a forked worker: close the inherited readers, run
-    chunk(start, count) for each of its ranges in order up to its first
-    failure, and pickle the list of results (a failing chunk's error last)
-    into the pipe fd.  Never returns: a worker that reported exits 0, any
-    other 1."""
+    """The body of a forked worker: close the inherited readers and run
+    chunk(start, count) for its ranges in order, pickling each result into
+    the pipe fd as it ends, up to its first failing chunk, whose error is its
+    last record.  Never returns: exits 0 if it wrote its records, else 1."""
     code = 1
     try:
         for fh in inherited:
             fh.close()
-        out = []
-        for start, count in ranges:
-            try:
-                out.append(chunk(start, count))
-            except Exception as err:
-                out.append(err)
-                break
         with open(fd, "wb") as fh:
-            pickle.dump(out, fh, pickle.HIGHEST_PROTOCOL)
+            for start, count in ranges:
+                try:
+                    out = chunk(start, count)
+                except Exception as err:
+                    out = err
+                pickle.dump(out, fh, pickle.HIGHEST_PROTOCOL)
+                fh.flush()
+                if isinstance(out, Exception):
+                    break
         code = 0
     except Exception:
         import traceback  # here: only a worker that cannot report pays for it
@@ -456,47 +460,49 @@ def _run_worker(chunk, ranges, fd, inherited):
 
 
 def _fork_chunks(chunk, ranges, n):
-    """chunk(start, count) for each range, in n worker processes forked from
-    this one, worker w running ranges w, w+n, ...; the results in range
-    order.  Raises the first failure in range order: a chunk's own error, or
-    WorkerLostError for the first range of a worker that ended without
-    reporting.  Every worker is reaped before this returns or raises; one
-    still running when it leaves early is killed first."""
+    """chunk(start, count) for each range in n workers forked from this
+    process, worker w running ranges w, w+n, ...; the results in range order.
+    Range i's record is read from worker i % n, so the first failure in range
+    order is raised once read: a chunk's error, or WorkerLostError if that
+    pipe ends first (WorkerStartError if a fork or pipe fails).  On a raise
+    every worker is killed before the pipes close; all are reaped."""
     # a buffer that the workers inherit unflushed would be written again by each
     _flush_stdio()
-    readers, running, reports = [], [], []
+    readers, pids = [], []
     try:
-        for w in range(n):
-            r, fd = os.pipe()
-            readers.append(open(r, "rb"))
+        try:
+            for w in range(n):
+                r, fd = os.pipe()
+                readers.append(open(r, "rb"))
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _run_worker(chunk, ranges[w::n], fd, readers)
+                finally:
+                    os.close(fd)
+                pids.append(pid)
+        except OSError as err:
+            raise WorkerStartError(f"cannot start a worker process: {err}") from err
+        parts = []
+        for i, (start, _) in enumerate(ranges):
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _run_worker(chunk, ranges[w::n], fd, readers)
-            finally:
-                os.close(fd)
-            running.append(pid)
-        # a list of results, or the exit code of a worker that did not report
-        for fh, pid in zip(readers, list(running)):
-            data = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            running.remove(pid)
-            reports.append(pickle.loads(data) if code == 0 else code)
+                part = pickle.load(readers[i % n])
+            except (EOFError, pickle.UnpicklingError):  # the pipe ended, mid-record or not
+                status = os.waitpid(pids.pop(i % n), 0)[1]
+                raise WorkerLostError(start, os.waitstatus_to_exitcode(status)) from None
+            if isinstance(part, Exception):
+                raise part
+            parts.append(part)
+        return parts
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL
+        raise
     finally:
         for fh in readers:
             fh.close()
-        for pid in running:
-            os.kill(pid, 9)  # SIGKILL
+        for pid in pids:
             os.waitpid(pid, 0)
-    parts = []
-    for i, (start, _) in enumerate(ranges):
-        report = reports[i % n]
-        if not isinstance(report, list):
-            raise WorkerLostError(start, report)
-        if isinstance(report[i // n], Exception):
-            raise report[i // n]
-        parts.append(report[i // n])
-    return parts
 
 
 def run_paths(fn, grid: TimeGrid, m: int, seed: int, n_paths: int, workers: int = 1):
@@ -511,9 +517,10 @@ def run_paths(fn, grid: TimeGrid, m: int, seed: int, n_paths: int, workers: int 
     bisected down to that path.  With workers > 1 and more than one chunk,
     the chunks run in min(workers, chunks) child processes forked from this
     one: fn reaches them by inheritance, so it may be a closure, and only the
-    returned arrays and errors are pickled.  A worker that ends without
-    reporting, say killed by a signal, raises WorkerLostError where its first
-    chunk falls in chunk order.  Every worker is reaped before this returns.
+    returned arrays and errors are pickled, one chunk at a time.  A worker
+    that ends before reporting a chunk, say killed by a signal, raises
+    WorkerLostError where that chunk falls in chunk order; a fork that fails
+    raises WorkerStartError.  Every worker is reaped before this returns.
     """
     if n_paths < 1:
         raise InvalidParameterError("n_paths must be >= 1")

@@ -17,6 +17,7 @@ import monosde.cli as cli
 from monosde import errors
 from monosde.cli import emit_config, main, parse_config, run
 from monosde.models import zoo_lookup
+from test_solver import _LINUX_ONLY, _assert_no_child, _second_fork_fails
 
 
 GOOD = """
@@ -308,6 +309,8 @@ def test_library_errors_exit_with_one_line(tmp_path, capsys, case):
         (errors.NewtonFailureError(3, 1.0, 1e-10), 2),
         (errors.SingularDiffusionError("x"), 2),
         (errors.DegenerateWronskianError("x"), 2),
+        (errors.WorkerLostError(64, -9), 2),
+        (errors.WorkerStartError("x"), 2),
     ],
     ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
 )
@@ -624,8 +627,10 @@ _GBM = "model = gbm\ngrid.T = 1\n"
 #: model (its U and V forcings, t_N off the s-lattice), and the gbm Jacobian per
 #: scheme (multiplicative noise: a non-zero S and the Wronskian's
 #: realized-QV term); then the three artifacts of the benchmark's
-#: `artifacts` workload at its sizes (N = 1024); last, the Cameron-Martin
-#: check (base and shifted variants of one stacked batch) per scheme.
+#: `artifacts` workload at its sizes (N = 1024); then the Cameron-Martin
+#: check (base and shifted variants of one stacked batch) per scheme; last,
+#: greeks in 4 chunks of 4096 paths, two per worker at workers 2, so that a
+#: worker reports more than one chunk.
 _PINNED = {
     "paths_euler": (
         "simulate", _GL + "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 3\n",
@@ -738,6 +743,10 @@ _PINNED = {
         "n_paths = 64\n",
         "cameron_martin.csv", "a2ec75739bd509aad319c0c969e0a7d67743b9194e175487fe1f4e7961837ac7",
     ),
+    "greeks_tamed_16384": (
+        "greeks", _GL + "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 16384\n",
+        "greeks.csv", "34f6f0dcdc90fe921e12210d6c13d68d8a55670a4d4f0c832506527393903efc",
+    ),
 }
 
 
@@ -772,12 +781,27 @@ _MULTI_PATH_FAILURES = {
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", sorted(_MULTI_PATH_FAILURES))
-def test_multi_path_simulate_reports_the_first_failing_path(tmp_path, capsys, case, workers):
+def test_multi_path_simulate_reports_the_first_failing_path(tmp_path, capfd, case, workers):
+    # file descriptor 2, which forked workers share: the one error line is
+    # all that any process writes there
     body, line = _MULTI_PATH_FAILURES[case]
     code, out = _cli(tmp_path, "simulate", "model = ginzburg_landau\n" + body, workers)
     assert code == 2
-    assert capsys.readouterr().err == line
+    assert capfd.readouterr().err == line
     assert not (out / "paths.csv").exists()
+
+
+@_LINUX_ONLY
+def test_a_failed_fork_exits_2_with_one_line(tmp_path, monkeypatch, capfd):
+    _second_fork_fails(monkeypatch)
+    body, _ = _MULTI_PATH_FAILURES["divergence"]
+    code, out = _cli(tmp_path, "simulate", "model = ginzburg_landau\n" + body, 2)
+    assert code == 2
+    assert capfd.readouterr().err == (
+        "error: cannot start a worker process: [Errno 11] Resource temporarily unavailable\n"
+    )
+    assert not (out / "paths.csv").exists()
+    _assert_no_child()
 
 
 @pytest.mark.parametrize(

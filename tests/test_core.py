@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from monosde import (
     CameronMartinPath,
+    DimensionMismatchError,
     History,
     InvalidParameterError,
     MCEstimate,
+    NoisePath,
+    StatePath,
     doleans_dade,
     make_grid,
     mc_estimate,
@@ -48,6 +51,25 @@ def test_make_grid_fine():
 def test_make_grid_invalid(T, N):
     with pytest.raises(InvalidParameterError):
         make_grid(T, N)
+
+
+@pytest.mark.parametrize("t", [0.3, -0.125, 1.125])
+def test_index_of_rejects_a_time_off_the_grid(t):
+    g = make_grid(1.0, 8)
+    assert g.index_of(0.375) == 3
+    with pytest.raises(InvalidParameterError, match=f"^time {t} is not a node of the grid$"):
+        g.index_of(t)
+
+
+@pytest.mark.parametrize("cls, rows", [(NoisePath, 8), (CameronMartinPath, 8), (StatePath, 9)])
+def test_path_arrays_reject_a_wrong_shape_or_a_non_finite_entry(cls, rows):
+    g = make_grid(1.0, 8)
+    with pytest.raises(DimensionMismatchError, match=rf"shape \({rows + 1}, 1\) != \({rows}, 1\)$"):
+        cls(g, 1, np.zeros((rows + 1, 1)))
+    bad = np.zeros((rows, 1))
+    bad[3, 0] = np.inf
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        cls(g, 1, bad)
 
 
 def test_sample_noise_deterministic():

@@ -1,18 +1,22 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from monosde import (
     InvalidParameterError,
+    MissingGradientsError,
     SingularDiffusionError,
     constant_weight,
     digital_payoff,
     gradients,
     identity_payoff,
+    jacobian,
     linear_weight,
     make_grid,
+    sample_noise,
     tanh_payoff,
     zoo_lookup,
 )
@@ -46,6 +50,8 @@ def test_bel_weights_normalized():
     spec = zoo_lookup("gbm")
     with pytest.raises(InvalidParameterError, match="needs weights, eps or both"):
         gradients(spec, g, SchemeChoice(EULER), identity_payoff(), 8, 0)
+    with pytest.raises(InvalidParameterError, match="^eps must be > 0$"):
+        gradients(spec, g, SchemeChoice(EULER), identity_payoff(), 8, 0, eps=0.0)
     # weights with no mass, a non-finite value or one non-finite value at
     # s = 0 are refused with a typed error, also under python -O
     bad = (
@@ -58,6 +64,18 @@ def test_bel_weights_normalized():
         with pytest.raises(InvalidParameterError, match="weight"):
             gradients(spec, g, SchemeChoice(EULER), identity_payoff(), 8, 0,
                       weights=(constant_weight(), weight))
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda spec, w: jacobian(spec, w, SchemeChoice(EULER)),
+    lambda spec, w: gradients(spec, w.grid, SchemeChoice(EULER), identity_payoff(), 8, 0,
+                              weights=(constant_weight(),)),
+], ids=["jacobian", "bel"])
+def test_variational_passes_need_the_drift_gradient(estimate):
+    gbm = zoo_lookup("gbm")
+    spec = replace(gbm, field=replace(gbm.field, grad_drift=None))
+    with pytest.raises(MissingGradientsError, match="^model does not supply coefficient gradients$"):
+        estimate(spec, sample_noise(make_grid(1.0, 8), 1, seed=1))
 
 
 def test_bel_gbm_delta_matches_closed_form():
@@ -82,25 +100,11 @@ def test_bel_constant_payoff_mean_zero_weight():
     assert z <= 3.0
 
 
-def test_bel_digital_delta():
-    # measurable payoff: BEL matches the lognormal digital delta
-    mu, sig, x, K, T = 0.05, 0.2, 1.0, 1.0, 1.0
-    spec = zoo_lookup("gbm", {"mu": mu, "sigma": sig, "x0": x})
-    g = make_grid(T, 256)
-    (rep,) = gradients(
-        spec, g, SchemeChoice(EULER), digital_payoff(K), 100_000, 7,
-        weights=(constant_weight(),),
-    )
-    d2 = (math.log(x / K) + (mu - 0.5 * sig**2) * T) / (sig * math.sqrt(T))
-    closed = math.exp(-0.5 * d2**2) / math.sqrt(2 * math.pi) / (x * sig * math.sqrt(T))
-    z = abs(rep.estimate.mean[0] - closed) / rep.estimate.stderr[0]
-    assert z <= 3.0
-
-
 def test_bel_and_fd_digital_delta():
-    # the lognormal digital delta phi(d2) / (x sigma sqrt(T)) = 1.97240, from
-    # both BEL weights and the central difference on one noise draw; BEL
-    # needs no smoothness of the payoff, so its stderr is below FD's
+    # a measurable payoff: the lognormal digital delta phi(d2) / (x sigma
+    # sqrt(T)) = 1.97240, from both BEL weights and the central difference on
+    # one noise draw; BEL needs no smoothness of the payoff, so its stderr is
+    # below FD's
     mu, sig, x, K, T = 0.05, 0.2, 1.0, 1.0, 1.0
     spec = zoo_lookup("gbm", {"mu": mu, "sigma": sig, "x0": x})
     reps = gradients(

@@ -34,7 +34,7 @@ from monosde import (
 )
 from monosde import shiftlab, solver
 from monosde.core import chunk_size, mc_estimate, sample_increments
-from monosde.errors import MonosdeError, WorkerLostError
+from monosde.errors import MonosdeError, WorkerLostError, WorkerStartError
 from monosde.greeks import (
     _samples, _weight_table, constant_weight, gradients, identity_payoff, tanh_payoff,
 )
@@ -52,6 +52,7 @@ from monosde.solver import (
     simulate_batch,
     simulate_paths,
 )
+from monosde.variational import VariationalFactors
 from test_variational import _diag, _twin_ginzburg_landau
 
 
@@ -129,6 +130,38 @@ def test_superlinear_strong_convergence_order(name, params, lo, hi):
         errs = [np.mean(np.abs(_terminal_states(spec, inc, N, kind) - ref)) for N in Ns]
         order = np.polyfit(np.log2([1.0 / N for N in Ns]), np.log2(errs), 1)[0]
         assert lo <= order <= hi, kind
+
+
+def _terminal_jacobians(spec, inc, N, kind):
+    """J_N(T) (B,) at T = 1 of d = 1 paths on their increments inc (B, M, 1)
+    summed to N steps, carried along the step records as the greeks pass
+    does, so that only J at the current step is held; no path may diverge."""
+    inc = inc.reshape(len(inc), N, -1, 1).sum(axis=2)
+    run = Stepper(spec.field, make_grid(1.0, N), inc, spec.theta0, SchemeChoice(kind))
+    vf = VariationalFactors(run)
+    J = np.ones((len(inc), 1, 1))
+    for rec in run:
+        vf.take(rec)
+        J = J + vf.amat @ J
+    assert not run.diverged.any()
+    return J[:, 0, 0]
+
+
+@pytest.mark.parametrize("x0", [1.0, 3.0])
+def test_jacobian_strong_convergence_order(x0):
+    # mean |J_N(T) - J_ref(T)| over 256 paths of GL against split-step
+    # implicit at N = 2^14 on the same summed increments; the bound was fixed
+    # before the orders were seen: Euler and split-step fitted 0.69 and 0.67
+    # at x0 = 1, 0.98 and 0.74 at x0 = 3.  Tamed Euler's J differentiates a
+    # step other than the one the kernel takes (ROADMAP item 1), so it waits
+    spec = zoo_lookup("ginzburg_landau", {"x0": x0})
+    inc = sample_increments(make_grid(1.0, 2**14), 1, seed=3, start=0, count=256)
+    ref = _terminal_jacobians(spec, inc, 2**14, IMPLICIT)
+    Ns = (2**6, 2**8, 2**10)
+    for kind in (EULER, IMPLICIT):
+        errs = [np.mean(np.abs(_terminal_jacobians(spec, inc, N, kind) - ref)) for N in Ns]
+        order = np.polyfit(np.log2([1.0 / N for N in Ns]), np.log2(errs), 1)[0]
+        assert order >= 0.4, kind
 
 
 def test_taming_necessity_divergence_counts():
@@ -433,8 +466,8 @@ def test_run_paths_forks_one_process_per_chunk_at_most(monkeypatch, workers, n_c
 @pytest.mark.parametrize("fails_at", [None, 0, 128])
 def test_run_paths_reports_a_lost_worker(end, how, fails_at):
     # worker 0 runs the chunks from 0 and 128, worker 1 those from 64 and 192
-    # and ends in the second, so the chunk from 64 is the first it never
-    # reported; the first failure in chunk order is raised
+    # and ends in the second after reporting the first, so the chunk from 192
+    # is the one it lost; the first failure in chunk order is raised
     parent = os.getpid()
 
     def fn(inc, start):
@@ -447,12 +480,73 @@ def test_run_paths_reports_a_lost_worker(end, how, fails_at):
 
     with _chunks_of(64), pytest.raises(MonosdeError) as info:
         run_paths(fn, make_grid(1.0, 4), 1, 5, 256, 2)
-    if fails_at == 0:
-        assert str(info.value) == "state diverged at step 3 (path 0)"
+    if fails_at is not None:
+        assert str(info.value) == f"state diverged at step 3 (path {fails_at})"
     else:
         assert type(info.value) is WorkerLostError and isinstance(info.value, RuntimeError)
-        assert str(info.value) == f"a worker process {how} before it reported the chunk from path 64"
+        assert str(info.value) == f"a worker process {how} before it reported the chunk from path 192"
     _assert_no_child()
+
+
+@_LINUX_ONLY
+def test_run_paths_raises_a_lost_chunk_without_waiting_for_later_ones(tmp_path):
+    # worker 1 ends in its first chunk (from 64) while worker 0's second
+    # chunk (from 128) waits for a file never created, then marks that it
+    # finished: the run must raise at chunk 64 and kill worker 0 unfinished
+    parent = os.getpid()
+    finished = tmp_path / "finished"
+
+    def fn(inc, start):
+        if os.getpid() != parent:
+            if start == 64:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if start == 128:
+                deadline = time.monotonic() + 30
+                while not (tmp_path / "never").exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                finished.touch()
+        return inc
+
+    with _chunks_of(64), pytest.raises(WorkerLostError) as info:
+        run_paths(fn, make_grid(1.0, 4), 1, 5, 256, 2)
+    assert info.value.first_path == 64 and info.value.exitcode == -signal.SIGKILL
+    _assert_no_child()
+    assert not finished.exists()
+
+
+def _second_fork_fails(monkeypatch):
+    """os.fork fails from its second call on, as at a limit on processes."""
+    fork, forks = os.fork, []
+
+    def second_fails():
+        if forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forks.append(fork())
+        return forks[-1]
+
+    monkeypatch.setattr(os, "fork", second_fails)
+
+
+@_LINUX_ONLY
+def test_run_paths_raises_a_typed_error_when_a_fork_fails(monkeypatch, tmp_path):
+    # the first worker, still running when the second fork fails, is killed
+    # unfinished and reaped
+    _second_fork_fails(monkeypatch)
+    finished = tmp_path / "finished"
+
+    def fn(inc, start):
+        time.sleep(30)
+        finished.touch()
+        return inc
+
+    with _chunks_of(64), pytest.raises(WorkerStartError) as info:
+        run_paths(fn, make_grid(1.0, 4), 1, 5, 256, 2)
+    assert isinstance(info.value, RuntimeError)
+    assert str(info.value) == (
+        "cannot start a worker process: [Errno 11] Resource temporarily unavailable"
+    )
+    _assert_no_child()
+    assert not finished.exists()
 
 
 @_LINUX_ONLY
@@ -738,26 +832,32 @@ def test_stability_ratio_rejects_equal_points():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "mu, xi, path, sup_p, gap_p",
+    "model, params, theta, xi, p, path, sup_p, gap_p",
     [
-        (5.0, 2.0, 0, "inf", "1"),  # every path's sup^p overflows
-        (0.05, 1.001, 0, "0", "0"),  # sup^p and |xi - theta|^p underflow to 0
-        (3.75, 2.0, 1, "inf", "1"),  # path 1 is the first whose sup^p overflows
+        ("gbm", {"mu": 5.0}, 1.0, 2.0, 200.0, 0, "inf", "1"),  # every path's sup^p overflows
+        # sup^p and |xi - theta|^p underflow to 0
+        ("gbm", {"mu": 0.05}, 1.0, 1.001, 200.0, 0, "0", "0"),
+        # path 1 is the first whose sup^p overflows
+        ("gbm", {"mu": 3.75}, 1.0, 2.0, 200.0, 1, "inf", "1"),
+        # |xi - theta|^p overflows a Python float, which raises where numpy
+        # gives inf
+        ("ou", {}, 0.0, 1e150, 3.0, 0, "inf", "inf"),
     ],
-    ids=["sup_overflows", "gap_underflows", "some_sups_overflow"],
+    ids=["sup_overflows", "gap_underflows", "some_sups_overflow", "gap_overflows"],
 )
-def test_stability_ratio_out_of_range_names_p_and_the_path(mu, xi, path, sup_p, gap_p):
-    # p = 200 on gbm: the estimate is refused, quietly, naming p and the
-    # first path whose ratio is not finite, where it was inf or NaN with a
-    # warning
-    spec = zoo_lookup("gbm", {"mu": mu})
+def test_stability_ratio_out_of_range_names_p_and_the_path(
+    model, params, theta, xi, p, path, sup_p, gap_p,
+):
+    # the estimate is refused, quietly, naming p and the first path whose
+    # ratio is not finite, where it was inf or NaN with a warning
+    spec = zoo_lookup(model, params)
     with pytest.raises(InvalidParameterError) as exc:
         stability_ratio(
-            spec, make_grid(1.0, 16), SchemeChoice(EULER), np.array([1.0]),
-            np.array([xi]), p=200.0, n_paths=64, seed=1,
+            spec, make_grid(1.0, 16), SchemeChoice(EULER), np.array([theta]),
+            np.array([xi]), p=p, n_paths=64, seed=1,
         )
     assert str(exc.value) == (
-        "E[sup |X_xi - X_theta|^p] / |xi - theta|^p at p = 200 is out of "
+        f"E[sup |X_xi - X_theta|^p] / |xi - theta|^p at p = {p:g} is out of "
         f"floating-point range: path {path} has sup |X_xi - X_theta|^p = {sup_p} "
         f"against |xi - theta|^p = {gap_p}"
     )
