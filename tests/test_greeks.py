@@ -100,11 +100,25 @@ def test_bel_constant_payoff_mean_zero_weight():
     assert z <= 3.0
 
 
+def test_bel_digital_delta():
+    # measurable payoff: BEL matches the lognormal digital delta
+    mu, sig, x, K, T = 0.05, 0.2, 1.0, 1.0, 1.0
+    spec = zoo_lookup("gbm", {"mu": mu, "sigma": sig, "x0": x})
+    g = make_grid(T, 256)
+    (rep,) = gradients(
+        spec, g, SchemeChoice(EULER), digital_payoff(K), 100_000, 7,
+        weights=(constant_weight(),),
+    )
+    d2 = (math.log(x / K) + (mu - 0.5 * sig**2) * T) / (sig * math.sqrt(T))
+    closed = math.exp(-0.5 * d2**2) / math.sqrt(2 * math.pi) / (x * sig * math.sqrt(T))
+    z = abs(rep.estimate.mean[0] - closed) / rep.estimate.stderr[0]
+    assert z <= 3.0
+
+
 def test_bel_and_fd_digital_delta():
-    # a measurable payoff: the lognormal digital delta phi(d2) / (x sigma
-    # sqrt(T)) = 1.97240, from both BEL weights and the central difference on
-    # one noise draw; BEL needs no smoothness of the payoff, so its stderr is
-    # below FD's
+    # the lognormal digital delta phi(d2) / (x sigma sqrt(T)) = 1.97240, from
+    # both BEL weights and the central difference on one noise draw; BEL
+    # needs no smoothness of the payoff, so its stderr is below FD's
     mu, sig, x, K, T = 0.05, 0.2, 1.0, 1.0, 1.0
     spec = zoo_lookup("gbm", {"mu": mu, "sigma": sig, "x0": x})
     reps = gradients(
