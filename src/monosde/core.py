@@ -346,6 +346,16 @@ class History:
     is built on first use, so none is built that no callback reads: on the P
     paths and tiled, or on each variant's shifted noise, as a history of that
     noise builds it.
+
+    `rows` (B,) lists the batch rows that a callback's x rows stand for: x
+    row j is batch row rows[j].  It is arange(B) for the history of a whole
+    batch.  take(idx) gives the history of rows[idx] alone, which the kernel
+    hands a callback it evaluates on those rows only; a field that reads the
+    noise must index it by the rows it is given, not assume they start at
+    batch row 0.  Its increments, brownian and cum_ito hold those rows only,
+    taken on first use from the whole batch's view, which is built then if
+    no callback has read it yet; so it builds nothing for a field that reads
+    no noise.
     """
 
     def __init__(self, grid: TimeGrid, increments: np.ndarray, variants: int = 1,
@@ -357,14 +367,29 @@ class History:
         self.variants = variants if shifts is None else len(shifts)
         self.B = self.variants * inc.shape[0]
         self.m = inc.shape[2]
+        self.rows = np.arange(self.B)
+        self._whole = self  # the history of every row, whose views a take reads
         self._ito = {}
 
     @classmethod
     def from_path(cls, w: NoisePath) -> "History":
         return cls(w.grid, w.increments[None])
 
-    def _rows(self, view) -> np.ndarray:
-        """view(increments) of each variant's (P, N, m) noise, in row order."""
+    def take(self, idx) -> "History":
+        """The history of rows[idx] alone (idx an index array or mask)."""
+        sub = object.__new__(History)
+        sub.grid, sub.variants, sub.m = self.grid, self.variants, self.m
+        sub.rows = self.rows[idx]
+        sub.B = len(sub.rows)
+        sub._whole = self._whole
+        sub._ito = {}
+        return sub
+
+    def _view(self, view, whole):
+        """view(increments) of each variant's (P, N, m) noise, in row order;
+        a restricted history takes its rows of whole(the whole history)."""
+        if self._whole is not self:
+            return whole(self._whole)[self.rows]
         if self._shifts is not None:
             return np.concatenate([view(self._paths + s) for s in self._shifts])
         a = view(self._paths)
@@ -375,12 +400,12 @@ class History:
     @cached_property
     def increments(self) -> np.ndarray:
         """dW per row, shape (B, N, m)."""
-        return self._rows(lambda inc: inc)
+        return self._view(lambda inc: inc, lambda h: h.increments)
 
     @cached_property
     def brownian(self) -> np.ndarray:
         """W(t_i) per row, shape (B, N + 1, m)."""
-        return self._rows(lambda inc: partial_sums(inc, axis=1))
+        return self._view(lambda inc: partial_sums(inc, axis=1), lambda h: h.brownian)
 
     def idx(self, t: float) -> int:
         return self.grid.index_of(t)
@@ -395,8 +420,9 @@ class History:
             g = np.asarray(integrand, dtype=float)
             if g.ndim == 1:
                 g = g[:, None]
-            self._ito[key] = self._rows(
-                lambda inc: partial_sums(np.einsum("bnm,nm->bn", inc, g), axis=1)
+            self._ito[key] = self._view(
+                lambda inc: partial_sums(np.einsum("bnm,nm->bn", inc, g), axis=1),
+                lambda h: h.cum_ito(key, g),
             )
         return self._ito[key]
 

@@ -9,7 +9,8 @@ split_step_implicit solve Y = X + b(t', Y) dt by damped Newton, X' = Y + sigma(X
 
 The implicit equation has a unique root whenever dt * L_mono < 1 by the
 one-sided Lipschitz property.  Newton stops each path at its own first iterate
-within tol, so in every scheme a path's values do not depend on its batch.
+within tol, and iterates only the rows still active and not diverged, so in
+every scheme a path's values do not depend on its batch.
 Any state with |X| > DIVERGENCE_BOUND or a non-finite entry is tagged diverged
 at the first bad step; divergence is never silent.  A start beyond the bound
 is rejected.
@@ -132,19 +133,29 @@ def solve_paths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.concatenate([solve_paths(a[:half], b[:half]), solve_paths(a[half:], b[half:])])
 
 
-def _newton_solve(field, t_next, hist, x, dt, scheme, step_index, eye):
-    """Solve Y = x + dt b(t_next, Y) with damped Newton, batched over paths
-    x (B, d); eye is the (d, d) identity.
+#: Newton goes on with its active rows alone once fewer than this share of
+#: the rows it iterates is still active
+NEWTON_GATHER = 1 / 8
 
-    Each path stops at its own first iterate within tol, so its root does not
-    depend on the other paths of the batch.  A path whose Newton matrix is
+
+def _newton_solve(field, t_next, hist, x, dt, scheme, step_index, eye):
+    """Solve Y = x + dt b(t_next, Y) with damped Newton, batched over the
+    rows x (B, d) of hist.rows; eye is the (d, d) identity.
+
+    Each row stops at its own first iterate within tol, so its root does not
+    depend on the other rows of the batch.  A row whose Newton matrix is
     singular takes a NaN step, so the kernel's divergence check tags it.
+    Once, after an iteration, fewer than NEWTON_GATHER of the rows iterated
+    are still active, the active rows are gathered, with their x and
+    hist.take of them, and iterated alone; their roots are scattered back at
+    the end.  Each row's arithmetic is the same either way, so no byte moves,
+    and a callback must read the noise of the rows hist.rows it is given.
 
     An iteration allocates only what its iterate needs: the Newton matrix and
     step, and per line-search trial the trial point, its residual, its norm
     and the (B,) masks.  The first trial is the full step y + s; the damping
-    factors lambda (B, 1) are allocated only once some path's residual grew.
-    While every path is active the accepted trial becomes the iterate as it
+    factors lambda (B, 1) are allocated only once some row's residual grew.
+    While every row is active the accepted trial becomes the iterate as it
     is, without a masked copy.  Each element sees the same float operations
     in the same order as in the plain scheme y + lambda s, (y - x) - dt b."""
     tol = scheme.newton_tol
@@ -157,16 +168,28 @@ def _newton_solve(field, t_next, hist, x, dt, scheme, step_index, eye):
     y = x.copy()
     res = residual(y)
     norm = np.abs(res).max(axis=1)
+    roots = rows = None  # once gathered: the roots of all rows, and the rows y holds
     for it in range(scheme.newton_max_iter + 1):
-        # A path iterates while its iterate is finite and its residual is not
+        # A row iterates while its iterate is finite and its residual is not
         # within tol (NaN is not); the kernel tags a non-finite iterate.
         active = norm <= tol
         np.logical_not(active, out=active)
         active &= np.isfinite(y).all(axis=1)
-        if not active.any():
-            return y
+        n_active = np.count_nonzero(active)
+        if n_active == 0:
+            break
         if it == scheme.newton_max_iter:
             raise NewtonFailureError(step_index, np.max(norm[active]), tol)
+        if n_active < NEWTON_GATHER * len(y):
+            # the inactive rows hold their roots: go on with the active ones
+            sel = np.flatnonzero(active)
+            if rows is None:
+                roots, rows = y, sel
+            else:
+                roots[rows] = y
+                rows = rows[sel]
+            x, y, res, norm, hist = x[sel], y[sel], res[sel], norm[sel], hist.take(sel)
+            active = active[sel]
         jac = dt * field.grad_drift(t_next, hist, y)
         np.subtract(eye, jac, out=jac)
         step = solve_paths(jac, -res[..., None])[..., 0]
@@ -183,13 +206,17 @@ def _newton_solve(field, t_next, hist, x, dt, scheme, step_index, eye):
                 lam = np.ones((len(x), 1))
             lam[worse] *= 0.5
             y_try = y + lam * step
-        # only active paths take the step
+        # only active rows take the step
         if active.all():
             y, res, norm = y_try, res_try, norm_try
         else:
             np.copyto(y, y_try, where=active[:, None])
             np.copyto(res, res_try, where=active[:, None])
             np.copyto(norm, norm_try, where=active)
+    if rows is None:
+        return y
+    roots[rows] = y
+    return roots
 
 
 def tamed_denominator(b: np.ndarray, dt: float) -> np.ndarray:
@@ -231,6 +258,13 @@ class Stepper:
     diverged) are final after the last step.  `hist` is the noise as the
     coefficient callbacks read it: they see the states flattened to (K*P,
     d), row k*P + p being path p of variant k.  Iterate once.
+
+    Once a row has diverged, the split-step scheme hands Newton only the
+    live rows, with hist.take of them, and the frozen rows keep X_{i+1} =
+    X_i; Newton in turn goes on with its still active rows alone once they
+    are fewer than NEWTON_GATHER (1/8) of those it iterates.  So a callback
+    may be given a subset of the rows, and reads which in hist.rows.  The
+    explicit schemes evaluate every row on every step.
     """
 
     def __init__(
@@ -284,11 +318,11 @@ class Stepper:
         field, scheme, hist = self.field, self.scheme, self.hist
         dt = self.grid.dt
         diverged, first_bad, shifts = self.diverged, self.first_bad, self._shifts
-        any_diverged = False
         x = self.theta.copy()
         shape = K, P, d = x.shape
         sig_shape, rows = shape + self.inc.shape[2:], (K * P, d)
         eye = np.eye(d)
+        live = None  # once a row diverged, the rows that did not
         for i in range(self.N):
             t = i * dt
             xr = x.reshape(rows)  # the rows k*P + p the callbacks see
@@ -302,7 +336,14 @@ class Stepper:
                 if scheme.kind == IMPLICIT:
                     sig = field.diffusion(t, hist, xr).reshape(sig_shape)
                     # the root Y becomes X_{i+1} = Y + sigma dW in place
-                    y = _newton_solve(field, t + dt, hist, xr, dt, scheme, i, eye)
+                    if live is None:
+                        y = _newton_solve(field, t + dt, hist, xr, dt, scheme, i, eye)
+                    else:
+                        # the diverged rows stay frozen: Newton solves the live ones
+                        y = xr.copy()
+                        if len(live):
+                            y[live] = _newton_solve(field, t + dt, live_hist, xr[live], dt,
+                                                    scheme, i, eye)
                     x_next = y.reshape(shape)
                     x_next += np.einsum("...dm,...m->...d", sig, dw)
                 else:
@@ -321,10 +362,12 @@ class Stepper:
                 ok = np.abs(x_next).max(axis=2) <= DIVERGENCE_BOUND
             if not ok.all():
                 bad = ~(ok | diverged)
-                first_bad[bad] = i + 1
-                diverged |= bad
-                any_diverged = True
-            if any_diverged:
+                if bad.any():
+                    first_bad[bad] = i + 1
+                    diverged |= bad
+                    live = np.flatnonzero(~diverged.reshape(-1))
+                    live_hist = hist.take(live)
+            if live is not None:
                 # freeze diverged paths at their last finite state
                 x_next[diverged] = x[diverged]
             yield StepRecord(i, x, sig, denom, dw, x_next)

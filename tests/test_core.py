@@ -277,6 +277,28 @@ def test_history_shifts_view_the_shifted_paths():
         assert view(stacked).tobytes() == view(separate).tobytes()
 
 
+@pytest.mark.parametrize("shifted", [False, True], ids=["variants", "shifts"])
+def test_history_take_views_the_rows_it_holds(shifted):
+    # a restricted history reads the whole batch's rows it stands for, also
+    # when taken from another restricted one, and builds no view of its own
+    g = make_grid(1.0, 8)
+    inc = sample_increments(g, 2, 6, 0, 4)
+    gvals = np.arange(8, dtype=float)
+    shifts = np.array([0.0, 0.5, -0.25])[:, None, None] * np.linspace(0.1, 1.6, 16).reshape(8, 2)
+    whole = History(g, inc, shifts=shifts) if shifted else History(g, inc, variants=3)
+    assert whole.rows.tolist() == list(range(12))
+    sub = whole.take(np.array([1, 4, 6, 7, 11]))
+    subsub = sub.take(np.array([True, False, False, True, True]))
+    assert (sub.rows.tolist(), sub.B) == ([1, 4, 6, 7, 11], 5)
+    assert (subsub.rows.tolist(), subsub.B) == ([1, 7, 11], 3)
+    assert sub.m == 2 and subsub.idx(0.5) == 4
+    assert not {"increments", "brownian"} & (set(vars(whole)) | set(vars(sub)))
+    for view in (lambda h: h.increments, lambda h: h.brownian,
+                 lambda h: h.cum_ito("k", gvals)):
+        for h in (subsub, sub):
+            assert view(h).tobytes() == view(whole)[h.rows].tobytes()
+
+
 @pytest.mark.parametrize("lead", ["", "7,"])
 def test_format_lines_matches_a_row_by_row_writer(lead):
     # a two-column block (as paths.csv at d = 2 and jacobian.csv write it)

@@ -1015,7 +1015,7 @@ def test_singular_newton_matrix_on_path_0_leaves_the_other_paths():
 
     def grad_drift(t, hist, x):
         jac = f.grad_drift(t, hist, x)
-        jac[0] = np.eye(2) / g.dt  # I - dt jac[0] = 0
+        jac[hist.rows == 0] = np.eye(2) / g.dt  # I - dt jac = 0 on path 0
         return jac
 
     singular = replace(f, grad_drift=grad_drift)
@@ -1029,7 +1029,7 @@ def test_singular_newton_matrix_on_path_0_leaves_the_other_paths():
 def _nan_on_path_0(field):
     def drift(t, hist, x):
         b = field.drift(t, hist, x)
-        b[0] = np.nan
+        b[hist.rows == 0] = np.nan
         return b
 
     return replace(field, drift=drift)
@@ -1071,6 +1071,69 @@ def test_implicit_d2_batch_equals_its_single_path_stack():
     inc = sample_increments(g, 2, seed=5, start=0, count=16)
     out = _assert_batch_is_stack(_cubic_d2(), [_cubic_d2()] * 16, g, np.array([2.0, -1.0]), inc)
     assert not out.diverged.any()
+
+
+def _reads_its_rows_brownian(diverged):
+    """b(t, x) = x - x^3 + W(t) / 2 per row, reading the row's W(t) from
+    hist.brownian, with NaN on path 0 when diverged; d = m = 1."""
+    def drift(t, hist, x):
+        b = x - x * x * x + 0.5 * hist.brownian[:, hist.idx(t)]
+        if diverged:
+            b[hist.rows == 0] = np.nan
+        return b
+
+    return CoefficientField(
+        1, 1, drift,
+        lambda t, h, x: np.full((len(x), 1, 1), 0.5),
+        lambda t, h, x: (1.0 - 3.0 * x * x)[:, :, None],
+        lambda t, h, x: np.zeros((len(x), 1, 1, 1)),
+    )
+
+
+@pytest.mark.parametrize("diverged", [False, True], ids=["clean", "path_0_diverged"])
+def test_implicit_batch_reading_its_rows_noise_equals_its_single_path_stack(diverged):
+    # Newton hands the drift a subset of the rows, once they are fewer than
+    # 1/8 active and once path 0 diverged; each call must read the noise of
+    # the rows it is given, as the path run alone reads its own
+    f, g = _reads_its_rows_brownian(diverged), make_grid(1.0, 32)
+    sizes = set()
+
+    def drift(t, hist, x):
+        assert len(hist.rows) == len(x) == len(hist.brownian)
+        sizes.add(len(x))
+        return f.drift(t, hist, x)
+
+    inc = sample_increments(g, 1, seed=5, start=0, count=64)
+    alone = [f] + [_reads_its_rows_brownian(False)] * 63
+    out = _assert_batch_is_stack(replace(f, drift=drift), alone, g, np.array([1.0]), inc)
+    assert out.diverged[0].tolist() == [diverged] + [False] * 63
+    assert min(sizes) < 64 / 8  # the gathered rows were called alone
+    assert (63 in sizes) == diverged  # the live rows were, once path 0 diverged
+
+
+def test_newton_calls_only_the_rows_that_need_it():
+    # GL, 1024 paths: once fewer than 1/8 of its rows are active Newton calls
+    # those alone, and once path 0 has diverged no Newton call holds it
+    f = _nan_on_path_0(zoo_lookup("ginzburg_landau").field)
+    calls = []
+
+    def record(fn):
+        def wrapped(t, hist, x):
+            calls.append((int(round(t * 64)) - 1, hist.rows.copy()))
+            return fn(t, hist, x)
+
+        return wrapped
+
+    counting = replace(f, drift=record(f.drift), grad_drift=record(f.grad_drift))
+    out = _gl_implicit(1.0, 1.0, 64, count=1024, field=counting)
+    assert out.first_bad[0].tolist() == [1] + [65] * 1023
+    full = {}
+    for step, rows in calls:
+        full.setdefault(step, len(rows))
+        assert len(rows) in (full[step], 1024 - (step > 0)) or len(rows) < 1024 / 8
+        assert step == 0 or 0 not in rows
+    assert sorted(full) == list(range(64))
+    assert sum(len(rows) < 1024 / 8 for _, rows in calls) >= 64
 
 
 def _counted(fn, counts, dt):
