@@ -630,15 +630,17 @@ _GBM = "model = gbm\ngrid.T = 1\n"
 #: `artifacts` workload at its sizes (N = 1024); then the Cameron-Martin
 #: check (base and shifted variants of one stacked batch) per scheme; last,
 #: greeks in 4 chunks of 4096 paths, two per worker at workers 2, so that a
-#: worker reports more than one chunk.
+#: worker reports more than one chunk.  The GL cases that read the drift on
+#: more than one path were re-pinned when it became eta*u - u*u*u, whose
+#: bytes no CPU's pow kernel changes.
 _PINNED = {
     "paths_euler": (
         "simulate", _GL + "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 3\n",
-        "paths.csv", "5cf857b6db97708dad410183227ff98d256690bcc3996ed5b7d70710026244ac",
+        "paths.csv", "def37707073f5c58273ca92a054a0e4e132cfe332a509f5acddfce3725207dbd",
     ),
     "paths_tamed": (
         "simulate", _GL + "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 3\n",
-        "paths.csv", "091c2feb02330e5cd432470b8f82a22fd030a16dacf2df67a0cedf3e90bf06b9",
+        "paths.csv", "69d63ecd27a0d6ea36f447c0dfb07d8205d7b11455dddba67801077c37e033a2",
     ),
     "paths_implicit": (
         "simulate", _GL + "grid.N = 64\nscheme = split_step_implicit\nseed = 5\nn_paths = 3\n",
@@ -646,7 +648,7 @@ _PINNED = {
     ),
     "paths_tamed_1025": (
         "simulate", _GL + "grid.N = 4\nscheme = tamed_euler\nseed = 3\nn_paths = 1025\n",
-        "paths.csv", "3f95c6b8beb4200a4519dbf1f9d495bae663089cbc61ce0dc9ecd33c03c0c8c8",
+        "paths.csv", "2286f2964ad8ffc050debc413c746073154ad33a490564e0cfae727629c371ba",
     ),
     "field_stride_1": (
         "malliavin", _GL + "grid.N = 64\nscheme = tamed_euler\nseed = 9\nmalliavin.s_stride = 1\n",
@@ -670,27 +672,27 @@ _PINNED = {
     ),
     "greeks_euler": (
         "greeks", _GL + "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 64\n",
-        "greeks.csv", "55931bf612c42ca4446e11f857220aa3e0279749ca5a01ab0682db954eb9dd0f",
+        "greeks.csv", "5d844720078dc8b843c5e3ac13356084e6c9567176b4527ff44bf18f67109603",
     ),
     "greeks_tamed": (
         "greeks", _GL + "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 64\n",
-        "greeks.csv", "7d1338c1b98b8baf4279e8bfbf5a4b8b0a1060b96f72b1968bd9a0c908faf7a2",
+        "greeks.csv", "c39158d72acdc5deec5d5aa81a4cda863d956d785bf6264c2db78a8d12f1fa62",
     ),
     "greeks_implicit": (
         "greeks", _GL + "grid.N = 64\nscheme = split_step_implicit\nseed = 5\nn_paths = 64\n",
-        "greeks.csv", "d9d3c7d2e31797a44def5c43b09ac1fa4fc7271c4fb53bd99b1d283742d1eca3",
+        "greeks.csv", "b5f3cc312dc8007d94a8f494b6a0d1511d0340b501b17b7328dd4838c422c093",
     ),
     "ladder_euler": (
         "ladder", _GL + "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 64\n",
-        "ladder.csv", "5b2e392ea6e8bf2046de5c4c77968cbf9e7c86de2314558909bf4eb06e115826",
+        "ladder.csv", "8a532d3d9ebfac703d8ffd047c39428b757dd69f14570077c84b51b4aebe73ca",
     ),
     "ladder_tamed": (
         "ladder", _GL + "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 64\n",
-        "ladder.csv", "e558ec44fc335ef7e3db2e597ad7fa7daa8719c15a599f1aa1256e48766f385b",
+        "ladder.csv", "6193aaea7191a33da364c9ce605ba120f25f12a56ccc20d60efdbd925ccdea7d",
     ),
     "ladder_implicit": (
         "ladder", _GL + "grid.N = 64\nscheme = split_step_implicit\nseed = 5\nn_paths = 64\n",
-        "ladder.csv", "5526f9a1ed23b4f9a51d96f40523d1ead3fe5f4e648e186b2075f39eb63d5b95",
+        "ladder.csv", "2acb182e3cad24643f027fa8d45b1e85935c32fbd14d24c1547b339b4aafca6b",
     ),
     "field_euler": (
         "malliavin", _GL + "grid.N = 64\nscheme = euler_maruyama\nseed = 9\nmalliavin.s_stride = 8\n",
@@ -732,20 +734,20 @@ _PINNED = {
     ),
     "cameron_martin_euler": (
         "cameron-martin", _GL + "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 64\n",
-        "cameron_martin.csv", "df5dd5132a89ef3348ad74b5dbe4b69828df7c8904e2d59258201eed40376af3",
+        "cameron_martin.csv", "f87b49487f10790768c92800aade1ba1c3fde920583f827a373a2f023ef5bcff",
     ),
     "cameron_martin_tamed": (
         "cameron-martin", _GL + "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 64\n",
-        "cameron_martin.csv", "2d841efe2c4c9a0114f9dfce5cabd410ea54f022fc80934fa336fc0f964b1e2c",
+        "cameron_martin.csv", "62d86c55ae7f818ef9fce4abf1a30825ae489a0674e1a286c10a96e9969542db",
     ),
     "cameron_martin_implicit": (
         "cameron-martin", _GL + "grid.N = 64\nscheme = split_step_implicit\nseed = 5\n"
         "n_paths = 64\n",
-        "cameron_martin.csv", "a2ec75739bd509aad319c0c969e0a7d67743b9194e175487fe1f4e7961837ac7",
+        "cameron_martin.csv", "99154bb60e5896aba370a0f80038808dc0da8648af28866282e1cbdf7dc46bfe",
     ),
     "greeks_tamed_16384": (
         "greeks", _GL + "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 16384\n",
-        "greeks.csv", "34f6f0dcdc90fe921e12210d6c13d68d8a55670a4d4f0c832506527393903efc",
+        "greeks.csv", "f9c26ec14654bc3bf2a164fede75f691ff4d11aaa42c6a71258ad9f39fd54e9b",
     ),
 }
 
@@ -852,6 +854,51 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "ref")]) == 0
     assert (out / "paths.csv").read_bytes() == (tmp_path / "ref" / "paths.csv").read_bytes()
+
+
+def _avx512_targets():
+    """The AVX-512 targets of numpy's own dispatch list that this CPU runs."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__
+            if (t.startswith("AVX512") or t == "X86_V4") and umath.__cpu_features__.get(t)]
+
+
+#: GL tamed greeks, GL split-step ladder and quintic split-step simulate, each
+#: evaluating the drift on many paths at once, where numpy runs its SIMD kernels
+_CPU_JOBS = {
+    "greeks": _GL + "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 256\n",
+    "ladder": _GL + "grid.N = 64\nscheme = split_step_implicit\nseed = 5\nn_paths = 64\n",
+    "simulate": "model = quintic\ngrid.T = 1\ngrid.N = 64\nscheme = split_step_implicit\n"
+                "seed = 5\nn_paths = 64\n",
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_CPU_JOBS))
+def test_artifacts_do_not_depend_on_numpy_avx512_kernels(tmp_path, subcommand):
+    # a CPU without AVX-512 runs numpy's other kernels: turning them off in a
+    # subprocess must leave every artifact byte as this process writes it
+    targets = _avx512_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 kernel on this CPU, so none can be turned off")
+    code, ref = _cli(tmp_path, subcommand, _CPU_JOBS[subcommand])
+    assert code == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(monosde.__file__)))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "no_avx512"
+    proc = subprocess.run(
+        [sys.executable, "-m", "monosde", subcommand, "--config",
+         str(tmp_path / f"{subcommand}.conf"), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(os.listdir(ref))
+    assert names == sorted(os.listdir(out))
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 #: parameter values at the edges of what a config accepts

@@ -196,7 +196,8 @@ def test_fused_pass_equals_separate_estimators(x0, T, N, kind, n_paths, workers)
 def test_bel_on_diverged_paths_warns_nothing():
     # explicit Euler from x0 = 3 diverges on about half the paths; their
     # frozen states overflow the weight recursion, which must stay quiet and
-    # leave the estimate as recorded before the warnings were silenced
+    # leave the estimate as recorded before the warnings were silenced (and
+    # again when the GL drift's cube became u * u * u)
     spec = zoo_lookup("ginzburg_landau", {"eta": 1.0, "sigma": 1.0, "x0": 3.0})
     g = make_grid(2.0, 8)
     bel, fd = gradients(
@@ -204,10 +205,10 @@ def test_bel_on_diverged_paths_warns_nothing():
         weights=(constant_weight(),), eps=1e-3,
     )
     assert bel.n_diverged == 538
-    assert bel.estimate.mean[0] == -19.1317747450051
-    assert bel.estimate.stderr[0] == 18.975996442295326
+    assert bel.estimate.mean[0] == -19.13177474500459
+    assert bel.estimate.stderr[0] == 18.97599644229478
     assert fd.n_diverged == 539
-    assert fd.estimate.mean[0] == 5.30268738558006
+    assert fd.estimate.mean[0] == 5.302687385580806
 
 
 def test_bel_requires_deterministic_coefficients():

@@ -292,7 +292,8 @@ def test_implicit_d2_twin_equals_d1_bitwise(eta, x0, N):
     scheme = SchemeChoice(IMPLICIT)
     inc = sample_increments(g, 1, seed=5, start=0, count=16)
     one, vf1 = stored_factors(spec.field, g, inc, spec.theta0, scheme)
-    twin_field = _twin_ginzburg_landau(eta)
+    # the cube written as the model writes it
+    twin_field = replace(_twin_ginzburg_landau(eta), drift=lambda t, h, x: eta * x - x * x * x)
     two, vf2 = stored_factors(
         twin_field, g, np.concatenate([inc, inc], axis=2), np.full(2, x0), scheme
     )
