@@ -368,7 +368,7 @@ class History:
         self.B = self.variants * inc.shape[0]
         self.m = inc.shape[2]
         self.rows = np.arange(self.B)
-        self._whole = self  # the history of every row, whose views a take reads
+        self._whole = None  # a take's: the history of the batch, whose views it reads
         self._ito = {}
 
     @classmethod
@@ -381,14 +381,14 @@ class History:
         sub.grid, sub.variants, sub.m = self.grid, self.variants, self.m
         sub.rows = self.rows[idx]
         sub.B = len(sub.rows)
-        sub._whole = self._whole
+        sub._whole = self if self._whole is None else self._whole
         sub._ito = {}
         return sub
 
     def _view(self, view, whole):
         """view(increments) of each variant's (P, N, m) noise, in row order;
         a restricted history takes its rows of whole(the whole history)."""
-        if self._whole is not self:
+        if self._whole is not None:
             return whole(self._whole)[self.rows]
         if self._shifts is not None:
             return np.concatenate([view(self._paths + s) for s in self._shifts])

@@ -299,6 +299,26 @@ def test_history_take_views_the_rows_it_holds(shifted):
             assert view(h).tobytes() == view(whole)[h.rows].tobytes()
 
 
+def test_history_is_freed_without_the_cycle_collector():
+    # a history holds a chunk's noise: a reference cycle would keep every
+    # chunk's alive until the collector ran, which raised a greeks run's
+    # peak memory by a third
+    import gc
+    import weakref
+
+    g = make_grid(1.0, 8)
+    gc.disable()
+    try:
+        whole = History(g, sample_increments(g, 1, 6, 0, 4), variants=2)
+        sub = whole.take(np.array([0, 5]))
+        sub.brownian
+        refs = weakref.ref(whole), weakref.ref(sub)
+        del whole, sub
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("lead", ["", "7,"])
 def test_format_lines_matches_a_row_by_row_writer(lead):
     # a two-column block (as paths.csv at d = 2 and jacobian.csv write it)
