@@ -12,7 +12,7 @@ import io
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,10 +47,19 @@ from .greeks import (
 
 @dataclass
 class CriterionResult:
+    """One criterion's outcome.  detail rounds the figures it reports;
+    values holds each of those figures unrounded, by name."""
+
     number: int
     name: str
     passed: bool
     detail: str
+    values: dict = field(default_factory=dict)
+
+
+def _named(name, xs) -> dict:
+    """The figures xs by the names name_0, name_1, ..."""
+    return {f"{name}_{k}": x for k, x in enumerate(xs)}
 
 
 def _fit_constants(errs, dts):
@@ -87,6 +96,7 @@ def criterion_01(workers: int = 1) -> CriterionResult:
         "ou_malliavin_closed_form",
         ok,
         f"max_err={errs[2**12]:.3e} bound={bound:.3e} order={order:.2f}",
+        {"max_err": errs[2**12], "bound": bound, "order": order},
     )
 
 
@@ -119,7 +129,8 @@ def criterion_02(workers: int = 1) -> CriterionResult:
         worst = max(worst, float(np.max(np.abs(f.values[:, 0] - ref) / np.abs(ref))))
     ok = worst <= 1e-12
     return CriterionResult(
-        2, "gbm_exact_recursions", ok, f"max_rel_err={worst:.3e} tol=1e-12"
+        2, "gbm_exact_recursions", ok, f"max_rel_err={worst:.3e} tol=1e-12",
+        {"max_rel_err": worst},
     )
 
 
@@ -154,6 +165,8 @@ def criterion_03(workers: int = 1) -> CriterionResult:
         f"C_inv={c_inv[0]:.2f}/{c_inv[1]:.2f}/{c_inv[2]:.2f} ratio={r_inv:.2f} "
         f"C_wron={c_wro[0]:.2f}/{c_wro[1]:.2f}/{c_wro[2]:.2f} ratio={r_wro:.2f} "
         f"positive={positive}",
+        {**_named("C_inv", c_inv), "ratio_inv": r_inv, **_named("C_wron", c_wro),
+         "ratio_wron": r_wro},
     )
 
 
@@ -193,6 +206,7 @@ def criterion_04(workers: int = 1) -> CriterionResult:
         "gl_representation_formula",
         ok,
         f"C={c[0]:.2f}/{c[1]:.2f}/{c[2]:.2f} ratio={ratio:.2f}",
+        {**_named("C", c), "ratio": ratio},
     )
 
 
@@ -258,6 +272,7 @@ def criterion_05(workers: int = 1) -> CriterionResult:
         "random_sigma_strong_order_and_jump",
         ok,
         f"order={slope:.3f} in [0.35,0.65]; jump_rel_err={jump_rel:.3f} tol=0.10",
+        {"order": slope, "jump_rel_err": jump_rel},
     )
 
 
@@ -285,6 +300,7 @@ def criterion_06(workers: int = 1) -> CriterionResult:
         "cameron_martin_and_dd_martingale",
         ok,
         f"cm_z={rep.z_score:.2f} dd_z={dd_z:.2f} (tol 3)",
+        {"cm_z": rep.z_score, "dd_z": dd_z},
     )
 
 
@@ -312,7 +328,7 @@ def criterion_07(workers: int = 1) -> CriterionResult:
     eps = [2.0**-k for k in range(1, 8)]
     deltas = [1e-1, 1e-2, 1e-3]
     h = CameronMartinPath.constant(grid, 1.0)
-    details = []
+    details, values = [], {}
     ok = True
     for name in ("ou", "ginzburg_landau"):
         spec = zoo_lookup(name)
@@ -325,7 +341,8 @@ def criterion_07(workers: int = 1) -> CriterionResult:
         details.append(
             f"{name}: mono={mono} P[large]={p_large:.3f} P[small]={p_small:.3f}"
         )
-    return CriterionResult(7, "gateaux_ladder", ok, "; ".join(details))
+        values.update({f"{name}.P_large": p_large, f"{name}.P_small": p_small})
+    return CriterionResult(7, "gateaux_ladder", ok, "; ".join(details), values)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +388,7 @@ def criterion_08(workers: int = 1) -> CriterionResult:
         "bel_oracles_and_weight_invariance",
         ok,
         f"z_gbm={z_gbm:.2f} z_gl_vs_fd={z_gl:.2f} z_weights={z_w:.2f}",
+        {"z_gbm": z_gbm, "z_gl_vs_fd": z_gl, "z_weights": z_w},
     )
 
 
@@ -440,6 +458,8 @@ def criterion_10(workers: int = 1) -> CriterionResult:
         ok,
         f"gbm_spread={spread:.2e} (tol 1e-2); gl_ratios={vals} "
         f"final_growth={grow:.4f} slack={slack:.4f}",
+        {"gbm_spread": spread, **_named("gl_ratios", [r.mean[0] for r in rg]),
+         "final_growth": grow, "slack": slack},
     )
 
 

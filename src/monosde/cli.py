@@ -385,6 +385,12 @@ def _run_verify(cfg, spec, grid, out_dir, workers):
         ["number", "criterion", "status", "detail"],
         map(_line, rows),
     )
+    # the unrounded figures, so that a byte comparison sees a moved estimate
+    _write_csv(
+        os.path.join(out_dir, "verify_values.csv"),
+        ["number", "criterion", "name", "value"],
+        (_line(_row(r.number, r.name, name, v)) for r in results for name, v in r.values.items()),
+    )
     return 0 if all(r.passed for r in results) else 3
 
 

@@ -32,6 +32,7 @@ import numpy as np
 from .core import MCEstimate, TimeGrid, mc_estimate
 from .errors import InvalidParameterError, SingularDiffusionError
 from .models import ModelSpec
+from .smallmat import contract
 from .solver import SchemeChoice, Stepper, live_paths, run_paths, solve_paths
 from .variational import VariationalFactors, central_bumps
 
@@ -133,8 +134,11 @@ def _samples(field, grid, scheme, theta, payoff, inc, a=None, eps=None):
     if a is not None:
         # BEL fields are deterministic, so the callbacks read no history rows
         vf = VariationalFactors(run)
-        J = np.broadcast_to(np.eye(d), (B, d, d)).copy()
-        wstar = np.zeros((B, len(a), d))
+        # J and w* are batch-last, (d, d, B) and (L, d, B); a_steps[i] holds
+        # the L weights of step i side by side
+        J = np.broadcast_to(vf.eye, (d, d, B)).copy()
+        wstar = np.zeros((len(a), d, B))
+        a_steps = np.ascontiguousarray(a.T)
         singular = np.full(B, N + 1)  # first near-singular step per path
 
     samples = []
@@ -146,19 +150,22 @@ def _samples(field, grid, scheme, theta, payoff, inc, a=None, eps=None):
                 continue
             i = rec.i
             vf.take(rec)
-            siginv_j = solve_paths(vf.sig, J)
+            # the small solve takes rows: sigma (B, d, d) and J as (B, d, d)
+            siginv_j = solve_paths(rec.sig[0], J.transpose(2, 0, 1)).transpose(1, 2, 0)
             if d == 1:
-                near = np.abs(vf.sig[:, 0, 0]) < 1.0 / _CONDITION_LIMIT
+                near = np.abs(vf.sig[0, 0]) < 1.0 / _CONDITION_LIMIT
             else:
                 # |sigma^{-1} J| > LIMIT |J| bounds |sigma^{-1}| from below,
                 # as |sigma| < 1/LIMIT does for d = 1; NaN fails the <= as well
-                big = np.max(np.abs(siginv_j), axis=(1, 2))
-                near = ~(big <= _CONDITION_LIMIT * np.max(np.abs(J), axis=(1, 2)))
+                big = contract("ij...->...", np.abs(siginv_j), add=np.maximum)
+                top = contract("ij...->...", np.abs(J), add=np.maximum)
+                near = ~(big <= _CONDITION_LIMIT * top)
             if near.any():
                 np.minimum(singular, np.where(near, i, N + 1), out=singular)
-            e = np.einsum("bdm,bm->bd", siginv_j.transpose(0, 2, 1), vf.dw)
-            wstar = wstar + a[:, i][None, :, None] * e[:, None, :]
-            J = J + vf.amat @ J
+            # e = (sigma^{-1} J)^T dW
+            e = contract("jk...,j...->k...", siginv_j, vf.dw)
+            wstar = wstar + a_steps[i][:, None, None] * e
+            J = J + contract("ij...,jk...->ik...", vf.amat, J)
         node = rec.x_next  # X_N (K, B, d), diverged paths frozen
 
         if a is not None:
@@ -168,7 +175,7 @@ def _samples(field, grid, scheme, theta, payoff, inc, a=None, eps=None):
                 raise SingularDiffusionError(
                     f"diffusion below 1/{_CONDITION_LIMIT:.0e} at step {step}"
                 )
-            samples += [payoff(node[0])[:, None, None] * wstar, first_bad]
+            samples += [(payoff(node[0]) * wstar).transpose(2, 0, 1), first_bad]
     if eps is not None:
         bumped = node[-2 * d:]  # the last 2d variants
         grads = np.empty((B, d))

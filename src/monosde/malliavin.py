@@ -23,6 +23,7 @@ import numpy as np
 from .core import CameronMartinPath, NoisePath, StatePath, TimeGrid, format_lines
 from .errors import DivergenceError, InvalidParameterError
 from .models import ModelSpec
+from .smallmat import contract
 from .solver import PathStepper, SchemeChoice, StepRecord, Stepper
 from .variational import JacobianBundle, VariationalFactors, check_finite_nodes
 
@@ -105,9 +106,11 @@ def _field_batch(
     out, stepping it.
 
     Returns (B, k, N+1, d, m), or (B, k, len(t_keep), d, m) when t_keep (a
-    sorted array of node indices) restricts which t-columns are stored.  A
-    row s < t_N starts from the sigma its step's record holds; only the row
-    s = t_N evaluates sigma outside the kernel.
+    sorted array of node indices) restricts which t-columns are stored: a
+    view of the batch-last array (k, n_cols, d, m, B) the steps fill, each
+    step's M_s (k, d, m, B) being batch-last as well.  A row s < t_N starts
+    from the sigma its step's record holds; only the row s = t_N evaluates
+    sigma outside the kernel.
     """
     field, hist = out.field, out.hist
     _, B, d = out.theta.shape
@@ -125,34 +128,35 @@ def _field_batch(
         col_of[t_keep] = np.arange(len(t_keep))
         n_cols = len(t_keep)
 
-    entries = np.zeros((B, k, n_cols, d, m))
+    entries = np.zeros((k, n_cols, d, m, B))
     vf = VariationalFactors(out)
     active = 0
-    cur = np.zeros((B, k, d, m))
+    cur = np.zeros((k, d, m, B))
 
     def activate(i, sig):
         # rows whose s is node i start at M_s(s) = sigma(s, X(s)); column i keeps them
         nonlocal active
         while active < k and s_idx[active] == i:
-            cur[:, active] = sig
+            cur[active] = sig
             active += 1
         if col_of[i] >= 0:
-            entries[:, :active, col_of[i]] = cur[:, :active]
+            entries[:active, col_of[i]] = cur[:active]
 
     for rec in out:
         i = rec.i
         vf.take(rec)
         activate(i, vf.sig)
-        upd = cur[:, :active] + vf.amat[:, None] @ cur[:, :active]
+        upd = cur[:active] + contract("ij...,sjm...->sim...", vf.amat, cur[:active])
         u, v = _noise_derivatives(field, s_times[:active], i * dt, hist, B)
         if u is not None:
-            upd = upd + u * dt
+            upd = upd + u.transpose(1, 2, 3, 0) * dt
         if v is not None:
             # V^{(i,j,k)} dW^j: contract the middle (Brownian) index
-            upd = upd + np.einsum("bsijk,bj->bsik", v, vf.dw)
-        cur[:, :active] = upd
-    activate(N, field.diffusion(N * dt, hist, rec.x_next[0]) if active < k else None)
-    return entries
+            upd = upd + contract("sijk...,j...->sik...", v.transpose(1, 2, 3, 4, 0), vf.dw)
+        cur[:active] = upd
+    last = field.diffusion(N * dt, hist, rec.x_next[0]).transpose(1, 2, 0) if active < k else None
+    activate(N, last)
+    return entries.transpose(4, 0, 1, 2, 3)
 
 
 def malliavin_field(
@@ -228,16 +232,13 @@ def representation_parts(
         u, vmat = _noise_derivatives(field, s_idx[:active] * dt, t, hist, 1)
         u = np.zeros((active, d, m)) if u is None else u[0]
         vmat = np.zeros((active, d, m, m)) if vmat is None else vmat[0]
-        # <grad_sigma(r), V(s, r)>^{(i,k)} = sum_{j,l} gs[i,j,l] V[l,j,k]
+        # the s-rows are the batch: <grad_sigma(r), V(s, r)>^{(i,k)} =
+        # sum_{j,l} gs[i,j,l] V[l,j,k]
         gsr = field.grad_diffusion(t, hist, values[:, i])[0]  # (d, m, d)
-        contr = np.einsum("ijl,sljk->sik", gsr, vmat)
-        v_dw = np.einsum("sijk,j->sik", vmat, hist.increments[0, i])
-        jinv = np.einsum(
-            "sab,sbc->sac",
-            np.broadcast_to(bundle.J[s_idx[:active]], (active, d, d)),
-            np.broadcast_to(bundle.K[i], (active, d, d)),
-        )
-        cur[:active] = cur[:active] + jinv @ ((u - contr) * dt + v_dw)
+        contr = contract("ijl,...ljk->...ik", gsr, vmat)
+        v_dw = contract("...ijk,j->...ik", vmat, hist.increments[0, i])
+        jinv = contract("...ab,bc->...ac", bundle.J[s_idx[:active]], bundle.K[i])
+        cur[:active] = cur[:active] + contract("...ij,...jk->...ik", jinv, (u - contr) * dt + v_dw)
     return RepresentationParts(bundle, s_idx, A)
 
 
@@ -246,31 +247,39 @@ def representation_parts(
 # ---------------------------------------------------------------------------
 
 
+def _shift_integrals(field, hist, hd: np.ndarray, i: int, dt: float, B: int):
+    """int_0^{t_i} U(s, t_i) hdot(s) ds (d, B) and int_0^{t_i} V(s, t_i)
+    hdot(s) ds (d, m, B), left-point in s over the nodes s < t_i, for the
+    density hd (N, m) of h; each None when the field has no such process
+    or i = 0.  A quadrature over the s-lattice, so np.einsum sums it."""
+    if i == 0:
+        return None, None
+    u, v = _noise_derivatives(field, np.arange(i) * dt, i * dt, hist, B)
+    if u is not None:
+        u = np.einsum("bsdm,sm->bd", u, hd[:i]).T * dt
+    if v is not None:
+        v = np.einsum("bsdjk,sk->bdj", v, hd[:i]).transpose(1, 2, 0) * dt
+    return u, v
+
+
 def directional_step(vf: VariationalFactors, rec: StepRecord,
                      h: CameronMartinPath, y: np.ndarray) -> np.ndarray:
-    """D^h X at node i+1 from y = D^h X at node i (B, d), along the B paths
-    of variant 0 of rec, the kernel's record of step i: the linearized step
-    I + A_i, forced by sigma hdot_i dt and the U and V terms.  vf takes
-    that variant of rec and holds its noise."""
-    field, hist, dt = vf.field, vf.hist, vf.dt
-    i = rec.i
-    B, d = len(y), field.d
-    t = i * dt
+    """D^h X at node i+1 from y = D^h X at node i, batch-last (d, B), along
+    the B paths of variant 0 of rec, the kernel's record of step i: the
+    linearized step I + A_i, forced by sigma hdot_i dt and the U and V
+    terms.  vf takes that variant of rec and holds its noise."""
+    i, dt = rec.i, vf.dt
     hd = h.density  # (N, m)
     vf.take(rec)
-    force_dt = np.einsum("bdm,m->bd", vf.sig, hd[i]) * dt
-    force_dw = np.zeros((B, d))
-    if i > 0:
-        # U and V at the left nodes s < t_i
-        u, v = _noise_derivatives(field, np.arange(i) * dt, t, hist, B)
-        if u is not None:
-            # int_0^{t_i} U(s, t_i) hdot(s) ds, left-point in s
-            force_dt = force_dt + np.einsum("bsdm,sm->bd", u, hd[:i]) * dt * dt
-        if v is not None:
-            # (int_0^{t_i} V(s, t_i) hdot(s) ds)^{(d, j)} then contract with dW^j
-            iv = np.einsum("bsdjk,sk->bdj", v, hd[:i]) * dt
-            force_dw = np.einsum("bdj,bj->bd", iv, vf.dw)
-    return y + np.einsum("bij,bj->bi", vf.amat, y) + force_dt + force_dw
+    force_dt = contract("dm...,m...->d...", vf.sig, hd[i][:, None]) * dt
+    iu, iv = _shift_integrals(vf.field, vf.hist, hd, i, dt, y.shape[1])
+    if iu is not None:
+        force_dt = force_dt + iu * dt
+    step = y + contract("ij...,j...->i...", vf.amat, y) + force_dt
+    if iv is not None:
+        # (int_0^{t_i} V(s, t_i) hdot(s) ds)^{(d, j)} contracted with dW^j
+        step = step + contract("dj...,j...->d...", iv, vf.dw)
+    return step
 
 
 def directional_derivative(
@@ -286,11 +295,11 @@ def directional_derivative(
     run = PathStepper(spec, w, scheme)
     vf = VariationalFactors(run)
     vals = np.zeros((grid.N + 1, spec.d))
-    y = np.zeros((1, spec.d))
+    y = np.zeros((spec.d, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for rec in run:
             y = directional_step(vf, rec, h, y)
-            vals[rec.i + 1] = y[0]
+            vals[rec.i + 1] = y[:, 0]
     check_finite_nodes(vals, "directional derivative D^h X")
     return StatePath(grid, spec.d, vals)
 

@@ -46,6 +46,7 @@ from .solver import (
     SchemeChoice, Stepper, live_paths, run_paths, simulate_batch, sup_norms,
 )
 from .malliavin import directional_step
+from .smallmat import norm
 from .variational import VariationalFactors
 
 
@@ -211,7 +212,7 @@ def _ladder_samples(spec, grid, scheme, h, eps, inc):
     shifts = np.concatenate([np.zeros_like(shift)[None], eps[:, None, None] * shift])
     run = Stepper(spec.field, grid, inc, spec.theta0, scheme, shifts)
     vf = VariationalFactors(run)
-    dh = np.zeros((P, d))
+    dh = np.zeros((d, P))  # batch-last, as directional_step steps it
     errs = np.zeros((len(eps), P))  # node 0 contributes 0
     # a diverged path's quotient may overflow; it is left out of the statistics
     with np.errstate(over="ignore", invalid="ignore"):
@@ -219,7 +220,7 @@ def _ladder_samples(spec, grid, scheme, h, eps, inc):
             dh = directional_step(vf, rec, h, dh)
             x = rec.x_next
             quot = (x[1:] - x[0]) / eps[:, None, None]
-            np.maximum(errs, np.linalg.norm(quot - dh, axis=-1), out=errs)
+            np.maximum(errs, norm(quot - dh.T), out=errs)
             del quot  # freed before the next step's Newton temporaries
     return errs.T, np.minimum(run.first_bad[0], run.first_bad[1:]).T
 

@@ -32,7 +32,9 @@ variational pass reads the records through VariationalFactors.take: J, K, D,
 the Malliavin field, F[h] and D^h X along one PathStepper, the greeks pass and
 the Gateaux ladder along variant 0 of stacked batches.  stability_ratio and
 the ladder fold a running sup over the records instead of storing paths to
-take it.
+take it.  The kernel's sigma dW, its tamed |b|, its divergence check and
+every per-step product of those passes go through smallmat.contract, which
+at d = m = 1 is the one product or view each stands for.
 
 run_paths is the chunked Monte Carlo driver every estimator runs its paths
 through.  It processes paths in chunks sized by core.chunk_size: as many
@@ -81,6 +83,7 @@ from .errors import (
     WorkerStartError,
 )
 from .models import CoefficientField, ModelSpec
+from .smallmat import contract, norm
 
 DIVERGENCE_BOUND = 1e150
 
@@ -167,19 +170,19 @@ def _newton_solve(field, t_next, hist, x, dt, scheme, step_index, eye):
 
     y = x.copy()
     res = residual(y)
-    norm = np.abs(res).max(axis=1)
+    size = contract("...i->...", np.abs(res), add=np.maximum)
     roots = rows = None  # once gathered: the roots of all rows, and the rows y holds
     for it in range(scheme.newton_max_iter + 1):
         # A row iterates while its iterate is finite and its residual is not
         # within tol (NaN is not); the kernel tags a non-finite iterate.
-        active = norm <= tol
+        active = size <= tol
         np.logical_not(active, out=active)
-        active &= np.isfinite(y).all(axis=1)
+        active &= contract("...i->...", np.isfinite(y), add=np.logical_and)
         n_active = np.count_nonzero(active)
         if n_active == 0:
             break
         if it == scheme.newton_max_iter:
-            raise NewtonFailureError(step_index, np.max(norm[active]), tol)
+            raise NewtonFailureError(step_index, np.max(size[active]), tol)
         if n_active < NEWTON_GATHER * len(y):
             # the inactive rows hold their roots: go on with the active ones
             sel = np.flatnonzero(active)
@@ -188,7 +191,7 @@ def _newton_solve(field, t_next, hist, x, dt, scheme, step_index, eye):
             else:
                 roots[rows] = y
                 rows = rows[sel]
-            x, y, res, norm, hist = x[sel], y[sel], res[sel], norm[sel], hist.take(sel)
+            x, y, res, size, hist = x[sel], y[sel], res[sel], size[sel], hist.take(sel)
             active = active[sel]
         jac = dt * field.grad_drift(t_next, hist, y)
         np.subtract(eye, jac, out=jac)
@@ -196,8 +199,8 @@ def _newton_solve(field, t_next, hist, x, dt, scheme, step_index, eye):
         y_try, lam = y + step, None
         for halvings in range(31):
             res_try = residual(y_try)
-            norm_try = np.abs(res_try).max(axis=1)
-            worse = norm_try > norm
+            size_try = contract("...i->...", np.abs(res_try), add=np.maximum)
+            worse = size_try > size
             worse &= active
             # once the 30 halvings have run out, the last trial is taken
             if halvings == 30 or not worse.any():
@@ -208,11 +211,11 @@ def _newton_solve(field, t_next, hist, x, dt, scheme, step_index, eye):
             y_try = y + lam * step
         # only active rows take the step
         if active.all():
-            y, res, norm = y_try, res_try, norm_try
+            y, res, size = y_try, res_try, size_try
         else:
             np.copyto(y, y_try, where=active[:, None])
             np.copyto(res, res_try, where=active[:, None])
-            np.copyto(norm, norm_try, where=active)
+            np.copyto(size, size_try, where=active)
     if rows is None:
         return y
     roots[rows] = y
@@ -220,19 +223,22 @@ def _newton_solve(field, t_next, hist, x, dt, scheme, step_index, eye):
 
 
 def tamed_denominator(b: np.ndarray, dt: float) -> np.ndarray:
-    """1 + dt |b| over the last axis of the drift b (..., d), shape (..., 1)."""
-    # what np.linalg.norm(b, axis=-1, keepdims=True) computes, bit for bit
-    return 1.0 + dt * np.sqrt(np.add.reduce(b * b, axis=-1, keepdims=True))
+    """1 + dt |b| over the last axis of the drift b (..., d), shape (...)."""
+    # for d <= 2, |b| is np.linalg.norm(b, axis=-1) bit for bit, an
+    # overflowing square included (smallmat.norm)
+    return 1.0 + dt * norm(b)
 
 
 @dataclass
 class StepRecord:
     """What the kernel evaluated on step i, per variant k and path p of its
     batch: the state x = X_i (K, P, d), the diffusion sig = sigma(t_i, x)
-    (K, P, d, m), the tamed denominator 1 + dt |b(t_i, x)| (K, P, 1) (None
-    for the other schemes), the increments dw (K, P, m), or (1, P, m) when
-    the variants share them, and x_next = X_{i+1} (K, P, d) with the
-    diverged paths frozen at their last finite state."""
+    (K, P, d, m), the tamed denominator 1 + dt |b(t_i, x)| (K, P) (None for
+    the other schemes), the increments dw (K, P, m), or (1, P, m) when the
+    variants share them, and x_next = X_{i+1} (K, P, d) with the diverged
+    paths frozen at their last finite state.  These are the rows the
+    coefficient callbacks see; VariationalFactors.take turns the ones it
+    reads batch-last."""
 
     i: int
     x: np.ndarray
@@ -345,7 +351,7 @@ class Stepper:
                             y[live] = _newton_solve(field, t + dt, live_hist, xr[live], dt,
                                                     scheme, i, eye)
                     x_next = y.reshape(shape)
-                    x_next += np.einsum("...dm,...m->...d", sig, dw)
+                    x_next += contract("...dm,...m->...d", sig, dw)
                 else:
                     b = field.drift(t, hist, xr).reshape(shape)
                     sig = field.diffusion(t, hist, xr).reshape(sig_shape)
@@ -353,13 +359,14 @@ class Stepper:
                         # |b| dt / (1 + dt |b|) < 1 for every drift value, and
                         # a NaN drift reaches the divergence tagging below
                         denom = tamed_denominator(b, dt)
-                        drift_step = b * (dt / denom)
+                        drift_step = b * (dt / denom)[..., None]
                     else:
                         drift_step = b * dt
-                    x_next = x + drift_step + np.einsum("...dm,...m->...d", sig, dw)
+                    x_next = x + drift_step + contract("...dm,...m->...d", sig, dw)
 
                 # NaN fails the <=, so non-finite states are tagged as well
-                ok = np.abs(x_next).max(axis=2) <= DIVERGENCE_BOUND
+                top = contract("...i->...", np.abs(x_next), add=np.maximum)
+                ok = top <= DIVERGENCE_BOUND
             if not ok.all():
                 bad = ~(ok | diverged)
                 if bad.any():
@@ -674,12 +681,12 @@ def stability_ratio(
     def chunk(inc, start):
         run = Stepper(spec.field, grid, inc, np.vstack([theta, xi])[:, None], scheme)
         x = run.theta
-        sup = np.linalg.norm(x[1:] - x[0], axis=-1)
+        sup = norm(x[1:] - x[0])
         # a diverged path's frozen values may overflow; the run raises below
         with np.errstate(over="ignore", invalid="ignore"):
             for rec in run:
                 x = rec.x_next
-                np.maximum(sup, np.linalg.norm(x[1:] - x[0], axis=-1), out=sup)
+                np.maximum(sup, norm(x[1:] - x[0]), out=sup)
             vals = sup ** p
         return vals.T, run.first_bad.min(axis=0)
 

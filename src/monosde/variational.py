@@ -38,6 +38,7 @@ from .errors import (
     NewtonFailureError,
 )
 from .models import ModelSpec
+from .smallmat import contract
 from .solver import (
     EULER, TAMED, PathStepper, SchemeChoice, StepRecord, Stepper, simulate_batch, solve_paths,
 )
@@ -52,14 +53,18 @@ class VariationalFactors:
     """Builds the per-step matrices of the linearized flow along variant 0 of
     a running Stepper, from the StepRecords a pass hands to take().
 
-    For step i (state X_i, increment dW_i) it provides
-        dmat: treated drift matrix (B, d, d)
-        smat: sum_j grad_sigma^j(X_i) dW_i^j as a (B, d, d) matrix
+    For step i (state X_i, increment dW_i) it provides, batch-last (the B
+    paths on the last axis, so that each product is a few multiply-adds
+    over a contiguous batch, see smallmat.contract)
+        dmat: treated drift matrix (d, d, B)
+        smat: sum_j grad_sigma^j(X_i) dW_i^j as a (d, d, B) matrix
         amat: dmat + smat (the one-step flow is I + amat)
-    plus the raw gradients for forcing terms, under the field and scheme of
-    run, for the B paths of variant 0, the base.  Their noise is run's own
-    when it has one variant, else its unshifted increments: a noise-shifted
-    batch runs its base on the zero shift.
+    plus the raw gradients for forcing terms, gs = grad_sigma(X_i) (d, m,
+    d, B), sig = sigma(X_i) (d, m, B) and dw (m, B), under the field and
+    scheme of run, for the B paths of variant 0, the base.  Their noise is
+    run's own when it has one variant, else its unshifted increments: a
+    noise-shifted batch runs its base on the zero shift.  The callbacks
+    still get and return rows; take transposes each result once.
     """
 
     def __init__(self, run: Stepper):
@@ -71,9 +76,9 @@ class VariationalFactors:
         K, B, d = run.theta.shape
         self.hist = run.hist if K == 1 else History(run.grid, run.inc)
         self.dt = run.grid.dt
-        self._eye = np.eye(d)
-        # the implicit factor's right-hand side, one identity per path
-        self._eyes = np.broadcast_to(self._eye, (B, d, d)).copy()
+        self.eye = np.eye(d)[..., None]  # (d, d, 1)
+        # the implicit factor's right-hand side, one identity per path row
+        self._eyes = np.broadcast_to(np.eye(d), (B, d, d)).copy()
 
     def take(self, rec: StepRecord):
         """The factors of the step the record holds, on its variant 0,
@@ -81,39 +86,37 @@ class VariationalFactors:
         again."""
         field, dt = self.field, self.dt
         t = rec.i * dt
-        x, dw = rec.x[0], rec.dw[0]
-        self.gs = field.grad_diffusion(t, self.hist, x)  # (B, d, m, d)
-        self.sig = sig = rec.sig[0]  # (B, d, m)
-        self.dw = dw
+        x, sig, dw = rec.x[0], rec.sig[0], rec.dw[0]
+        self.gs = field.grad_diffusion(t, self.hist, x).transpose(1, 2, 3, 0)
+        self.sig = sig.transpose(1, 2, 0)
+        self.dw = dw.T
         # S = sum_j grad_sigma^{(.,j)} dW^j
-        self.smat = np.einsum("bimj,bm->bij", self.gs, dw)
+        self.smat = contract("imj...,m...->ij...", self.gs, self.dw)
         if self.scheme.kind == EULER:
-            self.dmat = field.grad_drift(t, self.hist, x) * dt
+            self.dmat = field.grad_drift(t, self.hist, x).transpose(1, 2, 0) * dt
         elif self.scheme.kind == TAMED:
-            tame = 1.0 / rec.denom[0]  # (B, 1)
-            self.dmat = field.grad_drift(t, self.hist, x) * (dt * tame[:, :, None])
+            tame = 1.0 / rec.denom[0]  # (B,)
+            self.dmat = field.grad_drift(t, self.hist, x).transpose(1, 2, 0) * (dt * tame)
         else:  # IMPLICIT: (I - dt grad_b(t_{i+1}, Y))^{-1} - I, Y rebuilt from the step
             # NaN where the matrix is singular, as in the kernel's Newton step
-            y = rec.x_next[0] - np.einsum("bdm,bm->bd", sig, dw)
-            jac = self._eye - dt * field.grad_drift(t + dt, self.hist, y)
-            self.dmat = solve_paths(jac, self._eyes) - self._eye
+            y = rec.x_next[0] - contract("...dm,...m->...d", sig, dw)
+            jac = self._eyes[0] - dt * field.grad_drift(t + dt, self.hist, y)
+            self.dmat = solve_paths(jac, self._eyes).transpose(1, 2, 0) - self.eye
         self.amat = self.dmat + self.smat
 
     def inverse_factor(self) -> np.ndarray:
-        """(I + A)^{-1} to third order: I - A + A^2 - A^3."""
+        """(I + A)^{-1} to third order: I - A + A^2 - A^3, (d, d, B)."""
         a = self.amat
-        a2 = a @ a
-        return self._eye - a + a2 - a @ a2
+        a2 = contract("ij...,jk...->ik...", a, a)
+        return self.eye - a + a2 - contract("ij...,jk...->ik...", a, a2)
 
     def wronskian_increment(self) -> np.ndarray:
-        """Per-step increment of log D, shape (B,)."""
-        tr_d = np.einsum("bii->b", self.dmat)
-        tr_s = np.einsum("biji->bj", self.gs)  # (B, m): trace of grad_sigma^j
-        lin = np.einsum("bj,bj->b", tr_s, self.dw)
+        """Per-step increment of log D, shape (B,): tr A = tr Dmat + sum_j
+        tr(grad_sigma^j) dW^j, less half the Ito correction."""
         # realized-QV weighting of the Ito correction keeps det J - D at O(dt)
-        trmat = np.einsum("bijl,blki->bjk", self.gs, self.gs)
-        qv = np.einsum("bjk,bj,bk->b", trmat, self.dw, self.dw)
-        return tr_d + lin - 0.5 * qv
+        trmat = contract("ijl...,lki...->jk...", self.gs, self.gs)
+        qv = contract("jk...,j...,k...->...", trmat, self.dw, self.dw)
+        return contract("ii...->...", self.amat) - 0.5 * qv
 
 
 # ---------------------------------------------------------------------------
@@ -161,23 +164,23 @@ class JacobianBundle:
 
 def _jacobian_arrays(run: Stepper):
     """Batched J, K (B, N+1, d, d) and D (B, N+1) along the B paths of run's
-    one variant, stepping it."""
+    one variant, stepping it: views of the batch-last arrays the steps
+    fill, (N+1, d, d, B) and (N+1, B)."""
     _, B, d = run.theta.shape
     N = run.N
-    eye = np.eye(d)
-    J = np.empty((B, N + 1, d, d))
-    K = np.empty((B, N + 1, d, d))
-    logD = np.empty((B, N + 1))
-    J[:, 0] = K[:, 0] = eye
-    logD[:, 0] = 0.0
     vf = VariationalFactors(run)
+    J = np.empty((N + 1, d, d, B))
+    K = np.empty((N + 1, d, d, B))
+    logD = np.empty((N + 1, B))
+    J[0] = K[0] = vf.eye
+    logD[0] = 0.0
     for rec in run:
         i = rec.i
         vf.take(rec)
-        J[:, i + 1] = J[:, i] + vf.amat @ J[:, i]
-        K[:, i + 1] = K[:, i] @ vf.inverse_factor()
-        logD[:, i + 1] = logD[:, i] + vf.wronskian_increment()
-    return J, K, np.exp(logD)
+        J[i + 1] = J[i] + contract("ij...,jk...->ik...", vf.amat, J[i])
+        K[i + 1] = contract("ij...,jk...->ik...", K[i], vf.inverse_factor())
+        logD[i + 1] = logD[i] + vf.wronskian_increment()
+    return J.transpose(3, 0, 1, 2), K.transpose(3, 0, 1, 2), np.exp(logD).T
 
 
 def jacobian(
@@ -211,12 +214,12 @@ def gateaux_direction(
     vf = VariationalFactors(run)
     f = np.empty((run.N + 1, spec.d))
     f[0] = h
-    cur = h[None]
+    cur = h[:, None]  # batch-last (d, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for rec in run:
             vf.take(rec)
-            cur = cur + np.einsum("bij,bj->bi", vf.amat, cur)
-            f[rec.i + 1] = cur[0]
+            cur = cur + contract("ij...,j...->i...", vf.amat, cur)
+            f[rec.i + 1] = cur[:, 0]
     check_finite_nodes(f, "Gateaux direction F[h]")
     return StatePath(w.grid, spec.d, f)
 

@@ -16,3 +16,5 @@ def test_criterion(number):
     )
     print(line)
     assert result.passed, line
+    # verify_values.csv writes these at full precision
+    assert all(isinstance(v, float) for v in result.values.values())

@@ -344,6 +344,13 @@ verify.criteria = 2
     lines = (out / "verify.csv").read_text().splitlines()
     assert lines[0] == "number,criterion,status,detail"
     assert lines[1].startswith("2,gbm_exact_recursions,PASS")
+    # the figure the detail rounds, at full precision
+    values = (out / "verify_values.csv").read_text().splitlines()
+    assert values[0] == "number,criterion,name,value"
+    (row,) = values[1:]
+    assert row.startswith("2,gbm_exact_recursions,max_rel_err,")
+    detail = lines[1].split(",")[3]
+    assert detail == f"max_rel_err={float(row.split(',')[3]):.3e} tol=1e-12"
 
 
 def _refused_criteria(tmp_path, monkeypatch, capsys, criteria):

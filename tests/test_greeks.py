@@ -408,11 +408,15 @@ def _stored_samples(spec, g, scheme, payoff, a, eps, inc):
                 for rec in stored_records(vf, out):
                     i = rec.i
                     vf.take(rec)
-                    siginv_j = J / vf.sig if d == 1 else np.linalg.solve(vf.sig, J)
-                    wstar = wstar + a_l[i] * np.einsum(
-                        "bdm,bm->bd", siginv_j.transpose(0, 2, 1), vf.dw
+                    # the factors are batch-last: sig (d, m, B), dw (m, B), amat (d, d, B)
+                    sig, dw, amat = (
+                        vf.sig.transpose(2, 0, 1), vf.dw.T, vf.amat.transpose(2, 0, 1)
                     )
-                    J = J + vf.amat @ J
+                    siginv_j = J / sig if d == 1 else np.linalg.solve(sig, J)
+                    wstar = wstar + a_l[i] * np.einsum(
+                        "bdm,bm->bd", siginv_j.transpose(0, 2, 1), dw
+                    )
+                    J = J + amat @ J
                 cols.append(payoff(out.values[0, :, N])[:, None] * wstar)
         samples += [np.stack(cols, axis=1), out.first_bad[0]]
     if eps is not None:

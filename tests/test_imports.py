@@ -126,3 +126,62 @@ def test_the_guard_finds_a_process_pool_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in _SRC.glob("*.py")))
 def test_no_module_imports_a_process_pool(module):
     assert _pool_imports((_SRC / module).read_text()) == []
+
+
+def _small_products(source: str) -> list:
+    """(function, what) for each np.einsum call and each @ in a module, the
+    function named by its dotted path within the module ("" at module
+    level), in source order."""
+    found = []
+
+    def visit(node, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            path = f"{path}.{node.name}" if path else node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "einsum") or (
+                isinstance(f, ast.Name) and f.id == "einsum"
+            ):
+                found.append((path, "einsum"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((path, "@"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_guard_finds_an_einsum_and_a_matmul():
+    source = (
+        "import numpy as np\nfrom numpy import einsum\nx = a @ b\n"
+        "class C:\n    def f(self):\n        def g():\n            return np.einsum('ij->i', a)\n"
+        "        y = einsum('i->', b)\n        y @= c\n"
+    )
+    assert _small_products(source) == [
+        ("", "@"), ("C.f.g", "einsum"), ("C.f", "einsum"), ("C.f", "@"),
+    ]
+
+
+#: the functions that may call np.einsum or use @: each contracts a whole
+#: path or lattice (an index of length N or of the s-lattice), or one matrix
+#: pair, where no batch of small matrices is stepped
+_WHOLE_ARRAY_PRODUCTS = {
+    "cli.py": {"_run_jacobian"},  # the inverse defect K J - I over the path
+    "core.py": {"History.cum_ito"},
+    "malliavin.py": {"malliavin_matrix", "_shift_integrals", "RepresentationParts.predicted"},
+    "models.py": {"_ou_closed_form.state"},
+    "shiftlab.py": {"_log_dd"},  # the Girsanov sum over the path
+    "variational.py": {"JacobianBundle.inverse_defect", "JacobianBundle.flow_between"},
+}
+
+
+# the per-step small-matrix algebra goes through smallmat.contract, which
+# keeps the batch axis contiguous and is the one product at d = m = 1
+@pytest.mark.parametrize("module", sorted(p.name for p in _SRC.glob("*.py")))
+def test_per_step_products_go_through_contract(module):
+    allowed = _WHOLE_ARRAY_PRODUCTS.get(module, set())
+    found = _small_products((_SRC / module).read_text())
+    assert [(fn, what) for fn, what in found if fn not in allowed] == []
+    # an allowed function that no longer needs it leaves the list
+    assert allowed <= {fn for fn, _ in found}

@@ -191,7 +191,9 @@ def _stored_directional(out, vf, h):
         i = rec.i
         t = i * dt
         vf.take(rec)
-        force_dt = np.einsum("bdm,m->bd", vf.sig, hd[i]) * dt
+        # the factors are batch-last: sig (d, m, B), amat (d, d, B)
+        sig, amat = vf.sig.transpose(2, 0, 1), vf.amat.transpose(2, 0, 1)
+        force_dt = np.einsum("bdm,m->bd", sig, hd[i]) * dt
         if field.mall_drift is not None and i > 0:
             u = np.asarray(field.mall_drift(left[:i], t, hist), dtype=float)
             u = np.broadcast_to(u, (B, i, d, m))
@@ -202,7 +204,7 @@ def _stored_directional(out, vf, h):
             v = np.broadcast_to(v, (B, i, d, m, m))
             iv = np.einsum("bsdjk,sk->bdj", v, hd[:i]) * dt
             force_dw = np.einsum("bdj,bj->bd", iv, hist.increments[:, i])
-        y = y + np.einsum("bij,bj->bi", vf.amat, y) + force_dt + force_dw
+        y = y + np.einsum("bij,bj->bi", amat, y) + force_dt + force_dw
         vals[:, i + 1] = y
     return vals
 

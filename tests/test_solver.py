@@ -142,7 +142,7 @@ def _terminal_jacobians(spec, inc, N, kind):
     J = np.ones((len(inc), 1, 1))
     for rec in run:
         vf.take(rec)
-        J = J + vf.amat @ J
+        J = J + vf.amat.transpose(2, 0, 1) @ J  # amat is batch-last (d, d, B)
     assert not run.diverged.any()
     return J[:, 0, 0]
 
@@ -1502,3 +1502,110 @@ def test_stability_ratio_equals_its_separate_runs(case, kind):
     (got,) = stability_ratio(spec, g, scheme, theta, xi, 2.0, 300, 21)
     assert got.mean.tobytes() == want.mean.tobytes()
     assert got.stderr.tobytes() == want.stderr.tobytes()
+
+
+def _d2_variational_outputs(case, kind):
+    """The d > 1 outputs of every variational pass under the scheme kind, by
+    name: J, K and D of `jacobian`, the Malliavin field, F[h], D^h X and the
+    per-path BEL (m = d only) and FD samples of a 16-path greeks chunk."""
+    field, theta = {
+        "cubic_d2": (_cubic_d2(), np.array([2.0, -1.0])),
+        "cubic_d2_m3": (_cubic_d2_m3(), np.array([0.5, -1.0])),
+    }[case]
+    spec = ModelSpec(case, field, {}, theta)
+    g = make_grid(1.0, 64)
+    scheme = SchemeChoice(kind)
+    w = sample_noise(g, spec.m, seed=9)
+    bun = jacobian(spec, w, scheme)
+    hdot = np.cos(np.arange(g.N)[:, None] * 0.1 + np.arange(spec.m))
+    outputs = {
+        "J": bun.J, "K": bun.K, "D": bun.D,
+        "field": malliavin_field(spec, w, scheme, s_stride=4).entries,
+        "gateaux": gateaux_direction(spec, w, scheme, np.array([1.0, -0.5])).values,
+        "directional": directional_derivative(
+            spec, w, scheme, CameronMartinPath(g, spec.m, hdot)).values,
+    }
+    inc = sample_increments(g, spec.m, 9, 0, 16)
+    a = _weight_table([constant_weight(), lambda s, t: s + 0.5], g) if spec.m == spec.d else None
+    samples = _samples(field, g, scheme, theta, tanh_payoff(), inc, a, 1e-3)
+    if a is not None:
+        outputs["bel"], samples = samples[0], samples[2:]
+    outputs["fd"] = samples[0]
+    return outputs
+
+
+#: sha256 of each _d2_variational_outputs array, per (case, scheme).  Where
+#: smallmat.contract sums in another order than the np.einsum or matmul it
+#: replaced, the digest moved in the last bits (CHANGES.md lists each move):
+#: matmul on 2 x 2 stacks (J, K, the field and BEL on cubic_d2), einsum's
+#: (p0 + p2) + p1 for the m = 3 noise sum sigma dW (every cubic_d2_m3 output)
+#: and log D's tr A, now summed as tr(Dmat + S) instead of tr Dmat + tr S
+_D2_VARIATIONAL_PINS = {
+    ("cubic_d2", EULER): {
+        "J": "0e510b5e7551d5b8530aa980f4e965f410e9ec6dde16e67a60fe5fbe288e7eb5",
+        "K": "eb8f371649587bb18bd59c07fe05afec29ba5ee031c07527183443e2f3966034",
+        "D": "5506215ce43d7c5f02416154d81ed802c6f7ebaedcefc8c657b1e745745f7cb9",
+        "field": "4940c307eb424c5b68f8225df56d2116abbcb7c85965526592800a3fa6e8ac42",
+        "gateaux": "495fe2e45b81d5bc4850a4615671c4279a4e008f1e256fadd06df6a5c65773ec",
+        "directional": "fc18389fca9872339c05ba86b82b4f734baaca4df3839b784ee22c2e69eba5c5",
+        "bel": "65b61b27ab24707575f483f7c8cdb342946e6409920b8830659c57ffb90459e8",
+        "fd": "fea548b958a2f86c9382360274e4916138fbd9e82cf68febeacfffee6ef5892c",
+    },
+    ("cubic_d2", TAMED): {
+        "J": "70df416ecc80d2dbd6db6b89db6b2908987c7f221235249d7a078aa525a82537",
+        "K": "d8feb07e71f63cdef15291ff09508310505d49600159db329318f5c25ab82c2d",
+        "D": "dee14ce848efd9a2b11a25fbbb027ec6b33f016ea5a6ec97a104e56827314d8b",
+        "field": "f1ff949da2080771e56f5bea8dfb00f0d7bdb7a4e2a1c13130a6b4574ab7bae0",
+        "gateaux": "60a3f9d028f6ebba63757855f08f6c8c6380d909ffa1d71b6aace1b26426ec37",
+        "directional": "6e8d24d820cad85c5eb9090434689fbe95141c935487d5cf1fc2c8567abdd8bb",
+        "bel": "a59904de653e82da4595cc9cf94d4ba79be3483cee2eb497338366cb3a1bce93",
+        "fd": "ebb1f6d6bc18b461bb59f910666ec72dbde4127d5b6bea35d8fe0eaf6fa7b325",
+    },
+    ("cubic_d2", IMPLICIT): {
+        "J": "5d60846b0cd01f9ed5adab0518c366e8a4f322839e78bb4fb7ba90d31f43f219",
+        "K": "78c3fcbea903715dea1dfe1cc5d6d64d660b83e383685b6dbdfbc6bcd222aeff",
+        "D": "6d8b0005d6cfb43f658082486a263ec093ed8b5ea4bb1381bed71db87adfde73",
+        "field": "e7978d138cd30e8c67e579e021cc770d036f12d20cabc0f1dd977e47593815b2",
+        "gateaux": "818abbe5da988146fd3e579fd37d02538e50c732c85740185ab9e72078cd52b8",
+        "directional": "ddc328524ebdcd07e7cc93e167894d5f72ba86cf633175743015cbe5a2340ce6",
+        "bel": "c1608a9ec6e3c9e650746073ae056cad8cca2235a66e0e749bb50f46e1c69cae",
+        "fd": "63269222ee7bec7f162936ee7e659b60f6a895520e5a298db1728374f85b9a4e",
+    },
+    ("cubic_d2_m3", EULER): {
+        "J": "1a7d6810f849f8576a6f4bb059b4948020458c87d148bc55a86de3d7e06dc584",
+        "K": "d82d75b2c9a68d043cd861805147aeb6fad0dad23a7e2c235643f4e50d7276c1",
+        "D": "927f92e63d429bb3c075300ee51ab811bb6315dd7956fa2850cb3bb147ae43d6",
+        "field": "3037ca0ac60d79a45b5d64f6f779c803545378b7fd83919dd073a3a41eeb0043",
+        "gateaux": "ddc2e93375f65b52fb5fc16c239c88303b158baf2d8f4de8633adaddbc75dbed",
+        "directional": "8b3d4c6f0bc97ad63c9dc131ae083b26f5a1200a2e9c3e43f7047556d7359014",
+        "fd": "f649020abfa33c1113ba9cf63a50b94de4c4544a28742c32e2488f1d7eddda5c",
+    },
+    ("cubic_d2_m3", TAMED): {
+        "J": "90b04c339e034ffe6cc5e8463d248efd65fe624fa0c5ca811ce070074c8f7f74",
+        "K": "a48005f758c2f0f0cf15a1a79dd64c1d66aca985c8afbd882e5f908ac1eb0892",
+        "D": "17f3900b1138619bae2ead38f5aff1b14ce09098e1e8655df84a2a0578663b67",
+        "field": "35b9525cf3d07a850a4ad5cb1353abbd23ee454c39ae5477b82867ca6d63e8fe",
+        "gateaux": "9d544eddd45cbd1c7bbafc16c96a973a087e445d05d41f0eb1c15d113fb60a3a",
+        "directional": "bcd24a482d70cdcf63ab1399424d11774050610a9ca0bb3fff06aada3a34073c",
+        "fd": "4b267b40d89b550192147cfd9ac6b3c87e818d1964d85cab1363a8af28f4c310",
+    },
+    ("cubic_d2_m3", IMPLICIT): {
+        "J": "566ff0d58649a69fa5ca15bbd243484e4e059032b6df8a171ca5a899e66240b5",
+        "K": "196a2fcef3acfdef0024987d96bd493f6bad8f213394830d2165f499a4530599",
+        "D": "0cec36e8b764a86a55a31929df0ae7b218adeb0c749034dc12deb2fb987f23e6",
+        "field": "6a7803d2d173ba3e359818969f622f0db82406d6f0d6e2fdca14d10f55ef3c63",
+        "gateaux": "df45d8879ed828236f72d2adff2922d650b118e01239fe17d78c22a9816e4a34",
+        "directional": "5f71de9b53606993cda29ee40e785bead471c45191fd54b8d71699cdc82932e9",
+        "fd": "3befee6859b75e0d4ab00dfa91677b0e107381ca67e0a8a0bdf8210d5def10b8",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+@pytest.mark.parametrize("case", ["cubic_d2", "cubic_d2_m3"])
+def test_d2_variational_bytes_are_pinned(case, kind):
+    got = {
+        name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+        for name, a in _d2_variational_outputs(case, kind).items()
+    }
+    assert got == _D2_VARIATIONAL_PINS[case, kind]

@@ -302,7 +302,9 @@ def test_implicit_d2_twin_equals_d1_bitwise(eta, x0, N):
     for rec1, rec2 in zip(stored_records(vf1, one), stored_records(vf2, two)):
         vf1.take(rec1)
         vf2.take(rec2)
-        assert np.array_equal(vf2.dmat, _diag(np.repeat(vf1.dmat[:, 0], 2, axis=1)))
+        # dmat is batch-last (d, d, B)
+        dmat1, dmat2 = vf1.dmat.transpose(2, 0, 1), vf2.dmat.transpose(2, 0, 1)
+        assert np.array_equal(dmat2, _diag(np.repeat(dmat1[:, 0], 2, axis=1)))
 
 
 @pytest.mark.parametrize("kind", [EULER, TAMED, IMPLICIT])
