@@ -625,6 +625,10 @@ def _cli(tmp_path, subcommand, body, workers=1):
 
 _GL = "model = ginzburg_landau\ngrid.T = 1\n"
 _GBM = "model = gbm\ngrid.T = 1\n"
+_RANDOM_SIGMA = (
+    "model = random_sigma_example\ngrid.T = 1\ngrid.N = 64\nscheme = euler_maruyama\n"
+    "seed = 5\nn_paths = 64\n"
+)
 
 #: sha256 of artifacts as the row-by-row writers wrote them: paths per
 #: scheme, 1025 tamed paths (two chunks, 513 + 512, at workers 2), the
@@ -637,9 +641,11 @@ _GBM = "model = gbm\ngrid.T = 1\n"
 #: `artifacts` workload at its sizes (N = 1024); then the Cameron-Martin
 #: check (base and shifted variants of one stacked batch) per scheme; last,
 #: greeks in 4 chunks of 4096 paths, two per worker at workers 2, so that a
-#: worker reports more than one chunk.  The GL cases that read the drift on
-#: more than one path were re-pinned when it became eta*u - u*u*u, whose
-#: bytes no CPU's pow kernel changes.
+#: worker reports more than one chunk; last, the ladder and the
+#: Cameron-Martin check on the random-sigma model, whose sigma reads the
+#: shifted noise of each variant (in two chunks at workers 2).  The GL cases
+#: that read the drift on more than one path were re-pinned when it became
+#: eta*u - u*u*u, whose bytes no CPU's pow kernel changes.
 _PINNED = {
     "paths_euler": (
         "simulate", _GL + "grid.N = 64\nscheme = euler_maruyama\nseed = 5\nn_paths = 3\n",
@@ -755,6 +761,14 @@ _PINNED = {
     "greeks_tamed_16384": (
         "greeks", _GL + "grid.N = 64\nscheme = tamed_euler\nseed = 5\nn_paths = 16384\n",
         "greeks.csv", "f9c26ec14654bc3bf2a164fede75f691ff4d11aaa42c6a71258ad9f39fd54e9b",
+    ),
+    "ladder_random_sigma": (
+        "ladder", _RANDOM_SIGMA, "ladder.csv",
+        "3f871614fdc15a009c193bae6b247de197c98da8d9f618dc2de9fef9ea7824b2",
+    ),
+    "cameron_martin_random_sigma": (
+        "cameron-martin", _RANDOM_SIGMA, "cameron_martin.csv",
+        "2ae6d74e80000f5483d90f6d93cb26a58c28331033c037a28985da642636db53",
     ),
 }
 
