@@ -284,8 +284,9 @@ def _run_jacobian(cfg, spec, grid, out_dir, workers):
     w = sample_noise(grid, spec.m, cfg.seed, 0)
     bun = jacobian(spec, w, scheme)
     n = grid.N + 1
-    defect = np.linalg.norm(bun.K @ bun.J - np.eye(spec.d), axis=(1, 2))
-    block = np.column_stack([bun.J.reshape(n, -1), bun.K.reshape(n, -1), bun.D, defect])
+    block = np.column_stack(
+        [bun.J.reshape(n, -1), bun.K.reshape(n, -1), bun.D, bun.inverse_defects()]
+    )
     header = (
         ["t"]
         + [f"J{a}{b}" for a in range(spec.d) for b in range(spec.d)]

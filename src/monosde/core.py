@@ -338,37 +338,30 @@ class History:
     contract, asserted statistically by model tests).  Cached cumulatives make
     running Ito integrals O(1) per step.
 
-    With variants = K, the batch is K runs of the same P paths, flattened to
-    the rows the callbacks see: row k*P + p is path p of variant k, as a
-    solver.Stepper flattens its (K, P) states.  Without shifts every variant
-    reads the noise of the P paths; with shifts (K, N, m), variant k reads
-    the noise shifted by shifts[k], increments inc[p] + shifts[k].  Each view
-    is built on first use, so none is built that no callback reads: on the P
-    paths and tiled, or on each variant's shifted noise, as a history of that
-    noise builds it.
-
-    `rows` (B,) lists the batch rows that a callback's x rows stand for: x
-    row j is batch row rows[j].  It is arange(B) for the history of a whole
-    batch.  take(idx) gives the history of rows[idx] alone, which the kernel
-    hands a callback it evaluates on those rows only; a field that reads the
-    noise must index it by the rows it is given, not assume they start at
-    batch row 0.  Its increments, brownian and cum_ito hold those rows only,
-    taken on first use from the whole batch's view, which is built then if
-    no callback has read it yet; so it builds nothing for a field that reads
-    no noise.
+    The batch is K = variants runs of the P paths inc (P, N, m), flattened as
+    a solver.Stepper flattens its (K, P) states: row r is path r % P of
+    variant r // P and reads inc[r % P], plus shifts[r // P] when shifted
+    (shifts (K, N, m)).  dw(i) is step i of that noise as the kernel steps it.
+    `rows` (B,) lists the batch rows that a callback's x rows stand for: x row
+    j is batch row rows[j], and rows is arange(K P) for a whole batch.
+    take(idx) is the history of rows[idx] alone, on the same noise, which the
+    kernel hands a callback it evaluates on those rows only; so a field that
+    reads the noise must index it by the rows it is given.  increments,
+    brownian and cum_ito hold the history's own rows, each built on first use
+    (the whole history of one unshifted variant reads inc itself, uncopied).
     """
 
     def __init__(self, grid: TimeGrid, increments: np.ndarray, variants: int = 1,
-                 shifts: Optional[np.ndarray] = None):
-        inc = np.asarray(increments, dtype=float)
+                 shifts: Optional[np.ndarray] = None, _rows: Optional[np.ndarray] = None):
         self.grid = grid
-        self._paths = inc  # (P, N, m)
+        self._inc = np.asarray(increments, dtype=float)  # (P, N, m)
         self._shifts = shifts
         self.variants = variants if shifts is None else len(shifts)
-        self.B = self.variants * inc.shape[0]
-        self.m = inc.shape[2]
-        self.rows = np.arange(self.B)
-        self._whole = None  # a take's: the history of the batch, whose views it reads
+        self.m = self._inc.shape[2]
+        # a take's rows are given
+        self.rows = np.arange(self.variants * len(self._inc)) if _rows is None else _rows
+        self.B = len(self.rows)
+        self._is_inc = _rows is None and shifts is None and self.variants == 1
         self._ito = {}
 
     @classmethod
@@ -376,36 +369,37 @@ class History:
         return cls(w.grid, w.increments[None])
 
     def take(self, idx) -> "History":
-        """The history of rows[idx] alone (idx an index array or mask)."""
-        sub = object.__new__(History)
-        sub.grid, sub.variants, sub.m = self.grid, self.variants, self.m
-        sub.rows = self.rows[idx]
-        sub.B = len(sub.rows)
-        sub._whole = self if self._whole is None else self._whole
-        sub._ito = {}
-        return sub
+        """The history of rows[idx] alone (idx an index array, mask or slice)."""
+        return History(self.grid, self._inc, self.variants, self._shifts, self.rows[idx])
 
-    def _view(self, view, whole):
-        """view(increments) of each variant's (P, N, m) noise, in row order;
-        a restricted history takes its rows of whole(the whole history)."""
-        if self._whole is not None:
-            return whole(self._whole)[self.rows]
+    def _noise(self) -> np.ndarray:
+        """The increments of the rows, (B, N, m)."""
+        if self._is_inc:
+            return self._inc
+        P = len(self._inc)
+        inc = self._inc[self.rows % P]
         if self._shifts is not None:
-            return np.concatenate([view(self._paths + s) for s in self._shifts])
-        a = view(self._paths)
-        if self.variants == 1:
-            return a
-        return np.tile(a, (self.variants,) + (1,) * (a.ndim - 1))
+            inc += self._shifts[self.rows // P]
+        return inc
+
+    def dw(self, i: int) -> np.ndarray:
+        """Step i's increments of the batch's P paths, (1, P, m) when the
+        variants share them, else (K, P, m): inc[:, i] + shifts[k, i]."""
+        dw = self._inc[None, :, i]
+        if self._shifts is None:
+            # a contiguous copy: inc[:, i] strides by N m entries
+            return dw.copy()
+        return self._shifts[:, i, None] + dw
 
     @cached_property
     def increments(self) -> np.ndarray:
         """dW per row, shape (B, N, m)."""
-        return self._view(lambda inc: inc, lambda h: h.increments)
+        return self._noise()
 
     @cached_property
     def brownian(self) -> np.ndarray:
         """W(t_i) per row, shape (B, N + 1, m)."""
-        return self._view(lambda inc: partial_sums(inc, axis=1), lambda h: h.brownian)
+        return partial_sums(self._noise(), axis=1)
 
     def idx(self, t: float) -> int:
         return self.grid.index_of(t)
@@ -420,10 +414,7 @@ class History:
             g = np.asarray(integrand, dtype=float)
             if g.ndim == 1:
                 g = g[:, None]
-            self._ito[key] = self._view(
-                lambda inc: partial_sums(np.einsum("bnm,nm->bn", inc, g), axis=1),
-                lambda h: h.cum_ito(key, g),
-            )
+            self._ito[key] = partial_sums(np.einsum("bnm,nm->bn", self._noise(), g), axis=1)
         return self._ito[key]
 
 

@@ -500,10 +500,11 @@ def probe_assumptions(
     """
     if n_probes < 1:
         raise InvalidParameterError("n_probes must be >= 1")
-    # a short noise history so random fields have something to look at; its
-    # draw checks the seed
+    # a short noise history so random fields have something to look at: one
+    # row per probe point, each reading path 0's noise, as the callbacks'
+    # rows read their own noise in a run; its draw checks the seed
     grid = make_grid(1.0, 64)
-    hist = History.from_path(sample_noise(grid, field.m, seed, 0))
+    hist = History(grid, sample_noise(grid, field.m, seed, 0).increments[None], n_probes)
     # the probe points' own stream, apart from path 0's Brownian stream (0,)
     seq = np.random.SeedSequence(seed, spawn_key=(0, 2))
     gen = np.random.Generator(np.random.Philox(seq))
@@ -520,11 +521,11 @@ def probe_assumptions(
     max_dif = 0.0
     for t in np.unique(times):
         sel = times == t
-        xs, ys = x[sel], y[sel]
-        bx = field.drift(t, hist, xs)
-        by = field.drift(t, hist, ys)
-        sx = field.diffusion(t, hist, xs)
-        sy = field.diffusion(t, hist, ys)
+        xs, ys, h = x[sel], y[sel], hist.take(sel)
+        bx = field.drift(t, h, xs)
+        by = field.drift(t, h, ys)
+        sx = field.diffusion(t, h, xs)
+        sy = field.diffusion(t, h, ys)
         diff = xs - ys
         nrm2 = np.sum(diff**2, axis=1)
         one = np.sum(diff * (bx - by), axis=1) / nrm2

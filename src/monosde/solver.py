@@ -19,12 +19,14 @@ The kernel is a Stepper: iterating it yields one StepRecord per step, holding
 what the step evaluated (X_i, sigma, the tamed denominator, dW_i)
 and X_{i+1}.  A Stepper may run K variants of its P paths as one batch, on
 an axis of their own: theta broadcasts to (K, P, d) and every state, record
-field and divergence flag has the leading axes (K, P).  With shifts (K, N,
-m) variant k runs on inc[p] + shifts[k], formed step by step, so no shifted
-copy of the noise is built; without, the variants broadcast one step's
-increments.  Variant 0 is the base, which a noise-shifted batch runs on the
-zero shift, and the one the variational pass differentiates.  Only the
-kernel flattens the variants, to the rows the coefficient callbacks see.
+field and divergence flag has the leading axes (K, P).  Its core.History
+defines the noise each variant reads, for the steps and the callbacks: with
+shifts (K, N, m) variant k reads inc[p] + shifts[k], formed step by step
+(History.dw), so no shifted copy of the noise is built; without, the
+variants broadcast one step's increments.  Variant 0 is the base, which a
+noise-shifted batch runs on the zero shift, and the one the variational pass
+differentiates.  Only the kernel flattens the variants, to the rows the
+coefficient callbacks see.
 
 Each caller keeps only what it reads.  simulate_batch stores every state,
 which a path functional such as a Cameron-Martin functional needs.  Every
@@ -256,14 +258,14 @@ class Stepper:
     from theta[k, p]: (d,), (P, d), (K, 1, d) or (K, P, d).  K is
     len(shifts), else theta's first axis when it has three, else 1.  The
     variants share the noise, or with shifts (K, N, m) variant k runs on the
-    noise shifted by shifts[k]: its step i reads inc[:, i] + shifts[k, i].
+    noise shifted by shifts[k].  `hist` is the noise as step i takes it
+    (hist.dw(i)) and as the coefficient callbacks read it: they see the
+    states flattened to (K*P, d), row k*P + p being path p of variant k.
     Variant 0 is the base, which a noise-shifted batch runs on the zero
     shift.  Iterating runs the N steps in order and yields each step's
     StepRecord after the divergence tagging; `theta` holds the (K, P, d)
     starts, and `diverged` and `first_bad` (K, P) (N+1 for a path that never
-    diverged) are final after the last step.  `hist` is the noise as the
-    coefficient callbacks read it: they see the states flattened to (K*P,
-    d), row k*P + p being path p of variant k.  Iterate once.
+    diverged) are final after the last step.  Iterate once.
 
     Once a row has diverged, the split-step scheme hands Newton only the
     live rows, with hist.take of them, and the frozen rows keep X_{i+1} =
@@ -282,12 +284,12 @@ class Stepper:
         scheme: SchemeChoice,
         shifts: Optional[np.ndarray] = None,
     ):
-        self.inc = np.asarray(increments, dtype=float)
-        if self.inc.ndim != 3:
+        inc = np.asarray(increments, dtype=float)
+        if inc.ndim != 3:
             raise InvalidParameterError(
-                f"increments must have shape (P, {grid.N}, {field.m}), got {self.inc.shape}"
+                f"increments must have shape (P, {grid.N}, {field.m}), got {inc.shape}"
             )
-        P, self.N, m = self.inc.shape
+        P, self.N, m = inc.shape
         if self.N != grid.N:
             raise InvalidParameterError(f"increments have {self.N} steps, the grid {grid.N}")
         if m != field.m:
@@ -315,28 +317,23 @@ class Stepper:
         if scheme.kind == IMPLICIT:
             _check_implicit_dt(field, grid)
         self.field, self.grid, self.scheme, self.theta = field, grid, scheme, theta
-        self.hist = History(grid, self.inc, K, shifts)
-        self._shifts = shifts
+        self.hist = History(grid, inc, K, shifts)
         self.diverged = np.zeros((K, P), dtype=bool)
         self.first_bad = np.full((K, P), self.N + 1, dtype=np.int64)
 
     def __iter__(self):
         field, scheme, hist = self.field, self.scheme, self.hist
         dt = self.grid.dt
-        diverged, first_bad, shifts = self.diverged, self.first_bad, self._shifts
+        diverged, first_bad = self.diverged, self.first_bad
         x = self.theta.copy()
         shape = K, P, d = x.shape
-        sig_shape, rows = shape + self.inc.shape[2:], (K * P, d)
+        sig_shape, rows = shape + (hist.m,), (K * P, d)
         eye = np.eye(d)
         live = None  # once a row diverged, the rows that did not
         for i in range(self.N):
             t = i * dt
             xr = x.reshape(rows)  # the rows k*P + p the callbacks see
-            if shifts is None:
-                # a contiguous copy: inc[:, i] strides by N m entries
-                dw = self.inc[None, :, i].copy()
-            else:
-                dw = shifts[:, i, None] + self.inc[None, :, i]
+            dw = hist.dw(i)
             denom = None
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 if scheme.kind == IMPLICIT:

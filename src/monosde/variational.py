@@ -4,7 +4,11 @@ flow derivative.
 
 All variational equations share the base scheme's drift treatment: the
 grad_drift * (state) term is tamed with the same 1 + dt |b(X_i)| denominator,
-or solved with the same implicit factor, as the base SDE step.
+or solved with the same implicit factor, as the base SDE step.  The tamed
+factor leaves out that denominator's derivative, so tamed J, unlike Euler and
+implicit J, is not the derivative of the map the kernel steps (6.7e-4 off the
+central difference at N = 256, GL from x0 = 1), though it converges to the
+SDE's J as dt -> 0.
 
 Discretization of the inverse process K and the Wronskian D
 -----------------------------------------------------------
@@ -61,9 +65,9 @@ class VariationalFactors:
         amat: dmat + smat (the one-step flow is I + amat)
     plus the raw gradients for forcing terms, gs = grad_sigma(X_i) (d, m,
     d, B), sig = sigma(X_i) (d, m, B) and dw (m, B), under the field and
-    scheme of run, for the B paths of variant 0, the base.  Their noise is
-    run's own when it has one variant, else its unshifted increments: a
-    noise-shifted batch runs its base on the zero shift.  The callbacks
+    scheme of run, for the B paths of variant 0, the base.  The callbacks
+    read run's history, or with K > 1 variants its take of variant 0's rows
+    0..B-1 (a noise-shifted batch runs its base on the zero shift).  They
     still get and return rows; take transposes each result once.
     """
 
@@ -74,7 +78,7 @@ class VariationalFactors:
         self.field = field
         self.scheme = run.scheme
         K, B, d = run.theta.shape
-        self.hist = run.hist if K == 1 else History(run.grid, run.inc)
+        self.hist = run.hist if K == 1 else run.hist.take(slice(0, B))
         self.dt = run.grid.dt
         self.eye = np.eye(d)[..., None]  # (d, d, 1)
         # the implicit factor's right-hand side, one identity per path row
@@ -145,12 +149,13 @@ class JacobianBundle:
     def d(self) -> int:
         return self.J.shape[1]
 
+    def inverse_defects(self) -> np.ndarray:
+        """|| K_i J_i - I ||_F per node i, (N+1,): the discrete shadow of K J = I."""
+        return np.linalg.norm(self.K @ self.J - np.eye(self.d), axis=(1, 2))
+
     def inverse_defect(self) -> float:
-        """max_i || K_i J_i - I ||_F, the discrete shadow of K J = I."""
-        eye = np.eye(self.d)
-        return float(
-            np.max(np.linalg.norm(self.K @ self.J - eye, axis=(1, 2)))
-        )
+        """max_i || K_i J_i - I ||_F."""
+        return float(np.max(self.inverse_defects()))
 
     def wronskian_defect(self) -> float:
         """max_i |det J_i - D_i| / |D_i|."""

@@ -167,12 +167,11 @@ def test_the_guard_finds_an_einsum_and_a_matmul():
 #: path or lattice (an index of length N or of the s-lattice), or one matrix
 #: pair, where no batch of small matrices is stepped
 _WHOLE_ARRAY_PRODUCTS = {
-    "cli.py": {"_run_jacobian"},  # the inverse defect K J - I over the path
     "core.py": {"History.cum_ito"},
     "malliavin.py": {"malliavin_matrix", "_shift_integrals", "RepresentationParts.predicted"},
     "models.py": {"_ou_closed_form.state"},
     "shiftlab.py": {"_log_dd"},  # the Girsanov sum over the path
-    "variational.py": {"JacobianBundle.inverse_defect", "JacobianBundle.flow_between"},
+    "variational.py": {"JacobianBundle.inverse_defects", "JacobianBundle.flow_between"},
 }
 
 

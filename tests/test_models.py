@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,23 @@ def test_probe_points_have_their_own_stream():
     probe_assumptions(zoo_lookup("ou").field, sampler, 10, seed=3)
     seq = np.random.SeedSequence(entropy=3, spawn_key=(0, 2))
     assert draws[0] == np.random.Generator(np.random.Philox(seq)).random()
+
+
+def test_probe_hands_each_point_a_row_of_path_0s_noise():
+    # a field that reads its own rows' noise, as History asks of it, is given
+    # one history row per probe point, each row reading path 0's noise
+    ou = zoo_lookup("ou").field
+    seen = []
+
+    def drift(t, hist, x):
+        assert hist.brownian.shape[0] == len(x)
+        seen.append(hist.brownian)
+        return ou.drift(t, hist, x)
+
+    rep = probe_assumptions(replace(ou, drift=drift), uniform_sampler(-3, 3), 50, seed=3)
+    assert rep.passed and seen
+    path0 = sample_noise(make_grid(1.0, 64), 1, 3).brownian()
+    assert all(np.array_equal(row, path0) for w in seen for row in w)
 
 
 def test_probe_quintic_against_dense_scan():
