@@ -639,7 +639,7 @@ _RANDOM_SIGMA = (
 #: scheme (multiplicative noise: a non-zero S and the Wronskian's
 #: realized-QV term); then the three artifacts of the benchmark's
 #: `artifacts` workload at its sizes (N = 1024); then the Cameron-Martin
-#: check (base and shifted variants of one stacked batch) per scheme; last,
+#: check (base and shifted variants of one stacked batch) per scheme; then
 #: greeks in 4 chunks of 4096 paths, two per worker at workers 2, so that a
 #: worker reports more than one chunk; last, the ladder and the
 #: Cameron-Martin check on the random-sigma model, whose sigma reads the
