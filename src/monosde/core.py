@@ -385,10 +385,10 @@ class History:
     def dw(self, i: int) -> np.ndarray:
         """Step i's increments of the batch's P paths, (1, P, m) when the
         variants share them, else (K, P, m): inc[:, i] + shifts[k, i]."""
-        dw = self._inc[None, :, i]
+        # one contiguous copy for all variants: inc[:, i] strides by N m entries
+        dw = self._inc[None, :, i].copy()
         if self._shifts is None:
-            # a contiguous copy: inc[:, i] strides by N m entries
-            return dw.copy()
+            return dw
         return self._shifts[:, i, None] + dw
 
     @cached_property

@@ -8,9 +8,10 @@ The field solves, for each lattice time s and t >= s,
            + int_s^t grad_b(r, X(r)) M_s(r) dr
            + int_s^t grad_sigma(r, X(r)) M_s(r) dW(r),
 
-with M_s(t) = 0 for s > t.  U and V are the model's noise-derivative
-processes; deterministic coefficient fields have U = V = 0.  All s-rows share
-the base path and step in lockstep, so the field costs O(n_s * N).
+with M_s(t) = 0 for s > t.  U(s, r) and V(s, r) are the model's noise
+derivatives of b and sigma at X(r); a deterministic field declares neither,
+so both are 0.  All s-rows share the base path and step in lockstep, so the
+field costs O(n_s * N).
 """
 
 from __future__ import annotations
@@ -83,16 +84,17 @@ class MalliavinField:
                 fh.write(format_lines(lead, templates[sj * d * m:], self.entries[pos, sj:]))
 
 
-def _noise_derivatives(field, s_vals: np.ndarray, t: float, hist, B: int):
+def _noise_derivatives(field, s_vals: np.ndarray, t: float, hist, x: np.ndarray):
     """The noise-derivative processes U(s, t) (B, k, d, m) and V(s, t) (B, k,
-    d, m, m) of field at the k times s_vals, broadcast to B paths; each is
-    None when the field has no such process."""
-    shape = (B, len(s_vals), field.d, field.m)
+    d, m, m) of field at the k times s_vals, on the B rows x = X(t) (B, d)
+    that hist stands for; each is None when the field has no such process."""
+    shape = (len(x), len(s_vals), field.d, field.m)
     u = v = None
     if field.mall_drift is not None:
-        u = np.broadcast_to(np.asarray(field.mall_drift(s_vals, t, hist), dtype=float), shape)
+        u = np.asarray(field.mall_drift(s_vals, t, hist, x), dtype=float)
+        u = np.broadcast_to(u, shape)
     if field.mall_diffusion is not None:
-        v = np.asarray(field.mall_diffusion(s_vals, t, hist), dtype=float)
+        v = np.asarray(field.mall_diffusion(s_vals, t, hist, x), dtype=float)
         v = np.broadcast_to(v, shape + (field.m,))
     return u, v
 
@@ -147,7 +149,7 @@ def _field_batch(
         vf.take(rec)
         activate(i, vf.sig)
         upd = cur[:active] + contract("ij...,sjm...->sim...", vf.amat, cur[:active])
-        u, v = _noise_derivatives(field, s_times[:active], i * dt, hist, B)
+        u, v = _noise_derivatives(field, s_times[:active], i * dt, hist, rec.x[0])
         if u is not None:
             upd = upd + u.transpose(1, 2, 3, 0) * dt
         if v is not None:
@@ -215,7 +217,6 @@ def representation_parts(
     N = grid.N
     dt = grid.dt
     values = bundle.base.values[None]
-    use_uv = field.mall_drift is not None or field.mall_diffusion is not None
 
     A = np.zeros((k, N + 1, d, m))
     cur = np.zeros((k, d, m))
@@ -226,10 +227,10 @@ def representation_parts(
             active += 1
         # J_s(t) A(s, t) uses A propagated to each t; rows keep their running value
         A[:active, i] = cur[:active]
-        if i == N or not use_uv:
+        if i == N or field.deterministic:
             continue
         t = i * dt
-        u, vmat = _noise_derivatives(field, s_idx[:active] * dt, t, hist, 1)
+        u, vmat = _noise_derivatives(field, s_idx[:active] * dt, t, hist, values[:, i])
         u = np.zeros((active, d, m)) if u is None else u[0]
         vmat = np.zeros((active, d, m, m)) if vmat is None else vmat[0]
         # the s-rows are the batch: <grad_sigma(r), V(s, r)>^{(i,k)} =
@@ -247,14 +248,14 @@ def representation_parts(
 # ---------------------------------------------------------------------------
 
 
-def _shift_integrals(field, hist, hd: np.ndarray, i: int, dt: float, B: int):
+def _shift_integrals(field, hist, x: np.ndarray, hd: np.ndarray, i: int, dt: float):
     """int_0^{t_i} U(s, t_i) hdot(s) ds (d, B) and int_0^{t_i} V(s, t_i)
-    hdot(s) ds (d, m, B), left-point in s over the nodes s < t_i, for the
-    density hd (N, m) of h; each None when the field has no such process
-    or i = 0.  A quadrature over the s-lattice, so np.einsum sums it."""
+    hdot(s) ds (d, m, B) on the rows x = X(t_i) (B, d), left-point in s over
+    the nodes s < t_i, for the density hd (N, m) of h; each None when the
+    field has no such process or i = 0.  An s-lattice sum, for np.einsum."""
     if i == 0:
         return None, None
-    u, v = _noise_derivatives(field, np.arange(i) * dt, i * dt, hist, B)
+    u, v = _noise_derivatives(field, np.arange(i) * dt, i * dt, hist, x)
     if u is not None:
         u = np.einsum("bsdm,sm->bd", u, hd[:i]).T * dt
     if v is not None:
@@ -272,7 +273,7 @@ def directional_step(vf: VariationalFactors, rec: StepRecord,
     hd = h.density  # (N, m)
     vf.take(rec)
     force_dt = contract("dm...,m...->d...", vf.sig, hd[i][:, None]) * dt
-    iu, iv = _shift_integrals(vf.field, vf.hist, hd, i, dt, y.shape[1])
+    iu, iv = _shift_integrals(vf.field, vf.hist, rec.x[0], hd, i, dt)
     if iu is not None:
         force_dt = force_dt + iu * dt
     step = y + contract("ij...,j...->i...", vf.amat, y) + force_dt

@@ -3,18 +3,19 @@ coefficients) and the model zoo, including closed-form oracles.
 
 Callback conventions
 --------------------
-All callbacks are pure and broadcast over a leading batch axis:
+All callbacks are pure and take rows x (B, d), one state per batch row that
+hist.rows stands for (len(x) == hist.B):
 
-    drift(t, hist, x)            x: (B, d)  ->  (B, d)
-    diffusion(t, hist, x)                   ->  (B, d, m)
-    grad_drift(t, hist, x)                  ->  (B, d, d)      [d b_i / d x_j]
-    grad_diffusion(t, hist, x)              ->  (B, d, m, d)   [d sigma_ij / d x_k]
-    mall_drift(s_vals, t, hist)   s_vals: (k,) -> broadcastable to (B, k, d, m)
-    mall_diffusion(s_vals, t, hist)          -> broadcastable to (B, k, d, m, m)
+    drift(t, hist, x)                   ->  (B, d)
+    diffusion(t, hist, x)               ->  (B, d, m)
+    grad_drift(t, hist, x)              ->  (B, d, d)     [d b_i / d x_j]
+    grad_diffusion(t, hist, x)          ->  (B, d, m, d)  [d sigma_ij / d x_k]
+    mall_drift(s_vals, t, hist, x)      ->  (B, k, d, m), s_vals (k,); or broadcastable
+    mall_diffusion(s_vals, t, hist, x)  ->  (B, k, d, m, m); or broadcastable to it
 
-hist is a core.History; deterministic fields must ignore it.  mall_drift /
-mall_diffusion are the U, V processes (noise-derivatives of b and sigma) and
-must vanish for s > t.
+hist, a core.History, is those rows' noise.  U = mall_drift and V =
+mall_diffusion are D_s b(t, x) and D_s sigma(t, x) at x = X(t), and 0 for
+s > t; a field that declares neither is deterministic and reads no hist.
 """
 
 from __future__ import annotations
@@ -41,11 +42,15 @@ class CoefficientField:
     diffusion: Callable
     grad_drift: Callable
     grad_diffusion: Callable
-    mall_drift: Optional[Callable] = None  # U(s, t, hist)
-    mall_diffusion: Optional[Callable] = None  # V(s, t, hist)
-    deterministic: bool = True
+    mall_drift: Optional[Callable] = None  # U(s, t, hist, x)
+    mall_diffusion: Optional[Callable] = None  # V(s, t, hist, x)
     monotone_const: float = 0.0  # one-sided Lipschitz constant of the drift
     lip_diffusion: float = 0.0  # Lipschitz constant of the diffusion
+
+    @property
+    def deterministic(self) -> bool:
+        """True when the field declares no noise derivative U or V."""
+        return self.mall_drift is None and self.mall_diffusion is None
 
 
 @dataclass
@@ -92,7 +97,6 @@ def _scalar_field(
     dsigma,
     monotone_const,
     lip_diffusion,
-    deterministic=True,
     U=None,
     V=None,
 ):
@@ -122,7 +126,6 @@ def _scalar_field(
         grad_diffusion=grad_diffusion,
         mall_drift=U,
         mall_diffusion=V,
-        deterministic=deterministic,
         monotone_const=monotone_const,
         lip_diffusion=lip_diffusion,
     )
@@ -376,8 +379,8 @@ def _build_wright_fisher_like(p):
 
 
 def _build_random_sigma_example(p):
-    # sigma(t, w, x) = x + int_0^t g dW with a step function g; b = 0.
-    # The initial condition is 1 (the explicit solution is stated for it).
+    # sigma(t, w, x) = x + int_0^t g dW, g a step function, and b = 0, so the
+    # field declares V alone.  x0 = 1: the explicit solution is stated for it.
     g_low, g_high, break_frac = p["g_low"], p["g_high"], p["g_break_frac"]
     if not (0.0 < break_frac < 1.0):
         raise OutOfDomainError("g_break_frac must lie in (0, 1)")
@@ -390,10 +393,7 @@ def _build_random_sigma_example(p):
         ito = hist.cum_ito("random_sigma_g", g_vals)
         return np.asarray(u, dtype=float) + ito[:, hist.idx(t)]
 
-    def U(s_vals, t, hist):
-        return np.zeros((len(np.atleast_1d(s_vals)), 1, 1))
-
-    def V(s_vals, t, hist):
+    def V(s_vals, t, hist, x):
         # V(s, t) = g(s) 1_{s < t}; progressively measurable in t.
         s = np.atleast_1d(np.asarray(s_vals, dtype=float))
         g_vals = g_func(hist.grid)
@@ -408,8 +408,6 @@ def _build_random_sigma_example(p):
         dsigma=_const(1.0),
         monotone_const=0.0,
         lip_diffusion=1.0,
-        deterministic=False,
-        U=U,
         V=V,
     )
     return ModelSpec(

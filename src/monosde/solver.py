@@ -639,7 +639,7 @@ def live_paths(first_bad: np.ndarray, N: int) -> np.ndarray:
 
 def sup_norms(values: np.ndarray) -> np.ndarray:
     """Pathwise sup of |X(t_i)| over the grid, values (B, N+1, d) -> (B,)."""
-    return np.max(np.linalg.norm(values, axis=2), axis=1)
+    return np.max(norm(values), axis=1)
 
 
 # ---------------------------------------------------------------------------

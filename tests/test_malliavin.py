@@ -18,9 +18,10 @@ from monosde import (
     sample_noise,
     zoo_lookup,
 )
-from monosde.core import StatePath
+from monosde.core import StatePath, sample_increments
 from monosde.malliavin import MalliavinField
-from monosde.solver import EULER, IMPLICIT, TAMED, SchemeChoice
+from monosde.shiftlab import _ladder_samples
+from monosde.solver import EULER, IMPLICIT, SCHEMES, TAMED, SchemeChoice, simulate, simulate_batch
 
 
 def test_ou_field_matches_closed_form():
@@ -170,16 +171,16 @@ def _ou_with_drift_derivative():
     M_s(t) = sigma e^{-kappa tau} + (U / kappa) (1 - e^{-kappa tau}), tau = t - s."""
     spec = zoo_lookup("ou", {"kappa": 1.0, "sigma": 0.5})
 
-    def mall_drift(s_vals, t, hist):
+    def mall_drift(s_vals, t, hist, x):
         s = np.atleast_1d(np.asarray(s_vals, dtype=float))
         return np.where(s < t, _U, 0.0)[:, None, None]
 
-    return replace(spec, field=replace(spec.field, mall_drift=mall_drift, deterministic=False))
+    return replace(spec, field=replace(spec.field, mall_drift=mall_drift))
 
 
 @pytest.mark.parametrize("N", [256, 1024, 4096])
 def test_field_and_representation_match_a_nonzero_u(N):
-    # the zoo's only U is identically 0; this one forces M_s with U dt
+    # no zoo model declares a U; this one forces M_s with U dt
     spec = _ou_with_drift_derivative()
     g = make_grid(1.0, N)
     w = sample_noise(g, 1, seed=7)
@@ -227,6 +228,50 @@ def test_noise_derivative_passes_are_pinned(model):
         directional_derivative(spec, w, scheme, CameronMartinPath.constant(g, 1.0)).values,
     )
     assert [hashlib.sha256(a.tobytes()).hexdigest() for a in outputs] == digests
+
+
+def _recording_noise_derivatives(spec):
+    """spec with a U (identically 0) and its own V that record (t, hist.B, x)
+    at each call."""
+    calls = []
+    v = spec.field.mall_diffusion
+
+    def U(s_vals, t, hist, x):
+        calls.append((t, hist.B, x.copy()))
+        return 0.0
+
+    def V(s_vals, t, hist, x):
+        calls.append((t, hist.B, x.copy()))
+        return v(s_vals, t, hist, x)
+
+    return replace(spec, field=replace(spec.field, mall_drift=U, mall_diffusion=V)), calls
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_noise_derivatives_read_the_state_of_their_rows(kind):
+    # every pass evaluates U and V on X(t) of the rows their history stands
+    # for: the one path, or the base variant of a stacked ladder chunk
+    spec, calls = _recording_noise_derivatives(zoo_lookup("random_sigma_example"))
+    g = make_grid(1.0, 32)
+    scheme = SchemeChoice(kind)
+    w = sample_noise(g, 1, seed=3)
+    path = simulate(spec, w, scheme).values[None]  # (1, N+1, d)
+    inc = sample_increments(g, 1, 3, 0, 16)
+    rows = simulate_batch(spec.field, g, inc, spec.theta0, scheme).values[0]
+    h = CameronMartinPath.constant(g, 1.0)
+    passes = [
+        (lambda: malliavin_field(spec, w, scheme, s_stride=4), path),
+        (lambda: representation_parts(jacobian(spec, w, scheme), s_stride=4), path),
+        (lambda: directional_derivative(spec, w, scheme, h), path),
+        (lambda: _ladder_samples(spec, g, scheme, h, np.array([0.5, 0.25]), inc), rows),
+    ]
+    for run, want in passes:
+        calls.clear()
+        run()
+        assert calls
+        for t, B, x in calls:
+            assert B == len(x) == len(want)
+            assert np.array_equal(x, want[:, g.index_of(t)])
 
 
 def test_directional_zero_direction():

@@ -217,7 +217,6 @@ def test_probe_detects_wrong_constant():
         diffusion=spec.field.diffusion,
         grad_drift=spec.field.grad_drift,
         grad_diffusion=spec.field.grad_diffusion,
-        deterministic=True,
         monotone_const=1.0,
         lip_diffusion=0.2,
     )
@@ -264,7 +263,8 @@ def test_random_sigma_v_matches_step_function():
     hist = _hist(g, seed=5)
     g_vals = step_function_values(g, 1.0, 2.0, 0.5)
     s = g.left_times
-    v = np.asarray(spec.field.mall_diffusion(s, 0.75, hist)).reshape(-1)
+    x = np.ones((hist.B, 1))
+    v = np.asarray(spec.field.mall_diffusion(s, 0.75, hist, x)).reshape(-1)
     expected = np.where(s < 0.75, g_vals, 0.0)
     assert np.array_equal(v, expected)
 
@@ -273,12 +273,13 @@ def test_uv_zero_for_s_greater_than_t():
     spec = zoo_lookup("random_sigma_example")
     g = make_grid(1.0, 64)
     hist = _hist(g, seed=6)
+    assert spec.field.mall_drift is None  # b = 0 has no noise derivative
     rng = np.random.default_rng(0)
+    x = np.ones((hist.B, 1))
     for _ in range(20):
         t = rng.uniform(0, 1)
         s = np.array([t + rng.uniform(0.001, 0.2)])
-        assert np.all(np.asarray(spec.field.mall_diffusion(s, t, hist)) == 0.0)
-        assert np.all(np.asarray(spec.field.mall_drift(s, t, hist)) == 0.0)
+        assert np.all(np.asarray(spec.field.mall_diffusion(s, t, hist, x)) == 0.0)
 
 
 def test_gbm_closed_form_vs_fine_simulation():

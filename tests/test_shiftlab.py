@@ -183,7 +183,7 @@ def _stored_directional(out, vf, h):
     field, grid = vf.field, out.grid
     B, d, m = out.values.shape[1], field.d, field.m
     N, dt = grid.N, grid.dt
-    hist, hd = out.hist, h.density
+    hist, hd, x = out.hist, h.density, out.values[0]
     vals = np.zeros((B, N + 1, d))
     y = np.zeros((B, d))
     left = grid.left_times
@@ -195,12 +195,12 @@ def _stored_directional(out, vf, h):
         sig, amat = vf.sig.transpose(2, 0, 1), vf.amat.transpose(2, 0, 1)
         force_dt = np.einsum("bdm,m->bd", sig, hd[i]) * dt
         if field.mall_drift is not None and i > 0:
-            u = np.asarray(field.mall_drift(left[:i], t, hist), dtype=float)
+            u = np.asarray(field.mall_drift(left[:i], t, hist, x[:, i]), dtype=float)
             u = np.broadcast_to(u, (B, i, d, m))
             force_dt = force_dt + np.einsum("bsdm,sm->bd", u, hd[:i]) * dt * dt
         force_dw = np.zeros((B, d))
         if field.mall_diffusion is not None and i > 0:
-            v = np.asarray(field.mall_diffusion(left[:i], t, hist), dtype=float)
+            v = np.asarray(field.mall_diffusion(left[:i], t, hist, x[:, i]), dtype=float)
             v = np.broadcast_to(v, (B, i, d, m, m))
             iv = np.einsum("bsdjk,sk->bdj", v, hd[:i]) * dt
             force_dw = np.einsum("bdj,bj->bd", iv, hist.increments[:, i])
@@ -228,11 +228,39 @@ def _stored_ladder(spec, g, scheme, h, eps, inc):
 
 def _with_drift_noise_derivative(spec):
     """spec with a nonzero U(s, t) = s t, so D^h X carries the U forcing."""
-    def U(s_vals, t, hist):
+    def U(s_vals, t, hist, x):
         s = np.atleast_1d(np.asarray(s_vals, dtype=float))
         return (s * t)[:, None, None]
 
     return replace(spec, field=replace(spec.field, mall_drift=U))
+
+
+def _with_doubled_noise_derivative(spec):
+    """spec with V doubled, so V no longer matches how sigma reads the noise."""
+    v = spec.field.mall_diffusion
+
+    def V(s_vals, t, hist, x):
+        return 2.0 * np.asarray(v(s_vals, t, hist, x))
+
+    return replace(spec, field=replace(spec.field, mall_diffusion=V))
+
+
+def test_ladder_checks_the_declared_noise_derivative():
+    # the quotients on w + eps h converge to D^h X, which the declared V
+    # forces, only if V is the derivative of sigma in the noise: then the
+    # error falls at first order in eps (7.1e-1 ... 7.4e-5); doubled V
+    # leaves it flat at about 0.8
+    spec = zoo_lookup("random_sigma_example")
+    g = make_grid(1.0, 64)
+    h = CameronMartinPath.constant(g, 1.0)
+    eps = [2.0**-1, 2.0**-4, 2.0**-7, 2.0**-10, 2.0**-14]
+    scheme = SchemeChoice(EULER)
+    good = gateaux_ladder(spec, g, scheme, h, eps, [0.1], n_paths=512, seed=107)
+    assert np.all(good.mean_error[1:] * 4.0 <= good.mean_error[:-1])
+    bad = gateaux_ladder(
+        _with_doubled_noise_derivative(spec), g, scheme, h, eps, [0.1], n_paths=512, seed=107
+    )
+    assert np.all(bad.mean_error >= 0.5)
 
 
 #: the stacked-variant cases, plus random sigma with a nonzero U as well as V
