@@ -1,11 +1,13 @@
-"""Experiment configuration, orchestration, and CSV emission.
+"""Experiment configuration, orchestration, and the artifacts: this module
+formats and writes every artifact file, and no numerical module writes one.
 
 Config format: flat ``key = value`` lines, ``#`` comments, explicit
 ``schema_version``.  Unknown keys are rejected and all validation errors are
 reported together.  Every artifact is written with 17-significant-digit
 formatting plus a metadata sidecar (the canonical config echo, library
 version, and seed), sufficient to reproduce it bit-identically; artifacts
-contain no timestamps.
+contain no timestamps.  Lines end in LF, except malliavin_field.csv's, which
+end in CRLF.
 
 Exit codes: 0 success; 1 invalid config; 1 or 2 for an error of the library
 raised while running, by its class (see monosde.errors); 3 acceptance
@@ -26,12 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .core import (
-    CameronMartinPath,
-    format_lines,
-    make_grid,
-    sample_noise,
-)
+from .core import CameronMartinPath, make_grid, sample_noise
 from .errors import MonosdeError
 from .models import ZOO_NAMES, zoo_lookup
 from .solver import SCHEMES, SchemeChoice, simulate_paths
@@ -62,16 +59,22 @@ EXPERIMENTS = (
     "verify",
 )
 
-_FMT = "{:.17g}"
+#: 17 significant digits, which read back as the same double
+_G17 = "%.17g"
 
 
 def _fmt(x) -> str:
-    return _FMT.format(float(x))
+    return _G17 % float(x)
 
 
-def _row(*values) -> list:
-    """CSV fields: text as it is, integers with str, other numbers with _fmt."""
-    return [v if isinstance(v, str) else str(v) if isinstance(v, int) else _fmt(v) for v in values]
+def _line(fields) -> str:
+    return ",".join(fields) + "\n"
+
+
+def _row(*values) -> str:
+    """A CSV line: text as it is, integers with str, other numbers with _fmt."""
+    return _line(v if isinstance(v, str) else str(v) if isinstance(v, int) else _fmt(v)
+                 for v in values)
 
 
 class _Reader(NamedTuple):
@@ -248,18 +251,38 @@ def emit_config(cfg: ExperimentConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners
+# Artifacts and the experiment runners
 # ---------------------------------------------------------------------------
 
 
-def _line(fields) -> str:
-    return ",".join(fields) + "\n"
+def _node_templates(grid, tails) -> list:
+    """The %-templates of a table with a row per node: the node's time t, a
+    comma and tail, for each node t of grid and each tail in turn."""
+    return [f"{_fmt(t)},{tail}" for t in grid.nodes.tolist() for tail in tails]
 
 
-def _write_csv(path, header, blocks):
-    """The header line, then each block of whole lines as it comes."""
+def _format_lines(lead: str, templates: list, values: np.ndarray) -> str:
+    """lead + template % fields for each template in turn, the fields read in
+    order from values, in one join and one %-call."""
+    return lead.join(["", *templates]) % tuple(values.ravel().tolist())
+
+
+def _field_blocks(fld):
+    """The lines s,t,i,j,value of the field fld for t >= s, ending in CRLF,
+    one block per s-row."""
+    dm = fld.d * fld.m
+    tails = [f"{i},{j},{_G17}\r\n" for i in range(fld.d) for j in range(fld.m)]
+    templates = _node_templates(fld.grid, tails)
+    for pos, sj in enumerate(fld.s_indices.tolist()):
+        lead = f"{_fmt(sj * fld.grid.dt)},"
+        yield _format_lines(lead, templates[sj * dm:], fld.entries[pos, sj:])
+
+
+def _write_csv(path, header: str, blocks):
+    """header (the header line with its line end), then each block of whole
+    lines as it comes."""
     with open(path, "w", newline="") as fh:
-        fh.write(_line(header))
+        fh.write(header)
         for block in blocks:
             fh.write(block)
 
@@ -272,10 +295,9 @@ def _write_sidecar(path, cfg: ExperimentConfig):
 
 def _run_simulate(cfg, spec, grid, out_dir, workers):
     values = simulate_paths(spec, grid, cfg.scheme_choice(), cfg.seed, cfg.n_paths, workers)
-    header = ["path", "t"] + [f"x{k}" for k in range(spec.d)]
-    row = _line(["%.17g"] * spec.d)
-    templates = [f"{t:.17g},{row}" for t in grid.nodes.tolist()]
-    blocks = (format_lines(f"{p},", templates, x) for p, x in enumerate(values))
+    header = _line(["path", "t"] + [f"x{k}" for k in range(spec.d)])
+    templates = _node_templates(grid, [_line([_G17] * spec.d)])
+    blocks = (_format_lines(f"{p},", templates, x) for p, x in enumerate(values))
     _write_csv(os.path.join(out_dir, "paths.csv"), header, blocks)
 
 
@@ -287,30 +309,31 @@ def _run_jacobian(cfg, spec, grid, out_dir, workers):
     block = np.column_stack(
         [bun.J.reshape(n, -1), bun.K.reshape(n, -1), bun.D, bun.inverse_defects()]
     )
-    header = (
+    header = _line(
         ["t"]
         + [f"J{a}{b}" for a in range(spec.d) for b in range(spec.d)]
         + [f"K{a}{b}" for a in range(spec.d) for b in range(spec.d)]
         + ["wronskian", "inverse_defect"]
     )
-    row = _line(["%.17g"] * block.shape[1])
-    text = format_lines("", [f"{t:.17g},{row}" for t in grid.nodes.tolist()], block)
+    text = _format_lines("", _node_templates(grid, [_line([_G17] * block.shape[1])]), block)
     _write_csv(os.path.join(out_dir, "jacobian.csv"), header, [text])
 
 
 def _run_malliavin(cfg, spec, grid, out_dir, workers):
-    scheme = cfg.scheme_choice()
     w = sample_noise(grid, spec.m, cfg.seed, 0)
-    fld = malliavin_field(spec, w, scheme, s_stride=cfg.s_stride)
+    fld = malliavin_field(spec, w, cfg.scheme_choice(), s_stride=cfg.s_stride)
     mm = malliavin_matrix(fld, int(fld.s_indices[-1]))
-    fld.export_csv(os.path.join(out_dir, "malliavin_field.csv"))
-    rows = [_row(mm.t, *mm.Q.ravel(), mm.min_eigenvalue)]
-    header = (
+    # CRLF line ends, unlike every other artifact, keep its pinned bytes
+    _write_csv(
+        os.path.join(out_dir, "malliavin_field.csv"), "s,t,i,j,value\r\n", _field_blocks(fld)
+    )
+    header = _line(
         ["t"]
         + [f"Q{a}{b}" for a in range(spec.d) for b in range(spec.d)]
         + ["min_eigenvalue"]
     )
-    _write_csv(os.path.join(out_dir, "malliavin_matrix.csv"), header, map(_line, rows))
+    row = _row(mm.t, *mm.Q.ravel(), mm.min_eigenvalue)
+    _write_csv(os.path.join(out_dir, "malliavin_matrix.csv"), header, [row])
 
 
 def _run_ladder(cfg, spec, grid, out_dir, workers):
@@ -326,9 +349,10 @@ def _run_ladder(cfg, spec, grid, out_dir, workers):
         cfg.seed,
         workers=workers,
     )
+    header = _line(["epsilon", "mean_error", "stderr", "delta", "exceedance_prob",
+                    "diverged_count"])
     rows = [_row(*r) for r in lad.rows()]
-    header = ["epsilon", "mean_error", "stderr", "delta", "exceedance_prob", "diverged_count"]
-    _write_csv(os.path.join(out_dir, "ladder.csv"), header, map(_line, rows))
+    _write_csv(os.path.join(out_dir, "ladder.csv"), header, rows)
 
 
 def _run_cameron_martin(cfg, spec, grid, out_dir, workers):
@@ -340,12 +364,11 @@ def _run_cameron_martin(cfg, spec, grid, out_dir, workers):
         spec, grid, cfg.scheme_choice(), h, functional, cfg.n_paths, cfg.seed,
         workers=workers,
     )
-    rows = [
-        _row(rep.lhs.mean[0], rep.lhs.stderr[0], rep.rhs.mean[0], rep.rhs.stderr[0],
-             rep.z_score, rep.n_paths, rep.n_diverged)
-    ]
-    header = ["lhs_mean", "lhs_stderr", "rhs_mean", "rhs_stderr", "z_score", "n_paths", "diverged_count"]
-    _write_csv(os.path.join(out_dir, "cameron_martin.csv"), header, map(_line, rows))
+    header = _line(["lhs_mean", "lhs_stderr", "rhs_mean", "rhs_stderr", "z_score", "n_paths",
+                    "diverged_count"])
+    row = _row(rep.lhs.mean[0], rep.lhs.stderr[0], rep.rhs.mean[0], rep.rhs.stderr[0],
+               rep.z_score, rep.n_paths, rep.n_diverged)
+    _write_csv(os.path.join(out_dir, "cameron_martin.csv"), header, [row])
 
 
 def _run_greeks(cfg, spec, grid, out_dir, workers):
@@ -360,14 +383,14 @@ def _run_greeks(cfg, spec, grid, out_dir, workers):
         spec, grid, scheme, payoff, cfg.n_paths, cfg.seed, workers,
         weights=(weight,), eps=cfg.fd_eps,
     )
+    header = _line(["method", "component", "estimate", "stderr", "n_paths", "diverged_count"])
     rows = [
         _row(rep.method, k, rep.estimate.mean[k], rep.estimate.stderr[k],
              rep.estimate.n_paths, rep.n_diverged)
         for rep in (bel, fd)
         for k in range(spec.d)
     ]
-    header = ["method", "component", "estimate", "stderr", "n_paths", "diverged_count"]
-    _write_csv(os.path.join(out_dir, "greeks.csv"), header, map(_line, rows))
+    _write_csv(os.path.join(out_dir, "greeks.csv"), header, rows)
 
 
 def _run_verify(cfg, spec, grid, out_dir, workers):
@@ -381,17 +404,12 @@ def _run_verify(cfg, spec, grid, out_dir, workers):
         status = "PASS" if r.passed else "FAIL"
         print(f"[{r.number:>2}] {r.name:<{width}} {status}  {r.detail}")
         rows.append(_row(r.number, r.name, status, r.detail))
-    _write_csv(
-        os.path.join(out_dir, "verify.csv"),
-        ["number", "criterion", "status", "detail"],
-        map(_line, rows),
-    )
+    header = _line(["number", "criterion", "status", "detail"])
+    _write_csv(os.path.join(out_dir, "verify.csv"), header, rows)
     # the unrounded figures, so that a byte comparison sees a moved estimate
-    _write_csv(
-        os.path.join(out_dir, "verify_values.csv"),
-        ["number", "criterion", "name", "value"],
-        (_line(_row(r.number, r.name, name, v)) for r in results for name, v in r.values.items()),
-    )
+    header = _line(["number", "criterion", "name", "value"])
+    rows = (_row(r.number, r.name, name, v) for r in results for name, v in r.values.items())
+    _write_csv(os.path.join(out_dir, "verify_values.csv"), header, rows)
     return 0 if all(r.passed for r in results) else 3
 
 

@@ -430,15 +430,3 @@ def chunk_size(N: int, m: int, n_paths: int, workers: int) -> int:
     workers), so that every worker gets a chunk."""
     fit = max(MIN_CHUNK, CHUNK_BYTES // (8 * N * m + PATH_STATE))
     return min(fit, -(-n_paths // workers))
-
-
-# ---------------------------------------------------------------------------
-# Text output
-# ---------------------------------------------------------------------------
-
-
-def format_lines(lead: str, templates: list, values: np.ndarray) -> str:
-    """lead + template % fields for each template (built once per grid) in
-    turn, the fields read in order from values, in one join and one %-call.
-    '%.17g' writes a double exactly as '{:.17g}'.format does."""
-    return lead.join(["", *templates]) % tuple(values.ravel().tolist())

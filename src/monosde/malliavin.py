@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CameronMartinPath, NoisePath, StatePath, TimeGrid, format_lines
+from .core import CameronMartinPath, NoisePath, StatePath, TimeGrid
 from .errors import DivergenceError, InvalidParameterError
 from .models import ModelSpec
 from .smallmat import contract
@@ -68,20 +68,6 @@ class MalliavinField:
         if s_idx > t_idx:
             return np.zeros((self.d, self.m))
         return self.entries[pos, t_idx]
-
-    def export_csv(self, path):
-        """Rows (s, t, i, j, value) over the computed lattice, one s-row at a
-        time.  Lines end in CRLF (the other CSV artifacts end theirs in LF)."""
-        dt, d, m = self.grid.dt, self.d, self.m
-        templates = [
-            f"{t:.17g},{i},{j},%.17g\r\n"
-            for t in self.grid.nodes.tolist() for i in range(d) for j in range(m)
-        ]
-        with open(path, "w", newline="") as fh:
-            fh.write("s,t,i,j,value\r\n")
-            for pos, sj in enumerate(self.s_indices):
-                lead = f"{sj * dt:.17g},"
-                fh.write(format_lines(lead, templates[sj * d * m:], self.entries[pos, sj:]))
 
 
 def _noise_derivatives(field, s_vals: np.ndarray, t: float, hist, x: np.ndarray):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -9,13 +10,16 @@ import tempfile
 import warnings
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import monosde
 import monosde.cli as cli
-from monosde import errors
+from monosde import errors, make_grid
 from monosde.cli import emit_config, main, parse_config, run
+from monosde.core import StatePath
+from monosde.malliavin import MalliavinField
 from monosde.models import zoo_lookup
 from test_solver import _LINUX_ONLY, _assert_no_child, _second_fork_fails
 
@@ -784,6 +788,60 @@ def test_artifact_bytes_are_pinned(tmp_path, case, workers):
     # the Malliavin field ends its lines in CRLF, every other CSV in LF
     crlf = data.count(b"\r\n")
     assert crlf == (data.count(b"\n") if name == "malliavin_field.csv" else 0)
+
+
+@pytest.mark.parametrize("lead", ["", "7,"])
+def test_format_lines_matches_a_row_by_row_writer(lead):
+    # a two-column block (as paths.csv at d = 2 and jacobian.csv write it)
+    # with values of every magnitude, against f"{v:.17g}" lines row by row
+    g = make_grid(0.7, 9)
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((g.N + 1, 2)) * 10.0 ** rng.integers(-300, 300, (g.N + 1, 2))
+    values[2, 1], values[3, 0], values[4, 1] = -0.0, 1e300, -1e-300
+    templates = cli._node_templates(g, ["%.17g,%.17g\n"])
+    want = "".join(
+        f"{lead}{i * g.dt:.17g},{a:.17g},{b:.17g}\n" for i, (a, b) in enumerate(values)
+    )
+    assert cli._format_lines(lead, templates, values) == want
+    assert cli._format_lines(lead, templates[4:], values[4:]) == "".join(
+        want.splitlines(True)[4:]
+    )
+    assert cli._format_lines(lead, [], values[:0]) == ""
+
+
+def test_field_csv_export(tmp_path):
+    body = ("model = ou\ngrid.T = 1\ngrid.N = 16\nscheme = euler_maruyama\nseed = 16\n"
+            "malliavin.s_stride = 8\n")
+    code, out = _cli(tmp_path, "malliavin", body)
+    assert code == 0
+    lines = (out / "malliavin_field.csv").read_text().splitlines()
+    assert lines[0] == "s,t,i,j,value"
+    # rows only for s <= t: 17 + 9 + 1 lattice points
+    assert len(lines) - 1 == 27
+
+
+def test_field_csv_export_matches_a_row_by_row_writer(tmp_path):
+    # d = 2, m = 3 and values of every magnitude, against csv.writer row by row
+    g = make_grid(0.7, 9)
+    s_idx = np.array([0, 4, 9])
+    rng = np.random.default_rng(3)
+    shape = (3, g.N + 1, 2, 3)
+    entries = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    entries[1, 5, 0, 2] = -0.0
+    base = StatePath(g, 2, np.zeros((g.N + 1, 2)))
+    fld = MalliavinField(g, s_idx, entries, base)
+    cli._write_csv(tmp_path / "field.csv", "s,t,i,j,value\r\n", cli._field_blocks(fld))
+
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["s", "t", "i", "j", "value"])
+        for pos, sj in enumerate(s_idx):
+            for ti in range(sj, g.N + 1):
+                for a in range(2):
+                    for b in range(3):
+                        v = entries[pos, ti, a, b]
+                        wr.writerow([f"{sj * g.dt:.17g}", f"{ti * g.dt:.17g}", a, b, f"{v:.17g}"])
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 _MULTI_PATH_FAILURES = {

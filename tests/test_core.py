@@ -21,7 +21,6 @@ from monosde import (
 from monosde.core import (
     _philox_keys,
     chunk_size,
-    format_lines,
     paired_z_score,
     sample_increments,
 )
@@ -317,20 +316,3 @@ def test_history_is_freed_without_the_cycle_collector():
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
-
-
-@pytest.mark.parametrize("lead", ["", "7,"])
-def test_format_lines_matches_a_row_by_row_writer(lead):
-    # a two-column block (as paths.csv at d = 2 and jacobian.csv write it)
-    # with values of every magnitude, against f"{v:.17g}" lines row by row
-    g = make_grid(0.7, 9)
-    rng = np.random.default_rng(4)
-    values = rng.standard_normal((g.N + 1, 2)) * 10.0 ** rng.integers(-300, 300, (g.N + 1, 2))
-    values[2, 1], values[3, 0], values[4, 1] = -0.0, 1e300, -1e-300
-    templates = [f"{t:.17g},%.17g,%.17g\n" for t in g.nodes.tolist()]
-    want = "".join(
-        f"{lead}{i * g.dt:.17g},{a:.17g},{b:.17g}\n" for i, (a, b) in enumerate(values)
-    )
-    assert format_lines(lead, templates, values) == want
-    assert format_lines(lead, templates[4:], values[4:]) == "".join(want.splitlines(True)[4:])
-    assert format_lines(lead, [], values[:0]) == ""
