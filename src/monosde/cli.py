@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .core import CameronMartinPath, make_grid, sample_noise
-from .errors import MonosdeError
+from .errors import InvalidParameterError, MonosdeError
 from .models import ZOO_NAMES, zoo_lookup
 from .solver import SCHEMES, SchemeChoice, simulate_paths
 from .variational import jacobian
@@ -258,7 +258,7 @@ def emit_config(cfg: ExperimentConfig) -> str:
 def _node_templates(grid, tails) -> list:
     """The %-templates of a table with a row per node: the node's time t, a
     comma and tail, for each node t of grid and each tail in turn."""
-    return [f"{_fmt(t)},{tail}" for t in grid.nodes.tolist() for tail in tails]
+    return [f"{t},{tail}" for t in map(_fmt, grid.nodes.tolist()) for tail in tails]
 
 
 def _format_lines(lead: str, templates: list, values: np.ndarray) -> str:
@@ -320,6 +320,11 @@ def _run_jacobian(cfg, spec, grid, out_dir, workers):
 
 
 def _run_malliavin(cfg, spec, grid, out_dir, workers):
+    if cfg.s_stride > grid.N:
+        raise InvalidParameterError(
+            f"malliavin.s_stride must be <= grid.N (got {cfg.s_stride} > {grid.N}): "
+            "the Malliavin matrix needs two s-lattice nodes"
+        )
     w = sample_noise(grid, spec.m, cfg.seed, 0)
     fld = malliavin_field(spec, w, cfg.scheme_choice(), s_stride=cfg.s_stride)
     mm = malliavin_matrix(fld, int(fld.s_indices[-1]))

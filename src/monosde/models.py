@@ -21,6 +21,7 @@ s > t; a field that declares neither is deterministic and reads no hist.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -385,8 +386,11 @@ def _build_random_sigma_example(p):
     if not (0.0 < break_frac < 1.0):
         raise OutOfDomainError("g_break_frac must lie in (0, 1)")
 
+    @lru_cache(maxsize=1)  # sigma and V read the g table at every step
     def g_func(grid: TimeGrid):
-        return step_function_values(grid, g_low, g_high, break_frac * grid.T)
+        g_vals = step_function_values(grid, g_low, g_high, break_frac * grid.T)
+        g_vals.setflags(write=False)
+        return g_vals
 
     def sigma(t, hist, u):
         g_vals = g_func(hist.grid)

@@ -916,7 +916,10 @@ def test_failing_malliavin_run_writes_no_file(tmp_path, capsys):
     code, out = _cli(tmp_path, "malliavin", body)
     assert code == 1
     err = capsys.readouterr().err
-    assert err == "error: t_index must be covered by the s-lattice (including s = t)\n"
+    assert err == (
+        "error: malliavin.s_stride must be <= grid.N (got 8 > 4): "
+        "the Malliavin matrix needs two s-lattice nodes\n"
+    )
     assert not list(out.iterdir())
 
 

@@ -184,3 +184,61 @@ def test_per_step_products_go_through_contract(module):
     assert [(fn, what) for fn, what in found if fn not in allowed] == []
     # an allowed function that no longer needs it leaves the list
     assert allowed <= {fn for fn, _ in found}
+
+
+def _file_opens(source: str) -> list:
+    """(function, call) for each call that can open a file in a module: open,
+    io.open, os.open, os.fdopen and a path's open, write_text and
+    write_bytes; the function named by its dotted path within the module
+    ("" at module level), in source order."""
+    found = []
+
+    def visit(node, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            path = f"{path}.{node.name}" if path else node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == "open":
+                found.append((path, "open"))
+            elif isinstance(f, ast.Attribute) and f.attr in (
+                "open", "fdopen", "write_text", "write_bytes"
+            ):
+                found.append((path, f.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_guard_finds_a_file_open():
+    source = (
+        "import os\nwith open('a') as fh:\n    pass\n"
+        "class F:\n    def export(self, path):\n        with open(path, 'w') as fh:\n"
+        "            fh.write('x')\n        path.write_text('y')\n"
+        "def g(fd):\n    return os.fdopen(fd), io.open('b')\n"
+    )
+    assert _file_opens(source) == [
+        ("", "open"), ("F.export", "open"), ("F.export", "write_text"),
+        ("g", "fdopen"), ("g", "open"),
+    ]
+
+
+#: the functions that may open a file: the CLI's writers and its config
+#: reader, criterion 11's reader of two runs' artifacts, and the ends of the
+#: fork driver's pipes
+_FILE_OPENERS = {
+    "acceptance.py": {"_artifact_bytes"},
+    "cli.py": {"_write_csv", "_write_sidecar", "main"},
+    "solver.py": {"_run_worker", "_fork_chunks"},
+}
+
+
+# cli formats and writes every artifact: no numerical module writes a file
+@pytest.mark.parametrize("module", sorted(p.name for p in _SRC.glob("*.py")))
+def test_only_the_cli_writes_files(module):
+    allowed = _FILE_OPENERS.get(module, set())
+    found = _file_opens((_SRC / module).read_text())
+    assert [(fn, call) for fn, call in found if fn not in allowed] == []
+    # an allowed function that no longer needs it leaves the list
+    assert allowed <= {fn for fn, _ in found}

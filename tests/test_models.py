@@ -269,6 +269,24 @@ def test_random_sigma_v_matches_step_function():
     assert np.array_equal(v, expected)
 
 
+def test_random_sigma_builds_its_g_table_once_per_grid(monkeypatch):
+    # sigma and V read g at every step, 2N + 1 times in one single-path field
+    from monosde import malliavin_field, models
+
+    builds = []
+
+    def counted(grid, *args):
+        builds.append(grid)
+        return step_function_values(grid, *args)
+
+    monkeypatch.setattr(models, "step_function_values", counted)
+    spec = zoo_lookup("random_sigma_example")
+    g, g2 = make_grid(1.0, 64), make_grid(1.0, 32)
+    for grid in (g, g, g2):
+        malliavin_field(spec, sample_noise(grid, 1, seed=3), SchemeChoice(EULER), s_stride=8)
+    assert builds == [g, g2]
+
+
 def test_uv_zero_for_s_greater_than_t():
     spec = zoo_lookup("random_sigma_example")
     g = make_grid(1.0, 64)
